@@ -52,6 +52,17 @@ def _id_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated ids: {text!r}")
 
 
+def _threads(text: str) -> int:
+    """``--threads``: accepted for compatibility, must be >= 1, ignored."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _float_list(text: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -670,7 +681,9 @@ def build_parser() -> argparse.ArgumentParser:
     f_stats.add_argument("--q", type=float, required=True)
     f_stats.add_argument("--seed", type=int, required=True)
     f_stats.add_argument("--samples", type=int, required=True)
-    f_stats.add_argument("--threads", type=int, default=1)
+    f_stats.add_argument(
+        "--threads", type=_threads, default=1, help="accepted and ignored"
+    )
     f_stats.set_defaults(func=cmd_forest_stats)
     f_tgt = fsub.add_parser("roots-target", parents=[edges_p, dry_p, out_p, roots_p])
     f_tgt.add_argument("--m", type=int, required=True)
@@ -699,7 +712,9 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--seed", type=int, required=True)
     tune.add_argument("--grid", type=_float_list, default=None)
     tune.add_argument("--samples", type=int, default=16)
-    tune.add_argument("--threads", type=int, default=1)
+    tune.add_argument(
+        "--threads", type=_threads, default=1, help="accepted and ignored"
+    )
     tune.add_argument("--json", action="store_true")
     tune.set_defaults(func=cmd_tune)
 
@@ -713,7 +728,9 @@ def build_parser() -> argparse.ArgumentParser:
     build_p.add_argument("--min-size", type=int, default=2)
     build_p.add_argument("--sparsify-theta", type=float, default=None)
     build_p.add_argument("--tuning-samples", type=int, default=16)
-    build_p.add_argument("--threads", type=int, default=1)
+    build_p.add_argument(
+        "--threads", type=_threads, default=1, help="accepted and ignored"
+    )
 
     s_an = ssub.add_parser("analyze", parents=[edges_p, dry_p, out_p, build_p])
     s_an.add_argument("signal", help="signal file (vertex,value)")

@@ -8,18 +8,30 @@ loop-erased through next-pointer overwriting, and grafted onto the forest:
 a killed branch contributes a new root, an absorbed branch attaches to the
 already-built part (or to a forced root).
 
-Randomness is counter-based and fully reproducible: draws come from a
-Philox 4x64 generator keyed by ``(seed, sample_index)``; the ``b``-th
-branch of a sample reads from counter offset ``b * 2**192``, so any sample
-of any batch can be regenerated independently and in parallel.
+Randomness is counter-based and fully reproducible.  Seeds and sample
+indices are integers in ``[0, 2**64)``; anything else raises
+``InvalidParams``.  Branch ``b`` of sample ``i`` (the ``b``-th branch
+started) reads the Philox4x64-10 stream keyed ``[seed, i]``: its block
+``k >= 1`` is the Philox output at counter ``[k, 0, 0, b]``, four 64-bit
+words ``x`` that give the uniforms ``(x >> 11) * 2**-53``.  These are the
+draws of ``Generator(Philox(key=[seed, i], counter=[0, 0, 0, b])).random()``,
+so any sample of any batch can be regenerated on its own.  Block 1 of every
+possible branch of a chunk of samples is computed in one vectorized call,
+and a branch that needs more uniforms continues from a ``Philox`` set to
+counter ``[1, 0, 0, b]``.  Chunks too small to pay for that call skip it:
+each of their branches reads its whole stream from a ``Philox`` set to
+counter ``[0, 0, 0, b]``.  One ``Philox`` per call serves every branch.
+
+The ``threads`` arguments are accepted and ignored: sampling runs in the
+calling thread, and results never depend on them.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.stats
@@ -28,14 +40,93 @@ from . import oracle
 from .errors import InvalidParams, InvalidStart, NumericalError
 from .network import Network
 
-_BUF = 64  # uniforms drawn per refill of a branch's buffer
+_BUF = 64  # uniforms drawn per refill of a branch's buffer past block 1
+_CHUNK = 1 << 14  # (sample, branch) pairs whose block 1 is computed at once
+_KERNEL_MIN = 192  # below this many pairs, skipping the kernel call is faster
+
+_MASK64 = (1 << 64) - 1
+_LO32 = (1 << 32) - 1
+# Philox4x64 round multipliers and key increments (Salmon et al., SC'11)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
 
-def _branch_generator(seed: int, sample_index: int, branch: int) -> np.random.Generator:
-    """Substream rule: Philox keyed (seed, sample), counter offset b * 2**192."""
-    bg = np.random.Philox(key=[int(seed), int(sample_index)],
-                          counter=[0, 0, 0, int(branch)])
-    return np.random.Generator(bg)
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of ``a * b`` for uint64 arrays ``b``,
+    through 32-bit halves, which cannot overflow."""
+    a0, a1 = a & _LO32, a >> 32
+    b0, b1 = b & _LO32, b >> 32
+    t = a1 * b0 + (a0 * b0 >> 32)
+    w = (t & _LO32) + a0 * b1
+    return a1 * b1 + (t >> 32) + (w >> 32), a * b
+
+
+def _philox_uniforms(
+    seed: int, index: np.ndarray, branch: np.ndarray, block: int
+) -> list[np.ndarray]:
+    """The four uniforms of block ``block`` of branch ``branch`` of sample
+    ``index``: Philox4x64-10 at counter ``[block, 0, 0, branch]`` under key
+    ``[seed, index]``.  ``index`` and ``branch`` are uint64 arrays that
+    broadcast together; the result is four float arrays of that shape."""
+    zero = np.zeros_like(branch)
+    c0, c1, c2, c3 = zero + np.uint64(block), zero, zero, branch
+    k0, k1 = seed, index
+    for r in range(10):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) & _MASK64
+            k1 = k1 + np.uint64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return [(x >> 11) * 2.0**-53 for x in (c0, c1, c2, c3)]
+
+
+def _stream_range(seed, first, count: int) -> tuple[int, range]:
+    """Validated stream key words: the seed and the sample indices
+    ``first .. first + count - 1``, all in ``[0, 2**64)``."""
+    try:
+        seed, first = operator.index(seed), operator.index(first)
+    except TypeError:
+        raise InvalidParams("seed and sample index must be integers") from None
+    if not 0 <= seed <= _MASK64:
+        raise InvalidParams(f"seed must lie in [0, 2**64), got {seed}")
+    last = first + max(count, 1) - 1
+    if first < 0 or last > _MASK64:
+        got = first if last == first else f"{first}..{last}"
+        raise InvalidParams(f"sample indices must lie in [0, 2**64), got {got}")
+    return seed, range(first, first + max(count, 0))
+
+
+def _first_blocks(seed: int, indices: range, nb: int) -> list:
+    """Block 1 of branches ``0 .. nb - 1`` of every sample in ``indices``,
+    as nested lists ``[sample][branch] -> 4 uniforms``; empty lists when
+    the chunk is too small to pay for the kernel call."""
+    if len(indices) * nb < _KERNEL_MIN:
+        return [[[]] * nb for _ in indices]
+    index = np.uint64(indices.start) + np.arange(len(indices), dtype=np.uint64)
+    words = _philox_uniforms(
+        seed, index[:, None], np.arange(nb, dtype=np.uint64), 1
+    )
+    return np.stack(words, axis=-1).tolist()
+
+
+def _seek(
+    gen: np.random.Generator, seed: int, sample_index: int, branch: int, done: int
+) -> None:
+    """Point ``gen`` at the stream of branch ``branch`` after its first
+    ``done`` blocks.  Resetting the state of one ``Philox`` costs less than
+    half of building a new one."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array([done, 0, 0, branch], dtype=np.uint64),
+            "key": np.array([seed, sample_index], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,  # buffer spent: the next draw computes a block
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def _jump_tables(net: Network) -> tuple[list[list[int]], list[list[float]], list[float]]:
@@ -104,8 +195,9 @@ class RootedForest:
 
 def _check_sampling_args(net: Network, q: float, B: Sequence[int]) -> tuple[float, list[int]]:
     q = float(q)
-    roots = sorted(set(int(b) for b in B))
-    if len(roots) != len(list(B)):
+    given = [int(b) for b in B]
+    roots = sorted(set(given))
+    if len(roots) != len(given):
         raise InvalidParams("duplicate vertex in forced root set")
     if roots and (roots[0] < 0 or roots[-1] >= net.n):
         raise InvalidParams(f"root ids must lie in 0..{net.n - 1}")
@@ -123,19 +215,30 @@ def _run_branch(
     cumw: list[list[float]],
     in_forest: bytearray,
     nxt: list[int],
+    buf: list[float],
     gen: np.random.Generator,
+    seed: int,
+    sample_index: int,
+    branch: int,
 ) -> tuple[int, bool]:
     """Walk from ``start`` until killed or absorbed; returns (terminal, killed).
 
+    ``buf`` holds the branch's block 1, or nothing; later uniforms come
+    from ``gen``, moved to this branch's stream on first use.
     Next-pointers are overwritten in place; the caller retraces them.
     """
-    buf = gen.random(_BUF).tolist()
+    seeked = False
     pos = 0
+    end = len(buf)
     v = start
     while True:
-        if pos == _BUF:
+        if pos == end:
+            if not seeked:
+                _seek(gen, seed, sample_index, branch, end // 4)
+                seeked = True
             buf = gen.random(_BUF).tolist()
             pos = 0
+            end = _BUF
         u = buf[pos]
         pos += 1
         pk = kill[v]
@@ -154,40 +257,58 @@ def _run_branch(
         v = y
 
 
-def _wilson_parent(
+def _sample_parents(
     net: Network,
     q: float,
     roots: list[int],
     seed: int,
-    sample_index: int,
-    tables=None,
-) -> list[int]:
-    targets, cumw, rates = tables if tables is not None else _jump_tables(net)
+    first: int,
+    count: int,
+    start: int | None = None,
+) -> Iterator[np.ndarray]:
+    """The one sampling driver: yields the forests of samples ``first ..
+    first + count - 1`` as parent arrays, ``parent[x] == -1`` at roots, one
+    ``(chunk, n)`` int64 array per chunk of samples.
+
+    With ``start`` given only the first branch is grown, from ``start``;
+    following ``parent`` from ``start`` then traces its loop erasure.
+    """
+    seed, indices = _stream_range(seed, first, count)
+    targets, cumw, rates = _jump_tables(net)
     kill = [q / (q + r) for r in rates]
     n = net.n
-    in_forest = bytearray(n)
-    parent = [-1] * n
+    base = bytearray(n)
     for b in roots:
-        in_forest[b] = 1
-    nxt = [-1] * n
-    branch = 0
-    for x0 in range(n):
-        if in_forest[x0]:
-            continue
-        gen = _branch_generator(seed, sample_index, branch)
-        branch += 1
-        terminal, killed = _run_branch(
-            x0, kill, targets, cumw, in_forest, nxt, gen
-        )
-        v = x0
-        while v != terminal:
-            in_forest[v] = 1
-            parent[v] = nxt[v]
-            v = nxt[v]
-        if killed:
-            in_forest[terminal] = 1
-            parent[terminal] = -1
-    return parent
+        base[b] = 1
+    gen = np.random.Generator(np.random.Philox(0))  # always reseeked
+    starts = range(n) if start is None else [start]
+    nb = sum(1 for x in starts if not base[x])  # at most one branch each
+    per = max(1, _CHUNK // max(nb, 1))
+    for lo in range(0, len(indices), per):
+        chunk = indices[lo:lo + per]
+        rows = []
+        for i, blocks in zip(chunk, _first_blocks(seed, chunk, nb)):
+            in_forest = bytearray(base)
+            parent = [-1] * n
+            nxt = [-1] * n
+            branch = 0
+            for x0 in starts:
+                if in_forest[x0]:
+                    continue
+                terminal, killed = _run_branch(
+                    x0, kill, targets, cumw, in_forest, nxt,
+                    blocks[branch], gen, seed, i, branch,
+                )
+                branch += 1
+                v = x0
+                while v != terminal:
+                    in_forest[v] = 1
+                    parent[v] = nxt[v]
+                    v = nxt[v]
+                if killed:
+                    in_forest[terminal] = 1
+            rows.append(parent)
+        yield np.array(rows, dtype=np.int64)
 
 
 def wilson_sample(
@@ -202,12 +323,8 @@ def wilson_sample(
     roots ``B``.  Identical ``(seed, sample_index)`` always reproduces the
     same forest."""
     q, roots = _check_sampling_args(net, q, B)
-    parent = _wilson_parent(net, q, roots, seed, sample_index)
-    return RootedForest(
-        q=q,
-        forced_roots=tuple(roots),
-        parent=np.asarray(parent, dtype=np.int64),
-    )
+    (parent,) = next(_sample_parents(net, q, roots, seed, sample_index, 1))
+    return RootedForest(q=q, forced_roots=tuple(roots), parent=parent)
 
 
 def loop_erased_walk(
@@ -227,19 +344,13 @@ def loop_erased_walk(
         raise InvalidParams(f"start vertex {start} outside 0..{net.n - 1}")
     if start in roots:
         raise InvalidStart(f"walk cannot start on a forced root: {start}")
-    targets, cumw, rates = _jump_tables(net)
-    kill = [q / (q + r) for r in rates]
-    in_forest = bytearray(net.n)
-    for b in roots:
-        in_forest[b] = 1
-    nxt = [-1] * net.n
-    gen = _branch_generator(seed, sample_index, 0)
-    terminal, _ = _run_branch(start, kill, targets, cumw, in_forest, nxt, gen)
+    (parent,) = next(
+        _sample_parents(net, q, roots, seed, sample_index, 1, start=start)
+    )
+    parent = parent.tolist()
     path = [start]
-    v = start
-    while v != terminal:
-        v = nxt[v]
-        path.append(v)
+    while parent[path[-1]] != -1:
+        path.append(parent[path[-1]])
     return path
 
 
@@ -304,35 +415,24 @@ def empirical_stats(
     """Sample ``n_samples`` forests and aggregate root/edge frequencies plus
     a chi-square comparison of the root-count histogram with the exact law.
 
-    Results are independent of ``threads``: sample ``i`` always consumes the
+    ``threads`` is accepted and ignored; sample ``i`` always consumes the
     substream keyed ``(seed, i)``.
     """
     q, roots = _check_sampling_args(net, q, B)
     if n_samples < 1:
         raise InvalidParams("n_samples must be >= 1")
-    tables = _jump_tables(net)
     n = net.n
-
-    def run_chunk(bounds: tuple[int, int]):
-        lo, hi = bounds
-        # counts[x, y] = times parent of x was y; column n counts "x is root"
-        counts = np.zeros((n, n + 1), dtype=np.int64)
-        hist = np.zeros(n + 1, dtype=np.int64)
-        for i in range(lo, hi):
-            parent = _wilson_parent(net, q, roots, seed, i, tables)
-            for x, p in enumerate(parent):
-                counts[x, p] += 1  # p == -1 lands in column n
-            hist[parent.count(-1)] += 1
-        return counts, hist
-
-    if threads > 1:
-        edges = np.linspace(0, n_samples, threads + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run_chunk, zip(edges[:-1], edges[1:])))
-        counts = np.sum([p[0] for p in parts], axis=0)
-        hist_arr = np.sum([p[1] for p in parts], axis=0)
-    else:
-        counts, hist_arr = run_chunk((0, n_samples))
+    # counts[x, y] = times parent of x was y; column n counts "x is root"
+    cells = np.arange(n) * (n + 1)
+    counts = np.zeros(n * (n + 1), dtype=np.int64)
+    hist_arr = np.zeros(n + 1, dtype=np.int64)
+    for parents in _sample_parents(net, q, roots, seed, 0, n_samples):
+        # parent -1 lands in column n
+        counts += np.bincount(
+            (cells + parents % (n + 1)).ravel(), minlength=counts.size
+        )
+        hist_arr += np.bincount((parents == -1).sum(axis=1), minlength=n + 1)
+    counts = counts.reshape(n, n + 1)
 
     root_freq = counts[:, n] / n_samples
     edge_freq = {}
@@ -489,18 +589,19 @@ def conditional_root_equilibrium_check(
     the worst total-variation gap per partition.
     """
     q, roots = _check_sampling_args(net, q, B=())
-    tables = _jump_tables(net)
     # per partition key: [count, {block_index: {root: count}}]
     seen: dict[tuple[tuple[int, ...], ...], list] = {}
-    for i in range(n_samples):
-        parent = _wilson_parent(net, q, roots, seed, i, tables)
-        forest = RootedForest(q=q, forced_roots=(), parent=np.asarray(parent))
-        key = tuple(tuple(int(v) for v in b) for b in forest.blocks())
-        rec = seen.setdefault(key, [0, {}])
-        rec[0] += 1
-        for bi, r in enumerate(forest.roots):
-            rec[1].setdefault(bi, {})
-            rec[1][bi][int(r)] = rec[1][bi].get(int(r), 0) + 1
+    for parents in _sample_parents(net, q, roots, seed, 0, n_samples):
+        # equal forests give equal partitions and roots: group them first
+        forests, repeats = np.unique(parents, axis=0, return_counts=True)
+        for parent, c in zip(forests, repeats.tolist()):
+            forest = RootedForest(q=q, forced_roots=(), parent=parent)
+            key = tuple(tuple(int(v) for v in b) for b in forest.blocks())
+            rec = seen.setdefault(key, [0, {}])
+            rec[0] += c
+            for bi, r in enumerate(forest.roots):
+                rec[1].setdefault(bi, {})
+                rec[1][bi][int(r)] = rec[1][bi].get(int(r), 0) + c
 
     entries = []
     for key, (count, root_counts) in sorted(seen.items()):
@@ -553,7 +654,9 @@ def estimate_tuning(
     For each candidate ``q``: ``w_tilde = q * E[|V - R| / (1 + |R|)]``
     estimates the reduced network's maximal rate, and
     ``1/beta_tilde = E[|V - R| / |R|] / w_max`` estimates the inverse
-    return-speed; their product is the objective to minimize.
+    return-speed; their product is the objective to minimize.  Grid point
+    ``g`` uses sample indices ``g * n_samples .. (g + 1) * n_samples - 1``;
+    ``threads`` is accepted and ignored.
     """
     if q_grid is None:
         q_grid = default_q_grid(net)
@@ -562,34 +665,26 @@ def estimate_tuning(
         raise InvalidParams("q grid entries must be positive and finite")
     if n_samples < 1:
         raise InvalidParams("n_samples must be >= 1")
-    tables = _jump_tables(net)
     n = net.n
-
-    def scan(args) -> TuningRecord:
-        gi, q = args
+    records = []
+    for gi, q in enumerate(grid):
         ratio_w = 0.0
         ratio_b = 0.0
         mean_r = 0.0
-        for i in range(n_samples):
-            parent = _wilson_parent(
-                net, q, [], seed, gi * n_samples + i, tables
-            )
-            k = parent.count(-1)
-            ratio_w += (n - k) / (1.0 + k)
-            ratio_b += (n - k) / k
-            mean_r += k
+        for parents in _sample_parents(
+            net, q, [], seed, gi * n_samples, n_samples
+        ):
+            for k in (parents == -1).sum(axis=1).tolist():
+                ratio_w += (n - k) / (1.0 + k)
+                ratio_b += (n - k) / k
+                mean_r += k
         w_tilde = q * ratio_w / n_samples
         inv_beta = ratio_b / n_samples / net.w_max
-        return TuningRecord(
+        records.append(TuningRecord(
             q=q,
             w_tilde=w_tilde,
             one_over_beta_tilde=inv_beta,
             objective=w_tilde * inv_beta,
             mean_roots=mean_r / n_samples,
-        )
-
-    jobs = list(enumerate(grid))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(scan, jobs))
-    return [scan(j) for j in jobs]
+        ))
+    return records

@@ -31,6 +31,7 @@ from .network import Network
 from .norms import condition_measure, holder_conjugate, lp_norm
 
 _MAX_ROOT_RETRIES = 64
+_SEED_MASK = (1 << 64) - 1
 
 
 def _split(net: Network, keep: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -171,11 +172,8 @@ def _choose_q(
     q_grid: Sequence[float] | None,
     n_tuning: int,
     tune_seed: int,
-    threads: int,
 ) -> float:
-    records = sampler.estimate_tuning(
-        net, q_grid, n_tuning, seed=tune_seed, threads=threads
-    )
+    records = sampler.estimate_tuning(net, q_grid, n_tuning, seed=tune_seed)
     best = min(records, key=lambda r: (r.objective, -r.q))
     return best.q
 
@@ -221,7 +219,8 @@ def build_pyramid(
     smoothing rates alongside it.  When ``sparsify_theta`` is set, each
     reduced network is sparsified before feeding the next level; the
     exact Schur complement is still what the reconstruction of the
-    current level uses.
+    current level uses.  Level ``k`` tunes with seed ``seed + k + 1``
+    modulo ``2**64``; ``threads`` is accepted and ignored.
     """
     f = _as_signal(values, net.n)
     if forced_keep is None and seed is None:
@@ -254,8 +253,9 @@ def build_pyramid(
                 q_prime = 2.0 * current.w_max * kept.size / dropped.size
             q_tuning = None
         else:
+            # tuning seeds wrap around the seed domain [0, 2**64)
             q_tuning = _choose_q(
-                current, q_grid, n_tuning_samples, seed + idx + 1, threads
+                current, q_grid, n_tuning_samples, (seed + idx + 1) & _SEED_MASK
             )
             roots, q_prime = _draw_keep(current, q_tuning, seed, idx)
             kept, dropped = _split(current, roots)

@@ -162,6 +162,52 @@ def test_forest_stats_thread_independent(capsys, two_file):
     assert doc1["chi2_pvalue"] > 1e-3
 
 
+@pytest.mark.parametrize("threads", ["0", "-2", "x"])
+def test_threads_below_one_is_usage_error(two_file, threads):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["forest", "stats", two_file, "--q", "3", "--seed", "1",
+                  "--samples", "5", "--threads", threads])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--seed", "-1"],
+    ["--seed", str(2**64)],
+    ["--seed", "1", "--sample-index", "-1"],
+    ["--seed", "1", "--sample-index", str(2**64)],
+])
+def test_seed_outside_domain_exits_2(capsys, two_file, flags):
+    code, out, err = run(
+        capsys, ["forest", "sample", two_file, "--q", "3"] + flags
+    )
+    assert code == 2 and out == ""
+    assert "[0, 2**64)" in err
+
+
+def test_largest_seed_accepted(capsys, two_file):
+    top = str(2**64 - 1)
+    code, out, _ = run(
+        capsys, ["forest", "stats", two_file, "--q", "3", "--seed", top,
+                 "--samples", "20"]
+    )
+    assert code == 0 and json.loads(out)["n_samples"] == 20
+
+
+def test_largest_seed_analyzes(capsys, cycle_file, signal_file, tmp_path):
+    # the per-level tuning seeds wrap around instead of leaving the domain
+    pyr_path = tmp_path / "pyr.json"
+    code, _, err = run(
+        capsys,
+        [
+            "signal", "analyze", cycle_file, signal_file, "--undirected",
+            "--seed", str(2**64 - 1), "--levels", "2",
+            "--output", str(pyr_path),
+        ],
+    )
+    assert code == 0, err
+    assert pyr_path.exists()
+
+
 def test_forest_walk(capsys, two_file):
     code, out, _ = run(
         capsys,

@@ -4,6 +4,8 @@ repeats the heavy versions)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forestnets import oracle, sampler
 from forestnets.errors import InvalidParams, InvalidStart
@@ -185,3 +187,161 @@ def test_estimate_tuning_threads_deterministic(path3):
     assert [(r.q, r.w_tilde, r.one_over_beta_tilde) for r in a] == [
         (r.q, r.w_tilde, r.one_over_beta_tilde) for r in b
     ]
+
+
+# ---------------------------------------------------------------------------
+# random streams
+
+
+def _reference_generator(seed, sample_index, branch):
+    """The stream rule written against numpy's own Philox."""
+    key = np.array([seed, sample_index], dtype=np.uint64)
+    counter = np.array([0, 0, 0, branch], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    index=st.integers(0, 2**64 - 1),
+    branch=st.integers(0, 64),
+    block=st.integers(1, 5),
+)
+def test_philox_kernel_matches_numpy(seed, index, branch, block):
+    want = _reference_generator(seed, index, branch).random(4 * block)[-4:]
+    # the pair sits among other indices and branches
+    idx = np.array([[index], [0], [2**64 - 1]], dtype=np.uint64)
+    br = np.arange(branch + 1, dtype=np.uint64)
+    got = np.stack(sampler._philox_uniforms(seed, idx, br, block), axis=-1)
+    assert got.shape == (3, branch + 1, 4)
+    assert np.array_equal(got[0, branch], want)
+    last = _reference_generator(seed, 2**64 - 1, 0).random(4 * block)[-4:]
+    assert np.array_equal(got[2, 0], last)
+
+
+def test_philox_kernel_extreme_key():
+    top = 2**64 - 1
+    for branch in (0, 1, top):
+        want = _reference_generator(top, top, branch).random(8)
+        for block in (1, 2):
+            index = np.array([top], dtype=np.uint64)
+            br = np.array([branch], dtype=np.uint64)
+            got = np.stack(sampler._philox_uniforms(top, index, br, block), -1)
+            assert np.array_equal(got[0], want[4 * block - 4:4 * block])
+
+
+def _reference_parent(net, q, roots, seed, sample_index):
+    """Wilson's algorithm drawing every branch from its own numpy Philox
+    generator, with the stream rule of the module docstring."""
+    targets, cumw, rates = net.adjacency
+    in_forest = np.zeros(net.n, dtype=bool)
+    in_forest[list(roots)] = True
+    parent = [-1] * net.n
+    nxt = [-1] * net.n
+    longest = 0
+    branch = 0
+    for x0 in range(net.n):
+        if in_forest[x0]:
+            continue
+        gen = _reference_generator(seed, sample_index, branch)
+        branch += 1
+        v, steps = x0, 0
+        while True:
+            u = gen.random()
+            steps += 1
+            pk = q / (q + rates[v])
+            if u < pk:
+                terminal, killed = v, True
+                break
+            r = (u - pk) / (1.0 - pk)
+            i = int(np.searchsorted(cumw[v][:-1], r, side="right"))
+            nxt[v] = int(targets[v][i])
+            if in_forest[nxt[v]]:
+                terminal, killed = nxt[v], False
+                break
+            v = nxt[v]
+        longest = max(longest, steps)
+        v = x0
+        while v != terminal:
+            in_forest[v] = True
+            parent[v] = nxt[v]
+            v = nxt[v]
+        if killed:
+            in_forest[terminal] = True
+    return parent, longest
+
+
+def test_long_branches_follow_stream_rule():
+    # a small killing rate makes branches far longer than block 1 (4
+    # uniforms) and than one refill (64 more); single samples of 16
+    # vertices are below the kernel threshold, so each branch reads its
+    # whole stream from its own generator
+    assert 16 < sampler._KERNEL_MIN <= 40 * 15
+    net = build_network(netdefs.cycle_edges(16), 16)
+    q = 0.01
+    longest = 0
+    seeds = [(3, 0), (3, 7), (2**64 - 1, 2**64 - 1), (2**63 + 5, 11)]
+    for seed, index in seeds:
+        for B in ((), (5,)):
+            want, steps = _reference_parent(net, q, B, seed, index)
+            got = sampler.wilson_sample(net, q, B, seed=seed, sample_index=index)
+            assert got.parent.tolist() == want, (seed, index, B)
+            longest = max(longest, steps)
+    assert longest > 4 + 64
+    # the batched path (block 1 from the kernel) agrees as well, and
+    # its counts match a plain loop over the reference forests
+    N = 40
+    stats = sampler.empirical_stats(net, q, n_samples=N, seed=3)
+    hist, is_root, edges = {}, np.zeros(16), {}
+    for i in range(N):
+        parent, _ = _reference_parent(net, q, (), 3, i)
+        k = parent.count(-1)
+        hist[k] = hist.get(k, 0) + 1
+        for x, p in enumerate(parent):
+            if p == -1:
+                is_root[x] += 1
+            else:
+                edges[(x, p)] = edges.get((x, p), 0) + 1
+    assert stats.root_count_hist == hist
+    assert np.array_equal(stats.root_freq, is_root / N)
+    assert stats.edge_freq == {e: c / N for e, c in edges.items()}
+
+
+def test_seeds_above_two_to_63_are_distinct(two_asym):
+    a, b = 2**63, 2**63 + 5
+    fa = [tuple(sampler.wilson_sample(two_asym, 3.0, seed=a, sample_index=i).parent)
+          for i in range(40)]
+    fb = [tuple(sampler.wilson_sample(two_asym, 3.0, seed=b, sample_index=i).parent)
+          for i in range(40)]
+    assert fa != fb
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"seed": -1},
+    {"seed": 2**64},
+    {"seed": 1, "sample_index": -1},
+    {"seed": 1, "sample_index": 2**64},
+    {"seed": 1.5},
+])
+def test_seed_domain(two_asym, kwargs):
+    with pytest.raises(InvalidParams):
+        sampler.wilson_sample(two_asym, 3.0, **kwargs)
+
+
+def test_seed_domain_batched(two_asym):
+    with pytest.raises(InvalidParams):
+        sampler.empirical_stats(two_asym, 3.0, n_samples=10, seed=-1)
+    with pytest.raises(InvalidParams):
+        sampler.estimate_tuning(two_asym, [1.0], n_samples=4, seed=2**64)
+    with pytest.raises(InvalidParams):
+        sampler.loop_erased_walk(two_asym, 3.0, 0, seed=1, sample_index=-1)
+    # the last index of a batch still counts
+    sampler.empirical_stats(two_asym, 3.0, n_samples=1, seed=2**64 - 1)
+
+
+def test_generator_as_forced_roots(path3):
+    f = sampler.wilson_sample(path3, 1.0, (v for v in [0, 1]), seed=1)
+    assert f.forced_roots == (0, 1)
+    assert f.parent[0] == -1 and f.parent[1] == -1
+    with pytest.raises(InvalidParams):
+        sampler.wilson_sample(path3, 1.0, (v for v in [0, 0]), seed=1)
