@@ -16,7 +16,6 @@ The package exposes four layers:
 
 from .errors import (
     DegenerateBasis,
-    DenseThresholdExceeded,
     DuplicateEdge,
     EmptyBlock,
     ForestnetsError,
@@ -36,7 +35,7 @@ from .errors import (
     ZeroCoefficient,
     ZeroProbability,
 )
-from .network import Measure, Network, Signal, build_network, skeleton
+from .network import Network, build_network, skeleton
 from .norms import (
     condition_measure,
     holder_conjugate,

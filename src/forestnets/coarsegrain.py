@@ -31,7 +31,7 @@ from .errors import (
     NumericalError,
     ZeroProbability,
 )
-from .network import Network, build_network, skeleton
+from .network import Network, build_network, skeleton, vertex_set
 from .norms import condition_measure, holder_conjugate, lp_norm, tv_distance
 
 
@@ -60,24 +60,20 @@ class ReducedNetwork:
 
     @property
     def L(self) -> np.ndarray:
-        return self.network.dense_L()
+        return self.network.L
 
 
 def _canon_keep(net: Network, keep: Sequence[int]) -> np.ndarray:
-    kept = np.asarray(sorted(set(int(v) for v in keep)), dtype=np.int64)
-    if kept.size != len(list(keep)):
-        raise InvalidParams("duplicate vertex in kept set")
+    kept = vertex_set(net.n, keep, "kept set")
     if kept.size == 0:
         raise InvalidParams("kept set must be nonempty")
-    if kept[0] < 0 or kept[-1] >= net.n:
-        raise InvalidParams(f"kept ids must lie in 0..{net.n - 1}")
     return kept
 
 
 def schur_complement(net: Network, keep: Sequence[int]) -> np.ndarray:
     """Schur complement of the generator onto ``keep`` (exact, unclamped)."""
     kept = _canon_keep(net, keep)
-    L = net.dense_L()
+    L = net.L
     drop = np.setdiff1d(np.arange(net.n), kept)
     if drop.size == 0:
         return L.copy()
@@ -369,7 +365,7 @@ def operator_intertwining_residual(
     kept = _canon_keep(net, keep)
     link = kernel_link(net, kept, q_prime)
     red = schur_reduce(net, kept)
-    M = red.L @ link - link @ net.dense_L()
+    M = red.L @ link - link @ net.L
 
     mu = net.mu
     mu_kept = condition_measure(mu, kept)
@@ -431,12 +427,12 @@ def sparsify(
     parent = reduction.parent
     kept = reduction.kept
     link = kernel_link(parent, kept, q_prime)
-    Lfine = parent.dense_L()
+    Lfine = parent.L
     M0 = reduction.L @ link - link @ Lfine
     budget = (1.0 + theta) * np.abs(M0).max(axis=1)
 
     m = red_net.n
-    W = red_net.dense_L().copy()
+    W = red_net.L.copy()
     np.fill_diagonal(W, 0.0)
 
     pairs = sorted(

@@ -1,47 +1,24 @@
-"""Central numerical tolerances and representation thresholds.
+"""Central numerical tolerances and the network size limit.
 
-Defaults can be overridden through environment variables (read once at
-import time):
-
-    FORESTNETS_ARITHMETIC_TOL   plain floating point comparisons (1e-12)
-    FORESTNETS_STRUCTURAL_TOL   structural identities, e.g. invariance of a
-                                measure or detailed balance (1e-10)
-    FORESTNETS_RESIDUAL_TOL     linear-system residual guarantees (1e-9)
-    FORESTNETS_DENSE_THRESHOLD  max vertex count kept as a dense matrix (4096)
+These are plain module constants.  Code reads them as ``config.NAME`` at
+call time, so a test can monkeypatch one for the duration of a call.
 """
-
-import os
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return float(raw)
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return int(raw)
-
 
 #: tolerance for ordinary floating point arithmetic checks (row sums,
 #: normalization of probability vectors, ...)
-ARITHMETIC_TOL: float = _env_float("FORESTNETS_ARITHMETIC_TOL", 1e-12)
+ARITHMETIC_TOL: float = 1e-12
 
 #: tolerance for structural identities (invariant measure, detailed balance,
 #: link-operator row sums)
-STRUCTURAL_TOL: float = _env_float("FORESTNETS_STRUCTURAL_TOL", 1e-10)
+STRUCTURAL_TOL: float = 1e-10
 
 #: tolerance for residuals of solved linear systems (Green's function,
 #: Schur complements, hitting times)
-RESIDUAL_TOL: float = _env_float("FORESTNETS_RESIDUAL_TOL", 1e-9)
+RESIDUAL_TOL: float = 1e-9
 
-#: networks with more vertices than this are stored sparse; operations that
-#: need a dense generator raise DenseThresholdExceeded
-DENSE_THRESHOLD: int = _env_int("FORESTNETS_DENSE_THRESHOLD", 4096)
+#: largest vertex count a Network accepts; every layer works on the dense
+#: n x n generator, so larger networks are refused with InvalidParams
+MAX_VERTICES: int = 4096
 
 #: relative floor used when deciding that a Gram matrix is singular
 GRAM_SINGULAR_REL: float = 1e-14

@@ -82,7 +82,3 @@ class ZeroProbability(NumericalError):
 class DegenerateBasis(NumericalError):
     """The wavelet family is numerically linearly dependent."""
 
-
-class DenseThresholdExceeded(ForestnetsError):
-    """Operation requires a dense matrix but the network is above the
-    configured dense-representation threshold."""

@@ -11,57 +11,21 @@ exit rate ``w_max``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import config
 from .errors import (
-    DenseThresholdExceeded,
     DuplicateEdge,
     InvalidParams,
     NonPositiveWeight,
     NotIrreducible,
     NumericalError,
-    ShapeMismatch,
 )
 
 Edge = tuple[int, int, float]
-
-
-@dataclass
-class Measure:
-    """A nonnegative vector over vertices, optionally normalized to mass 1."""
-
-    values: np.ndarray
-    normalized: bool
-
-    @classmethod
-    def from_values(cls, values: Sequence[float]) -> "Measure":
-        v = np.asarray(values, dtype=float)
-        if np.any(v < 0) or not np.all(np.isfinite(v)):
-            raise InvalidParams("measure entries must be finite and >= 0")
-        total = float(v.sum())
-        return cls(v, abs(total - 1.0) <= config.ARITHMETIC_TOL)
-
-
-@dataclass
-class Signal:
-    """Real values attached to the vertices of one network."""
-
-    network: "Network"
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.network.n,):
-            raise ShapeMismatch(
-                f"signal length {self.values.shape} does not match "
-                f"vertex count {self.network.n}"
-            )
 
 
 class Network:
@@ -73,31 +37,28 @@ class Network:
         iterable of ``(src, dst, weight)`` triples; weights must be finite
         and strictly positive, ordered pairs must be unique, no self loops.
     n :
-        vertex count.  Vertex ids must lie in ``0..n-1`` and the directed
+        vertex count, at most ``config.MAX_VERTICES`` (checked before any
+        edge is read).  Vertex ids must lie in ``0..n-1`` and the directed
         graph must be strongly connected.
-    dense_threshold :
-        networks with more vertices are stored sparse; operations that
-        require the dense generator then raise ``DenseThresholdExceeded``.
 
     Attributes
     ----------
     n : int
     edges : tuple of (int, int, float), sorted by (src, dst)
+    L : ndarray, the dense ``n x n`` generator
     w_max : float, maximal exit rate ``max_x -L(x, x)``
     mu : ndarray, invariant probability measure (``mu @ L == 0``)
     reversible : bool, detailed balance of ``mu`` and the weights
     """
 
-    def __init__(
-        self,
-        edges: Iterable[Edge],
-        n: int,
-        dense_threshold: int | None = None,
-    ) -> None:
-        if dense_threshold is None:
-            dense_threshold = config.DENSE_THRESHOLD
+    def __init__(self, edges: Iterable[Edge], n: int) -> None:
         if n < 1:
             raise InvalidParams("network needs at least one vertex")
+        if n > config.MAX_VERTICES:
+            raise InvalidParams(
+                f"network has {n} vertices, more than the supported "
+                f"{config.MAX_VERTICES}"
+            )
 
         canon: list[Edge] = []
         seen: set[tuple[int, int]] = set()
@@ -119,23 +80,14 @@ class Network:
 
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(canon)
-        self.is_dense = n <= dense_threshold
 
         self._check_irreducible()
 
-        if self.is_dense:
-            L = np.zeros((n, n))
-            for src, dst, w in self.edges:
-                L[src, dst] = w
-            L[np.arange(n), np.arange(n)] = -L.sum(axis=1)
-            self._L = L
-        else:
-            rows = [e[0] for e in self.edges]
-            cols = [e[1] for e in self.edges]
-            vals = [e[2] for e in self.edges]
-            off = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-            diag = np.asarray(off.sum(axis=1)).ravel()
-            self._L = (off - sp.diags(diag)).tocsr()
+        L = np.zeros((n, n))
+        for src, dst, w in self.edges:
+            L[src, dst] = w
+        L[np.arange(n), np.arange(n)] = -L.sum(axis=1)
+        self.L = L
 
         if n == 1:
             # single vertex: null generator, trivial measure
@@ -144,25 +96,11 @@ class Network:
             self.reversible = True
             return
 
-        diag = -(self._L.diagonal() if not self.is_dense else np.diag(self._L))
-        self.w_max = float(diag.max())
+        self.w_max = float((-np.diag(L)).max())
         self.mu = self._invariant_measure()
         self.reversible = self._detailed_balance()
 
     # -- representation ------------------------------------------------
-
-    @property
-    def L(self):
-        """Generator matrix (dense ndarray, or CSR when above threshold)."""
-        return self._L
-
-    def dense_L(self) -> np.ndarray:
-        if not self.is_dense:
-            raise DenseThresholdExceeded(
-                f"network with {self.n} vertices is stored sparse; "
-                "dense-only operation refused"
-            )
-        return self._L
 
     @cached_property
     def edge_weights(self) -> dict[tuple[int, int], float]:
@@ -217,41 +155,21 @@ class Network:
                     )
 
     def _invariant_measure(self) -> np.ndarray:
-        if self.is_dense:
-            # mu L = 0 plus the normalization row, solved in one least
-            # squares problem; the system is consistent, so the residual
-            # is numerical noise only.
-            a = np.vstack([self._L.T, np.ones(self.n)])
-            b = np.zeros(self.n + 1)
-            b[-1] = 1.0
-            mu, *_ = np.linalg.lstsq(a, b, rcond=None)
-        else:
-            mu = self._invariant_measure_power()
+        # mu L = 0 plus the normalization row, solved in one least squares
+        # problem; the system is consistent, so the residual is numerical
+        # noise only.
+        a = np.vstack([self.L.T, np.ones(self.n)])
+        b = np.zeros(self.n + 1)
+        b[-1] = 1.0
+        mu, *_ = np.linalg.lstsq(a, b, rcond=None)
         if np.any(mu <= 0):
             raise NumericalError("invariant measure has nonpositive entries")
-        resid = np.abs(mu @ self._L).max() if self.is_dense else np.abs(
-            self._L.T @ mu
-        ).max()
+        resid = np.abs(mu @ self.L).max()
         if resid > config.STRUCTURAL_TOL * max(1.0, self.w_max):
             raise NumericalError(
                 f"invariant measure residual {resid:.3e} above tolerance"
             )
         return mu
-
-    def _invariant_measure_power(self) -> np.ndarray:
-        # stationary row vector of the skeleton chain P = Id + L / w_max,
-        # found by power iteration; adequate for the sparse regime where
-        # direct factorizations are refused anyway
-        diag = -self._L.diagonal()
-        w_max = float(diag.max())
-        mu = np.full(self.n, 1.0 / self.n)
-        for _ in range(200000):
-            nxt = mu + (self._L.T @ mu) / w_max
-            nxt /= nxt.sum()
-            if np.abs(nxt - mu).max() <= 1e-14:
-                return nxt
-            mu = nxt
-        raise NumericalError("invariant-measure power iteration stalled")
 
     def _detailed_balance(self) -> bool:
         tol = config.STRUCTURAL_TOL
@@ -271,11 +189,7 @@ class Network:
         )
 
 
-def build_network(
-    edges: Iterable[Edge],
-    n: int | None = None,
-    dense_threshold: int | None = None,
-) -> Network:
+def build_network(edges: Iterable[Edge], n: int | None = None) -> Network:
     """Construct and validate a Network.
 
     When ``n`` is omitted it is inferred as ``max vertex id + 1``.
@@ -285,7 +199,7 @@ def build_network(
         if not edge_list:
             raise InvalidParams("cannot infer vertex count from empty edge list")
         n = 1 + max(max(e[0], e[1]) for e in edge_list)
-    return Network(edge_list, int(n), dense_threshold)
+    return Network(edge_list, int(n))
 
 
 def skeleton(net: Network) -> np.ndarray:
@@ -296,14 +210,27 @@ def skeleton(net: Network) -> np.ndarray:
     """
     if net.n == 1:
         return np.array([[1.0]])
-    if net.is_dense:
-        P = np.eye(net.n) + net.dense_L() / net.w_max
-    else:
-        P = (sp.eye(net.n) + net.L / net.w_max).tocsr()
-        return P
+    P = np.eye(net.n) + net.L / net.w_max
     # defensive: clamp parasitic -0.0 and verify stochasticity
     P[np.abs(P) < 1e-300] = 0.0
     rows = P.sum(axis=1)
     if np.abs(rows - 1.0).max() > config.ARITHMETIC_TOL * net.n:
         raise NumericalError("skeleton rows do not sum to 1")
     return P
+
+
+def vertex_set(n: int, ids: Iterable[int], what: str) -> np.ndarray:
+    """Sorted ``int64`` ids of a set of vertices of an ``n``-vertex network.
+
+    ``ids`` is read once, so any iterable works.  A repeated id or one
+    outside ``0..n-1`` raises ``InvalidParams``; ``what`` names the set in
+    the message.
+    """
+    given = [int(v) for v in ids]
+    out = np.asarray(sorted(set(given)), dtype=np.int64)
+    if out.size != len(given):
+        raise InvalidParams(f"duplicate vertex in {what}")
+    if out.size and (out[0] < 0 or out[-1] >= n):
+        bad = out[0] if out[0] < 0 else out[-1]
+        raise InvalidParams(f"vertex {bad} of {what} outside 0..{n - 1}")
+    return out

@@ -35,22 +35,13 @@ from .errors import (
     UnknownEdge,
     ZeroCoefficient,
 )
-from .network import Network
+from .network import Network, vertex_set
 
 OrientedEdge = tuple[int, int]
 
 
 # ---------------------------------------------------------------------------
 # validation helpers
-
-
-def _canon_roots(net: Network, B: Sequence[int]) -> np.ndarray:
-    roots = np.asarray(sorted(set(int(b) for b in B)), dtype=np.int64)
-    if roots.size and (roots[0] < 0 or roots[-1] >= net.n):
-        raise InvalidParams(f"root ids must lie in 0..{net.n - 1}")
-    if roots.size != len(list(B)):
-        raise InvalidParams("duplicate vertex in root set")
-    return roots
 
 
 def _free_vertices(net: Network, roots: np.ndarray) -> np.ndarray:
@@ -96,13 +87,13 @@ class GreenKernel:
 
 def green(net: Network, q: float, B: Sequence[int] = ()) -> GreenKernel:
     """Green's function ``G = [q Id - L]^-1`` outside ``B``, with ``K = qG``."""
-    roots = _canon_roots(net, B)
+    roots = vertex_set(net.n, B, "root set")
     q = _check_q(q, roots)
     free = _free_vertices(net, roots)
     n = net.n
     G = np.zeros((n, n))
     if free.size:
-        L = net.dense_L()
+        L = net.L
         M = q * np.eye(free.size) - L[np.ix_(free, free)]
         try:
             Gf = np.linalg.solve(M, np.eye(free.size))
@@ -125,14 +116,14 @@ def partition_fn(net: Network, q: float, B: Sequence[int] = ()) -> float:
     ``B`` of ``w(phi) q^(|roots| - |B|)``, and also the product of
     ``q + eigenvalue`` over the spectrum of ``-L`` outside ``B``.
     """
-    roots = _canon_roots(net, B)
+    roots = vertex_set(net.n, B, "root set")
     q = float(q)
     if not np.isfinite(q):
         raise InvalidParams("q must be finite")
     free = _free_vertices(net, roots)
     if free.size == 0:
         return 1.0
-    L = net.dense_L()
+    L = net.L
     M = q * np.eye(free.size) - L[np.ix_(free, free)]
     sign, logdet = np.linalg.slogdet(M)
     if sign == 0:
@@ -147,7 +138,7 @@ def _log_partition(net: Network, q: float, forbidden: np.ndarray) -> tuple[float
     free = np.flatnonzero(mask)
     if free.size == 0:
         return 1.0, 0.0
-    L = net.dense_L()
+    L = net.L
     M = q * np.eye(free.size) - L[np.ix_(free, free)]
     sign, logdet = np.linalg.slogdet(M)
     return float(sign), float(logdet)
@@ -173,14 +164,9 @@ def root_inclusion_prob(
     Determinantal: ``det [K]_(A minus B)`` with ``K = qG``; forced roots in
     ``A`` contribute factor one.
     """
-    roots = _canon_roots(net, B)
+    roots = vertex_set(net.n, B, "root set")
     q = _check_q(q, roots)
-    a = np.asarray(sorted(set(int(x) for x in A)), dtype=np.int64)
-    if len(a) != len(list(A)):
-        raise InvalidParams("duplicate vertex in root event")
-    if a.size and (a[0] < 0 or a[-1] >= net.n):
-        raise InvalidParams(f"vertex ids must lie in 0..{net.n - 1}")
-    a = np.setdiff1d(a, roots)
+    a = np.setdiff1d(vertex_set(net.n, A, "root event"), roots)
     if a.size == 0:
         return 1.0
     K = green(net, q, roots).K
@@ -203,7 +189,7 @@ def transfer_current(
     which turns principal minors into probabilities of seeing each edge in
     either orientation.
     """
-    roots = _canon_roots(net, B)
+    roots = vertex_set(net.n, B, "root set")
     q = _check_q(q, roots)
     edges = [(int(s), int(d)) for s, d in edge_list]
     for s, d in edges:
@@ -261,11 +247,11 @@ def edge_inclusion_prob(
 
 def spectrum(net: Network, B: Sequence[int] = ()) -> np.ndarray:
     """Eigenvalues of ``-L`` restricted outside ``B`` (complex array)."""
-    roots = _canon_roots(net, B)
+    roots = vertex_set(net.n, B, "root set")
     free = _free_vertices(net, roots)
     if free.size == 0:
         return np.zeros(0, dtype=complex)
-    L = net.dense_L()
+    L = net.L
     return np.linalg.eigvals(-L[np.ix_(free, free)])
 
 
@@ -316,7 +302,7 @@ def root_count_law(net: Network, q: float, B: Sequence[int] = ()) -> RootCountLa
     independent {0,1,2}-valued variable with
     ``P(2) = |p|^2`` and ``P(1) = 2 Re(p) - 2 |p|^2``.
     """
-    roots = _canon_roots(net, B)
+    roots = vertex_set(net.n, B, "root set")
     q = _check_q(q, roots)
     lam = spectrum(net, roots)
     real, pairs = _split_spectrum(lam)
@@ -351,7 +337,7 @@ def root_count_moments(
     """Mean and variance of the root count from the spectrum outside ``B``:
     ``mean = |B| + sum_j q/(q+lam_j)`` and
     ``variance = sum_j [q/(q+lam_j) - (q/(q+lam_j))^2]``."""
-    roots = _canon_roots(net, B)
+    roots = vertex_set(net.n, B, "root set")
     q = _check_q(q, roots)
     lam = spectrum(net, roots)
     p = q / (q + lam) if lam.size else np.zeros(0, dtype=complex)
@@ -382,7 +368,7 @@ def lerw_path_prob(
         killed:  q * w(path) * det[q Id - L]_(V minus B minus path)
                      / det[q Id - L]_(V minus B)
     """
-    roots = _canon_roots(net, B)
+    roots = vertex_set(net.n, B, "root set")
     q = _check_q(q, roots)
     p = [int(x) for x in path]
     if not p:
@@ -426,13 +412,13 @@ def hitting_times(net: Network, B: Sequence[int]) -> np.ndarray:
     Zero on ``B``; outside, the unique solution of ``[-L] h = 1`` restricted
     to the complement.
     """
-    roots = _canon_roots(net, B)
+    roots = vertex_set(net.n, B, "root set")
     if roots.size == 0:
         raise InvalidParams("hitting times need a nonempty target set")
     free = _free_vertices(net, roots)
     h = np.zeros(net.n)
     if free.size:
-        L = net.dense_L()
+        L = net.L
         M = -L[np.ix_(free, free)]
         try:
             hf = np.linalg.solve(M, np.ones(free.size))
@@ -469,7 +455,7 @@ def charpoly_root_coeffs(net: Network) -> np.ndarray:
     ``a_k`` equals the total weight of spanning forests with exactly ``k``
     roots; index 0..n.
     """
-    L = net.dense_L()
+    L = net.L
     coeffs = np.poly(np.linalg.eigvals(L))  # highest power first
     scale = max(1.0, float(np.abs(coeffs).max()))
     if np.abs(coeffs.imag).max() > 1e-8 * scale:

@@ -38,7 +38,7 @@ import scipy.stats
 
 from . import oracle
 from .errors import InvalidParams, InvalidStart, NumericalError
-from .network import Network
+from .network import Network, vertex_set
 
 _BUF = 64  # uniforms drawn per refill of a branch's buffer past block 1
 _CHUNK = 1 << 14  # (sample, branch) pairs whose block 1 is computed at once
@@ -195,12 +195,7 @@ class RootedForest:
 
 def _check_sampling_args(net: Network, q: float, B: Sequence[int]) -> tuple[float, list[int]]:
     q = float(q)
-    given = [int(b) for b in B]
-    roots = sorted(set(given))
-    if len(roots) != len(given):
-        raise InvalidParams("duplicate vertex in forced root set")
-    if roots and (roots[0] < 0 or roots[-1] >= net.n):
-        raise InvalidParams(f"root ids must lie in 0..{net.n - 1}")
+    roots = vertex_set(net.n, B, "forced root set").tolist()
     if not np.isfinite(q) or q < 0:
         raise InvalidParams(f"killing rate q must be finite and >= 0, got {q}")
     if q == 0 and not roots:

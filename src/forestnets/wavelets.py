@@ -27,7 +27,7 @@ import numpy as np
 from . import coarsegrain as cg
 from . import config, oracle, sampler
 from .errors import DegenerateBasis, InvalidParams, NumericalError
-from .network import Network
+from .network import Network, vertex_set
 from .norms import condition_measure, holder_conjugate, lp_norm
 
 _MAX_ROOT_RETRIES = 64
@@ -35,11 +35,9 @@ _SEED_MASK = (1 << 64) - 1
 
 
 def _split(net: Network, keep: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    kept = np.asarray(sorted(set(int(v) for v in keep)), dtype=np.int64)
+    kept = vertex_set(net.n, keep, "kept set")
     if kept.size == 0 or kept.size >= net.n:
         raise InvalidParams("kept set must be a proper nonempty subset")
-    if kept[0] < 0 or kept[-1] >= net.n:
-        raise InvalidParams(f"kept ids must lie in 0..{net.n - 1}")
     dropped = np.setdiff1d(np.arange(net.n), kept)
     return kept, dropped
 
@@ -83,7 +81,7 @@ def reconstruct_level(
     kept, dropped = _split(net, keep)
     fb = _as_signal(approx, kept.size)
     fd = _as_signal(detail, dropped.size)
-    L = net.dense_L()
+    L = net.L
     A = -L[np.ix_(dropped, dropped)]
     L_kd = L[np.ix_(kept, dropped)]
     L_dk = L[np.ix_(dropped, kept)]
@@ -468,7 +466,7 @@ def detail_size_check(
     _, fd = analyze_level(net, kept, q_prime, f)
     measured = lp_norm(fd, condition_measure(net.mu, dropped), p)
     K = oracle.green(net, q_prime).K
-    lf = net.dense_L() @ f
+    lf = net.L @ f
     if p == math.inf:
         factor = 1.0 / q_prime
     else:
@@ -601,7 +599,7 @@ def stability_bounds(pyr: Pyramid, p: float) -> StabilityReport:
             wb ** (1.0 / pstar) if pstar != math.inf else 1.0
         )
         prod *= factors_a[j]
-    lf = pyr.levels[0].network.dense_L() @ f0
+    lf = pyr.levels[0].network.L @ f0
     gap_bound = a_sum * lp_norm(lf, base_mu, p) + b_sum * lp_norm(f0, base_mu, p)
     gap_measured = lp_norm(f0 - approximation(pyr), base_mu, p)
 

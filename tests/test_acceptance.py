@@ -181,7 +181,7 @@ def test_criterion_05_schur_consistency():
     # reversibility survives reduction
     red = cg.schur_reduce(path5, [0, 2, 4])
     mu = red.network.mu
-    W = red.network.dense_L().copy()
+    W = red.network.L.copy()
     np.fill_diagonal(W, 0.0)
     flow = mu[:, None] * W
     assert np.abs(flow - flow.T).max() <= 1e-9

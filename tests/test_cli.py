@@ -394,6 +394,47 @@ def test_dry_run_skips_output(capsys, cycle_file, signal_file, tmp_path):
     assert not target.exists()
 
 
+@pytest.fixture
+def big_cycle_file(tmp_path):
+    # one vertex more than config.MAX_VERTICES
+    path = tmp_path / "cycle4097.tsv"
+    lines = [f"{i}\t{(i + 1) % 4097}\t1.0" for i in range(4097)]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("dry", [[], ["--dry-run"]])
+@pytest.mark.parametrize("cmd", [
+    ["graph", "info"],
+    ["graph", "skeleton"],
+    ["oracle", "partition", "--q", "1"],
+])
+def test_oversize_network_refused(capsys, big_cycle_file, cmd, dry):
+    code, out, err = run(capsys, cmd[:2] + [big_cycle_file] + cmd[2:] + dry)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "4097 vertices" in lines[0]
+
+
+@pytest.mark.parametrize("dry", [[], ["--dry-run"]])
+def test_oversize_image_refused_before_tuning(capsys, tmp_path, monkeypatch, dry):
+    from forestnets import sampler
+
+    def never(*args, **kwargs):
+        raise AssertionError("tuning scan ran")
+
+    monkeypatch.setattr(sampler, "estimate_tuning", never)
+    img_path = tmp_path / "big.pgm"
+    img_path.write_bytes(b"P5\n65 65\n255\n" + bytes(range(65)) * 65)
+    code, out, err = run(
+        capsys, ["signal", "image-analyze", str(img_path), "--seed", "3"] + dry
+    )
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

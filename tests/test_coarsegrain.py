@@ -40,7 +40,7 @@ def test_schur_path3_golden(path3):
 
 def test_schur_keep_all_is_identity(path3):
     red = cg.schur_reduce(path3, [0, 1, 2])
-    assert np.allclose(red.L, path3.dense_L())
+    assert np.allclose(red.L, path3.L)
 
 
 def test_schur_transitivity(path5):
@@ -90,6 +90,9 @@ def test_schur_keep_validation(path3):
         cg.schur_reduce(path3, [0, 3])
     with pytest.raises(InvalidParams):
         cg.schur_reduce(path3, [0, 0])
+    # the kept set is read once, so a generator works
+    red = cg.schur_reduce(path3, (v for v in [2, 0]))
+    assert red.kept.tolist() == [0, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +316,7 @@ def test_sparsify_removes_pairs_within_budget(ring8_reduction):
     link = cg.kernel_link(
         ring8_reduction.parent, ring8_reduction.kept, q_prime
     )
-    Lfine = ring8_reduction.parent.dense_L()
+    Lfine = ring8_reduction.parent.L
     before = np.abs(ring8_reduction.L @ link - link @ Lfine).max(axis=1)
     after = np.abs(sparse.L @ link - link @ Lfine).max(axis=1)
     assert (after <= (1 + theta) * before + 1e-12).all()

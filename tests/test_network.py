@@ -3,13 +3,12 @@ import pytest
 
 from forestnets import config
 from forestnets.errors import (
-    DenseThresholdExceeded,
     DuplicateEdge,
     InvalidParams,
     NonPositiveWeight,
     NotIrreducible,
 )
-from forestnets.network import Measure, Network, Signal, build_network, skeleton
+from forestnets.network import Network, build_network, skeleton
 
 import netdefs
 
@@ -24,7 +23,7 @@ def test_two_asym_basics(two_asym):
 def test_generator_rows_sum_to_zero():
     for name, (n, edges) in netdefs.SMALL_GRAPHS.items():
         net = build_network(edges, n)
-        L = net.dense_L()
+        L = net.L
         assert np.abs(L.sum(axis=1)).max() <= 1e-12, name
         off = L - np.diag(np.diag(L))
         assert off.min() >= 0.0, name
@@ -33,7 +32,7 @@ def test_generator_rows_sum_to_zero():
 def test_invariant_measure_property():
     for name, (n, edges) in netdefs.SMALL_GRAPHS.items():
         net = build_network(edges, n)
-        assert np.abs(net.mu @ net.dense_L()).max() <= 1e-10, name
+        assert np.abs(net.mu @ net.L).max() <= 1e-10, name
         assert abs(net.mu.sum() - 1.0) <= 1e-12, name
         assert net.mu.min() > 0.0, name
 
@@ -101,16 +100,16 @@ def test_rejects_not_strongly_connected():
         )
 
 
-def test_dense_threshold_refusal():
-    n, edges = netdefs.PATH3
-    net = build_network(edges, n, dense_threshold=2)
-    assert not net.is_dense
-    with pytest.raises(DenseThresholdExceeded):
-        net.dense_L()
-    # sparse invariant measure still correct (symmetric rates: uniform)
-    assert np.allclose(net.mu, [1 / 3, 1 / 3, 1 / 3], atol=1e-10)
-    dense = build_network(netdefs.PATH3[1], n)
-    assert np.allclose(net.mu, dense.mu, atol=1e-10)
+def test_max_vertices_boundary(monkeypatch):
+    monkeypatch.setattr(config, "MAX_VERTICES", 3)
+    assert build_network(netdefs.PATH3[1], 3).n == 3
+
+    def edges():
+        raise AssertionError("edges read before the size check")
+        yield
+
+    with pytest.raises(InvalidParams, match="4 vertices"):
+        Network(edges(), 4)
 
 
 def test_weight_lookup(two_asym):
@@ -118,19 +117,3 @@ def test_weight_lookup(two_asym):
     assert two_asym.weight(1, 0) == 1.0
     assert two_asym.weight(0, 0) == 0.0
 
-
-def test_measure_from_values():
-    m = Measure.from_values([0.25, 0.75])
-    assert m.normalized
-    m2 = Measure.from_values([1.0, 3.0])
-    assert not m2.normalized
-    with pytest.raises(InvalidParams):
-        Measure.from_values([-0.1, 1.1])
-
-
-def test_signal_length_checked(two_asym):
-    Signal(two_asym, [1.0, 2.0])
-    from forestnets.errors import ShapeMismatch
-
-    with pytest.raises(ShapeMismatch):
-        Signal(two_asym, [1.0, 2.0, 3.0])

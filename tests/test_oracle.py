@@ -93,6 +93,21 @@ def test_root_inclusion_two_asym(two_asym):
 def test_root_inclusion_forced_roots_count_as_sure(two_asym):
     assert oracle.root_inclusion_prob(two_asym, 3.0, [1], B=[1]) == 1.0
     assert oracle.root_inclusion_prob(two_asym, 3.0, [], B=[1]) == 1.0
+    # root sets are read once, so generators work
+    assert oracle.root_inclusion_prob(
+        two_asym, 3.0, (v for v in [1]), B=(v for v in [1])
+    ) == 1.0
+
+
+def test_vertex_sets_validated(two_asym):
+    with pytest.raises(InvalidParams):
+        oracle.root_inclusion_prob(two_asym, 3.0, [0, 0])
+    with pytest.raises(InvalidParams):
+        oracle.root_inclusion_prob(two_asym, 3.0, [2])
+    with pytest.raises(InvalidParams):
+        oracle.green(two_asym, 3.0, B=[1, 1])
+    with pytest.raises(InvalidParams):
+        oracle.green(two_asym, 3.0, B=[-1])
 
 
 def test_edge_inclusion_two_asym(two_asym):

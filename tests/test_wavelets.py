@@ -67,6 +67,11 @@ def test_keep_validation(two_asym):
         wv.analyze_level(two_asym, [0, 1], 1.0, [1.0, 2.0])
     with pytest.raises(InvalidParams):
         wv.analyze_level(two_asym, [0], 1.0, [1.0])
+    with pytest.raises(InvalidParams):
+        wv.analyze_level(two_asym, [0, 0], 1.0, [1.0, 2.0])
+    # the kept set is read once, so a generator works
+    approx, _ = wv.analyze_level(two_asym, (v for v in [1]), 1.0, [1.0, 2.0])
+    assert approx.shape == (1,)
 
 
 # ---------------------------------------------------------------------------
