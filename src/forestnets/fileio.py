@@ -8,12 +8,13 @@ output files.
 from __future__ import annotations
 
 import json
+import math
 from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import MalformedInput
-from .network import Network, build_network
+from .errors import InvalidParams, MalformedInput
+from .network import Network, build_network, vertex_set
 from .norms import condition_measure
 from .sampler import RootedForest
 from .wavelets import Pyramid, PyramidLevel
@@ -304,8 +305,21 @@ def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
         current = base
         mu = base.mu.copy()
         mass = 1.0
-        for entry in doc["levels"]:
-            keep = np.asarray(sorted(int(v) for v in entry["keep"]), dtype=np.int64)
+        for li, entry in enumerate(doc["levels"]):
+            try:
+                keep = vertex_set(current.n, entry["keep"], "kept set")
+            except InvalidParams as exc:
+                raise MalformedInput(f"level {li}: {exc}") from None
+            if not 0 < keep.size < current.n:
+                raise MalformedInput(
+                    f"level {li}: kept set must be a proper nonempty subset"
+                )
+            q_prime = float(entry["q_prime"])
+            if not (math.isfinite(q_prime) and q_prime > 0):
+                raise MalformedInput(
+                    f"level {li}: q_prime must be positive and finite, "
+                    f"got {q_prime}"
+                )
             dropped = np.setdiff1d(np.arange(current.n), keep)
             next_edges = [
                 (int(s), int(d), float(w)) for s, d, w in entry["next_edges"]
@@ -313,7 +327,9 @@ def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
             next_net = build_network(next_edges, keep.size)
             detail = np.asarray([float(x) for x in entry["detail"]])
             if detail.size != dropped.size:
-                raise MalformedInput("detail length does not match dropped set")
+                raise MalformedInput(
+                    f"level {li}: detail length does not match dropped set"
+                )
             levels.append(
                 PyramidLevel(
                     network=current,
@@ -321,7 +337,7 @@ def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
                     base_mass=mass,
                     keep=keep,
                     dropped=dropped,
-                    q_prime=float(entry["q_prime"]),
+                    q_prime=q_prime,
                     detail=detail,
                     next_network=next_net,
                     q_tuning=(

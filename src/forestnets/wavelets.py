@@ -19,7 +19,8 @@ control each operator of the transform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -53,15 +54,93 @@ def _as_signal(values: Sequence[float], n: int) -> np.ndarray:
 # one level
 
 
+class _LevelOperator:
+    """One analysis step ``(net, keep, q')``, validated once, with the
+    operators that read its Schur complement and return speeds.  Both are
+    computed on first use and kept.  The killed kernel ``K_{q'}`` is not
+    kept: each call that needs it computes it once, so a pyramid holds no
+    extra ``n x n`` matrix per level.
+    """
+
+    def __init__(self, net: Network, keep: Sequence[int], q_prime: float) -> None:
+        self.net = net
+        self.kept, self.dropped = _split(net, keep)
+        if not (math.isfinite(q_prime) and q_prime > 0):
+            raise InvalidParams(f"q' must be positive and finite, got {q_prime}")
+        self.q_prime = q_prime
+
+    @cached_property
+    def schur(self) -> tuple[np.ndarray, float]:
+        """``(Lbar, w_bar)``: the exact Schur complement on the kept set, run
+        through the reduction's guards, and the reduced network's ``w_max``."""
+        Lbar = cg.schur_complement(self.net, self.kept)
+        rates = cg.reduced_rates(self.net, self.kept, Lbar)
+        return Lbar, float(rates.sum(axis=1).max())
+
+    @cached_property
+    def speeds(self) -> tuple[float, float]:
+        """Return speeds ``(beta, gamma)`` toward the kept set."""
+        return cg.beta_gamma(self.net, self.kept)
+
+    def reconstruct(
+        self, approx: Sequence[float], detail: Sequence[float]
+    ) -> np.ndarray:
+        k, d, qp = self.kept, self.dropped, self.q_prime
+        fb = _as_signal(approx, k.size)
+        fd = _as_signal(detail, d.size)
+        L = self.net.L
+        A = -L[np.ix_(d, d)]
+        Lbar, _ = self.schur
+        inv_detail = np.linalg.solve(A, fd)
+        out = np.empty(self.net.n)
+        out[k] = fb - (Lbar @ fb) / qp + L[np.ix_(k, d)] @ inv_detail
+        out[d] = np.linalg.solve(A, L[np.ix_(d, k)] @ fb) - fd - qp * inv_detail
+        return out
+
+    def approx_factor(self, p: float) -> float:
+        a = 1.0 + 2.0 * self.schur[1] / self.q_prime
+        if p == math.inf:
+            return a
+        return (a**p + self.net.w_max / self.speeds[0]) ** (1.0 / p)
+
+    def detail_factor(self, p: float) -> float:
+        beta, gamma = self.speeds
+        w_over_beta = self.net.w_max / beta
+        b = 1.0 + self.q_prime / gamma if math.isfinite(gamma) else 1.0
+        if p == math.inf:
+            return max(w_over_beta, b)
+        pstar = holder_conjugate(p)
+        lead = w_over_beta ** (p / pstar) if pstar != math.inf else 1.0
+        return (lead + b**p) ** (1.0 / p)
+
+    def approx_check(self, coarse: Sequence[float], p: float) -> tuple[float, float]:
+        fb = _as_signal(coarse, self.kept.size)
+        lifted = self.reconstruct(fb, np.zeros(self.dropped.size))
+        return self._lift_check(lifted, fb, self.kept, self.approx_factor(p), p)
+
+    def detail_check(self, detail: Sequence[float], p: float) -> tuple[float, float]:
+        fd = _as_signal(detail, self.dropped.size)
+        lifted = self.reconstruct(np.zeros(self.kept.size), fd)
+        return self._lift_check(lifted, fd, self.dropped, self.detail_factor(p), p)
+
+    def _lift_check(self, lifted, coeffs, part, factor, p) -> tuple[float, float]:
+        """(measured, bound) for ``coeffs`` on ``part`` lifted to ``lifted``."""
+        mu = self.net.mu
+        measured = lp_norm(lifted, mu, p)
+        mass = float(mu[part].sum())
+        mass_f = mass ** (1.0 / p) if p != math.inf else 1.0
+        bound = factor * mass_f * lp_norm(coeffs, condition_measure(mu, part), p)
+        return float(measured), float(bound)
+
+
 def analyze_level(
     net: Network, keep: Sequence[int], q_prime: float, values: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split a signal into (approximation on kept, detail on dropped)."""
-    kept, dropped = _split(net, keep)
+    op = _LevelOperator(net, keep, q_prime)
     f = _as_signal(values, net.n)
-    K = oracle.green(net, q_prime).K
-    smooth = K @ f
-    return smooth[kept], (smooth - f)[dropped]
+    smooth = oracle.green(net, q_prime).K @ f
+    return smooth[op.kept], (smooth - f)[op.dropped]
 
 
 def reconstruct_level(
@@ -78,19 +157,7 @@ def reconstruct_level(
     through the complementary blocks.  ``Lbar`` is the exact Schur
     complement of the generator on the kept set.
     """
-    kept, dropped = _split(net, keep)
-    fb = _as_signal(approx, kept.size)
-    fd = _as_signal(detail, dropped.size)
-    L = net.L
-    A = -L[np.ix_(dropped, dropped)]
-    L_kd = L[np.ix_(kept, dropped)]
-    L_dk = L[np.ix_(dropped, kept)]
-    Lbar = cg.schur_complement(net, kept)
-    inv_detail = np.linalg.solve(A, fd)
-    out = np.empty(net.n)
-    out[kept] = fb - (Lbar @ fb) / q_prime + L_kd @ inv_detail
-    out[dropped] = np.linalg.solve(A, L_dk @ fb) - fd - q_prime * inv_detail
-    return out
+    return _LevelOperator(net, keep, q_prime).reconstruct(approx, detail)
 
 
 def basis_functions(
@@ -103,10 +170,10 @@ def basis_functions(
     the wavelet of dropped vertex ``j``, which has zero mean under ``mu``.
     Analysis coefficients are ``mu``-inner products against these rows.
     """
-    kept, dropped = _split(net, keep)
+    op = _LevelOperator(net, keep, q_prime)
     K = oracle.green(net, q_prime).K
-    scaling = K[kept, :] / net.mu[None, :]
-    wavelets = (K - np.eye(net.n))[dropped, :] / net.mu[None, :]
+    scaling = K[op.kept, :] / net.mu[None, :]
+    wavelets = (K - np.eye(net.n))[op.dropped, :] / net.mu[None, :]
     if check:
         stacked = np.vstack([scaling, wavelets])
         g = (stacked * net.mu[None, :]) @ stacked.T
@@ -147,6 +214,11 @@ class PyramidLevel:
     def n(self) -> int:
         return self.network.n
 
+    @cached_property
+    def op(self) -> _LevelOperator:
+        """The level's operator, built on first use; never serialized."""
+        return _LevelOperator(self.network, self.keep, self.q_prime)
+
 
 @dataclass
 class Pyramid:
@@ -176,18 +248,13 @@ def _choose_q(
     return best.q
 
 
-def _draw_keep(
-    net: Network, q: float, seed: int, level: int
-) -> tuple[np.ndarray, float]:
+def _draw_keep(net: Network, q: float, seed: int, level: int) -> np.ndarray:
     for retry in range(_MAX_ROOT_RETRIES):
         forest = sampler.wilson_sample(
             net, q, seed=seed, sample_index=(level << 8) | retry
         )
-        roots = forest.roots
-        if 0 < roots.size < net.n:
-            m = roots.size
-            q_prime = 2.0 * net.w_max * m / (net.n - m)
-            return roots, q_prime
+        if 0 < forest.roots.size < net.n:
+            return forest.roots
     raise NumericalError(
         f"no proper root subset in {_MAX_ROOT_RETRIES} draws at q={q}"
     )
@@ -216,9 +283,10 @@ def build_pyramid(
     (in that level's coordinates); ``forced_q_prime`` optionally pins the
     smoothing rates alongside it.  When ``sparsify_theta`` is set, each
     reduced network is sparsified before feeding the next level; the
-    exact Schur complement is still what the reconstruction of the
-    current level uses.  Level ``k`` tunes with seed ``seed + k + 1``
-    modulo ``2**64``; ``threads`` is accepted and ignored.
+    exact Schur complement is still what the reconstruction and the
+    stability constants of the current level use.  Level ``k`` tunes with
+    seed ``seed + k + 1`` modulo ``2**64``; ``threads`` is accepted and
+    ignored.
     """
     f = _as_signal(values, net.n)
     if forced_keep is None and seed is None:
@@ -239,24 +307,22 @@ def build_pyramid(
         if max_levels is not None and len(levels) >= max_levels:
             break
         idx = len(levels)
+        q_tuning = None
         if forced_keep is not None:
             if idx >= len(forced_keep):
                 break
-            kept, dropped = _split(current, forced_keep[idx])
-            if forced_q_prime is not None:
-                q_prime = float(forced_q_prime[idx])
-                if q_prime <= 0:
-                    raise InvalidParams("forced q' must be positive")
-            else:
-                q_prime = 2.0 * current.w_max * kept.size / dropped.size
-            q_tuning = None
+            keep = forced_keep[idx]
         else:
             # tuning seeds wrap around the seed domain [0, 2**64)
             q_tuning = _choose_q(
                 current, q_grid, n_tuning_samples, (seed + idx + 1) & _SEED_MASK
             )
-            roots, q_prime = _draw_keep(current, q_tuning, seed, idx)
-            kept, dropped = _split(current, roots)
+            keep = _draw_keep(current, q_tuning, seed, idx)
+        kept, dropped = _split(current, keep)
+        if forced_q_prime is not None:
+            q_prime = float(forced_q_prime[idx])
+        else:
+            q_prime = 2.0 * current.w_max * kept.size / dropped.size
 
         approx, detail = analyze_level(current, kept, q_prime, f)
         reduction = cg.schur_reduce(current, kept)
@@ -292,32 +358,30 @@ def build_pyramid(
     )
 
 
-def _reconstruct(pyr: Pyramid, apex: np.ndarray, details: list[np.ndarray]) -> np.ndarray:
-    f = apex
+def signal_levels(pyr: Pyramid) -> list[np.ndarray]:
+    """Smoothed signal at each level, from the base signal down to the
+    apex (length ``depth + 1``)."""
+    return _lift(pyr, [lvl.detail for lvl in pyr.levels])
+
+
+def _lift(pyr: Pyramid, details: list[np.ndarray]) -> list[np.ndarray]:
+    """Signals of every level, base first, reconstructed from the apex
+    and one detail vector per level."""
+    out = [pyr.apex]
     for lvl, det in zip(reversed(pyr.levels), reversed(details)):
-        f = reconstruct_level(lvl.network, lvl.keep, lvl.q_prime, f, det)
-    return f
+        out.append(lvl.op.reconstruct(out[-1], det))
+    out.reverse()
+    return out
 
 
 def reconstruct_pyramid(pyr: Pyramid) -> np.ndarray:
     """Invert the full pyramid (exact up to roundoff)."""
-    return _reconstruct(pyr, pyr.apex, [lvl.detail for lvl in pyr.levels])
+    return signal_levels(pyr)[0]
 
 
 def approximation(pyr: Pyramid) -> np.ndarray:
     """Reconstruction from the apex alone, every detail set to zero."""
-    zeros = [np.zeros(lvl.dropped.size) for lvl in pyr.levels]
-    return _reconstruct(pyr, pyr.apex, zeros)
-
-
-def signal_levels(pyr: Pyramid) -> list[np.ndarray]:
-    """Smoothed signal at each level, from the base signal down to the
-    apex (length ``depth + 1``)."""
-    out = [pyr.apex]
-    for lvl, det in zip(reversed(pyr.levels), reversed([l.detail for l in pyr.levels])):
-        out.append(reconstruct_level(lvl.network, lvl.keep, lvl.q_prime, out[-1], det))
-    out.reverse()
-    return out
+    return _lift(pyr, [np.zeros(lvl.dropped.size) for lvl in pyr.levels])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -350,25 +414,22 @@ def _detail_scores(pyr: Pyramid) -> list[tuple[float, int, int]]:
 def compress(pyr: Pyramid, keep_count: int) -> CompressionResult:
     """Reconstruct keeping only the ``keep_count`` largest detail
     coefficients (nested: larger counts always include smaller ones)."""
+    return _compress(pyr, keep_count, reconstruct_pyramid(pyr))
+
+
+def _compress(pyr: Pyramid, keep_count: int, exact: np.ndarray) -> CompressionResult:
     total = pyr.detail_count()
     if not (0 <= keep_count <= total):
         raise InvalidParams(f"keep_count must lie in 0..{total}")
     details = [np.zeros(lvl.dropped.size) for lvl in pyr.levels]
     for _, li, di in _detail_scores(pyr)[:keep_count]:
         details[li][di] = pyr.levels[li].detail[di]
-    values = _reconstruct(pyr, pyr.apex, details)
-    exact = reconstruct_pyramid(pyr)
+    values = _lift(pyr, details)[0]
     mu = pyr.levels[0].mu if pyr.levels else pyr.apex_mu
     denom = lp_norm(exact, mu, 2.0)
-    if denom == 0.0:
-        rel = 0.0
-    else:
-        rel = lp_norm(values - exact, mu, 2.0) / denom
+    rel = 0.0 if denom == 0.0 else lp_norm(values - exact, mu, 2.0) / denom
     return CompressionResult(
-        keep_count=keep_count,
-        total_details=total,
-        values=values,
-        rel_error=float(rel),
+        keep_count=keep_count, total_details=total, values=values, rel_error=float(rel)
     )
 
 
@@ -377,41 +438,19 @@ def compression_curve(
 ) -> list[CompressionResult]:
     """Compression results at several kept fractions of the detail
     budget (fraction 1 keeps everything and is exact)."""
+    if not all(0.0 <= frac <= 1.0 for frac in fractions):
+        raise InvalidParams("fractions must lie in [0, 1]")
     total = pyr.detail_count()
-    out = []
-    for frac in fractions:
-        if not (0.0 <= frac <= 1.0):
-            raise InvalidParams("fractions must lie in [0, 1]")
-        out.append(compress(pyr, int(round(frac * total))))
-    return out
+    exact = reconstruct_pyramid(pyr)
+    return [_compress(pyr, int(round(frac * total)), exact) for frac in fractions]
 
 
 # ---------------------------------------------------------------------------
 # stability bounds
 
 
-def _approx_factor(w_bar: float, w: float, beta: float, qp: float, p: float) -> float:
-    a = 1.0 + 2.0 * w_bar / qp
-    if p == math.inf:
-        return a
-    return (a**p + w / beta) ** (1.0 / p)
-
-
-def _detail_factor(w: float, beta: float, gamma: float, qp: float, p: float) -> float:
-    b = 1.0 + qp / gamma if math.isfinite(gamma) else 1.0
-    if p == math.inf:
-        return max(w / beta, b)
-    pstar = holder_conjugate(p)
-    lead = (w / beta) ** (p / pstar) if pstar != math.inf else 1.0
-    return (lead + b**p) ** (1.0 / p)
-
-
 def approx_check(
-    net: Network,
-    keep: Sequence[int],
-    q_prime: float,
-    coarse: Sequence[float],
-    p: float,
+    net: Network, keep: Sequence[int], q_prime: float, coarse: Sequence[float], p: float
 ) -> tuple[float, float]:
     """(measured, bound) for lifting a coarse signal back to the level.
 
@@ -419,53 +458,26 @@ def approx_check(
     the approximation-operator constant times the kept-mass correction
     times the coarse norm.
     """
-    kept, dropped = _split(net, keep)
-    fb = _as_signal(coarse, kept.size)
-    lifted = reconstruct_level(net, kept, q_prime, fb, np.zeros(dropped.size))
-    measured = lp_norm(lifted, net.mu, p)
-    red = cg.schur_reduce(net, kept)
-    beta, _ = cg.beta_gamma(net, kept)
-    factor = _approx_factor(red.network.w_max, net.w_max, beta, q_prime, p)
-    mass = float(net.mu[kept].sum())
-    mass_f = mass ** (1.0 / p) if p != math.inf else 1.0
-    bound = factor * mass_f * lp_norm(fb, condition_measure(net.mu, kept), p)
-    return float(measured), float(bound)
+    return _LevelOperator(net, keep, q_prime).approx_check(coarse, p)
 
 
 def detail_check(
-    net: Network,
-    keep: Sequence[int],
-    q_prime: float,
-    detail: Sequence[float],
-    p: float,
+    net: Network, keep: Sequence[int], q_prime: float, detail: Sequence[float], p: float
 ) -> tuple[float, float]:
     """(measured, bound) for lifting a detail vector back to the level."""
-    kept, dropped = _split(net, keep)
-    fd = _as_signal(detail, dropped.size)
-    lifted = reconstruct_level(net, kept, q_prime, np.zeros(kept.size), fd)
-    measured = lp_norm(lifted, net.mu, p)
-    beta, gamma = cg.beta_gamma(net, kept)
-    factor = _detail_factor(net.w_max, beta, gamma, q_prime, p)
-    mass = float(net.mu[dropped].sum())
-    mass_f = mass ** (1.0 / p) if p != math.inf else 1.0
-    bound = factor * mass_f * lp_norm(fd, condition_measure(net.mu, dropped), p)
-    return float(measured), float(bound)
+    return _LevelOperator(net, keep, q_prime).detail_check(detail, p)
 
 
 def detail_size_check(
-    net: Network,
-    keep: Sequence[int],
-    q_prime: float,
-    values: Sequence[float],
-    p: float,
+    net: Network, keep: Sequence[int], q_prime: float, values: Sequence[float], p: float
 ) -> tuple[float, float]:
     """(measured, bound) for the size of a signal's detail coefficients:
     smooth signals (small ``L f``) produce small details."""
-    kept, dropped = _split(net, keep)
+    dropped = _LevelOperator(net, keep, q_prime).dropped
     f = _as_signal(values, net.n)
-    _, fd = analyze_level(net, kept, q_prime, f)
-    measured = lp_norm(fd, condition_measure(net.mu, dropped), p)
     K = oracle.green(net, q_prime).K
+    fd = (K @ f - f)[dropped]
+    measured = lp_norm(fd, condition_measure(net.mu, dropped), p)
     lf = net.L @ f
     if p == math.inf:
         factor = 1.0 / q_prime
@@ -529,35 +541,17 @@ def stability_bounds(pyr: Pyramid, p: float) -> StabilityReport:
     f0 = sigs[0]
     pstar = holder_conjugate(p)
 
-    level_rows = []
-    betas, gammas, factors_a, factors_d = [], [], [], []
-    for i, lvl in enumerate(pyr.levels):
-        am, ab = approx_check(lvl.network, lvl.keep, lvl.q_prime, sigs[i + 1], p)
-        dm, db = detail_check(lvl.network, lvl.keep, lvl.q_prime, lvl.detail, p)
-        sm, sb = detail_size_check(lvl.network, lvl.keep, lvl.q_prime, sigs[i], p)
-        beta, gamma = cg.beta_gamma(lvl.network, lvl.keep)
-        betas.append(beta)
-        gammas.append(gamma)
-        factors_a.append(
-            _approx_factor(
-                lvl.next_network.w_max, lvl.network.w_max, beta, lvl.q_prime, p
-            )
+    # each check returns a (measured, bound) pair, in LevelBounds order
+    level_rows = [
+        LevelBounds(
+            i,
+            lvl.q_prime,
+            *lvl.op.approx_check(sigs[i + 1], p),
+            *lvl.op.detail_check(lvl.detail, p),
+            *detail_size_check(lvl.network, lvl.keep, lvl.q_prime, sigs[i], p),
         )
-        factors_d.append(
-            _detail_factor(lvl.network.w_max, beta, gamma, lvl.q_prime, p)
-        )
-        level_rows.append(
-            LevelBounds(
-                level=i,
-                q_prime=lvl.q_prime,
-                approx_measured=am,
-                approx_bound=ab,
-                detail_measured=dm,
-                detail_bound=db,
-                detail_size_measured=sm,
-                detail_size_bound=sb,
-            )
-        )
+        for i, lvl in enumerate(pyr.levels)
+    ]
 
     # composite analysis norm: base-mass-weighted conditioned norms of the
     # apex and of each detail vector
@@ -590,15 +584,15 @@ def stability_bounds(pyr: Pyramid, p: float) -> StabilityReport:
     b_sum = 0.0
     defect_acc = 0.0
     prod = 1.0
-    for j, lvl in enumerate(pyr.levels):
-        term = prod * factors_d[j] / lvl.q_prime
+    for lvl in pyr.levels:
+        term = prod * lvl.op.detail_factor(p) / lvl.q_prime
         a_sum += term
         b_sum += term * defect_acc
-        wb = lvl.network.w_max / betas[j]
+        wb = lvl.network.w_max / lvl.op.speeds[0]
         defect_acc += 2.0 * lvl.q_prime * (
             wb ** (1.0 / pstar) if pstar != math.inf else 1.0
         )
-        prod *= factors_a[j]
+        prod *= lvl.op.approx_factor(p)
     lf = pyr.levels[0].network.L @ f0
     gap_bound = a_sum * lp_norm(lf, base_mu, p) + b_sum * lp_norm(f0, base_mu, p)
     gap_measured = lp_norm(f0 - approximation(pyr), base_mu, p)

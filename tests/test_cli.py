@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from forestnets import cli, fileio, oracle
+from forestnets import wavelets as wv
 from forestnets.errors import NumericalError
+from forestnets.network import build_network
 
 
 @pytest.fixture
@@ -341,6 +343,120 @@ def test_image_pipeline(capsys, tmp_path):
     image, maxval = fileio.read_pgm(open(out_path, "rb"))
     assert maxval == 255
     assert np.array_equal(image.ravel(), np.asarray(pixels, dtype=float))
+
+
+# ---------------------------------------------------------------------------
+# pyramid archives: goldens and malformed levels
+
+#: a nonreversible 8-vertex network: a weighted ring, four back edges and
+#: two chords
+GOLDEN_EDGES = [
+    (0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5), (3, 4, 1.5), (4, 5, 1.0),
+    (5, 6, 3.0), (6, 7, 1.0), (7, 0, 2.5), (1, 0, 0.5), (3, 2, 1.0),
+    (5, 4, 2.0), (7, 6, 0.5), (0, 4, 0.75), (6, 2, 1.25),
+]
+GOLDEN_KEEPS = [[0, 2, 3, 5, 7], [0, 2, 4], [1, 2]]
+GOLDEN_SIGNAL = [0.5, -1.0, 2.0, 0.25, 1.5, -0.75, 3.0, 1.0]
+
+#: ``signal bounds`` on the golden archive, by ``--p``: (analysis measured,
+#: analysis bound, gap measured, gap bound), then per level the measured
+#: and bound values of the approximation, detail and detail-size checks
+BOUNDS_GOLDEN = {
+    "2": (
+        (0.24859235166614105, 4.988663069489342, 1.27980313418496, 1321.565686619218),
+        [
+            (1.416189295916606, 2.967280069388944, 0.971687312311959,
+             1.426757462702237, 0.1336443605636548, 0.410380089852069),
+            (0.5817082063438838, 0.8000200046371464, 1.182722528755305,
+             2.38815538088169, 0.14338188342997088, 0.19460907178550357),
+            (0.637129336020031, 1.0290031991044535, 0.0265753776624075,
+             0.026575377662407494, 0.006186558063167036, 0.07120993422520443),
+        ],
+    ),
+    "inf": (
+        (0.8460518721681327, 6.000000000000003, 2.257349178691954, 1947.240077313157),
+        [
+            (1.9999999999999951, 2.6578039046972117, 2.658317581257873,
+             6.125688339420315, 0.34673707581624436, 0.9450000000000012),
+            (1.020878442753463, 1.4780513318979989, 1.4125224936759175,
+             7.1541914266553555, 0.3765363908765975, 0.5255442433485162),
+            (0.9039312827092173, 1.187201820623025, 0.0505346445374818,
+             0.050534644537481785, 0.006186558063167036, 0.086644760875895),
+        ],
+    ),
+}
+
+
+@pytest.fixture
+def golden_archive(tmp_path):
+    net = build_network(GOLDEN_EDGES, 8)
+    pyr = wv.build_pyramid(net, GOLDEN_SIGNAL, forced_keep=GOLDEN_KEEPS)
+    path = tmp_path / "golden.json"
+    with open(path, "w") as fh:
+        fileio.write_pyramid(fh, pyr)
+    return str(path)
+
+
+def test_signal_compress_golden(capsys, golden_archive):
+    code, out, _ = run(
+        capsys,
+        ["signal", "compress", golden_archive, "--fractions", "0,0.25,0.5,1"],
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [r[1:3] for r in rows] == [["0", "6"], ["2", "6"], ["3", "6"], ["6", "6"]]
+    assert [float(r[3]) for r in rows] == pytest.approx(
+        [0.7256112206099476, 0.552999530290177, 0.49839703138393465, 0.0],
+        rel=1e-10,
+        abs=1e-12,
+    )
+
+
+@pytest.mark.parametrize("p", sorted(BOUNDS_GOLDEN))
+def test_signal_bounds_golden(capsys, golden_archive, p):
+    code, out, _ = run(capsys, ["signal", "bounds", golden_archive, "--p", p])
+    assert code == 0
+    doc = json.loads(out)
+    totals, levels = BOUNDS_GOLDEN[p]
+    assert doc["all_dominated"] is True
+    keys = ["analysis_measured", "analysis_bound", "approx_gap_measured",
+            "approx_gap_bound"]
+    assert [doc[k] for k in keys] == pytest.approx(totals, rel=1e-10)
+    assert [lv["q_prime"] for lv in doc["levels"]] == pytest.approx(
+        [50 / 3, 9.0, 100 / 9], rel=1e-10
+    )
+    fields = ["approx_measured", "approx_bound", "detail_measured",
+              "detail_bound", "detail_size_measured", "detail_size_bound"]
+    assert len(doc["levels"]) == len(levels)
+    for got, want in zip(doc["levels"], levels):
+        assert [got[f] for f in fields] == pytest.approx(want, rel=1e-10)
+
+
+#: changes to level 0 of the golden archive that make it malformed; the
+#: padded detail keeps the out-of-range id from tripping the length check
+BAD_LEVEL0 = {
+    "q-zero": {"q_prime": 0.0},
+    "q-negative": {"q_prime": -1.0},
+    "q-nan": {"q_prime": float("nan")},
+    "q-inf": {"q_prime": float("inf")},
+    "keep-out-of-range": {"keep": [0, 2, 3, 5, 99], "detail": [0.0] * 4},
+    "keep-empty": {"keep": []},
+    "keep-everything": {"keep": list(range(8)), "detail": []},
+    "keep-repeated": {"keep": [0, 2, 3, 5, 5]},
+}
+
+
+@pytest.mark.parametrize("cmd", [["reconstruct"], ["bounds", "--p", "2"]])
+@pytest.mark.parametrize("change", list(BAD_LEVEL0.values()), ids=list(BAD_LEVEL0))
+def test_malformed_archive_level_exits_3(capsys, golden_archive, tmp_path, change, cmd):
+    doc = json.loads(open(golden_archive).read())
+    doc["levels"][0].update(change)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["signal", cmd[0], str(bad)] + cmd[1:])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: level 0: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Multiresolution transform: analysis, reconstruction, pyramids, bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from forestnets import coarsegrain as cg
 from forestnets import oracle
 from forestnets import wavelets as wv
-from forestnets.errors import DegenerateBasis, InvalidParams
+from forestnets.errors import DegenerateBasis, InvalidParams, NumericalError
 from forestnets.network import build_network
 from forestnets.norms import condition_measure, mu_inner
 
@@ -72,6 +74,45 @@ def test_keep_validation(two_asym):
     # the kept set is read once, so a generator works
     approx, _ = wv.analyze_level(two_asym, (v for v in [1]), 1.0, [1.0, 2.0])
     assert approx.shape == (1,)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
+def test_level_w_bar_is_reduced_w_max(name):
+    # the level reads the reduced network's w_max off its own Schur
+    # complement, bit for bit
+    net = ALL_NETS[name]
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        if net.n < 2:
+            break
+        keep = rng.choice(net.n, size=int(rng.integers(1, net.n)), replace=False)
+        _, w_bar = wv._LevelOperator(net, keep, 1.0).schur
+        assert w_bar == cg.schur_reduce(net, keep).network.w_max
+
+
+@pytest.mark.parametrize("defect", ["negative rate", "measure not invariant"])
+def test_schur_guards(monkeypatch, defect):
+    real = cg.schur_complement
+
+    def perturbed(net, keep):
+        Lbar = real(net, keep)
+        if defect == "negative rate":
+            Lbar[0, 0], Lbar[0, 1] = 1e-6, -1e-6
+        else:
+            Lbar[0] *= 2.0  # still a generator, but mu(. | kept) moves
+        return Lbar
+
+    monkeypatch.setattr(cg, "schur_complement", perturbed)
+    with pytest.raises(NumericalError):
+        cg.schur_reduce(BD3, [0, 2])
+    with pytest.raises(NumericalError):
+        wv.reconstruct_level(BD3, [0, 2], 1.0, [1.0, 2.0], [0.5])
+
+
+def test_level_rejects_bad_q_prime(two_asym):
+    for q_prime in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvalidParams):
+            wv.reconstruct_level(two_asym, [0], q_prime, [2.0], [0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +248,30 @@ def test_sparsified_pyramid_reconstructs_exactly():
     )
 
 
+def test_sparsified_bounds_read_exact_schur():
+    # the stability constants of a level come from its exact Schur
+    # complement, so they do not see which network fed the next level
+    net = build_network(grid_edges(10, 10), 100)
+    x = np.arange(100)
+    f = np.sin(x / 7.0) + (x % 10 > 4)
+    pyr = wv.build_pyramid(net, f, seed=5, max_levels=3, sparsify_theta=0.5)
+    exact = dataclasses.replace(
+        pyr,
+        levels=[
+            dataclasses.replace(
+                lvl, next_network=cg.schur_reduce(lvl.network, lvl.keep).network
+            )
+            for lvl in pyr.levels
+        ],
+    )
+    assert any(
+        a.next_network.w_max != b.next_network.w_max
+        for a, b in zip(pyr.levels[:-1], exact.levels)
+    )
+    for p in (1.0, 2.0, math.inf):
+        assert wv.stability_bounds(pyr, p) == wv.stability_bounds(exact, p)
+
+
 def test_pyramid_validation(two_asym):
     with pytest.raises(InvalidParams):
         wv.build_pyramid(two_asym, [1.0, 2.0])  # no seed, no forced keep
@@ -310,6 +375,24 @@ def test_analysis_norm_within_budget():
     for p in (1.0, 2.0, math.inf):
         rep = wv.stability_bounds(pyr, p)
         assert rep.analysis_measured <= rep.analysis_bound + 1e-12
+
+
+def test_each_level_computes_its_operators_once(monkeypatch):
+    _, pyr = build_cycle_pyramid(n=32, seed=3, max_levels=3)
+    calls = {"schur_complement": 0, "beta_gamma": 0}
+    for name in calls:
+        real = getattr(cg, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(cg, name, counted)
+    wv.compression_curve(pyr, [0.1, 0.5, 1.0])
+    wv.reconstruct_pyramid(pyr)
+    for p in (1.0, 2.0, math.inf):
+        wv.stability_bounds(pyr, p)
+    assert calls == {"schur_complement": pyr.depth, "beta_gamma": pyr.depth}
 
 
 def test_stability_bounds_validation(two_asym):
