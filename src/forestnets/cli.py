@@ -165,12 +165,7 @@ def cmd_graph_reduce(args) -> int:
             doc = {
                 "kept": [int(v) for v in reduction.kept],
                 "mu": [float(x) for x in reduction.mu],
-                "edges": [
-                    [s, d, w]
-                    for (s, d), w in sorted(
-                        reduction.network.edge_weights.items()
-                    )
-                ],
+                "edges": [list(e) for e in reduction.network.edges],
             }
             fh.write(_dumps(doc) + "\n")
         else:

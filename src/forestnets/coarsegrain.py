@@ -31,7 +31,7 @@ from .errors import (
     NumericalError,
     ZeroProbability,
 )
-from .network import Network, build_network, skeleton, vertex_set
+from .network import Network, reachable, skeleton, vertex_set
 from .norms import condition_measure, holder_conjugate, lp_norm, tv_distance
 
 
@@ -89,8 +89,8 @@ def reduced_rates(net: Network, kept: np.ndarray, Lbar: np.ndarray) -> np.ndarra
     """Off-diagonal part of the Schur complement ``Lbar`` of ``net``'s
     generator on ``kept``, noise below zero clamped to zero.  Raises
     ``NumericalError`` on an entry below ``-1e-12 max(1, w_max)``, or when
-    ``mu(. | kept)`` is not invariant for the clamped generator (residual
-    above ``RESIDUAL_TOL`` times the largest exit rate, at least 1).
+    ``mu(. | kept)`` is not invariant for the clamped generator (see
+    :func:`check_invariant`).
     """
     off = Lbar - np.diag(np.diag(Lbar))
     floor = -1e-12 * max(1.0, net.w_max)
@@ -100,15 +100,23 @@ def reduced_rates(net: Network, kept: np.ndarray, Lbar: np.ndarray) -> np.ndarra
             "beyond clamping tolerance"
         )
     rates = np.maximum(off, 0.0)
+    check_invariant(condition_measure(net.mu, kept), rates)
+    return rates
+
+
+def check_invariant(mu: np.ndarray, rates: np.ndarray) -> None:
+    """Raise ``NumericalError`` unless the probability vector ``mu`` is
+    invariant for the generator with off-diagonal rates ``rates``: the
+    residual ``max |mu rates - mu exits|`` must stay within
+    ``RESIDUAL_TOL`` times the largest exit rate, at least 1.
+    """
     exits = rates.sum(axis=1)
-    mu = condition_measure(net.mu, kept)
     resid = float(np.abs(mu @ rates - mu * exits).max())
     if not resid <= config.RESIDUAL_TOL * max(1.0, float(exits.max())):
         raise NumericalError(
             f"conditioned measure residual {resid:.3e} under the reduced "
             "generator above tolerance"
         )
-    return rates
 
 
 def schur_reduce(net: Network, keep: Sequence[int]) -> ReducedNetwork:
@@ -119,8 +127,7 @@ def schur_reduce(net: Network, keep: Sequence[int]) -> ReducedNetwork:
     """
     kept = _canon_keep(net, keep)
     rates = reduced_rates(net, kept, schur_complement(net, kept))
-    edges = [(i, j, float(rates[i, j])) for i, j in zip(*np.nonzero(rates))]
-    reduced = build_network(edges, kept.size)
+    reduced = Network(_nonzero_edges(rates), kept.size)
     mu_cond = condition_measure(net.mu, kept)
     return ReducedNetwork(network=reduced, kept=kept, parent=net, mu=mu_cond)
 
@@ -399,18 +406,15 @@ def operator_intertwining_residual(
 # sparsification
 
 
+def _nonzero_edges(w: np.ndarray) -> np.ndarray:
+    """``(m, 3)`` edge array of the nonzero entries of a rate matrix."""
+    i, j = np.nonzero(w)
+    return np.column_stack([i, j, w[i, j]])
+
+
 def _support_connected(w: np.ndarray) -> bool:
-    m = w.shape[0]
-    seen = np.zeros(m, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        x = stack.pop()
-        for y in np.flatnonzero(w[x] > 0):
-            if not seen[y]:
-                seen[y] = True
-                stack.append(int(y))
-    return bool(seen.all())
+    src, dst = np.nonzero(w > 0)
+    return bool(reachable(w.shape[0], src, dst).all())
 
 
 def sparsify(
@@ -481,8 +485,7 @@ def sparsify(
 
     if not removed_any:
         return reduction
-    edges = [(i, j, float(W[i, j])) for i, j in zip(*np.nonzero(W))]
-    sparse_net = build_network(edges, m)
+    sparse_net = Network(_nonzero_edges(W), m)
     if not sparse_net.reversible:
         raise NumericalError("sparsified network lost reversibility")
     return ReducedNetwork(

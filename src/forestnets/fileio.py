@@ -13,7 +13,8 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import InvalidParams, MalformedInput
+from .coarsegrain import check_invariant
+from .errors import InvalidParams, MalformedInput, NumericalError, ValidationError
 from .network import Network, build_network, vertex_set
 from .norms import condition_measure
 from .sampler import RootedForest
@@ -64,7 +65,7 @@ def read_network(fh: IO[str], undirected: bool = False) -> Network:
 
 
 def write_edges(fh: IO[str], net: Network) -> None:
-    for (src, dst), w in sorted(net.edge_weights.items()):
+    for src, dst, w in net.edges:
         fh.write(f"{src}\t{dst}\t{_fmt(w)}\n")
 
 
@@ -233,17 +234,15 @@ def write_pgm(fh: IO[bytes], image: np.ndarray, maxval: int = 255) -> None:
 
 def grid_network(rows: int, cols: int, weight: float = 1.0) -> Network:
     """Four-neighbor grid in row-major vertex order."""
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1, weight))
-                edges.append((v + 1, v, weight))
-            if r + 1 < rows:
-                edges.append((v, v + cols, weight))
-                edges.append((v + cols, v, weight))
-    return build_network(edges, rows * cols)
+    v = np.arange(rows * cols).reshape(rows, cols)
+    pairs = np.concatenate(
+        [
+            np.column_stack([v[:, :-1].ravel(), v[:, 1:].ravel()]),
+            np.column_stack([v[:-1, :].ravel(), v[1:, :].ravel()]),
+        ]
+    )
+    pairs = np.concatenate([pairs, pairs[:, ::-1]])
+    return Network(np.column_stack([pairs, np.full(len(pairs), weight)]), rows * cols)
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +256,7 @@ def pyramid_to_dict(pyr: Pyramid, meta: dict | None = None) -> dict:
         "seed": pyr.seed,
         "base": {
             "n": pyr.base.n,
-            "edges": [
-                [s, d, w] for (s, d), w in sorted(pyr.base.edge_weights.items())
-            ],
+            "edges": [list(e) for e in pyr.base.edges],
         },
         "levels": [
             {
@@ -267,10 +264,7 @@ def pyramid_to_dict(pyr: Pyramid, meta: dict | None = None) -> dict:
                 "q_prime": lvl.q_prime,
                 "q_tuning": lvl.q_tuning,
                 "detail": [float(x) for x in lvl.detail],
-                "next_edges": [
-                    [s, d, w]
-                    for (s, d), w in sorted(lvl.next_network.edge_weights.items())
-                ],
+                "next_edges": [list(e) for e in lvl.next_network.edges],
             }
             for lvl in pyr.levels
         ],
@@ -286,6 +280,15 @@ def write_pyramid(fh: IO[str], pyr: Pyramid, meta: dict | None = None) -> None:
     fh.write("\n")
 
 
+def _archived_network(edges, n: int, where: str) -> Network:
+    """Network of an archive's edge list; a validation error is a malformed
+    archive, reported with ``where`` (the base or a level)."""
+    try:
+        return Network(edges, n)
+    except ValidationError as exc:
+        raise MalformedInput(f"{where}: {exc}") from None
+
+
 def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
     """Inverse of :func:`write_pyramid`: (pyramid, metadata dict)."""
     try:
@@ -297,10 +300,7 @@ def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
     if doc.get("version") != PYRAMID_VERSION:
         raise MalformedInput(f"unsupported pyramid version {doc.get('version')}")
     try:
-        base = build_network(
-            [(int(s), int(d), float(w)) for s, d, w in doc["base"]["edges"]],
-            int(doc["base"]["n"]),
-        )
+        base = _archived_network(doc["base"]["edges"], int(doc["base"]["n"]), "base")
         levels: list[PyramidLevel] = []
         current = base
         mu = base.mu.copy()
@@ -321,10 +321,13 @@ def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
                     f"got {q_prime}"
                 )
             dropped = np.setdiff1d(np.arange(current.n), keep)
-            next_edges = [
-                (int(s), int(d), float(w)) for s, d, w in entry["next_edges"]
-            ]
-            next_net = build_network(next_edges, keep.size)
+            where = f"level {li}: next_edges"
+            next_net = _archived_network(entry["next_edges"], keep.size, where)
+            next_mu = condition_measure(mu, keep)
+            try:
+                check_invariant(next_mu, next_net.L - np.diag(np.diag(next_net.L)))
+            except NumericalError as exc:
+                raise MalformedInput(f"{where}: {exc}") from None
             detail = np.asarray([float(x) for x in entry["detail"]])
             if detail.size != dropped.size:
                 raise MalformedInput(
@@ -348,7 +351,7 @@ def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
                 )
             )
             mass *= float(mu[keep].sum())
-            mu = condition_measure(mu, keep)
+            mu = next_mu
             current = next_net
         apex = np.asarray([float(x) for x in doc["apex"]])
         if apex.size != current.n:

@@ -15,6 +15,8 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from . import config
 from .errors import (
@@ -34,24 +36,27 @@ class Network:
     Parameters
     ----------
     edges :
-        iterable of ``(src, dst, weight)`` triples; weights must be finite
-        and strictly positive, ordered pairs must be unique, no self loops.
+        iterable of ``(src, dst, weight)`` triples, or an ``(m, 3)`` array
+        of them; weights must be finite and strictly positive, ordered
+        pairs must be unique, no self loops.
     n :
         vertex count, at most ``config.MAX_VERTICES`` (checked before any
-        edge is read).  Vertex ids must lie in ``0..n-1`` and the directed
-        graph must be strongly connected.
+        edge is read).  Vertex ids must be integers in ``0..n-1`` and the
+        directed graph must be strongly connected.
 
     Attributes
     ----------
     n : int
-    edges : tuple of (int, int, float), sorted by (src, dst)
+    src, dst : int64 arrays, edge endpoints sorted by (src, dst)
+    w : float64 array, the weights of those edges
+    edges : tuple of (int, int, float), the same edges as Python values
     L : ndarray, the dense ``n x n`` generator
     w_max : float, maximal exit rate ``max_x -L(x, x)``
     mu : ndarray, invariant probability measure (``mu @ L == 0``)
     reversible : bool, detailed balance of ``mu`` and the weights
     """
 
-    def __init__(self, edges: Iterable[Edge], n: int) -> None:
+    def __init__(self, edges: Iterable[Edge] | np.ndarray, n: int) -> None:
         if n < 1:
             raise InvalidParams("network needs at least one vertex")
         if n > config.MAX_VERTICES:
@@ -59,33 +64,23 @@ class Network:
                 f"network has {n} vertices, more than the supported "
                 f"{config.MAX_VERTICES}"
             )
-
-        canon: list[Edge] = []
-        seen: set[tuple[int, int]] = set()
-        for src, dst, w in edges:
-            src = int(src)
-            dst = int(dst)
-            w = float(w)
-            if not (0 <= src < n and 0 <= dst < n):
-                raise InvalidParams(f"edge ({src}, {dst}) outside 0..{n - 1}")
-            if src == dst:
-                raise InvalidParams(f"self loop at vertex {src} not allowed")
-            if not np.isfinite(w) or w <= 0.0:
-                raise NonPositiveWeight(f"edge ({src}, {dst}) has weight {w}")
-            if (src, dst) in seen:
-                raise DuplicateEdge(f"edge ({src}, {dst}) listed twice")
-            seen.add((src, dst))
-            canon.append((src, dst, w))
-        canon.sort(key=lambda e: (e[0], e[1]))
-
         self.n = n
-        self.edges: tuple[Edge, ...] = tuple(canon)
+        self.src, self.dst, self.w = _sorted_edges(edge_array(edges), n)
 
-        self._check_irreducible()
+        if n > 1:
+            for direction, (a, b) in (
+                ("forward", (self.src, self.dst)),
+                ("backward", (self.dst, self.src)),
+            ):
+                reached = reachable(n, a, b)
+                if not reached.all():
+                    missing = int(np.flatnonzero(~reached)[0])
+                    raise NotIrreducible(
+                        f"vertex {missing} not {direction}-reachable from 0"
+                    )
 
         L = np.zeros((n, n))
-        for src, dst, w in self.edges:
-            L[src, dst] = w
+        L[self.src, self.dst] = self.w
         L[np.arange(n), np.arange(n)] = -L.sum(axis=1)
         self.L = L
 
@@ -98,9 +93,16 @@ class Network:
 
         self.w_max = float((-np.diag(L)).max())
         self.mu = self._invariant_measure()
-        self.reversible = self._detailed_balance()
+        flow = self.mu[self.src] * self.w
+        back = self.mu[self.dst] * L[self.dst, self.src]
+        excess = np.abs(flow - back) > config.STRUCTURAL_TOL * np.maximum(1.0, flow)
+        self.reversible = not bool(excess.any())
 
     # -- representation ------------------------------------------------
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(zip(self.src.tolist(), self.dst.tolist(), self.w.tolist()))
 
     @cached_property
     def edge_weights(self) -> dict[tuple[int, int], float]:
@@ -113,72 +115,41 @@ class Network:
     @cached_property
     def adjacency(self) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
         """Per-vertex jump data: (targets, cumulative jump probs, exit rates)."""
-        targets: list[list[int]] = [[] for _ in range(self.n)]
-        weights: list[list[float]] = [[] for _ in range(self.n)]
-        for src, dst, w in self.edges:
-            targets[src].append(dst)
-            weights[src].append(w)
+        bounds = np.searchsorted(self.src, np.arange(self.n + 1))
         rates = np.zeros(self.n)
         tarr: list[np.ndarray] = []
         cumw: list[np.ndarray] = []
         for x in range(self.n):
-            wx = np.asarray(weights[x], dtype=float)
+            lo, hi = bounds[x], bounds[x + 1]
+            wx = self.w[lo:hi]
             rates[x] = wx.sum()
-            tarr.append(np.asarray(targets[x], dtype=np.int64))
+            tarr.append(self.dst[lo:hi])
             c = np.cumsum(wx)
             cumw.append(c / c[-1])
         return tarr, cumw, rates
 
-    # -- validation helpers --------------------------------------------
-
-    def _check_irreducible(self) -> None:
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        inc: list[list[int]] = [[] for _ in range(self.n)]
-        for src, dst, _ in self.edges:
-            out[src].append(dst)
-            inc[dst].append(src)
-        if self.n > 1:
-            for adj, direction in ((out, "forward"), (inc, "backward")):
-                seen = np.zeros(self.n, dtype=bool)
-                stack = [0]
-                seen[0] = True
-                while stack:
-                    x = stack.pop()
-                    for y in adj[x]:
-                        if not seen[y]:
-                            seen[y] = True
-                            stack.append(y)
-                if not seen.all():
-                    missing = int(np.flatnonzero(~seen)[0])
-                    raise NotIrreducible(
-                        f"vertex {missing} not {direction}-reachable from 0"
-                    )
+    # -- invariant measure ---------------------------------------------
 
     def _invariant_measure(self) -> np.ndarray:
-        # mu L = 0 plus the normalization row, solved in one least squares
-        # problem; the system is consistent, so the residual is numerical
-        # noise only.
-        a = np.vstack([self.L.T, np.ones(self.n)])
-        b = np.zeros(self.n + 1)
+        # mu L = 0 with its last equation replaced by sum(mu) = 1: any n-1
+        # columns of an irreducible generator are independent, so one LU
+        # solve gives mu.
+        a = self.L.T.copy()
+        a[-1] = 1.0
+        b = np.zeros(self.n)
         b[-1] = 1.0
-        mu, *_ = np.linalg.lstsq(a, b, rcond=None)
-        if np.any(mu <= 0):
+        try:
+            mu = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            raise NumericalError("invariant measure system is singular") from None
+        if not np.all(mu > 0):
             raise NumericalError("invariant measure has nonpositive entries")
         resid = np.abs(mu @ self.L).max()
-        if resid > config.STRUCTURAL_TOL * max(1.0, self.w_max):
+        if not resid <= config.STRUCTURAL_TOL * max(1.0, self.w_max):
             raise NumericalError(
                 f"invariant measure residual {resid:.3e} above tolerance"
             )
         return mu
-
-    def _detailed_balance(self) -> bool:
-        tol = config.STRUCTURAL_TOL
-        for src, dst, w in self.edges:
-            flow = self.mu[src] * w
-            back = self.mu[dst] * self.weight(dst, src)
-            if abs(flow - back) > tol * max(1.0, flow):
-                return False
-        return True
 
     # -- misc ------------------------------------------------------------
 
@@ -189,17 +160,93 @@ class Network:
         )
 
 
-def build_network(edges: Iterable[Edge], n: int | None = None) -> Network:
+_NOT_TRIPLES = "edges must be (src, dst, weight) triples of numbers"
+
+
+def edge_array(edges: Iterable[Edge] | np.ndarray) -> np.ndarray:
+    """The edges as an ``(m, 3)`` float64 array of ``(src, dst, weight)``
+    rows.  ``edges`` is read once; anything but a sequence of number
+    triples raises ``InvalidParams``."""
+    rows = edges if isinstance(edges, np.ndarray) else list(edges)
+    try:
+        a = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParams(_NOT_TRIPLES) from None
+    if a.shape == (0,):
+        return a.reshape(0, 3)
+    if a.ndim != 2 or a.shape[1] != 3:
+        raise InvalidParams(_NOT_TRIPLES)
+    return a
+
+
+def _fmt_id(v: float) -> str:
+    v = float(v)
+    return str(int(v)) if v.is_integer() else repr(v)
+
+
+def _sorted_edges(
+    a: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate the rows of :func:`edge_array` for an ``n``-vertex network
+    and return them sorted by ``(src, dst)`` as ``int64`` ``src``, ``dst``
+    and ``float64`` weights.
+
+    The first offending row in input order raises; each row is checked for
+    integral ids in ``0..n-1``, then a self loop, then a weight that is
+    not finite and positive, then a pair listed before.
+    """
+    ids, w = a[:, :2], a[:, 2]
+    integral = (ids == np.floor(ids)).all(axis=1)
+    bad_id = ~(integral & (ids >= 0).all(axis=1) & (ids < n).all(axis=1))
+    loop = ids[:, 0] == ids[:, 1]
+    bad_w = ~(np.isfinite(w) & (w > 0.0))
+    pairs = np.where(bad_id[:, None], 0.0, ids).astype(np.int64)
+    key = pairs[:, 0] * n + pairs[:, 1]
+    order = np.argsort(key, kind="stable")
+    repeat = np.zeros(key.size, dtype=bool)
+    repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+
+    bad = np.flatnonzero(bad_id | loop | bad_w | repeat)
+    if bad.size:
+        k = bad[0]
+        s, d = _fmt_id(ids[k, 0]), _fmt_id(ids[k, 1])
+        if bad_id[k]:
+            if not integral[k]:
+                raise InvalidParams(f"edge ({s}, {d}) has a non-integral vertex id")
+            raise InvalidParams(f"edge ({s}, {d}) outside 0..{n - 1}")
+        if loop[k]:
+            raise InvalidParams(f"self loop at vertex {s} not allowed")
+        if bad_w[k]:
+            raise NonPositiveWeight(f"edge ({s}, {d}) has weight {float(w[k])}")
+        raise DuplicateEdge(f"edge ({s}, {d}) listed twice")
+    return pairs[order, 0], pairs[order, 1], w[order]
+
+
+def reachable(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Boolean mask of the vertices of ``0..n-1`` reached from vertex 0
+    along the directed edges ``src[i] -> dst[i]``."""
+    order = np.argsort(src, kind="stable")
+    indptr = np.searchsorted(src[order], np.arange(n + 1))
+    graph = csr_matrix((np.ones(src.size), dst[order], indptr), shape=(n, n))
+    reached = np.zeros(n, dtype=bool)
+    reached[breadth_first_order(graph, 0, return_predecessors=False)] = True
+    return reached
+
+
+def build_network(edges: Iterable[Edge] | np.ndarray, n: int | None = None) -> Network:
     """Construct and validate a Network.
 
     When ``n`` is omitted it is inferred as ``max vertex id + 1``.
     """
-    edge_list = list(edges)
     if n is None:
-        if not edge_list:
+        edges = edge_array(edges)
+        if not edges.size:
             raise InvalidParams("cannot infer vertex count from empty edge list")
-        n = 1 + max(max(e[0], e[1]) for e in edge_list)
-    return Network(edge_list, int(n))
+        top = edges[:, :2].max()
+        if not np.isfinite(top):
+            raise InvalidParams(f"vertex id {_fmt_id(top)} is not an integer")
+        n = 1 + int(top)
+    return Network(edges, int(n))
 
 
 def skeleton(net: Network) -> np.ndarray:

@@ -545,17 +545,14 @@ class PartitionEquilibriumReport:
 def restricted_equilibrium(net: Network, block: Sequence[int]) -> np.ndarray:
     """Invariant measure of the walk restricted to ``block`` (jumps leaving
     the block suppressed)."""
-    idx = sorted(int(v) for v in block)
-    if not idx:
+    idx = vertex_set(net.n, block, "block")
+    if not idx.size:
         raise InvalidParams("empty block")
-    k = len(idx)
+    k = idx.size
     if k == 1:
         return np.array([1.0])
-    sub = np.zeros((k, k))
-    for i, x in enumerate(idx):
-        for j, y in enumerate(idx):
-            if i != j:
-                sub[i, j] = net.weight(x, y)
+    sub = net.L[np.ix_(idx, idx)]
+    np.fill_diagonal(sub, 0.0)
     sub -= np.diag(sub.sum(axis=1))
     a = np.vstack([sub.T, np.ones(k)])
     b = np.zeros(k + 1)

@@ -443,6 +443,12 @@ BAD_LEVEL0 = {
     "keep-empty": {"keep": []},
     "keep-everything": {"keep": list(range(8)), "detail": []},
     "keep-repeated": {"keep": [0, 2, 3, 5, 5]},
+    # changes to the reduced network, as functions of its edge list
+    "edge-negative-weight": lambda e: [e[0][:2] + [-e[0][2]]] + e[1:],
+    "edge-deleted": lambda e: e[1:],
+    "edge-duplicate": lambda e: e + [e[0][:2] + [2.0]],
+    "edge-non-integral-id": lambda e: [[e[0][0] + 0.5] + e[0][1:]] + e[1:],
+    "edge-two-elements": lambda e: [e[0][:2]] + e[1:],
 }
 
 
@@ -450,13 +456,45 @@ BAD_LEVEL0 = {
 @pytest.mark.parametrize("change", list(BAD_LEVEL0.values()), ids=list(BAD_LEVEL0))
 def test_malformed_archive_level_exits_3(capsys, golden_archive, tmp_path, change, cmd):
     doc = json.loads(open(golden_archive).read())
-    doc["levels"][0].update(change)
+    level = doc["levels"][0]
+    if callable(change):
+        change = {"next_edges": change(level["next_edges"])}
+    level.update(change)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     code, out, err = run(capsys, ["signal", cmd[0], str(bad)] + cmd[1:])
     assert code == 3
     assert out == ""
     assert err.startswith("error: level 0: ") and err.count("\n") == 1
+
+
+def test_archive_reduced_network_must_keep_measure(capsys, golden_archive, tmp_path):
+    doc = json.loads(open(golden_archive).read())
+    del doc["levels"][0]["next_edges"][0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["signal", "reconstruct", str(bad)])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: level 0: next_edges: conditioned measure residual")
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([[0, 1, 2.0]], "not backward-reachable"),
+        ([[0, 1, 2.0], [1, 0, "x"]], "triples"),
+        ([[0, 1, 2.0], [1, 0, 0.0]], "has weight 0.0"),
+    ],
+)
+def test_malformed_archive_base_exits_3(capsys, golden_archive, tmp_path, edges, message):
+    doc = json.loads(open(golden_archive).read())
+    doc["base"] = {"n": 2, "edges": edges}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["signal", "bounds", str(bad), "--p", "2"])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: base: ") and message in err
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

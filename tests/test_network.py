@@ -1,9 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forestnets import config
 from forestnets.errors import (
     DuplicateEdge,
+    ForestnetsError,
     InvalidParams,
     NonPositiveWeight,
     NotIrreducible,
@@ -11,6 +16,7 @@ from forestnets.errors import (
 from forestnets.network import Network, build_network, skeleton
 
 import netdefs
+from reference_network import reference_network
 
 
 def test_two_asym_basics(two_asym):
@@ -117,3 +123,120 @@ def test_weight_lookup(two_asym):
     assert two_asym.weight(1, 0) == 1.0
     assert two_asym.weight(0, 0) == 0.0
 
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(0, 1.5, 1.0), (1, 0, 1.0)], "edge (0, 1.5) has a non-integral vertex id"),
+        ([(0, float("nan"), 1.0)], "edge (0, nan) has a non-integral vertex id"),
+        ([(0, 1, 1.0), (1, 2**63, 1.0)], "edge (1, 9223372036854775808) outside 0..1"),
+        ([(0, 1, 1.0), (-(2**70), 0, 1.0)], "outside 0..1"),
+        ([(0, float("inf"), 1.0)], "edge (0, inf) outside 0..1"),
+        ([(0, 1, 1.0), (1, 0)], "triples"),
+        ([(0, 1), (1, 0)], "triples"),
+        ([(0, 1, 1.0, 2.0)], "triples"),
+        ([(0, 1, "x")], "triples"),
+        ([(0, 10**400, 1.0)], "triples"),
+    ],
+)
+def test_rejects_bad_ids_and_shapes(edges, message):
+    with pytest.raises(InvalidParams) as exc:
+        build_network(edges, 2)
+    assert message in str(exc.value)
+
+
+def test_vertex_count_inference_rejects_bad_ids():
+    with pytest.raises(InvalidParams, match="non-integral"):
+        build_network([(0, 1.5, 1.0), (1.5, 0, 1.0)])
+    with pytest.raises(InvalidParams, match="nan"):
+        build_network([(0, float("nan"), 1.0)])
+    with pytest.raises(InvalidParams, match="empty edge list"):
+        build_network([])
+
+
+# ---------------------------------------------------------------------------
+# the array constructor against the loop-based reference
+
+FAULTS = ("range", "loop", "weight", "duplicate", "disconnected")
+BAD_WEIGHTS = (0.0, -0.0, -1.5, float("nan"), float("inf"), float("-inf"))
+
+
+@st.composite
+def faulty_edge_lists(draw):
+    """(edges, n): a strongly connected digraph on up to 6 vertices in
+    shuffled order, sometimes symmetric, with up to 3 injected faults."""
+    n = draw(st.integers(1, 6))
+    cycle = draw(st.permutations(range(n)))
+    pairs = {(cycle[i], cycle[(i + 1) % n]) for i in range(n)} if n > 1 else set()
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs |= {(a, b) for a, b in draw(st.lists(extra, max_size=n * n)) if a != b}
+    weight = st.floats(0.01, 100.0)
+    if draw(st.booleans()):
+        pairs |= {(b, a) for a, b in pairs}
+        w = {}
+        for a, b in sorted(pairs):
+            w[(a, b)] = w.get((b, a)) or draw(weight)
+        edges = [(a, b, w[(a, b)]) for a, b in sorted(pairs)]
+    else:
+        edges = [(a, b, draw(weight)) for a, b in sorted(pairs)]
+    edges = draw(st.permutations(edges))
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=3)):
+        at = draw(st.integers(0, len(edges)))
+        v = draw(st.integers(0, n - 1))
+        if fault == "range":
+            bad = draw(st.sampled_from([-1, n, n + 7]))
+            edges.insert(at, draw(st.sampled_from([(bad, v, 1.0), (v, bad, 1.0)])))
+        elif fault == "loop":
+            edges.insert(at, (v, v, 1.0))
+        elif fault == "weight" and edges:
+            k = draw(st.integers(0, len(edges) - 1))
+            edges[k] = edges[k][:2] + (draw(st.sampled_from(BAD_WEIGHTS)),)
+        elif fault == "duplicate" and edges:
+            k = draw(st.integers(0, len(edges) - 1))
+            edges.insert(at, edges[k][:2] + (draw(weight),))
+        elif fault == "disconnected":
+            link = draw(st.sampled_from([[], [(v, n, 1.0)], [(n, v, 1.0)]]))
+            edges[at:at] = link
+            n += 1
+    return edges, n
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ForestnetsError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=faulty_edge_lists(), as_array=st.booleans())
+def test_constructor_matches_reference(case, as_array):
+    edges, n = case
+    got = _outcome(lambda: Network(np.asarray(edges) if as_array else edges, n))
+    want = _outcome(lambda: reference_network(edges, n))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, Network), got
+    assert got.L.tobytes() == want.L.tobytes()
+    assert got.edges == want.edges
+    assert got.w_max == want.w_max
+    assert got.reversible == want.reversible
+    gap = np.abs(got.mu - want.mu).max() / want.mu.max()
+    if gap > 1e-12:
+        # lstsq drifts on wide weight ranges (2e-12 on a 6-cycle with
+        # weights 0.0117 to 96, where LU is exact to 4e-16): then the LU
+        # measure must be the more nearly invariant one
+        assert np.abs(got.mu @ got.L).max() < np.abs(want.mu @ want.L).max()
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=st.lists(st.floats(0.001, 1000.0), min_size=2, max_size=8))
+def test_invariant_measure_of_cycle_is_exact(weights):
+    # on a directed cycle mu(x) is proportional to 1 / w(x, x + 1)
+    n = len(weights)
+    net = build_network([(x, (x + 1) % n, w) for x, w in enumerate(weights)], n)
+    exact = [1 / Fraction(w) for w in weights]
+    exact = np.array([float(x / sum(exact)) for x in exact])
+    assert np.abs(net.mu - exact).max() <= 1e-14 * exact.max()
