@@ -127,7 +127,7 @@ def cmd_graph_info(args) -> int:
     if args.json:
         doc = {
             "n": net.n,
-            "edges": len(net.edge_weights),
+            "edges": int(net.w.size),
             "w_max": net.w_max,
             "reversible": net.reversible,
             "mu": [float(x) for x in net.mu],
@@ -135,7 +135,7 @@ def cmd_graph_info(args) -> int:
         print(_dumps(doc))
     else:
         print(f"n={net.n}")
-        print(f"edges={len(net.edge_weights)}")
+        print(f"edges={net.w.size}")
         print(f"w_max={_fmt(net.w_max)}")
         print(f"reversible={'yes' if net.reversible else 'no'}")
         print("mu=" + ",".join(_fmt(x) for x in net.mu))

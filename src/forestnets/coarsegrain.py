@@ -119,15 +119,21 @@ def check_invariant(mu: np.ndarray, rates: np.ndarray) -> None:
         )
 
 
-def schur_reduce(net: Network, keep: Sequence[int]) -> ReducedNetwork:
-    """Reduce the network onto ``keep`` by the Schur complement of ``L``.
-
-    The result is again a generator: the rates of :func:`reduced_rates`,
-    with the diagonal set so rows sum to zero.
+def reduced_network(net: Network, kept: np.ndarray, Lbar: np.ndarray) -> Network:
+    """The network of the Schur complement ``Lbar`` of ``net``'s generator
+    on the sorted vertex set ``kept``: the rates of :func:`reduced_rates`
+    (guards included), with the diagonal set so rows sum to zero.  The
+    network solves for its own invariant measure, which equals
+    ``mu(. | kept)`` up to roundoff.
     """
+    return Network(_nonzero_edges(reduced_rates(net, kept, Lbar)), kept.size)
+
+
+def schur_reduce(net: Network, keep: Sequence[int]) -> ReducedNetwork:
+    """Reduce the network onto ``keep`` by the Schur complement of ``L``
+    (see :func:`reduced_network`)."""
     kept = _canon_keep(net, keep)
-    rates = reduced_rates(net, kept, schur_complement(net, kept))
-    reduced = Network(_nonzero_edges(rates), kept.size)
+    reduced = reduced_network(net, kept, schur_complement(net, kept))
     mu_cond = condition_measure(net.mu, kept)
     return ReducedNetwork(network=reduced, kept=kept, parent=net, mu=mu_cond)
 

@@ -8,20 +8,21 @@ output files.
 from __future__ import annotations
 
 import json
-import math
 from typing import IO, Sequence
 
 import numpy as np
 
 from .coarsegrain import check_invariant
 from .errors import InvalidParams, MalformedInput, NumericalError, ValidationError
-from .network import Network, build_network, vertex_set
+from .network import Network, build_network
 from .norms import condition_measure
 from .sampler import RootedForest
-from .wavelets import Pyramid, PyramidLevel
+from .wavelets import Pyramid, PyramidLevel, _LevelOperator
 
 PYRAMID_FORMAT = "forestnets-pyramid"
-PYRAMID_VERSION = 1
+#: version 2 stores a level's reduced network only when it was sparsified;
+#: version 1, which stores every level's, is still read
+PYRAMID_VERSION = 2
 
 
 def _fmt(x: float) -> str:
@@ -264,7 +265,11 @@ def pyramid_to_dict(pyr: Pyramid, meta: dict | None = None) -> dict:
                 "q_prime": lvl.q_prime,
                 "q_tuning": lvl.q_tuning,
                 "detail": [float(x) for x in lvl.detail],
-                "next_edges": [list(e) for e in lvl.next_network.edges],
+                "next_edges": (
+                    [list(e) for e in lvl.next_network.edges]
+                    if lvl.sparsified
+                    else None
+                ),
             }
             for lvl in pyr.levels
         ],
@@ -290,15 +295,23 @@ def _archived_network(edges, n: int, where: str) -> Network:
 
 
 def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
-    """Inverse of :func:`write_pyramid`: (pyramid, metadata dict)."""
+    """Inverse of :func:`write_pyramid`: (pyramid, metadata dict).
+
+    A level whose ``next_edges`` is null (version 2 only) runs the next
+    level on its exact Schur reduction, recomputed here; its operator
+    keeps that Schur complement for later queries.  A level with an edge
+    list (every level of version 1, a sparsified level of version 2) runs
+    it on that network, which must leave ``mu(. | keep)`` invariant.
+    """
     try:
         doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"invalid pyramid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != PYRAMID_FORMAT:
         raise MalformedInput("not a pyramid archive")
-    if doc.get("version") != PYRAMID_VERSION:
-        raise MalformedInput(f"unsupported pyramid version {doc.get('version')}")
+    version = doc.get("version")
+    if version not in (1, PYRAMID_VERSION):
+        raise MalformedInput(f"unsupported pyramid version {version}")
     try:
         base = _archived_network(doc["base"]["edges"], int(doc["base"]["n"]), "base")
         levels: list[PyramidLevel] = []
@@ -307,40 +320,36 @@ def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
         mass = 1.0
         for li, entry in enumerate(doc["levels"]):
             try:
-                keep = vertex_set(current.n, entry["keep"], "kept set")
+                op = _LevelOperator(current, entry["keep"], float(entry["q_prime"]))
             except InvalidParams as exc:
                 raise MalformedInput(f"level {li}: {exc}") from None
-            if not 0 < keep.size < current.n:
-                raise MalformedInput(
-                    f"level {li}: kept set must be a proper nonempty subset"
-                )
-            q_prime = float(entry["q_prime"])
-            if not (math.isfinite(q_prime) and q_prime > 0):
-                raise MalformedInput(
-                    f"level {li}: q_prime must be positive and finite, "
-                    f"got {q_prime}"
-                )
-            dropped = np.setdiff1d(np.arange(current.n), keep)
+            next_mu = condition_measure(mu, op.kept)
+            next_edges = entry["next_edges"]
             where = f"level {li}: next_edges"
-            next_net = _archived_network(entry["next_edges"], keep.size, where)
-            next_mu = condition_measure(mu, keep)
-            try:
-                check_invariant(next_mu, next_net.L - np.diag(np.diag(next_net.L)))
-            except NumericalError as exc:
-                raise MalformedInput(f"{where}: {exc}") from None
+            if next_edges is None and version == 1:
+                raise MalformedInput(f"{where}: null in a version 1 archive")
+            if next_edges is None:
+                next_net = op.reduced
+            elif isinstance(next_edges, list):
+                next_net = _archived_network(next_edges, op.kept.size, where)
+                try:
+                    check_invariant(
+                        next_mu, next_net.L - np.diag(np.diag(next_net.L))
+                    )
+                except NumericalError as exc:
+                    raise MalformedInput(f"{where}: {exc}") from None
+            else:
+                raise MalformedInput(f"{where}: must be null or an edge list")
             detail = np.asarray([float(x) for x in entry["detail"]])
-            if detail.size != dropped.size:
+            if detail.size != op.dropped.size:
                 raise MalformedInput(
                     f"level {li}: detail length does not match dropped set"
                 )
             levels.append(
                 PyramidLevel(
-                    network=current,
+                    op=op,
                     mu=mu,
                     base_mass=mass,
-                    keep=keep,
-                    dropped=dropped,
-                    q_prime=q_prime,
                     detail=detail,
                     next_network=next_net,
                     q_tuning=(
@@ -350,7 +359,7 @@ def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
                     ),
                 )
             )
-            mass *= float(mu[keep].sum())
+            mass *= float(mu[op.kept].sum())
             mu = next_mu
             current = next_net
         apex = np.asarray([float(x) for x in doc["apex"]])

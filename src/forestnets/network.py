@@ -11,6 +11,7 @@ exit rate ``w_max``.
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 from typing import Iterable
 
@@ -81,7 +82,12 @@ class Network:
 
         L = np.zeros((n, n))
         L[self.src, self.dst] = self.w
-        L[np.arange(n), np.arange(n)] = -L.sum(axis=1)
+        with np.errstate(over="ignore"):
+            exits = L.sum(axis=1)
+        if not np.isfinite(exits).all():
+            x = int(np.flatnonzero(~np.isfinite(exits))[0])
+            raise InvalidParams(f"exit rate of vertex {x} overflows")
+        L[np.arange(n), np.arange(n)] = -exits
         self.L = L
 
         if n == 1:
@@ -103,14 +109,6 @@ class Network:
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
         return tuple(zip(self.src.tolist(), self.dst.tolist(), self.w.tolist()))
-
-    @cached_property
-    def edge_weights(self) -> dict[tuple[int, int], float]:
-        return {(s, d): w for s, d, w in self.edges}
-
-    def weight(self, src: int, dst: int) -> float:
-        """w(src, dst), zero when the edge is absent."""
-        return self.edge_weights.get((src, dst), 0.0)
 
     @cached_property
     def adjacency(self) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
@@ -269,15 +267,30 @@ def skeleton(net: Network) -> np.ndarray:
 def vertex_set(n: int, ids: Iterable[int], what: str) -> np.ndarray:
     """Sorted ``int64`` ids of a set of vertices of an ``n``-vertex network.
 
-    ``ids`` is read once, so any iterable works.  A repeated id or one
-    outside ``0..n-1`` raises ``InvalidParams``; ``what`` names the set in
-    the message.
+    ``ids`` is read once, so any iterable works.  An id that is not an
+    integer (``2.0`` is one, ``2.7`` is not), a repeated id or one outside
+    ``0..n-1`` raises ``InvalidParams``; ``what`` names the set in the
+    message.
     """
-    given = [int(v) for v in ids]
-    out = np.asarray(sorted(set(given)), dtype=np.int64)
-    if out.size != len(given):
+    given = [_vertex_id(v, what) for v in ids]
+    out = sorted(set(given))
+    if len(out) != len(given):
         raise InvalidParams(f"duplicate vertex in {what}")
-    if out.size and (out[0] < 0 or out[-1] >= n):
+    if out and (out[0] < 0 or out[-1] >= n):
         bad = out[0] if out[0] < 0 else out[-1]
         raise InvalidParams(f"vertex {bad} of {what} outside 0..{n - 1}")
-    return out
+    return np.asarray(out, dtype=np.int64)
+
+
+def _vertex_id(v, what: str) -> int:
+    try:
+        return operator.index(v)
+    except TypeError:
+        pass
+    try:
+        f = float(v)
+    except (TypeError, ValueError):
+        raise InvalidParams(f"vertex {v!r} of {what} is not an integer") from None
+    if not f.is_integer():
+        raise InvalidParams(f"vertex {f!r} of {what} is not an integer")
+    return int(f)

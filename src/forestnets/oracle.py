@@ -192,10 +192,13 @@ def transfer_current(
     roots = vertex_set(net.n, B, "root set")
     q = _check_q(q, roots)
     edges = [(int(s), int(d)) for s, d in edge_list]
+    L = net.L
     for s, d in edges:
-        present = net.weight(s, d) > 0.0
-        if signed:
-            present = present or net.weight(d, s) > 0.0
+        # an id outside 0..n-1 must not index L (a negative one would wrap);
+        # s == d reads the negative diagonal, so it is absent too
+        present = 0 <= s < net.n and 0 <= d < net.n and (
+            L[s, d] > 0.0 or (signed and L[d, s] > 0.0)
+        )
         if not present:
             raise UnknownEdge(f"edge ({s}, {d}) not in network")
     if len(set(edges)) != len(edges):
@@ -207,13 +210,13 @@ def transfer_current(
     G = green(net, q, roots).G
 
     def j_plus(x: int, e: OrientedEdge) -> float:
-        return G[x, e[0]] * net.weight(*e)
+        return G[x, e[0]] * L[e]
 
     def j_val(x: int, e: OrientedEdge) -> float:
         if not signed:
             return j_plus(x, e)
         rev = (e[1], e[0])
-        return j_plus(x, e) - (G[x, rev[0]] * net.weight(*rev))
+        return j_plus(x, e) - (G[x, rev[0]] * L[rev])
 
     k = len(edges)
     cur = np.zeros((k, k))
@@ -385,7 +388,7 @@ def lerw_path_prob(
 
     weight = 1.0
     for a, b in zip(p[:-1], p[1:]):
-        weight *= net.weight(a, b)
+        weight *= net.L[a, b]
     if weight == 0.0:
         return 0.0
 

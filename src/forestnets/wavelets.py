@@ -56,10 +56,10 @@ def _as_signal(values: Sequence[float], n: int) -> np.ndarray:
 
 class _LevelOperator:
     """One analysis step ``(net, keep, q')``, validated once, with the
-    operators that read its Schur complement and return speeds.  Both are
-    computed on first use and kept.  The killed kernel ``K_{q'}`` is not
-    kept: each call that needs it computes it once, so a pyramid holds no
-    extra ``n x n`` matrix per level.
+    operators that read its Schur complement, reduced network and return
+    speeds.  All three are computed on first use and kept.  The killed
+    kernel ``K_{q'}`` is not kept: each call that needs it computes it
+    once, so a pyramid holds no extra ``n x n`` matrix per level.
     """
 
     def __init__(self, net: Network, keep: Sequence[int], q_prime: float) -> None:
@@ -76,6 +76,12 @@ class _LevelOperator:
         Lbar = cg.schur_complement(self.net, self.kept)
         rates = cg.reduced_rates(self.net, self.kept, Lbar)
         return Lbar, float(rates.sum(axis=1).max())
+
+    @cached_property
+    def reduced(self) -> Network:
+        """The exact Schur-reduced network on the kept set, built from
+        :attr:`schur`'s complement (see :func:`coarsegrain.reduced_network`)."""
+        return cg.reduced_network(self.net, self.kept, self.schur[0])
 
     @cached_property
     def speeds(self) -> tuple[float, float]:
@@ -193,31 +199,48 @@ def basis_functions(
 class PyramidLevel:
     """One analysis step of a pyramid.
 
-    ``network`` is the level's network (level 0 is the base).  ``keep``
-    and ``dropped`` are index sets into that network; position ``i`` of
-    the next level corresponds to ``keep[i]`` here.  ``mu`` is the base
-    invariant measure conditioned down to this level and ``base_mass``
-    the total base-measure weight the level still carries.
+    ``op`` is the step's operator, which holds the level's network (level
+    0 is the base), its ``keep`` and ``dropped`` index sets into that
+    network and ``q_prime``; position ``i`` of the next level corresponds
+    to ``keep[i]`` here.  ``mu`` is the base invariant measure conditioned
+    down to this level and ``base_mass`` the total base-measure weight the
+    level still carries.  ``next_network`` is the network the next level
+    runs on: ``op.reduced``, the exact Schur reduction, unless the pyramid
+    was sparsified.
     """
 
-    network: Network
+    op: _LevelOperator
     mu: np.ndarray
     base_mass: float
-    keep: np.ndarray
-    dropped: np.ndarray
-    q_prime: float
     detail: np.ndarray
     next_network: Network
     q_tuning: float | None = None
 
     @property
+    def network(self) -> Network:
+        return self.op.net
+
+    @property
+    def keep(self) -> np.ndarray:
+        return self.op.kept
+
+    @property
+    def dropped(self) -> np.ndarray:
+        return self.op.dropped
+
+    @property
+    def q_prime(self) -> float:
+        return self.op.q_prime
+
+    @property
     def n(self) -> int:
         return self.network.n
 
-    @cached_property
-    def op(self) -> _LevelOperator:
-        """The level's operator, built on first use; never serialized."""
-        return _LevelOperator(self.network, self.keep, self.q_prime)
+    @property
+    def sparsified(self) -> bool:
+        """Whether ``next_network`` is other than the exact reduction
+        ``op.reduced`` (computing that reduction if need be)."""
+        return self.next_network is not self.op.reduced
 
 
 @dataclass
@@ -323,21 +346,24 @@ def build_pyramid(
             q_prime = float(forced_q_prime[idx])
         else:
             q_prime = 2.0 * current.w_max * kept.size / dropped.size
+        op = _LevelOperator(current, kept, q_prime)
 
         approx, detail = analyze_level(current, kept, q_prime, f)
-        reduction = cg.schur_reduce(current, kept)
-        next_net = reduction.network
+        next_net = op.reduced
         if sparsify_theta is not None:
+            reduction = cg.ReducedNetwork(
+                network=next_net,
+                kept=kept,
+                parent=current,
+                mu=condition_measure(current.mu, kept),
+            )
             next_net = cg.sparsify(reduction, q_prime, sparsify_theta).network
 
         levels.append(
             PyramidLevel(
-                network=current,
+                op=op,
                 mu=mu,
                 base_mass=mass,
-                keep=kept,
-                dropped=dropped,
-                q_prime=q_prime,
                 detail=detail,
                 next_network=next_net,
                 q_tuning=q_tuning,

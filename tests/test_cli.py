@@ -1,6 +1,8 @@
 """Command line interface: outputs, exit codes, determinism."""
 
 import json
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from forestnets import cli, fileio, oracle
 from forestnets import wavelets as wv
 from forestnets.errors import NumericalError
 from forestnets.network import build_network
+
+from netdefs import cycle_edges
 
 
 @pytest.fixture
@@ -387,13 +391,21 @@ BOUNDS_GOLDEN = {
 }
 
 
+#: the golden pyramid as a version 1 archive, which stores every level's
+#: reduced network
+GOLDEN_V1 = os.path.join(os.path.dirname(__file__), "data", "golden_v1.json")
+
+
+def golden_pyramid():
+    net = build_network(GOLDEN_EDGES, 8)
+    return wv.build_pyramid(net, GOLDEN_SIGNAL, forced_keep=GOLDEN_KEEPS)
+
+
 @pytest.fixture
 def golden_archive(tmp_path):
-    net = build_network(GOLDEN_EDGES, 8)
-    pyr = wv.build_pyramid(net, GOLDEN_SIGNAL, forced_keep=GOLDEN_KEEPS)
     path = tmp_path / "golden.json"
     with open(path, "w") as fh:
-        fileio.write_pyramid(fh, pyr)
+        fileio.write_pyramid(fh, golden_pyramid())
     return str(path)
 
 
@@ -443,6 +455,7 @@ BAD_LEVEL0 = {
     "keep-empty": {"keep": []},
     "keep-everything": {"keep": list(range(8)), "detail": []},
     "keep-repeated": {"keep": [0, 2, 3, 5, 5]},
+    "keep-non-integral-id": {"keep": [0, 2.7, 3, 5, 7]},
     # changes to the reduced network, as functions of its edge list
     "edge-negative-weight": lambda e: [e[0][:2] + [-e[0][2]]] + e[1:],
     "edge-deleted": lambda e: e[1:],
@@ -452,10 +465,8 @@ BAD_LEVEL0 = {
 }
 
 
-@pytest.mark.parametrize("cmd", [["reconstruct"], ["bounds", "--p", "2"]])
-@pytest.mark.parametrize("change", list(BAD_LEVEL0.values()), ids=list(BAD_LEVEL0))
-def test_malformed_archive_level_exits_3(capsys, golden_archive, tmp_path, change, cmd):
-    doc = json.loads(open(golden_archive).read())
+def assert_level0_malformed(capsys, tmp_path, archive, change, cmd):
+    doc = json.loads(open(archive).read())
     level = doc["levels"][0]
     if callable(change):
         change = {"next_edges": change(level["next_edges"])}
@@ -466,10 +477,29 @@ def test_malformed_archive_level_exits_3(capsys, golden_archive, tmp_path, chang
     assert code == 3
     assert out == ""
     assert err.startswith("error: level 0: ") and err.count("\n") == 1
+    return err
 
 
-def test_archive_reduced_network_must_keep_measure(capsys, golden_archive, tmp_path):
-    doc = json.loads(open(golden_archive).read())
+@pytest.mark.parametrize("cmd", [["reconstruct"], ["bounds", "--p", "2"]])
+@pytest.mark.parametrize("change", list(BAD_LEVEL0.values()), ids=list(BAD_LEVEL0))
+def test_malformed_archive_level_exits_3(capsys, golden_archive, tmp_path, change, cmd):
+    # a version 2 archive stores no reduced network for an exact level, so
+    # the changes to one run against the version 1 archive
+    archive = GOLDEN_V1 if callable(change) else golden_archive
+    assert_level0_malformed(capsys, tmp_path, archive, change, cmd)
+
+
+KEEP_AND_Q = {k: v for k, v in BAD_LEVEL0.items() if not callable(v)}
+
+
+@pytest.mark.parametrize("cmd", [["reconstruct"], ["bounds", "--p", "2"]])
+@pytest.mark.parametrize("change", list(KEEP_AND_Q.values()), ids=list(KEEP_AND_Q))
+def test_malformed_v1_archive_level_exits_3(capsys, tmp_path, change, cmd):
+    assert_level0_malformed(capsys, tmp_path, GOLDEN_V1, change, cmd)
+
+
+def test_archive_reduced_network_must_keep_measure(capsys, tmp_path):
+    doc = json.loads(open(GOLDEN_V1).read())
     del doc["levels"][0]["next_edges"][0]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -593,3 +623,147 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
+
+
+# ---------------------------------------------------------------------------
+# pyramid archive versions
+
+
+def v1_archive(pyr: wv.Pyramid) -> str:
+    """``pyr`` as a version 1 archive: every level stores its reduced
+    network.  This is how version 1 writers wrote it (checked against
+    ``GOLDEN_V1``)."""
+    doc = fileio.pyramid_to_dict(pyr)
+    doc["version"] = 1
+    for entry, lvl in zip(doc["levels"], pyr.levels):
+        entry["next_edges"] = [list(e) for e in lvl.next_network.edges]
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_v1_writer_helper_matches_golden_v1():
+    assert v1_archive(golden_pyramid()) == open(GOLDEN_V1).read()
+
+
+def test_v2_archive_stores_no_exact_level(golden_archive):
+    doc = json.loads(open(golden_archive).read())
+    assert doc["version"] == 2
+    assert [lv["next_edges"] for lv in doc["levels"]] == [None] * 3
+    v1 = json.loads(open(GOLDEN_V1).read())
+    for lv, lv1 in zip(doc["levels"], v1["levels"]):
+        del lv1["next_edges"]
+        del lv["next_edges"]
+        assert lv == lv1
+
+
+def sparsified_pyramid():
+    n = 32
+    net = build_network(cycle_edges(n, 1.0), n)
+    f = np.sin(np.arange(n) / 4.0)
+    pyr = wv.build_pyramid(net, f, seed=9, max_levels=3, sparsify_theta=0.5)
+    assert pyr.levels[0].sparsified
+    return pyr
+
+
+@pytest.fixture(scope="module")
+def sparsified_archives(tmp_path_factory):
+    pyr = sparsified_pyramid()
+    tmp = tmp_path_factory.mktemp("sparsified")
+    v1, v2 = tmp / "v1.json", tmp / "v2.json"
+    v1.write_text(v1_archive(pyr))
+    with open(v2, "w") as fh:
+        fileio.write_pyramid(fh, pyr)
+    return str(v1), str(v2)
+
+
+QUERIES = [
+    ["compress", "--fractions", "0,0.25,0.5,1"],
+    ["bounds", "--p", "1"],
+    ["bounds", "--p", "2"],
+    ["bounds", "--p", "inf"],
+    ["reconstruct"],
+    ["reconstruct", "--keep-fraction", "0.5"],
+    ["approx"],
+]
+
+
+@pytest.mark.parametrize("query", QUERIES, ids=lambda q: "-".join(q))
+@pytest.mark.parametrize("kind", ["plain", "sparsified"])
+def test_v1_and_v2_archives_answer_alike(
+    capsys, golden_archive, sparsified_archives, kind, query
+):
+    v1, v2 = (GOLDEN_V1, golden_archive) if kind == "plain" else sparsified_archives
+    outs = []
+    for archive in (v1, v2):
+        code, out, err = run(capsys, ["signal", query[0], archive] + query[1:])
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_v2_archive_stores_sparsified_levels(sparsified_archives):
+    pyr = sparsified_pyramid()
+    doc = json.loads(open(sparsified_archives[1]).read())
+    for entry, lvl in zip(doc["levels"], pyr.levels):
+        want = [list(e) for e in lvl.next_network.edges] if lvl.sparsified else None
+        assert entry["next_edges"] == want
+
+
+@pytest.mark.parametrize("next_edges", ["0 1 1.0", 5, {"0": [1, 2.0]}])
+def test_next_edges_neither_null_nor_list_exits_3(
+    capsys, golden_archive, tmp_path, next_edges
+):
+    err = assert_level0_malformed(
+        capsys, tmp_path, golden_archive, {"next_edges": next_edges}, ["reconstruct"]
+    )
+    assert err == "error: level 0: next_edges: must be null or an edge list\n"
+
+
+def test_null_next_edges_in_v1_archive_exits_3(capsys, tmp_path):
+    doc = json.loads(open(GOLDEN_V1).read())
+    doc["levels"][1]["next_edges"] = None
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["signal", "reconstruct", str(bad)])
+    assert (code, out) == (3, "")
+    assert err == "error: level 1: next_edges: null in a version 1 archive\n"
+
+
+def test_tampered_sparsified_level_exits_3(capsys, sparsified_archives, tmp_path):
+    doc = json.loads(open(sparsified_archives[1]).read())
+    edges = doc["levels"][0]["next_edges"]
+    edges[0][2] *= 2.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["signal", "reconstruct", str(bad)])
+    assert (code, out) == (3, "")
+    assert err.startswith(
+        "error: level 0: next_edges: conditioned measure residual"
+    )
+
+
+# ---------------------------------------------------------------------------
+# bad vertex ids and exit rates
+
+
+def test_non_integral_keep_argument_exits_2(capsys, two_file):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["graph", "reduce", two_file, "--keep", "0,0.5"])
+    assert exc.value.code == 2
+
+
+OVERFLOW_EDGES = [[0, 1, 1e308], [0, 2, 1e308], [1, 0, 1.0], [2, 0, 1.0]]
+
+
+def test_overflowing_exit_rate_is_invalid(capsys, tmp_path):
+    edges = tmp_path / "overflow.tsv"
+    edges.write_text("".join(f"{s}\t{d}\t{w!r}\n" for s, d, w in OVERFLOW_EDGES))
+    doc = json.loads(open(GOLDEN_V1).read())
+    doc["base"] = {"n": 3, "edges": OVERFLOW_EDGES}
+    archive = tmp_path / "overflow.json"
+    archive.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        info = run(capsys, ["graph", "info", str(edges)])
+        bounds = run(capsys, ["signal", "bounds", str(archive), "--p", "2"])
+    assert info == (2, "", "error: exit rate of vertex 0 overflows\n")
+    assert bounds == (3, "", "error: base: exit rate of vertex 0 overflows\n")

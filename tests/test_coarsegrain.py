@@ -309,7 +309,7 @@ def test_sparsify_removes_pairs_within_budget(ring8_reduction):
     theta = 0.5
     q_prime = 1.0
     sparse = cg.sparsify(ring8_reduction, q_prime, theta)
-    assert len(sparse.network.edge_weights) == 6
+    assert sparse.network.w.size == 6
     assert sparse.network.reversible
     assert np.abs(sparse.network.mu - ring8_reduction.mu).max() < 1e-12
 
@@ -326,7 +326,7 @@ def test_sparsify_preserves_irreducibility(ring8_reduction):
     # even with an unlimited budget, removals that would disconnect the
     # support are refused; a spanning structure always survives
     sparse = cg.sparsify(ring8_reduction, 1.0, 1e9)
-    assert len(sparse.network.edge_weights) >= 2 * (sparse.n - 1)
+    assert sparse.network.w.size >= 2 * (sparse.n - 1)
 
 
 def test_sparsify_validation(ring8_reduction, cycle3):

@@ -2,10 +2,12 @@
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
+from forestnets import coarsegrain as cg
 from forestnets import fileio
 from forestnets import wavelets as wv
 from forestnets.errors import MalformedInput
@@ -153,10 +155,10 @@ def test_read_pgm_malformed(data):
 def test_grid_network_shape():
     net = fileio.grid_network(2, 3)
     assert net.n == 6
-    assert len(net.edge_weights) == 14
-    assert net.weight(0, 1) == 1.0
-    assert net.weight(0, 3) == 1.0
-    assert net.weight(0, 4) == 0.0
+    assert net.w.size == 14
+    assert net.L[0, 1] == 1.0
+    assert net.L[0, 3] == 1.0
+    assert net.L[0, 4] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -220,3 +222,29 @@ def test_read_pyramid_malformed():
     }
     with pytest.raises(MalformedInput):
         fileio.read_pyramid(io.StringIO(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("theta", [None, 0.5])
+def test_archive_round_trip_computes_each_schur_complement_once(monkeypatch, theta):
+    calls = []
+    real = cg.schur_complement
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cg, "schur_complement", counted)
+    n = 32
+    net = build_network(cycle_edges(n, 1.0), n)
+    f = np.sin(np.arange(n) / 4.0)
+    pyr = wv.build_pyramid(net, f, seed=9, max_levels=3, sparsify_theta=theta)
+    assert any(lvl.sparsified for lvl in pyr.levels) == (theta is not None)
+    buf = io.StringIO()
+    fileio.write_pyramid(buf, pyr)
+    assert len(calls) == pyr.depth == 3
+    calls.clear()
+    back, _ = fileio.read_pyramid(io.StringIO(buf.getvalue()))
+    wv.compression_curve(back, [0.1, 0.5, 1.0])
+    for p in (1.0, 2.0, math.inf):
+        wv.stability_bounds(back, p)
+    assert len(calls) == back.depth

@@ -13,7 +13,7 @@ from forestnets.errors import (
     NonPositiveWeight,
     NotIrreducible,
 )
-from forestnets.network import Network, build_network, skeleton
+from forestnets.network import Network, build_network, skeleton, vertex_set
 
 import netdefs
 from reference_network import reference_network
@@ -119,9 +119,9 @@ def test_max_vertices_boundary(monkeypatch):
 
 
 def test_weight_lookup(two_asym):
-    assert two_asym.weight(0, 1) == 2.0
-    assert two_asym.weight(1, 0) == 1.0
-    assert two_asym.weight(0, 0) == 0.0
+    assert two_asym.L[0, 1] == 2.0
+    assert two_asym.L[1, 0] == 1.0
+    assert two_asym.w.tolist() == [2.0, 1.0]
 
 
 
@@ -240,3 +240,31 @@ def test_invariant_measure_of_cycle_is_exact(weights):
     exact = [1 / Fraction(w) for w in weights]
     exact = np.array([float(x / sum(exact)) for x in exact])
     assert np.abs(net.mu - exact).max() <= 1e-14 * exact.max()
+
+
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        ([0, 2.7], "vertex 2.7 of kept set is not an integer"),
+        ([0, float("nan")], "vertex nan of kept set is not an integer"),
+        ([float("inf")], "vertex inf of kept set is not an integer"),
+        (["x"], "vertex 'x' of kept set is not an integer"),
+        (np.array([1.0, 0.5]), "vertex 0.5 of kept set is not an integer"),
+    ],
+)
+def test_vertex_set_rejects_non_integral_ids(ids, message):
+    with pytest.raises(InvalidParams) as exc:
+        vertex_set(5, ids, "kept set")
+    assert str(exc.value) == message
+
+
+def test_vertex_set_takes_integral_numbers():
+    got = vertex_set(5, [np.int64(3), 0, 2.0, np.float64(4.0), True], "kept set")
+    assert got.tolist() == [0, 1, 2, 3, 4] and got.dtype == np.int64
+
+
+def test_overflowing_exit_rate_is_invalid(recwarn):
+    edges = [(0, 1, 1e308), (0, 2, 1e308), (1, 0, 1.0), (2, 0, 1.0)]
+    with pytest.raises(InvalidParams, match="exit rate of vertex 0 overflows"):
+        build_network(edges, 3)
+    assert len(recwarn) == 0

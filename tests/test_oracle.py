@@ -138,6 +138,16 @@ def test_edge_inclusion_unknown_edge(two_asym):
         oracle.edge_inclusion_prob(two_asym, 3.0, [(0, 0)])
 
 
+@pytest.mark.parametrize("edge", [(-1, 0), (0, -1), (0, 2), (2, 0)])
+@pytest.mark.parametrize("signed", [False, True])
+def test_edge_ids_outside_network_are_unknown(two_asym, edge, signed):
+    # (-1, 0) would read L[1, 0] > 0 if the id wrapped around
+    with pytest.raises(UnknownEdge):
+        oracle.edge_inclusion_prob(two_asym, 3.0, [edge], signed=signed)
+    with pytest.raises(UnknownEdge):
+        oracle.transfer_current(two_asym, 3.0, [edge], signed=signed)
+
+
 def test_root_vertex_has_no_outgoing_edge(two_asym):
     # an edge out of a forced root never appears
     assert oracle.edge_inclusion_prob(

@@ -42,7 +42,7 @@ def test_forest_structure(path5):
         f = sampler.wilson_sample(path5, 1.0, seed=4, sample_index=i)
         for x, p in enumerate(f.parent):
             if p != -1:
-                assert path5.weight(x, int(p)) > 0.0
+                assert path5.L[x, int(p)] > 0.0
         # root_of reaches a parent-less vertex for everyone: no cycles
         assert np.all(f.parent[f.root_of] == -1)
 

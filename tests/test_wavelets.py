@@ -243,9 +243,7 @@ def test_sparsified_pyramid_reconstructs_exactly():
     # level 0 sees the same network and keep in both runs; only there is
     # the edge count directly comparable
     assert np.array_equal(pyr.levels[0].keep, plain.levels[0].keep)
-    assert len(pyr.levels[0].next_network.edge_weights) < len(
-        plain.levels[0].next_network.edge_weights
-    )
+    assert pyr.levels[0].next_network.w.size < plain.levels[0].next_network.w.size
 
 
 def test_sparsified_bounds_read_exact_schur():
@@ -378,7 +376,6 @@ def test_analysis_norm_within_budget():
 
 
 def test_each_level_computes_its_operators_once(monkeypatch):
-    _, pyr = build_cycle_pyramid(n=32, seed=3, max_levels=3)
     calls = {"schur_complement": 0, "beta_gamma": 0}
     for name in calls:
         real = getattr(cg, name)
@@ -388,6 +385,8 @@ def test_each_level_computes_its_operators_once(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(cg, name, counted)
+    # the build computes each Schur complement; the queries reuse it
+    _, pyr = build_cycle_pyramid(n=32, seed=3, max_levels=3)
     wv.compression_curve(pyr, [0.1, 0.5, 1.0])
     wv.reconstruct_pyramid(pyr)
     for p in (1.0, 2.0, math.inf):
