@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forestnets import config
@@ -233,6 +233,7 @@ def test_constructor_matches_reference(case, as_array):
 
 @settings(max_examples=200, deadline=None)
 @given(weights=st.lists(st.floats(0.001, 1000.0), min_size=2, max_size=8))
+@example(weights=[0.5, 0.001, 0.001])
 def test_invariant_measure_of_cycle_is_exact(weights):
     # on a directed cycle mu(x) is proportional to 1 / w(x, x + 1)
     n = len(weights)
