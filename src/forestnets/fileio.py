@@ -323,6 +323,11 @@ def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
                 op = _LevelOperator(current, entry["keep"], float(entry["q_prime"]))
             except InvalidParams as exc:
                 raise MalformedInput(f"level {li}: {exc}") from None
+            detail = np.asarray([float(x) for x in entry["detail"]])
+            if detail.size != op.dropped.size:
+                raise MalformedInput(
+                    f"level {li}: detail length does not match dropped set"
+                )
             next_mu = condition_measure(mu, op.kept)
             next_edges = entry["next_edges"]
             where = f"level {li}: next_edges"
@@ -340,11 +345,6 @@ def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
                     raise MalformedInput(f"{where}: {exc}") from None
             else:
                 raise MalformedInput(f"{where}: must be null or an edge list")
-            detail = np.asarray([float(x) for x in entry["detail"]])
-            if detail.size != op.dropped.size:
-                raise MalformedInput(
-                    f"level {li}: detail length does not match dropped set"
-                )
             levels.append(
                 PyramidLevel(
                     op=op,
