@@ -13,7 +13,13 @@ from forestnets.errors import (
     NonPositiveWeight,
     NotIrreducible,
 )
-from forestnets.network import Network, build_network, skeleton, vertex_set
+from forestnets.network import (
+    Network,
+    _gth_measure,
+    build_network,
+    skeleton,
+    vertex_set,
+)
 
 import netdefs
 from reference_network import reference_network
@@ -209,8 +215,13 @@ def _outcome(build):
         return type(exc), str(exc)
 
 
+# refined LU drifted 1.45e-12 from lstsq here, with the larger residual
+WIDE_4 = [(0, 2, 97.0), (1, 0, 15.0), (2, 0, 97.521484375), (2, 3, 0.01), (3, 1, 0.01)]
+
+
 @settings(max_examples=400, deadline=None)
 @given(case=faulty_edge_lists(), as_array=st.booleans())
+@example(case=(WIDE_4, 4), as_array=False)
 def test_constructor_matches_reference(case, as_array):
     edges, n = case
     got = _outcome(lambda: Network(np.asarray(edges) if as_array else edges, n))
@@ -226,8 +237,8 @@ def test_constructor_matches_reference(case, as_array):
     gap = np.abs(got.mu - want.mu).max() / want.mu.max()
     if gap > 1e-12:
         # lstsq drifts on wide weight ranges (2e-12 on a 6-cycle with
-        # weights 0.0117 to 96, where LU is exact to 4e-16): then the LU
-        # measure must be the more nearly invariant one
+        # weights 0.0117 to 96, where LU is exact to 4e-16): then the
+        # constructor's measure must be the more nearly invariant one
         assert np.abs(got.mu @ got.L).max() < np.abs(want.mu @ want.L).max()
 
 
@@ -241,6 +252,57 @@ def test_invariant_measure_of_cycle_is_exact(weights):
     exact = [1 / Fraction(w) for w in weights]
     exact = np.array([float(x / sum(exact)) for x in exact])
     assert np.abs(net.mu - exact).max() <= 1e-14 * exact.max()
+
+
+def _exact_measure(edges, n):
+    # mu L = 0 with its last equation replaced by sum(mu) = 1, in rationals
+    a = [[Fraction(0)] * (n + 1) for _ in range(n)]
+    for s, d, w in edges:
+        a[d][s] += Fraction(w)
+        a[s][s] -= Fraction(w)
+    a[n - 1] = [Fraction(1)] * (n + 1)
+    for k in range(n):
+        p = next(i for i in range(k, n) if a[i][k])
+        a[k], a[p] = a[p], a[k]
+        for i in range(n):
+            if i != k and a[i][k]:
+                f = a[i][k] / a[k][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return np.array([float(a[i][n] / a[i][i]) for i in range(n)])
+
+
+@st.composite
+def wide_digraphs(draw):
+    """(edges, n): a strongly connected digraph on 2 to 7 vertices with
+    weights spread over six decades."""
+    n = draw(st.integers(2, 7))
+    pairs = {(x, (x + 1) % n) for x in range(n)}
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs |= {(a, b) for a, b in draw(st.lists(extra, max_size=2 * n)) if a != b}
+    weight = st.floats(0.001, 1000.0)
+    return [(a, b, draw(weight)) for a, b in sorted(pairs)], n
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=wide_digraphs(), block=st.sampled_from([1, 2, 3, 64]))
+@example(case=(WIDE_4, 4), block=64)
+def test_invariant_measure_is_exact_entrywise(case, block):
+    # every block size, so that small graphs cross block boundaries too
+    edges, n = case
+    exact = _exact_measure(edges, n)
+    mu = _gth_measure(build_network(edges, n).L, block)
+    assert np.abs(mu / exact - 1).max() <= 1e-14
+
+
+def test_invariant_measure_of_long_cycle_is_exact():
+    # several default-sized blocks, weights over six decades
+    weights = 10.0 ** np.random.default_rng(5).uniform(-3, 3, 300)
+    n = len(weights)
+    net = build_network([(x, (x + 1) % n, w) for x, w in enumerate(weights)], n)
+    exact = [1 / Fraction(w) for w in weights]
+    total = sum(exact)
+    exact = np.array([float(x / total) for x in exact])
+    assert np.abs(net.mu / exact - 1).max() <= 1e-14
 
 
 @pytest.mark.parametrize(
