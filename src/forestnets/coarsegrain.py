@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -52,7 +53,10 @@ class ReducedNetwork:
     network: Network
     kept: np.ndarray
     parent: Network
-    mu: np.ndarray
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        return condition_measure(self.parent.mu, self.kept)
 
     @property
     def n(self) -> int:
@@ -134,8 +138,7 @@ def schur_reduce(net: Network, keep: Sequence[int]) -> ReducedNetwork:
     (see :func:`reduced_network`)."""
     kept = _canon_keep(net, keep)
     reduced = reduced_network(net, kept, schur_complement(net, kept))
-    mu_cond = condition_measure(net.mu, kept)
-    return ReducedNetwork(network=reduced, kept=kept, parent=net, mu=mu_cond)
+    return ReducedNetwork(network=reduced, kept=kept, parent=net)
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +497,4 @@ def sparsify(
     sparse_net = Network(_nonzero_edges(W), m)
     if not sparse_net.reversible:
         raise NumericalError("sparsified network lost reversibility")
-    return ReducedNetwork(
-        network=sparse_net, kept=kept, parent=parent, mu=reduction.mu
-    )
+    return ReducedNetwork(network=sparse_net, kept=kept, parent=parent)

@@ -352,6 +352,7 @@ def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
                     base_mass=mass,
                     detail=detail,
                     next_network=next_net,
+                    sparsified=next_edges is not None,
                     q_tuning=(
                         None
                         if entry.get("q_tuning") is None

@@ -205,8 +205,9 @@ class PyramidLevel:
     to ``keep[i]`` here.  ``mu`` is the base invariant measure conditioned
     down to this level and ``base_mass`` the total base-measure weight the
     level still carries.  ``next_network`` is the network the next level
-    runs on: ``op.reduced``, the exact Schur reduction, unless the pyramid
-    was sparsified.
+    runs on: ``op.reduced``, the exact Schur reduction, unless
+    ``sparsified``, when it is a sparsification of it (or, read from an
+    archive, a stored network that may be either).
     """
 
     op: _LevelOperator
@@ -214,6 +215,7 @@ class PyramidLevel:
     base_mass: float
     detail: np.ndarray
     next_network: Network
+    sparsified: bool
     q_tuning: float | None = None
 
     @property
@@ -235,12 +237,6 @@ class PyramidLevel:
     @property
     def n(self) -> int:
         return self.network.n
-
-    @property
-    def sparsified(self) -> bool:
-        """Whether ``next_network`` is other than the exact reduction
-        ``op.reduced`` (computing that reduction if need be)."""
-        return self.next_network is not self.op.reduced
 
 
 @dataclass
@@ -351,12 +347,7 @@ def build_pyramid(
         approx, detail = analyze_level(current, kept, q_prime, f)
         next_net = op.reduced
         if sparsify_theta is not None:
-            reduction = cg.ReducedNetwork(
-                network=next_net,
-                kept=kept,
-                parent=current,
-                mu=condition_measure(current.mu, kept),
-            )
+            reduction = cg.ReducedNetwork(network=next_net, kept=kept, parent=current)
             next_net = cg.sparsify(reduction, q_prime, sparsify_theta).network
 
         levels.append(
@@ -366,6 +357,7 @@ def build_pyramid(
                 base_mass=mass,
                 detail=detail,
                 next_network=next_net,
+                sparsified=next_net is not op.reduced,
                 q_tuning=q_tuning,
             )
         )

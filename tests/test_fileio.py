@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -248,3 +249,20 @@ def test_archive_round_trip_computes_each_schur_complement_once(monkeypatch, the
     for p in (1.0, 2.0, math.inf):
         wv.stability_bounds(back, p)
     assert len(calls) == back.depth
+
+
+def test_rewriting_a_v1_archive_keeps_its_networks(monkeypatch):
+    # a version 1 level may hold an exact or a sparsified network, so its
+    # edges are stored again; telling which would take a Schur complement
+    calls = []
+    monkeypatch.setattr(cg, "schur_complement", lambda *a: calls.append(a))
+    path = os.path.join(os.path.dirname(__file__), "data", "golden_v1.json")
+    with open(path) as fh:
+        v1 = json.load(fh)
+    pyr, _ = fileio.read_pyramid(io.StringIO(json.dumps(v1)))
+    doc = fileio.pyramid_to_dict(pyr)
+    assert calls == []
+    assert doc["version"] == 2
+    assert [lvl["next_edges"] for lvl in doc["levels"]] == [
+        lvl["next_edges"] for lvl in v1["levels"]
+    ]
