@@ -126,11 +126,14 @@ def check_invariant(mu: np.ndarray, rates: np.ndarray) -> None:
 def reduced_network(net: Network, kept: np.ndarray, Lbar: np.ndarray) -> Network:
     """The network of the Schur complement ``Lbar`` of ``net``'s generator
     on the sorted vertex set ``kept``: the rates of :func:`reduced_rates`
-    (guards included), with the diagonal set so rows sum to zero.  The
-    network solves for its own invariant measure, which equals
-    ``mu(. | kept)`` up to roundoff.
+    (guards included), with the diagonal set so rows sum to zero.  Its
+    invariant measure is ``mu(. | kept)``, which those guards have just
+    checked, so it is taken rather than solved for.
     """
-    return Network(_nonzero_edges(reduced_rates(net, kept, Lbar)), kept.size)
+    rates = reduced_rates(net, kept, Lbar)
+    return Network(
+        _nonzero_edges(rates), kept.size, mu=condition_measure(net.mu, kept)
+    )
 
 
 def schur_reduce(net: Network, keep: Sequence[int]) -> ReducedNetwork:
@@ -494,7 +497,8 @@ def sparsify(
 
     if not removed_any:
         return reduction
-    sparse_net = Network(_nonzero_edges(W), m)
+    check_invariant(reduction.mu, W)
+    sparse_net = Network(_nonzero_edges(W), m, mu=reduction.mu)
     if not sparse_net.reversible:
         raise NumericalError("sparsified network lost reversibility")
     return ReducedNetwork(network=sparse_net, kept=kept, parent=parent)

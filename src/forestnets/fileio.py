@@ -285,11 +285,12 @@ def write_pyramid(fh: IO[str], pyr: Pyramid, meta: dict | None = None) -> None:
     fh.write("\n")
 
 
-def _archived_network(edges, n: int, where: str) -> Network:
-    """Network of an archive's edge list; a validation error is a malformed
-    archive, reported with ``where`` (the base or a level)."""
+def _archived_network(edges, n: int, where: str, mu=None) -> Network:
+    """Network of an archive's edge list, with invariant measure ``mu`` if
+    given; a validation error is a malformed archive, reported with
+    ``where`` (the base or a level)."""
     try:
-        return Network(edges, n)
+        return Network(edges, n, mu)
     except ValidationError as exc:
         raise MalformedInput(f"{where}: {exc}") from None
 
@@ -302,6 +303,7 @@ def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
     keeps that Schur complement for later queries.  A level with an edge
     list (every level of version 1, a sparsified level of version 2) runs
     it on that network, which must leave ``mu(. | keep)`` invariant.
+    Either way the next network carries ``mu(. | keep)`` as its measure.
     """
     try:
         doc = json.load(fh)
@@ -336,7 +338,9 @@ def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
             if next_edges is None:
                 next_net = op.reduced
             elif isinstance(next_edges, list):
-                next_net = _archived_network(next_edges, op.kept.size, where)
+                next_net = _archived_network(
+                    next_edges, op.kept.size, where, next_mu
+                )
                 try:
                     check_invariant(
                         next_mu, next_net.L - np.diag(np.diag(next_net.L))

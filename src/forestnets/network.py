@@ -45,6 +45,11 @@ class Network:
         vertex count, at most ``config.MAX_VERTICES`` (checked before any
         edge is read).  Vertex ids must be integers in ``0..n-1`` and the
         directed graph must be strongly connected.
+    mu :
+        the invariant probability measure when the caller already has it
+        and has checked it, as :func:`coarsegrain.reduced_network` does
+        for ``mu(. | kept)``; it must be positive and is used instead of
+        solving for one.
 
     Attributes
     ----------
@@ -58,7 +63,12 @@ class Network:
     reversible : bool, detailed balance of ``mu`` and the weights
     """
 
-    def __init__(self, edges: Iterable[Edge] | np.ndarray, n: int) -> None:
+    def __init__(
+        self,
+        edges: Iterable[Edge] | np.ndarray,
+        n: int,
+        mu: np.ndarray | None = None,
+    ) -> None:
         if n < 1:
             raise InvalidParams("network needs at least one vertex")
         if n > config.MAX_VERTICES:
@@ -99,7 +109,12 @@ class Network:
             return
 
         self.w_max = float((-np.diag(L)).max())
-        self.mu = self._invariant_measure()
+        if mu is None:
+            self.mu = self._invariant_measure()
+        elif len(mu) == n and np.all(mu > 0):
+            self.mu = mu
+        else:
+            raise InvalidParams(f"given measure is not positive on {n} vertices")
         flow = self.mu[self.src] * self.w
         back = self.mu[self.dst] * L[self.dst, self.src]
         excess = np.abs(flow - back) > config.STRUCTURAL_TOL * np.maximum(1.0, flow)

@@ -1,5 +1,6 @@
 """Coarse-graining: Schur reduction, link operators, quality functionals."""
 
+import dataclasses
 import itertools
 import math
 
@@ -8,7 +9,12 @@ import pytest
 
 from forestnets import coarsegrain as cg
 from forestnets import oracle
-from forestnets.errors import EmptyBlock, InvalidParams, ZeroProbability
+from forestnets.errors import (
+    EmptyBlock,
+    InvalidParams,
+    NumericalError,
+    ZeroProbability,
+)
 from forestnets.network import build_network, skeleton
 from forestnets.norms import condition_measure
 
@@ -61,6 +67,18 @@ def test_schur_is_generator_with_conditioned_measure(name):
         assert off.min() >= 0.0
         want = condition_measure(net.mu, list(keep))
         assert np.abs(red.network.mu - want).max() < 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
+def test_reduced_network_takes_conditioned_measure(name):
+    # mu(. | kept) is checked against the reduced rates, then taken as the
+    # reduced network's measure instead of solving for one
+    net = ALL_NETS[name]
+    for keep in keep_choices(net.n):
+        red = cg.schur_reduce(net, keep)
+        assert np.array_equal(red.network.mu, condition_measure(net.mu, red.kept))
+        resid = np.abs(red.network.mu @ red.L).max()
+        assert resid <= 1e-12 * max(1.0, red.network.w_max)
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
@@ -320,6 +338,21 @@ def test_sparsify_removes_pairs_within_budget(ring8_reduction):
     before = np.abs(ring8_reduction.L @ link - link @ Lfine).max(axis=1)
     after = np.abs(sparse.L @ link - link @ Lfine).max(axis=1)
     assert (after <= (1 + theta) * before + 1e-12).all()
+
+
+def test_sparsify_checks_the_measure_it_keeps(ring8_reduction):
+    # the uniform ring's reduction paired with a parent whose conditioned
+    # measure is not uniform: that measure is not invariant, and must not
+    # be handed to the sparsified network
+    weights = [1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+    edges = [(x, (x + 1) % 8, w) for x, w in enumerate(weights)]
+    edges += [((x + 1) % 8, x, 1.0) for x in range(8)]
+    skewed = dataclasses.replace(
+        ring8_reduction, parent=build_network(edges, 8)
+    )
+    assert np.ptp(skewed.mu) > 1e-3
+    with pytest.raises(NumericalError, match="conditioned measure"):
+        cg.sparsify(skewed, 1.0, 0.5)
 
 
 def test_sparsify_preserves_irreducibility(ring8_reduction):

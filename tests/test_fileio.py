@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from forestnets import coarsegrain as cg
-from forestnets import fileio
+from forestnets import fileio, network
 from forestnets import wavelets as wv
 from forestnets.errors import MalformedInput
 from forestnets.network import build_network
@@ -266,3 +266,28 @@ def test_rewriting_a_v1_archive_keeps_its_networks(monkeypatch):
     assert [lvl["next_edges"] for lvl in doc["levels"]] == [
         lvl["next_edges"] for lvl in v1["levels"]
     ]
+
+
+@pytest.mark.parametrize("theta", [None, 0.5])
+def test_only_the_base_measure_is_solved(monkeypatch, theta):
+    # every level network carries the base measure conditioned down to
+    # it, built or read, exact or sparsified
+    calls = []
+    real = network._gth_measure
+    monkeypatch.setattr(
+        network, "_gth_measure", lambda L, *a: calls.append(L) or real(L, *a)
+    )
+    n = 32
+    net = build_network(cycle_edges(n, 1.0), n)
+    calls.clear()
+    f = np.sin(np.arange(n) / 4.0)
+    pyr = wv.build_pyramid(net, f, seed=9, max_levels=3, sparsify_theta=theta)
+    buf = io.StringIO()
+    fileio.write_pyramid(buf, pyr)
+    assert calls == []
+    back, _ = fileio.read_pyramid(io.StringIO(buf.getvalue()))
+    assert len(calls) == 1
+    for p in (pyr, back):
+        nets = [lvl.network for lvl in p.levels] + [p.levels[-1].next_network]
+        mus = [lvl.mu for lvl in p.levels] + [p.apex_mu]
+        assert all(np.array_equal(a.mu, b) for a, b in zip(nets, mus))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from forestnets import config
+from forestnets import config, network
 from forestnets.errors import (
     DuplicateEdge,
     ForestnetsError,
@@ -303,6 +303,23 @@ def test_invariant_measure_of_long_cycle_is_exact():
     total = sum(exact)
     exact = np.array([float(x / total) for x in exact])
     assert np.abs(net.mu / exact - 1).max() <= 1e-14
+
+
+def test_given_measure_is_taken_not_solved(monkeypatch):
+    monkeypatch.setattr(network, "_gth_measure", None)
+    n, edges = netdefs.CYCLE3
+    mu = np.array([0.2, 0.3, 0.5])
+    net = Network(edges, n, mu=mu)
+    assert net.mu is mu
+
+
+@pytest.mark.parametrize(
+    "mu", [[0.5, 0.5], [0.5, 0.0, 0.5], [0.5, -0.1, 0.6], [0.5, np.nan, 0.5]]
+)
+def test_given_measure_must_be_positive_on_every_vertex(mu):
+    n, edges = netdefs.CYCLE3
+    with pytest.raises(InvalidParams, match="given measure"):
+        Network(edges, n, mu=np.array(mu))
 
 
 @pytest.mark.parametrize(
