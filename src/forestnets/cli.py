@@ -52,17 +52,6 @@ def _id_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated ids: {text!r}")
 
 
-def _threads(text: str) -> int:
-    """``--threads``: accepted for compatibility, must be >= 1, ignored."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _float_list(text: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -156,20 +145,21 @@ def cmd_graph_reduce(args) -> int:
     if _dry(args):
         return EXIT_OK
     reduction = cg.schur_reduce(net, args.keep)
+    reduced = reduction.network
     if args.sparsify_theta is not None:
         if args.q_prime is None:
             raise InvalidParams("--sparsify-theta requires --q-prime")
-        reduction = cg.sparsify(reduction, args.q_prime, args.sparsify_theta)
+        reduced = cg.sparsify(reduction, args.q_prime, args.sparsify_theta)
     with _out(args) as fh:
         if args.json:
             doc = {
                 "kept": [int(v) for v in reduction.kept],
-                "mu": [float(x) for x in reduction.mu],
-                "edges": [list(e) for e in reduction.network.edges],
+                "mu": [float(x) for x in reduced.mu],
+                "edges": [list(e) for e in reduced.edges],
             }
             fh.write(_dumps(doc) + "\n")
         else:
-            fileio.write_edges(fh, reduction.network)
+            fileio.write_edges(fh, reduced)
     return EXIT_OK
 
 
@@ -296,12 +286,7 @@ def cmd_forest_stats(args) -> int:
     if _dry(args):
         return EXIT_OK
     stats = sampler.empirical_stats(
-        net,
-        args.q,
-        args.roots,
-        args.samples,
-        seed=args.seed,
-        threads=args.threads,
+        net, args.q, args.roots, args.samples, seed=args.seed
     )
     doc = {
         "n_samples": stats.n_samples,
@@ -399,9 +384,7 @@ def cmd_tune(args) -> int:
     net = _load_network(args)
     if _dry(args):
         return EXIT_OK
-    records = sampler.estimate_tuning(
-        net, args.grid, args.samples, seed=args.seed, threads=args.threads
-    )
+    records = sampler.estimate_tuning(net, args.grid, args.samples, seed=args.seed)
     best = min(records, key=lambda r: (r.objective, -r.q))
     if args.json:
         doc = {
@@ -443,7 +426,6 @@ def _build_pyramid_from_args(args, net: Network, values: np.ndarray) -> wv.Pyram
         min_size=args.min_size,
         sparsify_theta=args.sparsify_theta,
         n_tuning_samples=args.tuning_samples,
-        threads=args.threads,
     )
 
 
@@ -676,9 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     f_stats.add_argument("--q", type=float, required=True)
     f_stats.add_argument("--seed", type=int, required=True)
     f_stats.add_argument("--samples", type=int, required=True)
-    f_stats.add_argument(
-        "--threads", type=_threads, default=1, help="accepted and ignored"
-    )
     f_stats.set_defaults(func=cmd_forest_stats)
     f_tgt = fsub.add_parser("roots-target", parents=[edges_p, dry_p, out_p, roots_p])
     f_tgt.add_argument("--m", type=int, required=True)
@@ -707,9 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--seed", type=int, required=True)
     tune.add_argument("--grid", type=_float_list, default=None)
     tune.add_argument("--samples", type=int, default=16)
-    tune.add_argument(
-        "--threads", type=_threads, default=1, help="accepted and ignored"
-    )
     tune.add_argument("--json", action="store_true")
     tune.set_defaults(func=cmd_tune)
 
@@ -723,9 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
     build_p.add_argument("--min-size", type=int, default=2)
     build_p.add_argument("--sparsify-theta", type=float, default=None)
     build_p.add_argument("--tuning-samples", type=int, default=16)
-    build_p.add_argument(
-        "--threads", type=_threads, default=1, help="accepted and ignored"
-    )
 
     s_an = ssub.add_parser("analyze", parents=[edges_p, dry_p, out_p, build_p])
     s_an.add_argument("signal", help="signal file (vertex,value)")

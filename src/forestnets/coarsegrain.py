@@ -32,7 +32,7 @@ from .errors import (
     NumericalError,
     ZeroProbability,
 )
-from .network import Network, reachable, skeleton, vertex_set
+from .network import Network, reachable, skeleton, vertex_id, vertex_set
 from .norms import condition_measure, holder_conjugate, lp_norm, tv_distance
 
 
@@ -40,27 +40,56 @@ from .norms import condition_measure, holder_conjugate, lp_norm, tv_distance
 # Schur reduction (trace process)
 
 
-@dataclass
 class ReducedNetwork:
-    """Result of reducing a network onto a kept vertex set.
+    """The Schur reduction of ``parent`` onto the kept set ``keep``: the
+    generator of the walk watched only on kept vertices.
 
-    ``network`` lives on ``0..len(kept)-1``; position ``i`` corresponds to
-    parent vertex ``kept[i]``.  ``mu`` is the parent's invariant measure
-    conditioned on the kept set, which is also invariant for the reduced
-    generator.
+    ``keep`` is validated once, into the sorted ``kept``; position ``i`` of
+    the reduction corresponds to parent vertex ``kept[i]``.  What depends on
+    the Schur complement is computed on first use and kept: the exact
+    complement ``Lbar``, whose off-diagonal rates :func:`reduced_rates`
+    checks once, with the reduced maximal exit rate ``w_max``; the reduced
+    ``network``; and the return ``speeds``.  ``mu`` is the parent's
+    measure conditioned on ``kept``, which those checks show invariant for
+    the reduced generator, so the network takes it rather than solving for
+    one; reading ``mu`` or ``w_max`` never builds the network.
     """
 
-    network: Network
-    kept: np.ndarray
-    parent: Network
+    def __init__(self, parent: Network, keep: Sequence[int]) -> None:
+        self.parent = parent
+        self.kept = _canon_keep(parent, keep)
 
     @cached_property
     def mu(self) -> np.ndarray:
         return condition_measure(self.parent.mu, self.kept)
 
+    @cached_property
+    def _schur(self) -> tuple[np.ndarray, float]:
+        Lbar = schur_complement(self.parent, self.kept)
+        rates = reduced_rates(self.parent, self.kept, Lbar)
+        return Lbar, float(rates.sum(axis=1).max())
+
     @property
-    def n(self) -> int:
-        return self.network.n
+    def Lbar(self) -> np.ndarray:
+        """The exact Schur complement of the parent's generator on ``kept``."""
+        return self._schur[0]
+
+    @property
+    def w_max(self) -> float:
+        return self._schur[1]
+
+    @cached_property
+    def network(self) -> Network:
+        # the rates reduced_rates checked, recomputed rather than kept next
+        # to Lbar and the network's own generator
+        rates = np.maximum(self.Lbar - np.diag(np.diag(self.Lbar)), 0.0)
+        return Network(_nonzero_edges(rates), self.kept.size, mu=self.mu)
+
+    @cached_property
+    def speeds(self) -> tuple[float, float]:
+        """Return speeds ``(beta, gamma)`` toward the kept set (see
+        :func:`beta_gamma`)."""
+        return beta_gamma(self.parent, self.kept)
 
     @property
     def L(self) -> np.ndarray:
@@ -123,25 +152,12 @@ def check_invariant(mu: np.ndarray, rates: np.ndarray) -> None:
         )
 
 
-def reduced_network(net: Network, kept: np.ndarray, Lbar: np.ndarray) -> Network:
-    """The network of the Schur complement ``Lbar`` of ``net``'s generator
-    on the sorted vertex set ``kept``: the rates of :func:`reduced_rates`
-    (guards included), with the diagonal set so rows sum to zero.  Its
-    invariant measure is ``mu(. | kept)``, which those guards have just
-    checked, so it is taken rather than solved for.
-    """
-    rates = reduced_rates(net, kept, Lbar)
-    return Network(
-        _nonzero_edges(rates), kept.size, mu=condition_measure(net.mu, kept)
-    )
-
-
 def schur_reduce(net: Network, keep: Sequence[int]) -> ReducedNetwork:
     """Reduce the network onto ``keep`` by the Schur complement of ``L``
-    (see :func:`reduced_network`)."""
-    kept = _canon_keep(net, keep)
-    reduced = reduced_network(net, kept, schur_complement(net, kept))
-    return ReducedNetwork(network=reduced, kept=kept, parent=net)
+    (see :class:`ReducedNetwork`)."""
+    reduction = ReducedNetwork(net, keep)
+    reduction.network  # built now, so that the Schur guards raise here
+    return reduction
 
 
 # ---------------------------------------------------------------------------
@@ -152,21 +168,24 @@ def partition_link(net: Network, blocks: Sequence[Sequence[int]]) -> np.ndarray:
     """Link operator of a partition: row ``i`` is ``mu`` conditioned on
     block ``i`` (a probability measure supported on that block)."""
     seen: set[int] = set()
+    rows = []
     for b in blocks:
         if len(b) == 0:
             raise EmptyBlock("partition contains an empty block")
+        ids = []
         for v in b:
-            v = int(v)
+            v = vertex_id(v, "partition")
             if v in seen:
                 raise InvalidParams(f"vertex {v} appears in two blocks")
             if not (0 <= v < net.n):
                 raise InvalidParams(f"vertex {v} outside 0..{net.n - 1}")
             seen.add(v)
+            ids.append(v)
+        rows.append(np.asarray(sorted(ids), dtype=np.int64))
     if len(seen) != net.n:
         raise EmptyBlock("partition does not cover every vertex")
-    link = np.zeros((len(blocks), net.n))
-    for i, b in enumerate(blocks):
-        idx = np.asarray(sorted(int(v) for v in b), dtype=np.int64)
+    link = np.zeros((len(rows), net.n))
+    for i, idx in enumerate(rows):
         link[i, idx] = condition_measure(net.mu, idx)
     return link
 
@@ -195,9 +214,8 @@ def metastable_kernel(
     if q_prime <= 0 or not np.isfinite(q_prime):
         raise InvalidParams("q' must be positive and finite")
     K = oracle.green(net, q_prime).K
-    member = np.zeros((len(blocks), net.n))
-    for i, b in enumerate(blocks):
-        member[i, [int(v) for v in b]] = 1.0
+    # row i of the link is positive exactly on block i
+    member = (link > 0.0).astype(float)
     Pbar = link @ K @ member.T
     rows = Pbar.sum(axis=1)
     if np.abs(rows - 1.0).max() > config.STRUCTURAL_TOL * net.n:
@@ -388,13 +406,13 @@ def operator_intertwining_residual(
     """
     if p != math.inf and p < 1:
         raise InvalidParams("p must be >= 1 or inf")
-    kept = _canon_keep(net, keep)
+    red = ReducedNetwork(net, keep)
+    kept = red.kept
     link = kernel_link(net, kept, q_prime)
-    red = schur_reduce(net, kept)
     M = red.L @ link - link @ net.L
 
     mu = net.mu
-    mu_kept = condition_measure(mu, kept)
+    mu_kept = red.mu
     if p == math.inf:
         residual = float(np.abs(M).sum(axis=1).max())
     else:
@@ -404,7 +422,7 @@ def operator_intertwining_residual(
             den = mu[z] ** (1.0 / p)
             residual = max(residual, num / den)
 
-    beta, _ = beta_gamma(net, kept)
+    beta, _ = red.speeds
     pstar = holder_conjugate(p)
     w_over_beta = net.w_max / beta
     factor = w_over_beta ** (1.0 / pstar) if pstar != math.inf else 1.0
@@ -429,29 +447,29 @@ def _support_connected(w: np.ndarray) -> bool:
     return bool(reachable(w.shape[0], src, dst).all())
 
 
-def sparsify(
-    reduction: ReducedNetwork, q_prime: float, theta: float
-) -> ReducedNetwork:
-    """Remove reciprocal edge pairs from a reversible reduced network while
-    keeping every row of the intertwining defect within ``(1 + theta)``
-    times its original sup norm.
+def sparsify(reduction: ReducedNetwork, q_prime: float, theta: float) -> Network:
+    """A sparser network in place of ``reduction.network``, which must be
+    reversible: reciprocal edge pairs are removed while every row of the
+    intertwining defect stays within ``(1 + theta)`` times its original
+    sup norm.  When no pair can go, ``reduction.network`` itself is
+    returned.
 
     Candidate pairs are visited by increasing conductance
     ``mu(x) w(x, y)``; a removal is kept only if the reduced support stays
     irreducible and both touched defect rows respect the budget.  Weights
     removed from a row are folded into the diagonal, preserving zero row
-    sums, reversibility and the invariant measure.
+    sums, reversibility and the invariant measure.  The sparsified network
+    takes ``reduction.mu`` as its measure once :func:`check_invariant`
+    has checked it against the remaining rates.
     """
     if theta < 0 or not np.isfinite(theta):
         raise InvalidParams("theta must be finite and >= 0")
     red_net = reduction.network
     if not red_net.reversible:
         raise InvalidParams("sparsification requires a reversible reduction")
-    parent = reduction.parent
-    kept = reduction.kept
-    link = kernel_link(parent, kept, q_prime)
-    Lfine = parent.L
-    M0 = reduction.L @ link - link @ Lfine
+    link = kernel_link(reduction.parent, reduction.kept, q_prime)
+    Lfine = reduction.parent.L
+    M0 = red_net.L @ link - link @ Lfine
     budget = (1.0 + theta) * np.abs(M0).max(axis=1)
 
     m = red_net.n
@@ -496,9 +514,9 @@ def sparsify(
             W[j, i] = wji
 
     if not removed_any:
-        return reduction
+        return red_net
     check_invariant(reduction.mu, W)
     sparse_net = Network(_nonzero_edges(W), m, mu=reduction.mu)
     if not sparse_net.reversible:
         raise NumericalError("sparsified network lost reversibility")
-    return ReducedNetwork(network=sparse_net, kept=kept, parent=parent)
+    return sparse_net

@@ -15,9 +15,14 @@ import numpy as np
 from .coarsegrain import check_invariant
 from .errors import InvalidParams, MalformedInput, NumericalError, ValidationError
 from .network import Network, build_network
-from .norms import condition_measure
 from .sampler import RootedForest
-from .wavelets import Pyramid, PyramidLevel, _LevelOperator
+from .wavelets import (
+    Pyramid,
+    PyramidLevel,
+    _LevelOperator,
+    _next_base_mass,
+    _reduction,
+)
 
 PYRAMID_FORMAT = "forestnets-pyramid"
 #: version 2 stores a level's reduced network only when it was sparsified;
@@ -299,10 +304,10 @@ def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
     """Inverse of :func:`write_pyramid`: (pyramid, metadata dict).
 
     A level whose ``next_edges`` is null (version 2 only) runs the next
-    level on its exact Schur reduction, recomputed here; its operator
-    keeps that Schur complement for later queries.  A level with an edge
-    list (every level of version 1, a sparsified level of version 2) runs
-    it on that network, which must leave ``mu(. | keep)`` invariant.
+    level on its exact Schur reduction, recomputed here; the level's
+    reduction keeps that Schur complement for later queries.  A level with
+    an edge list (every level of version 1, a sparsified level of version
+    2) runs it on that network, which must leave ``mu(. | keep)`` invariant.
     Either way the next network carries ``mu(. | keep)`` as its measure.
     """
     try:
@@ -318,11 +323,11 @@ def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
         base = _archived_network(doc["base"]["edges"], int(doc["base"]["n"]), "base")
         levels: list[PyramidLevel] = []
         current = base
-        mu = base.mu.copy()
-        mass = 1.0
         for li, entry in enumerate(doc["levels"]):
             try:
-                op = _LevelOperator(current, entry["keep"], float(entry["q_prime"]))
+                op = _LevelOperator(
+                    _reduction(current, entry["keep"]), float(entry["q_prime"])
+                )
             except InvalidParams as exc:
                 raise MalformedInput(f"level {li}: {exc}") from None
             detail = np.asarray([float(x) for x in entry["detail"]])
@@ -330,54 +335,38 @@ def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
                 raise MalformedInput(
                     f"level {li}: detail length does not match dropped set"
                 )
-            next_mu = condition_measure(mu, op.kept)
             next_edges = entry["next_edges"]
             where = f"level {li}: next_edges"
             if next_edges is None and version == 1:
                 raise MalformedInput(f"{where}: null in a version 1 archive")
             if next_edges is None:
-                next_net = op.reduced
+                stored_next = None
             elif isinstance(next_edges, list):
-                next_net = _archived_network(
-                    next_edges, op.kept.size, where, next_mu
+                stored_next = _archived_network(
+                    next_edges, op.kept.size, where, op.reduction.mu
                 )
+                L = stored_next.L
                 try:
-                    check_invariant(
-                        next_mu, next_net.L - np.diag(np.diag(next_net.L))
-                    )
+                    check_invariant(stored_next.mu, L - np.diag(np.diag(L)))
                 except NumericalError as exc:
                     raise MalformedInput(f"{where}: {exc}") from None
             else:
                 raise MalformedInput(f"{where}: must be null or an edge list")
-            levels.append(
-                PyramidLevel(
-                    op=op,
-                    mu=mu,
-                    base_mass=mass,
-                    detail=detail,
-                    next_network=next_net,
-                    sparsified=next_edges is not None,
-                    q_tuning=(
-                        None
-                        if entry.get("q_tuning") is None
-                        else float(entry["q_tuning"])
-                    ),
-                )
+            level = PyramidLevel(
+                op=op,
+                detail=detail,
+                base_mass=_next_base_mass(levels),
+                stored_next=stored_next,
+                q_tuning=(
+                    None if entry.get("q_tuning") is None else float(entry["q_tuning"])
+                ),
             )
-            mass *= float(mu[op.kept].sum())
-            mu = next_mu
-            current = next_net
+            levels.append(level)
+            current = level.next_network
         apex = np.asarray([float(x) for x in doc["apex"]])
         if apex.size != current.n:
             raise MalformedInput("apex length does not match final network")
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"malformed pyramid archive: {exc}") from None
-    pyr = Pyramid(
-        base=base,
-        levels=levels,
-        apex=apex,
-        apex_mu=mu,
-        apex_base_mass=mass,
-        seed=doc.get("seed"),
-    )
+    pyr = Pyramid(base=base, levels=levels, apex=apex, seed=doc.get("seed"))
     return pyr, doc.get("meta", {})

@@ -47,7 +47,7 @@ class Network:
         directed graph must be strongly connected.
     mu :
         the invariant probability measure when the caller already has it
-        and has checked it, as :func:`coarsegrain.reduced_network` does
+        and has checked it, as :class:`coarsegrain.ReducedNetwork` does
         for ``mu(. | kept)``; it must be positive and is used instead of
         solving for one.
 
@@ -127,20 +127,21 @@ class Network:
         return tuple(zip(self.src.tolist(), self.dst.tolist(), self.w.tolist()))
 
     @cached_property
-    def adjacency(self) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-        """Per-vertex jump data: (targets, cumulative jump probs, exit rates)."""
+    def adjacency(self) -> tuple[list[list[int]], list[list[float]], list[float]]:
+        """Per-vertex jump data as the Python lists the sampler walks:
+        (targets, cumulative jump probs, exit rates)."""
         bounds = np.searchsorted(self.src, np.arange(self.n + 1))
         rates = np.zeros(self.n)
-        tarr: list[np.ndarray] = []
-        cumw: list[np.ndarray] = []
+        tarr: list[list[int]] = []
+        cumw: list[list[float]] = []
         for x in range(self.n):
             lo, hi = bounds[x], bounds[x + 1]
             wx = self.w[lo:hi]
             rates[x] = wx.sum()
-            tarr.append(self.dst[lo:hi])
+            tarr.append(self.dst[lo:hi].tolist())
             c = np.cumsum(wx)
-            cumw.append(c / c[-1])
-        return tarr, cumw, rates
+            cumw.append((c / c[-1]).tolist())
+        return tarr, cumw, rates.tolist()
 
     # -- invariant measure ---------------------------------------------
 
@@ -335,7 +336,7 @@ def vertex_set(n: int, ids: Iterable[int], what: str) -> np.ndarray:
     ``0..n-1`` raises ``InvalidParams``; ``what`` names the set in the
     message.
     """
-    given = [_vertex_id(v, what) for v in ids]
+    given = [vertex_id(v, what) for v in ids]
     out = sorted(set(given))
     if len(out) != len(given):
         raise InvalidParams(f"duplicate vertex in {what}")
@@ -345,7 +346,10 @@ def vertex_set(n: int, ids: Iterable[int], what: str) -> np.ndarray:
     return np.asarray(out, dtype=np.int64)
 
 
-def _vertex_id(v, what: str) -> int:
+def vertex_id(v, what: str) -> int:
+    """The integer ``v`` stands for, which may be any integral number
+    (``2.0`` is one, ``2.7`` is not); otherwise ``InvalidParams`` naming
+    ``what``, the set or sequence ``v`` belongs to."""
     try:
         return operator.index(v)
     except TypeError:

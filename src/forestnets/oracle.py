@@ -35,7 +35,7 @@ from .errors import (
     UnknownEdge,
     ZeroCoefficient,
 )
-from .network import Network, vertex_set
+from .network import Network, vertex_id, vertex_set
 
 OrientedEdge = tuple[int, int]
 
@@ -191,7 +191,9 @@ def transfer_current(
     """
     roots = vertex_set(net.n, B, "root set")
     q = _check_q(q, roots)
-    edges = [(int(s), int(d)) for s, d in edge_list]
+    edges = [
+        (vertex_id(s, "edge event"), vertex_id(d, "edge event")) for s, d in edge_list
+    ]
     L = net.L
     for s, d in edges:
         # an id outside 0..n-1 must not index L (a negative one would wrap);
@@ -373,7 +375,7 @@ def lerw_path_prob(
     """
     roots = vertex_set(net.n, B, "root set")
     q = _check_q(q, roots)
-    p = [int(x) for x in path]
+    p = [vertex_id(x, "path") for x in path]
     if not p:
         raise InvalidParams("path must contain at least one vertex")
     if len(set(p)) != len(p):

@@ -21,9 +21,6 @@ and a branch that needs more uniforms continues from a ``Philox`` set to
 counter ``[1, 0, 0, b]``.  Chunks too small to pay for that call skip it:
 each of their branches reads its whole stream from a ``Philox`` set to
 counter ``[0, 0, 0, b]``.  One ``Philox`` per call serves every branch.
-
-The ``threads`` arguments are accepted and ignored: sampling runs in the
-calling thread, and results never depend on them.
 """
 
 from __future__ import annotations
@@ -127,16 +124,6 @@ def _seek(
         "has_uint32": 0,
         "uinteger": 0,
     }
-
-
-def _jump_tables(net: Network) -> tuple[list[list[int]], list[list[float]], list[float]]:
-    """Python-native per-vertex jump data (targets, cumulative probs, rates)."""
-    targets, cumw, rates = net.adjacency
-    return (
-        [t.tolist() for t in targets],
-        [c.tolist() for c in cumw],
-        rates.tolist(),
-    )
 
 
 @dataclass
@@ -269,7 +256,7 @@ def _sample_parents(
     following ``parent`` from ``start`` then traces its loop erasure.
     """
     seed, indices = _stream_range(seed, first, count)
-    targets, cumw, rates = _jump_tables(net)
+    targets, cumw, rates = net.adjacency
     kill = [q / (q + r) for r in rates]
     n = net.n
     base = bytearray(n)
@@ -405,13 +392,10 @@ def empirical_stats(
     n_samples: int = 1000,
     *,
     seed: int,
-    threads: int = 1,
 ) -> SampleStats:
     """Sample ``n_samples`` forests and aggregate root/edge frequencies plus
     a chi-square comparison of the root-count histogram with the exact law.
-
-    ``threads`` is accepted and ignored; sample ``i`` always consumes the
-    substream keyed ``(seed, i)``.
+    Sample ``i`` consumes the substream keyed ``(seed, i)``.
     """
     q, roots = _check_sampling_args(net, q, B)
     if n_samples < 1:
@@ -639,7 +623,6 @@ def estimate_tuning(
     n_samples: int = 16,
     *,
     seed: int,
-    threads: int = 1,
 ) -> list[TuningRecord]:
     """Monte-Carlo tuning scan.
 
@@ -647,8 +630,7 @@ def estimate_tuning(
     estimates the reduced network's maximal rate, and
     ``1/beta_tilde = E[|V - R| / |R|] / w_max`` estimates the inverse
     return-speed; their product is the objective to minimize.  Grid point
-    ``g`` uses sample indices ``g * n_samples .. (g + 1) * n_samples - 1``;
-    ``threads`` is accepted and ignored.
+    ``g`` uses sample indices ``g * n_samples .. (g + 1) * n_samples - 1``.
     """
     if q_grid is None:
         q_grid = default_q_grid(net)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -28,19 +27,20 @@ import numpy as np
 from . import coarsegrain as cg
 from . import config, oracle, sampler
 from .errors import DegenerateBasis, InvalidParams, NumericalError
-from .network import Network, vertex_set
+from .network import Network
 from .norms import condition_measure, holder_conjugate, lp_norm
 
 _MAX_ROOT_RETRIES = 64
 _SEED_MASK = (1 << 64) - 1
 
 
-def _split(net: Network, keep: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    kept = vertex_set(net.n, keep, "kept set")
-    if kept.size == 0 or kept.size >= net.n:
+def _reduction(net: Network, keep: Sequence[int]) -> cg.ReducedNetwork:
+    """The reduction of an analysis step, whose kept set must be a proper
+    nonempty subset of the network's vertices."""
+    reduction = cg.ReducedNetwork(net, keep)
+    if reduction.kept.size >= net.n:
         raise InvalidParams("kept set must be a proper nonempty subset")
-    dropped = np.setdiff1d(np.arange(net.n), kept)
-    return kept, dropped
+    return reduction
 
 
 def _as_signal(values: Sequence[float], n: int) -> np.ndarray:
@@ -55,38 +55,22 @@ def _as_signal(values: Sequence[float], n: int) -> np.ndarray:
 
 
 class _LevelOperator:
-    """One analysis step ``(net, keep, q')``, validated once, with the
-    operators that read its Schur complement, reduced network and return
-    speeds.  All three are computed on first use and kept.  The killed
+    """One analysis step: the reduction of the level's network onto its
+    kept set, which computes the Schur complement, its ``w_max`` and the
+    return speeds once (see :class:`coarsegrain.ReducedNetwork`), and the
+    smoothing rate ``q'`` with the operators that depend on it.  The killed
     kernel ``K_{q'}`` is not kept: each call that needs it computes it
     once, so a pyramid holds no extra ``n x n`` matrix per level.
     """
 
-    def __init__(self, net: Network, keep: Sequence[int], q_prime: float) -> None:
-        self.net = net
-        self.kept, self.dropped = _split(net, keep)
+    def __init__(self, reduction: cg.ReducedNetwork, q_prime: float) -> None:
         if not (math.isfinite(q_prime) and q_prime > 0):
             raise InvalidParams(f"q' must be positive and finite, got {q_prime}")
+        self.reduction = reduction
+        self.net = reduction.parent
+        self.kept = reduction.kept
+        self.dropped = np.setdiff1d(np.arange(self.net.n), self.kept)
         self.q_prime = q_prime
-
-    @cached_property
-    def schur(self) -> tuple[np.ndarray, float]:
-        """``(Lbar, w_bar)``: the exact Schur complement on the kept set, run
-        through the reduction's guards, and the reduced network's ``w_max``."""
-        Lbar = cg.schur_complement(self.net, self.kept)
-        rates = cg.reduced_rates(self.net, self.kept, Lbar)
-        return Lbar, float(rates.sum(axis=1).max())
-
-    @cached_property
-    def reduced(self) -> Network:
-        """The exact Schur-reduced network on the kept set, built from
-        :attr:`schur`'s complement (see :func:`coarsegrain.reduced_network`)."""
-        return cg.reduced_network(self.net, self.kept, self.schur[0])
-
-    @cached_property
-    def speeds(self) -> tuple[float, float]:
-        """Return speeds ``(beta, gamma)`` toward the kept set."""
-        return cg.beta_gamma(self.net, self.kept)
 
     def reconstruct(
         self, approx: Sequence[float], detail: Sequence[float]
@@ -96,7 +80,7 @@ class _LevelOperator:
         fd = _as_signal(detail, d.size)
         L = self.net.L
         A = -L[np.ix_(d, d)]
-        Lbar, _ = self.schur
+        Lbar = self.reduction.Lbar
         inv_detail = np.linalg.solve(A, fd)
         out = np.empty(self.net.n)
         out[k] = fb - (Lbar @ fb) / qp + L[np.ix_(k, d)] @ inv_detail
@@ -104,13 +88,13 @@ class _LevelOperator:
         return out
 
     def approx_factor(self, p: float) -> float:
-        a = 1.0 + 2.0 * self.schur[1] / self.q_prime
+        a = 1.0 + 2.0 * self.reduction.w_max / self.q_prime
         if p == math.inf:
             return a
-        return (a**p + self.net.w_max / self.speeds[0]) ** (1.0 / p)
+        return (a**p + self.net.w_max / self.reduction.speeds[0]) ** (1.0 / p)
 
     def detail_factor(self, p: float) -> float:
-        beta, gamma = self.speeds
+        beta, gamma = self.reduction.speeds
         w_over_beta = self.net.w_max / beta
         b = 1.0 + self.q_prime / gamma if math.isfinite(gamma) else 1.0
         if p == math.inf:
@@ -143,7 +127,7 @@ def analyze_level(
     net: Network, keep: Sequence[int], q_prime: float, values: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split a signal into (approximation on kept, detail on dropped)."""
-    op = _LevelOperator(net, keep, q_prime)
+    op = _LevelOperator(_reduction(net, keep), q_prime)
     f = _as_signal(values, net.n)
     smooth = oracle.green(net, q_prime).K @ f
     return smooth[op.kept], (smooth - f)[op.dropped]
@@ -163,7 +147,7 @@ def reconstruct_level(
     through the complementary blocks.  ``Lbar`` is the exact Schur
     complement of the generator on the kept set.
     """
-    return _LevelOperator(net, keep, q_prime).reconstruct(approx, detail)
+    return _LevelOperator(_reduction(net, keep), q_prime).reconstruct(approx, detail)
 
 
 def basis_functions(
@@ -176,7 +160,7 @@ def basis_functions(
     the wavelet of dropped vertex ``j``, which has zero mean under ``mu``.
     Analysis coefficients are ``mu``-inner products against these rows.
     """
-    op = _LevelOperator(net, keep, q_prime)
+    op = _LevelOperator(_reduction(net, keep), q_prime)
     K = oracle.green(net, q_prime).K
     scaling = K[op.kept, :] / net.mu[None, :]
     wavelets = (K - np.eye(net.n))[op.dropped, :] / net.mu[None, :]
@@ -201,26 +185,40 @@ class PyramidLevel:
 
     ``op`` is the step's operator, which holds the level's network (level
     0 is the base), its ``keep`` and ``dropped`` index sets into that
-    network and ``q_prime``; position ``i`` of the next level corresponds
-    to ``keep[i]`` here.  ``mu`` is the base invariant measure conditioned
-    down to this level and ``base_mass`` the total base-measure weight the
-    level still carries.  ``next_network`` is the network the next level
-    runs on: ``op.reduced``, the exact Schur reduction, unless
-    ``sparsified``, when it is a sparsification of it (or, read from an
-    archive, a stored network that may be either).
+    network, ``q_prime`` and the exact reduction onto ``keep``; position
+    ``i`` of the next level corresponds to ``keep[i]`` here.
+    ``base_mass`` is the total base-measure weight the level still
+    carries.  ``stored_next`` is the network the next level runs on when
+    that is not the exact reduction's: a sparsification of it, or, read
+    from an archive, a stored network that may be either; otherwise it is
+    ``None``.  The level's measure ``mu`` (the base measure conditioned
+    down to this level) is its network's own.
     """
 
     op: _LevelOperator
-    mu: np.ndarray
-    base_mass: float
     detail: np.ndarray
-    next_network: Network
-    sparsified: bool
+    base_mass: float
+    stored_next: Network | None = None
     q_tuning: float | None = None
 
     @property
     def network(self) -> Network:
         return self.op.net
+
+    @property
+    def mu(self) -> np.ndarray:
+        return self.network.mu
+
+    @property
+    def next_network(self) -> Network:
+        """The network the next level runs on."""
+        if self.stored_next is None:
+            return self.op.reduction.network
+        return self.stored_next
+
+    @property
+    def sparsified(self) -> bool:
+        return self.stored_next is not None
 
     @property
     def keep(self) -> np.ndarray:
@@ -239,14 +237,33 @@ class PyramidLevel:
         return self.network.n
 
 
+def _next_base_mass(levels: list[PyramidLevel]) -> float:
+    """Base-measure weight carried by the network after ``levels``: 1 at
+    the base, times ``mu(keep)`` at every level."""
+    if not levels:
+        return 1.0
+    last = levels[-1]
+    return last.base_mass * float(last.mu[last.keep].sum())
+
+
 @dataclass
 class Pyramid:
+    """Levels from the base network down, and the apex signal on the
+    network after the last level, whose measure and base-measure weight
+    are ``apex_mu`` and ``apex_base_mass``."""
+
     base: Network
     levels: list[PyramidLevel]
     apex: np.ndarray
-    apex_mu: np.ndarray
-    apex_base_mass: float
     seed: int | None = None
+
+    @property
+    def apex_mu(self) -> np.ndarray:
+        return self.levels[-1].next_network.mu if self.levels else self.base.mu
+
+    @property
+    def apex_base_mass(self) -> float:
+        return _next_base_mass(self.levels)
 
     @property
     def depth(self) -> int:
@@ -291,7 +308,6 @@ def build_pyramid(
     sparsify_theta: float | None = None,
     forced_keep: Sequence[Sequence[int]] | None = None,
     forced_q_prime: Sequence[float] | None = None,
-    threads: int = 1,
 ) -> Pyramid:
     """Build a multiresolution pyramid for a signal.
 
@@ -304,8 +320,7 @@ def build_pyramid(
     reduced network is sparsified before feeding the next level; the
     exact Schur complement is still what the reconstruction and the
     stability constants of the current level use.  Level ``k`` tunes with
-    seed ``seed + k + 1`` modulo ``2**64``; ``threads`` is accepted and
-    ignored.
+    seed ``seed + k + 1`` modulo ``2**64``.
     """
     f = _as_signal(values, net.n)
     if forced_keep is None and seed is None:
@@ -320,8 +335,6 @@ def build_pyramid(
 
     levels: list[PyramidLevel] = []
     current = net
-    mu = net.mu.copy()
-    mass = 1.0
     while current.n >= min_size:
         if max_levels is not None and len(levels) >= max_levels:
             break
@@ -337,43 +350,32 @@ def build_pyramid(
                 current, q_grid, n_tuning_samples, (seed + idx + 1) & _SEED_MASK
             )
             keep = _draw_keep(current, q_tuning, seed, idx)
-        kept, dropped = _split(current, keep)
+        reduction = _reduction(current, keep)
+        kept = reduction.kept
         if forced_q_prime is not None:
             q_prime = float(forced_q_prime[idx])
         else:
-            q_prime = 2.0 * current.w_max * kept.size / dropped.size
-        op = _LevelOperator(current, kept, q_prime)
+            q_prime = 2.0 * current.w_max * kept.size / (current.n - kept.size)
+        op = _LevelOperator(reduction, q_prime)
 
         approx, detail = analyze_level(current, kept, q_prime, f)
-        next_net = op.reduced
+        stored_next = None
         if sparsify_theta is not None:
-            reduction = cg.ReducedNetwork(network=next_net, kept=kept, parent=current)
-            next_net = cg.sparsify(reduction, q_prime, sparsify_theta).network
-
-        levels.append(
-            PyramidLevel(
-                op=op,
-                mu=mu,
-                base_mass=mass,
-                detail=detail,
-                next_network=next_net,
-                sparsified=next_net is not op.reduced,
-                q_tuning=q_tuning,
-            )
+            sparse = cg.sparsify(reduction, q_prime, sparsify_theta)
+            if sparse is not reduction.network:
+                stored_next = sparse
+        level = PyramidLevel(
+            op=op,
+            detail=detail,
+            base_mass=_next_base_mass(levels),
+            stored_next=stored_next,
+            q_tuning=q_tuning,
         )
-        mass *= float(mu[kept].sum())
-        mu = condition_measure(mu, kept)
-        current = next_net
+        levels.append(level)
+        current = level.next_network
         f = approx
 
-    return Pyramid(
-        base=net,
-        levels=levels,
-        apex=f,
-        apex_mu=mu,
-        apex_base_mass=mass,
-        seed=seed,
-    )
+    return Pyramid(base=net, levels=levels, apex=f, seed=seed)
 
 
 def signal_levels(pyr: Pyramid) -> list[np.ndarray]:
@@ -443,7 +445,7 @@ def _compress(pyr: Pyramid, keep_count: int, exact: np.ndarray) -> CompressionRe
     for _, li, di in _detail_scores(pyr)[:keep_count]:
         details[li][di] = pyr.levels[li].detail[di]
     values = _lift(pyr, details)[0]
-    mu = pyr.levels[0].mu if pyr.levels else pyr.apex_mu
+    mu = pyr.base.mu
     denom = lp_norm(exact, mu, 2.0)
     rel = 0.0 if denom == 0.0 else lp_norm(values - exact, mu, 2.0) / denom
     return CompressionResult(
@@ -476,14 +478,14 @@ def approx_check(
     the approximation-operator constant times the kept-mass correction
     times the coarse norm.
     """
-    return _LevelOperator(net, keep, q_prime).approx_check(coarse, p)
+    return _LevelOperator(_reduction(net, keep), q_prime).approx_check(coarse, p)
 
 
 def detail_check(
     net: Network, keep: Sequence[int], q_prime: float, detail: Sequence[float], p: float
 ) -> tuple[float, float]:
     """(measured, bound) for lifting a detail vector back to the level."""
-    return _LevelOperator(net, keep, q_prime).detail_check(detail, p)
+    return _LevelOperator(_reduction(net, keep), q_prime).detail_check(detail, p)
 
 
 def detail_size_check(
@@ -491,7 +493,7 @@ def detail_size_check(
 ) -> tuple[float, float]:
     """(measured, bound) for the size of a signal's detail coefficients:
     smooth signals (small ``L f``) produce small details."""
-    dropped = _LevelOperator(net, keep, q_prime).dropped
+    dropped = _LevelOperator(_reduction(net, keep), q_prime).dropped
     f = _as_signal(values, net.n)
     K = oracle.green(net, q_prime).K
     fd = (K @ f - f)[dropped]
@@ -555,7 +557,7 @@ def stability_bounds(pyr: Pyramid, p: float) -> StabilityReport:
     if not pyr.levels:
         raise InvalidParams("pyramid has no levels")
     sigs = signal_levels(pyr)
-    base_mu = pyr.levels[0].mu
+    base_mu = pyr.base.mu
     f0 = sigs[0]
     pstar = holder_conjugate(p)
 
@@ -606,7 +608,7 @@ def stability_bounds(pyr: Pyramid, p: float) -> StabilityReport:
         term = prod * lvl.op.detail_factor(p) / lvl.q_prime
         a_sum += term
         b_sum += term * defect_acc
-        wb = lvl.network.w_max / lvl.op.speeds[0]
+        wb = lvl.network.w_max / lvl.op.reduction.speeds[0]
         defect_acc += 2.0 * lvl.q_prime * (
             wb ** (1.0 / pstar) if pstar != math.inf else 1.0
         )

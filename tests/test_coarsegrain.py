@@ -1,6 +1,5 @@
 """Coarse-graining: Schur reduction, link operators, quality functionals."""
 
-import dataclasses
 import itertools
 import math
 
@@ -130,6 +129,27 @@ def test_partition_link_validation(path3):
         cg.partition_link(path3, [[0, 1], [1, 2]])
     with pytest.raises(EmptyBlock):
         cg.partition_link(path3, [[0], [1]])
+
+
+@pytest.mark.parametrize(
+    "blocks", [[[0.5], [1, 2]], [[0], [1, 2.5]], [[0, math.nan], [1, 2]]]
+)
+def test_partition_ids_must_be_integers(path3, blocks):
+    # [[0.5], [1, 2]] used to be read as [[0], [1, 2]]
+    for reader in (
+        lambda: cg.partition_link(path3, blocks),
+        lambda: cg.metastable_kernel(path3, blocks, 1.0),
+        lambda: cg.intertwining_error_tv(path3, blocks, 1.0),
+    ):
+        with pytest.raises(InvalidParams, match="of partition is not an integer"):
+            reader()
+
+
+def test_partition_takes_integral_numbers(path3):
+    # a guard: integral numbers of any type stay ids
+    want = cg.metastable_kernel(path3, [[0], [1, 2]], 1.0)
+    got = cg.metastable_kernel(path3, [[0.0], [np.int64(2), 1.0]], 1.0)
+    assert np.array_equal(got, want)
 
 
 def test_kernel_link_rows_are_killed_kernel(two_asym):
@@ -320,16 +340,16 @@ def ring8_reduction():
 
 
 def test_sparsify_theta_zero_is_noop(ring8_reduction):
-    assert cg.sparsify(ring8_reduction, 1.0, 0.0) is ring8_reduction
+    assert cg.sparsify(ring8_reduction, 1.0, 0.0) is ring8_reduction.network
 
 
 def test_sparsify_removes_pairs_within_budget(ring8_reduction):
     theta = 0.5
     q_prime = 1.0
     sparse = cg.sparsify(ring8_reduction, q_prime, theta)
-    assert sparse.network.w.size == 6
-    assert sparse.network.reversible
-    assert np.abs(sparse.network.mu - ring8_reduction.mu).max() < 1e-12
+    assert sparse.w.size == 6
+    assert sparse.reversible
+    assert np.abs(sparse.mu - ring8_reduction.mu).max() < 1e-12
 
     link = cg.kernel_link(
         ring8_reduction.parent, ring8_reduction.kept, q_prime
@@ -341,15 +361,14 @@ def test_sparsify_removes_pairs_within_budget(ring8_reduction):
 
 
 def test_sparsify_checks_the_measure_it_keeps(ring8_reduction):
-    # the uniform ring's reduction paired with a parent whose conditioned
-    # measure is not uniform: that measure is not invariant, and must not
-    # be handed to the sparsified network
+    # the uniform ring's reduced network paired with a parent whose
+    # conditioned measure is not uniform: that measure is not invariant,
+    # and must not be handed to the sparsified network
     weights = [1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
     edges = [(x, (x + 1) % 8, w) for x, w in enumerate(weights)]
     edges += [((x + 1) % 8, x, 1.0) for x in range(8)]
-    skewed = dataclasses.replace(
-        ring8_reduction, parent=build_network(edges, 8)
-    )
+    skewed = cg.ReducedNetwork(build_network(edges, 8), ring8_reduction.kept)
+    skewed.network = ring8_reduction.network
     assert np.ptp(skewed.mu) > 1e-3
     with pytest.raises(NumericalError, match="conditioned measure"):
         cg.sparsify(skewed, 1.0, 0.5)
@@ -359,7 +378,7 @@ def test_sparsify_preserves_irreducibility(ring8_reduction):
     # even with an unlimited budget, removals that would disconnect the
     # support are refused; a spanning structure always survives
     sparse = cg.sparsify(ring8_reduction, 1.0, 1e9)
-    assert sparse.network.w.size >= 2 * (sparse.n - 1)
+    assert sparse.w.size >= 2 * (sparse.n - 1)
 
 
 def test_sparsify_validation(ring8_reduction, cycle3):

@@ -251,6 +251,33 @@ def test_archive_round_trip_computes_each_schur_complement_once(monkeypatch, the
     assert len(calls) == back.depth
 
 
+@pytest.mark.parametrize("theta", [None, 0.5])
+def test_each_level_checks_its_reduced_rates_once(monkeypatch, theta):
+    # the Schur guards of a level run once, whether the level's network,
+    # its w_max, its complement or a sparsification reads them
+    calls = []
+    real = cg.reduced_rates
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cg, "reduced_rates", counted)
+    n = 32
+    net = build_network(cycle_edges(n, 1.0), n)
+    f = np.sin(np.arange(n) / 4.0)
+    pyr = wv.build_pyramid(net, f, seed=9, max_levels=3, sparsify_theta=theta)
+    buf = io.StringIO()
+    fileio.write_pyramid(buf, pyr)
+    assert len(calls) == pyr.depth == 3
+    calls.clear()
+    back, _ = fileio.read_pyramid(io.StringIO(buf.getvalue()))
+    wv.compression_curve(back, [0.1, 0.5, 1.0])
+    for p in (1.0, 2.0, math.inf):
+        wv.stability_bounds(back, p)
+    assert len(calls) == back.depth
+
+
 def test_rewriting_a_v1_archive_keeps_its_networks(monkeypatch):
     # a version 1 level may hold an exact or a sparsified network, so its
     # edges are stored again; telling which would take a Schur complement

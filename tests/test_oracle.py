@@ -148,6 +148,23 @@ def test_edge_ids_outside_network_are_unknown(two_asym, edge, signed):
         oracle.transfer_current(two_asym, 3.0, [edge], signed=signed)
 
 
+@pytest.mark.parametrize("edge", [(0.9, 1), (0, 1.5), (math.nan, 1), (0, math.inf)])
+@pytest.mark.parametrize("signed", [False, True])
+def test_edge_ids_must_be_integers(two_asym, edge, signed):
+    # (0.9, 1) used to be truncated to the edge (0, 1)
+    with pytest.raises(InvalidParams, match="of edge event is not an integer"):
+        oracle.edge_inclusion_prob(two_asym, 3.0, [edge], signed=signed)
+    with pytest.raises(InvalidParams, match="of edge event is not an integer"):
+        oracle.transfer_current(two_asym, 3.0, [edge], signed=signed)
+
+
+def test_integral_edge_ids_of_any_type(two_asym):
+    # a guard: integral numbers of any type stay ids
+    want = oracle.edge_inclusion_prob(two_asym, 3.0, [(0, 1)])
+    for edge in [(0.0, 1.0), (np.int64(0), np.float64(1.0))]:
+        assert oracle.edge_inclusion_prob(two_asym, 3.0, [edge]) == want
+
+
 def test_root_vertex_has_no_outgoing_edge(two_asym):
     # an edge out of a forced root never appears
     assert oracle.edge_inclusion_prob(
@@ -223,6 +240,19 @@ def test_lerw_validation(two_asym):
         oracle.lerw_path_prob(two_asym, 3.0, [1], B=[1])
     with pytest.raises(InvalidParams):
         oracle.lerw_path_prob(two_asym, 3.0, [])
+
+
+@pytest.mark.parametrize("path", [[0.7], [0, 1.5], [math.nan], [0, math.inf]])
+def test_lerw_path_ids_must_be_integers(two_asym, path):
+    # [0.7] used to be read as [0]
+    with pytest.raises(InvalidParams, match="of path is not an integer"):
+        oracle.lerw_path_prob(two_asym, 3.0, path)
+
+
+def test_lerw_path_takes_integral_numbers(two_asym):
+    # a guard: integral numbers of any type stay ids
+    want = oracle.lerw_path_prob(two_asym, 3.0, [0, 1])
+    assert oracle.lerw_path_prob(two_asym, 3.0, [0.0, np.int64(1)]) == want
 
 
 def test_lerw_missing_edge_probability_zero(path3):

@@ -93,8 +93,8 @@ def test_empirical_stats_against_oracle(two_asym):
 
 
 def test_empirical_stats_threads_reproducible(path3):
-    a = sampler.empirical_stats(path3, 1.0, n_samples=500, seed=3, threads=1)
-    b = sampler.empirical_stats(path3, 1.0, n_samples=500, seed=3, threads=3)
+    a = sampler.empirical_stats(path3, 1.0, n_samples=500, seed=3)
+    b = sampler.empirical_stats(path3, 1.0, n_samples=500, seed=3)
     assert a.root_count_hist == b.root_count_hist
     assert np.array_equal(a.root_freq, b.root_freq)
     assert a.edge_freq == b.edge_freq
@@ -182,8 +182,8 @@ def test_estimate_tuning_default_grid(two_asym):
 
 
 def test_estimate_tuning_threads_deterministic(path3):
-    a = sampler.estimate_tuning(path3, n_samples=8, seed=5, threads=1)
-    b = sampler.estimate_tuning(path3, n_samples=8, seed=5, threads=4)
+    a = sampler.estimate_tuning(path3, n_samples=8, seed=5)
+    b = sampler.estimate_tuning(path3, n_samples=8, seed=5)
     assert [(r.q, r.w_tilde, r.one_over_beta_tilde) for r in a] == [
         (r.q, r.w_tilde, r.one_over_beta_tilde) for r in b
     ]
@@ -228,6 +228,15 @@ def test_philox_kernel_extreme_key():
             br = np.array([branch], dtype=np.uint64)
             got = np.stack(sampler._philox_uniforms(top, index, br, block), -1)
             assert np.array_equal(got[0], want[4 * block - 4:4 * block])
+
+
+def test_jump_tables_are_cached_python_lists(path3):
+    # the sampler walks these tables; a network builds them once
+    targets, cumw, rates = path3.adjacency
+    assert path3.adjacency[0] is targets
+    assert targets == [[1], [0, 2], [1]]
+    assert all(type(c) is float for row in cumw for c in row)
+    assert type(rates) is list and cumw[1][-1] == 1.0
 
 
 def _reference_parent(net, q, roots, seed, sample_index):

@@ -78,16 +78,17 @@ def test_keep_validation(two_asym):
 
 @pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
 def test_level_w_bar_is_reduced_w_max(name):
-    # the level reads the reduced network's w_max off its own Schur
-    # complement, bit for bit
+    # a reduction reads its network's w_max off its checked rates, bit for
+    # bit, without building the network
     net = ALL_NETS[name]
     rng = np.random.default_rng(3)
     for _ in range(4):
         if net.n < 2:
             break
         keep = rng.choice(net.n, size=int(rng.integers(1, net.n)), replace=False)
-        _, w_bar = wv._LevelOperator(net, keep, 1.0).schur
-        assert w_bar == cg.schur_reduce(net, keep).network.w_max
+        reduction = cg.ReducedNetwork(net, keep)
+        assert reduction.w_max == cg.schur_reduce(net, keep).network.w_max
+        assert "network" not in vars(reduction)
 
 
 @pytest.mark.parametrize("defect", ["negative rate", "measure not invariant"])
@@ -256,9 +257,7 @@ def test_sparsified_bounds_read_exact_schur():
     exact = dataclasses.replace(
         pyr,
         levels=[
-            dataclasses.replace(
-                lvl, next_network=cg.schur_reduce(lvl.network, lvl.keep).network
-            )
+            dataclasses.replace(lvl, stored_next=None)
             for lvl in pyr.levels
         ],
     )
