@@ -19,17 +19,20 @@ sparsification of reduced generators.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from . import config, oracle, sampler
 from .errors import (
     EmptyBlock,
     InvalidParams,
     NumericalError,
+    SingularSystem,
     ZeroProbability,
 )
 from .network import Network, reachable, skeleton, vertex_id, vertex_set
@@ -53,11 +56,45 @@ class ReducedNetwork:
     measure conditioned on ``kept``, which those checks show invariant for
     the reduced generator, so the network takes it rather than solving for
     one; reading ``mu`` or ``w_max`` never builds the network.
+
+    :meth:`solve_dropped` solves with ``-L_DD``, the parent's generator on
+    the ``dropped`` vertices, through one LU factorization made on first
+    use and kept, so that every reconstruction through this reduction
+    shares it.  The Schur complement still takes its own dense solve.
     """
 
     def __init__(self, parent: Network, keep: Sequence[int]) -> None:
         self.parent = parent
         self.kept = _canon_keep(parent, keep)
+
+    @cached_property
+    def dropped(self) -> np.ndarray:
+        return np.setdiff1d(np.arange(self.parent.n), self.kept)
+
+    @cached_property
+    def _lu(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """``-L_DD``, kept for the residual checks, and its LU factors."""
+        d = self.dropped
+        A = -self.parent.L[np.ix_(d, d)]
+        # lu_factor only warns on a singular matrix
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            try:
+                lu, piv = scipy.linalg.lu_factor(A)
+            except scipy.linalg.LinAlgWarning as exc:
+                raise SingularSystem("-L_DD is singular") from exc
+        if not np.diag(lu).all():
+            raise SingularSystem("-L_DD has a zero pivot")
+        return A, (lu, piv)
+
+    def solve_dropped(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve ``-L_DD x = rhs`` (one or several columns) with the kept
+        factorization; the residual is checked as
+        :func:`oracle.check_residual` does."""
+        A, factors = self._lu
+        x = scipy.linalg.lu_solve(factors, rhs)
+        oracle.check_residual(A, x, rhs, "dropped-block")
+        return x
 
     @cached_property
     def mu(self) -> np.ndarray:
@@ -210,10 +247,21 @@ def metastable_kernel(
     """Coarse kernel of a partition: start from the block equilibrium, run
     the walk to an independent exponential time of rate ``q'``, record the
     landing block."""
+    link, K = _partition_kernel(net, blocks, q_prime)
+    return _metastable(net, link, K)
+
+
+def _partition_kernel(
+    net: Network, blocks: Sequence[Sequence[int]], q_prime: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The partition link and the killed kernel ``K_{q'}``."""
     link = partition_link(net, blocks)
     if q_prime <= 0 or not np.isfinite(q_prime):
         raise InvalidParams("q' must be positive and finite")
-    K = oracle.green(net, q_prime).K
+    return link, oracle.green(net, q_prime).K
+
+
+def _metastable(net: Network, link: np.ndarray, K: np.ndarray) -> np.ndarray:
     # row i of the link is positive exactly on block i
     member = (link > 0.0).astype(float)
     Pbar = link @ K @ member.T
@@ -228,9 +276,8 @@ def intertwining_error_tv(
 ) -> np.ndarray:
     """Row-wise total variation gap between running the fine kernel after
     the link and running the coarse kernel before it."""
-    link = partition_link(net, blocks)
-    K = oracle.green(net, q_prime).K
-    Pbar = metastable_kernel(net, blocks, q_prime)
+    link, K = _partition_kernel(net, blocks, q_prime)
+    Pbar = _metastable(net, link, K)
     fine = link @ K
     coarse = Pbar @ link
     return np.asarray(

@@ -429,11 +429,18 @@ def hitting_times(net: Network, B: Sequence[int]) -> np.ndarray:
             hf = np.linalg.solve(M, np.ones(free.size))
         except np.linalg.LinAlgError as exc:
             raise SingularSystem("hitting-time system singular") from exc
-        resid = np.abs(M @ hf - 1.0).max()
-        if resid > config.RESIDUAL_TOL * max(1.0, np.abs(hf).max()):
-            raise SingularSystem(f"hitting-time residual {resid:.3e}")
+        check_residual(M, hf, 1.0, "hitting-time")
         h[free] = hf
     return h
+
+
+def check_residual(M: np.ndarray, x: np.ndarray, b, what: str) -> None:
+    """Raise ``SingularSystem`` unless the solution ``x`` of ``M x = b``
+    has a residual ``max |M x - b|`` within ``RESIDUAL_TOL`` times the
+    largest entry of ``x``, at least 1."""
+    resid = float(np.abs(M @ x - b).max())
+    if not resid <= config.RESIDUAL_TOL * max(1.0, float(np.abs(x).max())):
+        raise SingularSystem(f"{what} residual {resid:.3e}")
 
 
 def mean_root_hitting(net: Network, q: float) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import coarsegrain as cg
 from . import config, oracle, sampler
-from .errors import DegenerateBasis, InvalidParams, NumericalError
+from .errors import DegenerateBasis, InvalidParams, NumericalError, SingularSystem
 from .network import Network
 from .norms import condition_measure, holder_conjugate, lp_norm
 
@@ -56,11 +56,14 @@ def _as_signal(values: Sequence[float], n: int) -> np.ndarray:
 
 class _LevelOperator:
     """One analysis step: the reduction of the level's network onto its
-    kept set, which computes the Schur complement, its ``w_max`` and the
-    return speeds once (see :class:`coarsegrain.ReducedNetwork`), and the
-    smoothing rate ``q'`` with the operators that depend on it.  The killed
-    kernel ``K_{q'}`` is not kept: each call that needs it computes it
-    once, so a pyramid holds no extra ``n x n`` matrix per level.
+    kept set, which computes the Schur complement, its ``w_max``, the
+    return speeds and one LU factorization of ``-L_DD`` once each (see
+    :class:`coarsegrain.ReducedNetwork`), and the smoothing rate ``q'``
+    with the operators that depend on it.  No query forms the killed
+    kernel ``K_{q'}`` or any inverse: :meth:`reconstruct` solves with the
+    kept factorization, and :meth:`detail_size_check` solves
+    ``q' Id - L`` for the two vectors it needs, so a pyramid holds no
+    ``n x n`` inverse.
     """
 
     def __init__(self, reduction: cg.ReducedNetwork, q_prime: float) -> None:
@@ -69,7 +72,7 @@ class _LevelOperator:
         self.reduction = reduction
         self.net = reduction.parent
         self.kept = reduction.kept
-        self.dropped = np.setdiff1d(np.arange(self.net.n), self.kept)
+        self.dropped = reduction.dropped
         self.q_prime = q_prime
 
     def reconstruct(
@@ -78,13 +81,19 @@ class _LevelOperator:
         k, d, qp = self.kept, self.dropped, self.q_prime
         fb = _as_signal(approx, k.size)
         fd = _as_signal(detail, d.size)
-        L = self.net.L
-        A = -L[np.ix_(d, d)]
-        Lbar = self.reduction.Lbar
-        inv_detail = np.linalg.solve(A, fd)
-        out = np.empty(self.net.n)
-        out[k] = fb - (Lbar @ fb) / qp + L[np.ix_(k, d)] @ inv_detail
-        out[d] = np.linalg.solve(A, L[np.ix_(d, k)] @ fb) - fd - qp * inv_detail
+        L, n = self.net.L, self.net.n
+        # the off-diagonal blocks of L act through zero-padded vectors,
+        # which reads L in place instead of copying a block out of it
+        padded = np.zeros(n)
+        padded[k] = fb
+        # one solve with -L_DD for the detail and the harmonic extension
+        x = self.reduction.solve_dropped(np.column_stack([fd, (L @ padded)[d]]))
+        inv_detail, harmonic = x[:, 0], x[:, 1]
+        padded = np.zeros(n)
+        padded[d] = inv_detail
+        out = np.empty(n)
+        out[k] = fb - (self.reduction.Lbar @ fb) / qp + (L @ padded)[k]
+        out[d] = harmonic - fd - qp * inv_detail
         return out
 
     def approx_factor(self, p: float) -> float:
@@ -112,6 +121,36 @@ class _LevelOperator:
         fd = _as_signal(detail, self.dropped.size)
         lifted = self.reconstruct(np.zeros(self.kept.size), fd)
         return self._lift_check(lifted, fd, self.dropped, self.detail_factor(p), p)
+
+    def detail_size_check(
+        self, values: Sequence[float], p: float
+    ) -> tuple[float, float]:
+        """(measured, bound) for the size of a signal's detail coefficients
+        (see :func:`detail_size_check`), from one solve of ``q' Id - L``
+        for ``f`` and ``1_D``."""
+        net, d, qp = self.net, self.dropped, self.q_prime
+        f = _as_signal(values, net.n)
+        rhs = np.zeros((net.n, 2))
+        rhs[:, 0] = f
+        rhs[d, 1] = 1.0
+        M = -net.L
+        M.flat[:: net.n + 1] += qp
+        try:
+            G = np.linalg.solve(M, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(f"q' Id - L singular at q'={qp}") from exc
+        oracle.check_residual(M, G, rhs, "q' Id - L")
+        Kf, K1d = qp * G[:, 0], qp * G[:, 1]
+        fd = (Kf - f)[d]
+        measured = lp_norm(fd, condition_measure(net.mu, d), p)
+        lf = net.L @ f
+        if p == math.inf:
+            factor = 1.0 / qp
+        else:
+            hit_mass = float(K1d.max())
+            mass = float(net.mu[d].sum())
+            factor = hit_mass ** (1.0 / p) / (qp * mass ** (1.0 / p))
+        return float(measured), float(factor * lp_norm(lf, net.mu, p))
 
     def _lift_check(self, lifted, coeffs, part, factor, p) -> tuple[float, float]:
         """(measured, bound) for ``coeffs`` on ``part`` lifted to ``lifted``."""
@@ -492,20 +531,14 @@ def detail_size_check(
     net: Network, keep: Sequence[int], q_prime: float, values: Sequence[float], p: float
 ) -> tuple[float, float]:
     """(measured, bound) for the size of a signal's detail coefficients:
-    smooth signals (small ``L f``) produce small details."""
-    dropped = _LevelOperator(_reduction(net, keep), q_prime).dropped
-    f = _as_signal(values, net.n)
-    K = oracle.green(net, q_prime).K
-    fd = (K @ f - f)[dropped]
-    measured = lp_norm(fd, condition_measure(net.mu, dropped), p)
-    lf = net.L @ f
-    if p == math.inf:
-        factor = 1.0 / q_prime
-    else:
-        hit_mass = float(K[:, dropped].sum(axis=1).max())
-        mass = float(net.mu[dropped].sum())
-        factor = hit_mass ** (1.0 / p) / (q_prime * mass ** (1.0 / p))
-    return float(measured), float(factor * lp_norm(lf, net.mu, p))
+    smooth signals (small ``L f``) produce small details.
+
+    Measured is the conditioned p-norm of ``(K_{q'} f - f)`` on the
+    dropped vertices; the bound is ``||L f|| / q'`` times, for finite
+    ``p``, ``(max K_{q'} 1_D / mu(D))^(1/p)``.  ``K_{q'} f`` and
+    ``K_{q'} 1_D`` come from one two-column solve, not from ``K_{q'}``.
+    """
+    return _LevelOperator(_reduction(net, keep), q_prime).detail_size_check(values, p)
 
 
 @dataclass
@@ -568,7 +601,7 @@ def stability_bounds(pyr: Pyramid, p: float) -> StabilityReport:
             lvl.q_prime,
             *lvl.op.approx_check(sigs[i + 1], p),
             *lvl.op.detail_check(lvl.detail, p),
-            *detail_size_check(lvl.network, lvl.keep, lvl.q_prime, sigs[i], p),
+            *lvl.op.detail_size_check(sigs[i], p),
         )
         for i, lvl in enumerate(pyr.levels)
     ]

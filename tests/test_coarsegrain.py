@@ -2,9 +2,11 @@
 
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from forestnets import coarsegrain as cg
 from forestnets import oracle
@@ -12,6 +14,7 @@ from forestnets.errors import (
     EmptyBlock,
     InvalidParams,
     NumericalError,
+    SingularSystem,
     ZeroProbability,
 )
 from forestnets.network import build_network, skeleton
@@ -112,6 +115,37 @@ def test_schur_keep_validation(path3):
     assert red.kept.tolist() == [0, 2]
 
 
+@pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
+def test_solve_dropped_factors_once(monkeypatch, name):
+    net = ALL_NETS[name]
+    factored = []
+    real = scipy.linalg.lu_factor
+    monkeypatch.setattr(
+        scipy.linalg, "lu_factor", lambda A: factored.append(A.shape) or real(A)
+    )
+    for keep in keep_choices(net.n):
+        red = cg.ReducedNetwork(net, keep)
+        d = red.dropped
+        if d.size == 0:
+            continue
+        factored.clear()
+        A = -net.L[np.ix_(d, d)]
+        rhs = np.column_stack([np.ones(d.size), np.arange(d.size, dtype=float)])
+        assert np.abs(red.solve_dropped(rhs) - np.linalg.solve(A, rhs)).max() < 1e-12
+        x = red.solve_dropped(rhs[:, 1])
+        assert np.abs(A @ x - rhs[:, 1]).max() < 1e-12
+        assert factored == [(d.size, d.size)]
+
+
+def test_singular_dropped_block_raises(path3):
+    # lu_factor only warns on a singular matrix; the reduction raises
+    red = cg.ReducedNetwork(path3, [0])
+    singular = build_network([(0, 1, 1.0), (1, 0, 1.0)], 2).L
+    red.parent = types.SimpleNamespace(n=3, L=np.pad(singular, ((1, 0), (1, 0))))
+    with pytest.raises(SingularSystem):
+        red.solve_dropped(np.ones(2))
+
+
 # ---------------------------------------------------------------------------
 # link operators
 
@@ -184,6 +218,20 @@ def test_intertwining_tv_golden(path3):
 def test_intertwining_tv_singletons_exact(path3):
     err = cg.intertwining_error_tv(path3, [[0], [1], [2]], 0.7)
     assert np.abs(err).max() < 1e-14
+
+
+def test_intertwining_tv_builds_its_link_and_kernel_once(monkeypatch, path3):
+    calls = {"green": 0, "partition_link": 0}
+    for mod, name in ((oracle, "green"), (cg, "partition_link")):
+        real = getattr(mod, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(mod, name, counted)
+    cg.intertwining_error_tv(path3, [[0], [1, 2]], 1.0)
+    assert calls == {"green": 1, "partition_link": 1}
 
 
 # ---------------------------------------------------------------------------

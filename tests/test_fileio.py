@@ -7,9 +7,10 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from forestnets import coarsegrain as cg
-from forestnets import fileio, network
+from forestnets import fileio, network, oracle
 from forestnets import wavelets as wv
 from forestnets.errors import MalformedInput
 from forestnets.network import build_network
@@ -249,6 +250,35 @@ def test_archive_round_trip_computes_each_schur_complement_once(monkeypatch, the
     for p in (1.0, 2.0, math.inf):
         wv.stability_bounds(back, p)
     assert len(calls) == back.depth
+
+
+@pytest.mark.parametrize("theta", [None, 0.5])
+def test_read_path_forms_no_inverse(monkeypatch, theta):
+    # the queries form no killed kernel, and each level factors its -L_DD
+    # block once for every reconstruction
+    n = 32
+    net = build_network(cycle_edges(n, 1.0), n)
+    f = np.sin(np.arange(n) / 4.0)
+    pyr = wv.build_pyramid(net, f, seed=9, max_levels=3, sparsify_theta=theta)
+    buf = io.StringIO()
+    fileio.write_pyramid(buf, pyr)
+    greens, factored = [], []
+    real_green, real_lu = oracle.green, scipy.linalg.lu_factor
+    monkeypatch.setattr(
+        oracle, "green", lambda *a: greens.append(a) or real_green(*a)
+    )
+    monkeypatch.setattr(
+        scipy.linalg, "lu_factor", lambda A: factored.append(A.shape) or real_lu(A)
+    )
+    back, _ = fileio.read_pyramid(io.StringIO(buf.getvalue()))
+    assert any(lvl.sparsified for lvl in back.levels) == (theta is not None)
+    wv.compression_curve(back, [0.1, 0.5, 1.0])
+    wv.reconstruct_pyramid(back)
+    for p in (1.0, 2.0, math.inf):
+        wv.stability_bounds(back, p)
+    assert greens == []
+    assert sorted(factored) == sorted((lvl.dropped.size,) * 2 for lvl in back.levels)
+    assert len(factored) == back.depth == 3
 
 
 @pytest.mark.parametrize("theta", [None, 0.5])

@@ -5,11 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forestnets import coarsegrain as cg
-from forestnets import oracle
+from forestnets import config, oracle
 from forestnets import wavelets as wv
-from forestnets.errors import DegenerateBasis, InvalidParams, NumericalError
+from forestnets.errors import (
+    DegenerateBasis,
+    InvalidParams,
+    NumericalError,
+    SingularSystem,
+)
 from forestnets.network import build_network
 from forestnets.norms import condition_measure, mu_inner
 
@@ -52,6 +59,35 @@ def test_roundtrip_every_network(name):
             fb, fd = wv.analyze_level(net, keep, q_prime, f)
             back = wv.reconstruct_level(net, keep, q_prime, fb, fd)
             assert np.abs(back - f).max() < 1e-10
+
+
+@st.composite
+def level_cases(draw):
+    """(net, keep, q', f): a strongly connected digraph on 3 to 10 vertices
+    with weights in [0.1, 10], a proper nonempty kept set, a smoothing rate
+    in [0.1, 10] and a signal."""
+    n = draw(st.integers(3, 10))
+    order = draw(st.permutations(range(n)))
+    pairs = {(order[i], order[(i + 1) % n]) for i in range(n)}
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs |= {(a, b) for a, b in draw(st.lists(extra, max_size=2 * n)) if a != b}
+    weight = st.floats(0.1, 10.0)
+    net = build_network([(a, b, draw(weight)) for a, b in sorted(pairs)], n)
+    keep = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)))
+    q_prime = draw(st.floats(0.1, 10.0))
+    f = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    return net, keep, q_prime, np.asarray(f)
+
+
+# a guard: analysis then reconstruction was the identity before the
+# reconstruction shared one factorization too
+@settings(max_examples=200, deadline=None)
+@given(case=level_cases())
+def test_reconstruct_inverts_analyze(case):
+    net, keep, q_prime, f = case
+    fb, fd = wv.analyze_level(net, keep, q_prime, f)
+    back = wv.reconstruct_level(net, keep, q_prime, fb, fd)
+    assert np.abs(back - f).max() <= 1e-9 * max(1.0, np.abs(f).max())
 
 
 def test_constant_signal_has_no_details():
@@ -391,6 +427,23 @@ def test_each_level_computes_its_operators_once(monkeypatch):
     for p in (1.0, 2.0, math.inf):
         wv.stability_bounds(pyr, p)
     assert calls == {"schur_complement": pyr.depth, "beta_gamma": pyr.depth}
+
+
+def test_reconstruct_checks_its_residual(monkeypatch):
+    _, pyr = build_cycle_pyramid(n=32, seed=3, max_levels=2)
+    lvl = pyr.levels[0]
+    monkeypatch.setattr(config, "RESIDUAL_TOL", -1.0)
+    with pytest.raises(SingularSystem):
+        lvl.op.reconstruct(np.ones(lvl.keep.size), lvl.detail)
+
+
+def test_detail_size_check_checks_its_residual(monkeypatch):
+    # a guard: the Green inverse it used to form checked its residual too
+    f, pyr = build_cycle_pyramid(n=32, seed=3, max_levels=2)
+    lvl = pyr.levels[0]
+    monkeypatch.setattr(config, "RESIDUAL_TOL", -1.0)
+    with pytest.raises(SingularSystem):
+        wv.detail_size_check(lvl.network, lvl.keep, lvl.q_prime, f, 2.0)
 
 
 def test_stability_bounds_validation(two_asym):
