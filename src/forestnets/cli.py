@@ -142,13 +142,13 @@ def cmd_graph_skeleton(args) -> int:
 
 def cmd_graph_reduce(args) -> int:
     net = _load_network(args)
+    if args.sparsify_theta is not None and args.q_prime is None:
+        raise InvalidParams("--sparsify-theta requires --q-prime")
     if _dry(args):
         return EXIT_OK
     reduction = cg.schur_reduce(net, args.keep)
     reduced = reduction.network
     if args.sparsify_theta is not None:
-        if args.q_prime is None:
-            raise InvalidParams("--sparsify-theta requires --q-prime")
         reduced = cg.sparsify(reduction, args.q_prime, args.sparsify_theta)
     with _out(args) as fh:
         if args.json:
@@ -441,19 +441,22 @@ def cmd_signal_analyze(args) -> int:
     return EXIT_OK
 
 
+def _check_keep_fraction(args) -> None:
+    if args.keep_fraction is not None and not 0.0 <= args.keep_fraction <= 1.0:
+        raise InvalidParams("--keep-fraction must lie in [0, 1]")
+
+
 def _compressed_values(pyr: wv.Pyramid, args) -> np.ndarray:
-    if getattr(args, "keep_count", None) is not None:
+    if args.keep_count is not None:
         return wv.compress(pyr, args.keep_count).values
-    if getattr(args, "keep_fraction", None) is not None:
-        frac = args.keep_fraction
-        if not (0.0 <= frac <= 1.0):
-            raise InvalidParams("--keep-fraction must lie in [0, 1]")
-        return wv.compress(pyr, int(round(frac * pyr.detail_count()))).values
+    if args.keep_fraction is not None:
+        return wv.compress(pyr, round(args.keep_fraction * pyr.detail_count())).values
     return wv.reconstruct_pyramid(pyr)
 
 
 def cmd_signal_reconstruct(args) -> int:
     pyr, _ = _load_pyramid(args)
+    _check_keep_fraction(args)
     if _dry(args):
         return EXIT_OK
     values = _compressed_values(pyr, args)
@@ -534,6 +537,7 @@ def cmd_signal_image_reconstruct(args) -> int:
     pyr, meta = _load_pyramid(args)
     if not {"rows", "cols"} <= set(meta):
         raise MalformedInput("pyramid archive carries no image geometry")
+    _check_keep_fraction(args)
     if _dry(args):
         return EXIT_OK
     values = _compressed_values(pyr, args)

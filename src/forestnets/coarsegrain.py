@@ -59,8 +59,9 @@ class ReducedNetwork:
 
     :meth:`solve_dropped` solves with ``-L_DD``, the parent's generator on
     the ``dropped`` vertices, through one LU factorization made on first
-    use and kept, so that every reconstruction through this reduction
-    shares it.  The Schur complement still takes its own dense solve.
+    use and kept.  The complement ``Lbar = L_kk + L_kd (-L_DD)^-1 L_dk``,
+    the hitting times behind the ``speeds`` and every reconstruction
+    through this reduction all share it.
     """
 
     def __init__(self, parent: Network, keep: Sequence[int]) -> None:
@@ -100,9 +101,18 @@ class ReducedNetwork:
     def mu(self) -> np.ndarray:
         return condition_measure(self.parent.mu, self.kept)
 
+    def _complement(self) -> np.ndarray:
+        """The exact, unclamped Schur complement of the parent's generator
+        on ``kept``."""
+        L, k, d = self.parent.L, self.kept, self.dropped
+        Lbar = L[np.ix_(k, k)]
+        if d.size:
+            Lbar += L[np.ix_(k, d)] @ self.solve_dropped(L[np.ix_(d, k)])
+        return Lbar
+
     @cached_property
     def _schur(self) -> tuple[np.ndarray, float]:
-        Lbar = schur_complement(self.parent, self.kept)
+        Lbar = self._complement()
         rates = reduced_rates(self.parent, self.kept, Lbar)
         return Lbar, float(rates.sum(axis=1).max())
 
@@ -124,9 +134,18 @@ class ReducedNetwork:
 
     @cached_property
     def speeds(self) -> tuple[float, float]:
-        """Return speeds ``(beta, gamma)`` toward the kept set (see
-        :func:`beta_gamma`)."""
-        return beta_gamma(self.parent, self.kept)
+        """Return speeds ``(beta, gamma)`` toward the kept set: ``1/beta``
+        is the worst expected time to re-enter it after one skeleton step
+        from a kept vertex, ``1/gamma`` the worst expected entrance time
+        ``h``, which solves ``-L_DD h = 1``, from a dropped vertex."""
+        h = np.zeros(self.parent.n)
+        if self.dropped.size:
+            h[self.dropped] = self.solve_dropped(np.ones(self.dropped.size))
+        one_over_beta = float((skeleton(self.parent)[self.kept, :] @ h).max())
+        one_over_gamma = float(h.max())
+        beta = math.inf if one_over_beta == 0.0 else 1.0 / one_over_beta
+        gamma = math.inf if one_over_gamma == 0.0 else 1.0 / one_over_gamma
+        return beta, gamma
 
     @property
     def L(self) -> np.ndarray:
@@ -141,18 +160,9 @@ def _canon_keep(net: Network, keep: Sequence[int]) -> np.ndarray:
 
 
 def schur_complement(net: Network, keep: Sequence[int]) -> np.ndarray:
-    """Schur complement of the generator onto ``keep`` (exact, unclamped)."""
-    kept = _canon_keep(net, keep)
-    L = net.L
-    drop = np.setdiff1d(np.arange(net.n), kept)
-    if drop.size == 0:
-        return L.copy()
-    A = L[np.ix_(kept, kept)]
-    Bm = L[np.ix_(kept, drop)]
-    C = L[np.ix_(drop, kept)]
-    D = L[np.ix_(drop, drop)]
-    X = np.linalg.solve(D, C)
-    return A - Bm @ X
+    """Schur complement of the generator onto ``keep`` (exact, unclamped):
+    the complement of ``ReducedNetwork(net, keep)``, without its checks."""
+    return ReducedNetwork(net, keep)._complement()
 
 
 def reduced_rates(net: Network, kept: np.ndarray, Lbar: np.ndarray) -> np.ndarray:
@@ -227,12 +237,17 @@ def partition_link(net: Network, blocks: Sequence[Sequence[int]]) -> np.ndarray:
     return link
 
 
+def check_q_prime(q_prime: float) -> None:
+    """Raise ``InvalidParams`` unless ``q'`` is positive and finite."""
+    if not (math.isfinite(q_prime) and q_prime > 0):
+        raise InvalidParams(f"q' must be positive and finite, got {q_prime}")
+
+
 def kernel_link(net: Network, keep: Sequence[int], q_prime: float) -> np.ndarray:
     """Link operator of a kept set: row ``i`` is the killed-walk kernel
     ``K_{q'}(kept[i], .)`` on the full network (a probability measure)."""
     kept = _canon_keep(net, keep)
-    if q_prime <= 0 or not np.isfinite(q_prime):
-        raise InvalidParams("q' must be positive and finite")
+    check_q_prime(q_prime)
     K = oracle.green(net, q_prime).K
     link = K[kept, :]
     rows = link.sum(axis=1)
@@ -256,8 +271,7 @@ def _partition_kernel(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The partition link and the killed kernel ``K_{q'}``."""
     link = partition_link(net, blocks)
-    if q_prime <= 0 or not np.isfinite(q_prime):
-        raise InvalidParams("q' must be positive and finite")
+    check_q_prime(q_prime)
     return link, oracle.green(net, q_prime).K
 
 
@@ -415,21 +429,8 @@ def squeezing_spectral_bound(
 
 
 def beta_gamma(net: Network, keep: Sequence[int]) -> tuple[float, float]:
-    """Return speeds toward a kept set.
-
-    ``1/beta`` is the worst expected time to re-enter the kept set after
-    one skeleton step from a kept vertex; ``1/gamma`` the worst expected
-    entrance time from a dropped vertex.
-    """
-    kept = _canon_keep(net, keep)
-    h = oracle.hitting_times(net, kept)
-    P = skeleton(net)
-    one_over_beta = float((P[kept, :] @ h).max())
-    drop = np.setdiff1d(np.arange(net.n), kept)
-    one_over_gamma = float(h[drop].max()) if drop.size else 0.0
-    beta = math.inf if one_over_beta == 0.0 else 1.0 / one_over_beta
-    gamma = math.inf if one_over_gamma == 0.0 else 1.0 / one_over_gamma
-    return beta, gamma
+    """Return speeds toward ``keep``: ``ReducedNetwork(net, keep).speeds``."""
+    return ReducedNetwork(net, keep).speeds
 
 
 @dataclass
@@ -459,13 +460,12 @@ def operator_intertwining_residual(
     M = red.L @ link - link @ net.L
 
     mu = net.mu
-    mu_kept = red.mu
     if p == math.inf:
         residual = float(np.abs(M).sum(axis=1).max())
     else:
         residual = 0.0
         for z in range(net.n):
-            num = lp_norm(M[:, z], mu_kept, p)
+            num = lp_norm(M[:, z], red.mu, p)
             den = mu[z] ** (1.0 / p)
             residual = max(residual, num / den)
 
@@ -533,12 +533,6 @@ def sparsify(reduction: ReducedNetwork, q_prime: float, theta: float) -> Network
         key=lambda t: (t[0], t[1], t[2]),
     )
 
-    def generator(w: np.ndarray) -> np.ndarray:
-        g = w.copy()
-        np.fill_diagonal(g, 0.0)
-        np.fill_diagonal(g, -g.sum(axis=1))
-        return g
-
     removed_any = False
     for _, i, j in pairs:
         wij, wji = W[i, j], W[j, i]
@@ -548,9 +542,11 @@ def sparsify(reduction: ReducedNetwork, q_prime: float, theta: float) -> Network
         W[j, i] = 0.0
         ok = _support_connected(W)
         if ok:
-            Ls = generator(W)
             for row in (i, j):
-                defect = Ls[row] @ link - link[row] @ Lfine
+                # the generator's row: W's, with the exit rate on the diagonal
+                g = W[row].copy()
+                g[row] = -g.sum()
+                defect = g @ link - link[row] @ Lfine
                 if np.abs(defect).max() > budget[row] + 1e-15:
                     ok = False
                     break

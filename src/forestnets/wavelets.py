@@ -56,8 +56,8 @@ def _as_signal(values: Sequence[float], n: int) -> np.ndarray:
 
 class _LevelOperator:
     """One analysis step: the reduction of the level's network onto its
-    kept set, which computes the Schur complement, its ``w_max``, the
-    return speeds and one LU factorization of ``-L_DD`` once each (see
+    kept set, which factors ``-L_DD`` once and computes the Schur
+    complement, its ``w_max`` and the return speeds once each (see
     :class:`coarsegrain.ReducedNetwork`), and the smoothing rate ``q'``
     with the operators that depend on it.  No query forms the killed
     kernel ``K_{q'}`` or any inverse: :meth:`reconstruct` solves with the
@@ -67,8 +67,7 @@ class _LevelOperator:
     """
 
     def __init__(self, reduction: cg.ReducedNetwork, q_prime: float) -> None:
-        if not (math.isfinite(q_prime) and q_prime > 0):
-            raise InvalidParams(f"q' must be positive and finite, got {q_prime}")
+        cg.check_q_prime(q_prime)
         self.reduction = reduction
         self.net = reduction.parent
         self.kept = reduction.kept

@@ -580,6 +580,32 @@ def test_dry_run_skips_output(capsys, cycle_file, signal_file, tmp_path):
 
 
 @pytest.fixture
+def image_archive(tmp_path):
+    path = tmp_path / "image.json"
+    with open(path, "w") as fh:
+        meta = {"rows": 2, "cols": 4, "maxval": 255}
+        fileio.write_pyramid(fh, golden_pyramid(), meta)
+    return str(path)
+
+
+@pytest.mark.parametrize("dry", [[], ["--dry-run"]])
+@pytest.mark.parametrize("argv", [
+    ["graph", "reduce", "{edges}", "--undirected", "--keep", "0,2",
+     "--sparsify-theta", "0.5"],
+    ["signal", "reconstruct", "{archive}", "--keep-fraction", "2"],
+    ["signal", "image-reconstruct", "{image}", "--keep-fraction", "2"],
+])
+def test_dry_run_refuses_what_the_run_refuses(
+    capsys, path3_file, golden_archive, image_archive, argv, dry
+):
+    paths = {"edges": path3_file, "archive": golden_archive, "image": image_archive}
+    code, out, err = run(capsys, [a.format(**paths) for a in argv] + dry)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.fixture
 def big_cycle_file(tmp_path):
     # one vertex more than config.MAX_VERTICES
     path = tmp_path / "cycle4097.tsv"

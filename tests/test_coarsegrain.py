@@ -7,9 +7,11 @@ import types
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forestnets import coarsegrain as cg
-from forestnets import oracle
+from forestnets import network, oracle, sampler
 from forestnets.errors import (
     EmptyBlock,
     InvalidParams,
@@ -103,6 +105,35 @@ def test_schur_matches_skeleton_trace(name):
         assert np.abs(trace - (np.eye(kept.size) + red.L / net.w_max)).max() < 1e-12
 
 
+@st.composite
+def nested_keeps(draw):
+    """(net, K1, K2): a strongly connected digraph on 3 to 10 vertices with
+    weights in [0.1, 10], a kept set K1 of at least 2 vertices and a
+    nonempty K2 inside it."""
+    n = draw(st.integers(3, 10))
+    order = draw(st.permutations(range(n)))
+    pairs = {(order[i], order[(i + 1) % n]) for i in range(n)}
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs |= {(a, b) for a, b in draw(st.lists(extra, max_size=2 * n)) if a != b}
+    weight = st.floats(0.1, 10.0)
+    net = build_network([(a, b, draw(weight)) for a, b in sorted(pairs)], n)
+    k1 = sorted(draw(st.sets(st.integers(0, n - 1), min_size=2)))
+    k2 = sorted(draw(st.sets(st.sampled_from(k1), min_size=1)))
+    return net, k1, k2
+
+
+# a guard: reducing in two stages matched reducing at once before the
+# Schur complement shared the reduction's factorization
+@settings(max_examples=300, deadline=None)
+@given(case=nested_keeps())
+def test_schur_reduction_is_transitive(case):
+    net, k1, k2 = case
+    staged = cg.schur_reduce(net, k1).network
+    once = cg.schur_complement(net, k2)
+    twice = cg.schur_complement(staged, np.searchsorted(k1, k2))
+    assert np.abs(twice - once).max() <= 1e-10 * max(1.0, net.w_max)
+
+
 def test_schur_keep_validation(path3):
     with pytest.raises(InvalidParams):
         cg.schur_reduce(path3, [])
@@ -135,6 +166,42 @@ def test_solve_dropped_factors_once(monkeypatch, name):
         x = red.solve_dropped(rhs[:, 1])
         assert np.abs(A @ x - rhs[:, 1]).max() < 1e-12
         assert factored == [(d.size, d.size)]
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
+def test_reduction_factors_its_dropped_block_once(monkeypatch, name):
+    # the Schur complement, the return speeds and reconstruction solves
+    # all go through one LU factorization of -L_DD
+    net = ALL_NETS[name]
+    factored, solved = [], []
+    real_lu, real_solve = scipy.linalg.lu_factor, np.linalg.solve
+    monkeypatch.setattr(
+        scipy.linalg, "lu_factor", lambda A: factored.append(A) or real_lu(A)
+    )
+    monkeypatch.setattr(
+        np.linalg, "solve", lambda *a: solved.append(a) or real_solve(*a)
+    )
+    for keep in keep_choices(net.n):
+        red = cg.ReducedNetwork(net, keep)
+        if red.dropped.size == 0:
+            continue
+        factored.clear()
+        red.Lbar
+        red.speeds
+        red.solve_dropped(np.ones(red.dropped.size))
+        red.solve_dropped(np.ones((red.dropped.size, 2)))
+        assert len(factored) == 1 and solved == []
+
+
+def test_residual_validates_its_kept_set_three_times(monkeypatch, path3):
+    calls = []
+    real = network.vertex_set
+    for mod in (network, cg, oracle, sampler):
+        monkeypatch.setattr(
+            mod, "vertex_set", lambda *a: calls.append(a) or real(*a)
+        )
+    cg.operator_intertwining_residual(path3, [0, 2], 1.0, 2.0)
+    assert len(calls) <= 3
 
 
 def test_singular_dropped_block_raises(path3):
@@ -193,6 +260,17 @@ def test_kernel_link_rows_are_killed_kernel(two_asym):
     assert np.allclose(full, oracle.green(two_asym, 3.0).K)
     with pytest.raises(InvalidParams):
         cg.kernel_link(two_asym, [0], 0.0)
+
+
+@pytest.mark.parametrize("q_prime", [0.0, -1.0, math.nan, math.inf])
+def test_every_q_prime_reader_gives_one_message(path3, q_prime):
+    for reader in (
+        lambda: cg.kernel_link(path3, [0], q_prime),
+        lambda: cg.metastable_kernel(path3, [[0], [1, 2]], q_prime),
+        lambda: cg.intertwining_error_tv(path3, [[0], [1, 2]], q_prime),
+    ):
+        with pytest.raises(InvalidParams, match="q' must be positive and finite, got"):
+            reader()
 
 
 def test_metastable_kernel_golden(path3):

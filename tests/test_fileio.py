@@ -228,14 +228,15 @@ def test_read_pyramid_malformed():
 
 @pytest.mark.parametrize("theta", [None, 0.5])
 def test_archive_round_trip_computes_each_schur_complement_once(monkeypatch, theta):
+    # every Schur complement is computed by a reduction's _complement
     calls = []
-    real = cg.schur_complement
+    real = cg.ReducedNetwork._complement
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(self):
+        calls.append(self)
+        return real(self)
 
-    monkeypatch.setattr(cg, "schur_complement", counted)
+    monkeypatch.setattr(cg.ReducedNetwork, "_complement", counted)
     n = 32
     net = build_network(cycle_edges(n, 1.0), n)
     f = np.sin(np.arange(n) / 4.0)
@@ -313,6 +314,9 @@ def test_rewriting_a_v1_archive_keeps_its_networks(monkeypatch):
     # edges are stored again; telling which would take a Schur complement
     calls = []
     monkeypatch.setattr(cg, "schur_complement", lambda *a: calls.append(a))
+    monkeypatch.setattr(
+        cg.ReducedNetwork, "_complement", lambda self: calls.append(self)
+    )
     path = os.path.join(os.path.dirname(__file__), "data", "golden_v1.json")
     with open(path) as fh:
         v1 = json.load(fh)

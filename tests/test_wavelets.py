@@ -1,6 +1,7 @@
 """Multiresolution transform: analysis, reconstruction, pyramids, bounds."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -129,17 +130,17 @@ def test_level_w_bar_is_reduced_w_max(name):
 
 @pytest.mark.parametrize("defect", ["negative rate", "measure not invariant"])
 def test_schur_guards(monkeypatch, defect):
-    real = cg.schur_complement
+    real = cg.ReducedNetwork._complement
 
-    def perturbed(net, keep):
-        Lbar = real(net, keep)
+    def perturbed(self):
+        Lbar = real(self)
         if defect == "negative rate":
             Lbar[0, 0], Lbar[0, 1] = 1e-6, -1e-6
         else:
             Lbar[0] *= 2.0  # still a generator, but mu(. | kept) moves
         return Lbar
 
-    monkeypatch.setattr(cg, "schur_complement", perturbed)
+    monkeypatch.setattr(cg.ReducedNetwork, "_complement", perturbed)
     with pytest.raises(NumericalError):
         cg.schur_reduce(BD3, [0, 2])
     with pytest.raises(NumericalError):
@@ -411,22 +412,31 @@ def test_analysis_norm_within_budget():
 
 
 def test_each_level_computes_its_operators_once(monkeypatch):
-    calls = {"schur_complement": 0, "beta_gamma": 0}
-    for name in calls:
-        real = getattr(cg, name)
+    # a reduction computes its Schur complement in _complement and its
+    # return speeds in its cached speeds property
+    calls = {"_complement": 0, "speeds": 0}
 
-        def counted(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
+    def counting(name, real):
+        def counted(self):
+            calls[name] += 1
+            return real(self)
 
-        monkeypatch.setattr(cg, name, counted)
+        return counted
+
+    red = cg.ReducedNetwork
+    monkeypatch.setattr(
+        red, "_complement", counting("_complement", red._complement)
+    )
+    speeds = functools.cached_property(counting("speeds", red.speeds.func))
+    speeds.__set_name__(red, "speeds")
+    monkeypatch.setattr(red, "speeds", speeds)
     # the build computes each Schur complement; the queries reuse it
     _, pyr = build_cycle_pyramid(n=32, seed=3, max_levels=3)
     wv.compression_curve(pyr, [0.1, 0.5, 1.0])
     wv.reconstruct_pyramid(pyr)
     for p in (1.0, 2.0, math.inf):
         wv.stability_bounds(pyr, p)
-    assert calls == {"schur_complement": pyr.depth, "beta_gamma": pyr.depth}
+    assert calls == {"_complement": pyr.depth, "speeds": pyr.depth}
 
 
 def test_reconstruct_checks_its_residual(monkeypatch):
