@@ -447,10 +447,11 @@ def _check_keep_fraction(args) -> None:
 
 
 def _compressed_values(pyr: wv.Pyramid, args) -> np.ndarray:
-    if args.keep_count is not None:
+    if getattr(args, "keep_count", None) is not None:
         return wv.compress(pyr, args.keep_count).values
-    if args.keep_fraction is not None:
-        return wv.compress(pyr, round(args.keep_fraction * pyr.detail_count())).values
+    if getattr(args, "keep_fraction", None) is not None:
+        frac = args.keep_fraction
+        return wv.compress(pyr, int(round(frac * pyr.detail_count()))).values
     return wv.reconstruct_pyramid(pyr)
 
 

@@ -415,31 +415,28 @@ def hitting_times(net: Network, B: Sequence[int]) -> np.ndarray:
     """Expected times ``E_x[T_B]`` to reach ``B``, for every start vertex.
 
     Zero on ``B``; outside, the unique solution of ``[-L] h = 1`` restricted
-    to the complement.
+    to the complement, solved by the Schur reduction onto ``B`` (see
+    :attr:`coarsegrain.ReducedNetwork.hitting_times`).
     """
+    from .coarsegrain import ReducedNetwork  # coarsegrain imports oracle
+
     roots = vertex_set(net.n, B, "root set")
     if roots.size == 0:
         raise InvalidParams("hitting times need a nonempty target set")
-    free = _free_vertices(net, roots)
-    h = np.zeros(net.n)
-    if free.size:
-        L = net.L
-        M = -L[np.ix_(free, free)]
-        try:
-            hf = np.linalg.solve(M, np.ones(free.size))
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem("hitting-time system singular") from exc
-        check_residual(M, hf, 1.0, "hitting-time")
-        h[free] = hf
-    return h
+    return ReducedNetwork(net, roots).hitting_times
 
 
-def check_residual(M: np.ndarray, x: np.ndarray, b, what: str) -> None:
+def check_residual(
+    M: np.ndarray, x: np.ndarray, b, what: str, norm: float = 1.0
+) -> None:
     """Raise ``SingularSystem`` unless the solution ``x`` of ``M x = b``
     has a residual ``max |M x - b|`` within ``RESIDUAL_TOL`` times the
-    largest entry of ``x``, at least 1."""
+    largest entry of ``x``, at least 1.  Given ``norm = ||M||_inf``, that
+    entry is first multiplied by ``max(1, norm)``, since the residual of
+    an LU solve grows as the matrix's norm times the solution's."""
     resid = float(np.abs(M @ x - b).max())
-    if not resid <= config.RESIDUAL_TOL * max(1.0, float(np.abs(x).max())):
+    scale = float(np.abs(x).max()) * max(1.0, norm)
+    if not resid <= config.RESIDUAL_TOL * max(1.0, scale):
         raise SingularSystem(f"{what} residual {resid:.3e}")
 
 

@@ -22,7 +22,8 @@ from forestnets.errors import (
 from forestnets.network import build_network, skeleton
 from forestnets.norms import condition_measure
 
-from netdefs import SMALL_GRAPHS, cycle_edges
+import forest_enum as fe
+from netdefs import SMALL_GRAPHS, cycle_edges, grid_edges
 
 ALL_NETS = {name: build_network(e, n) for name, (n, e) in SMALL_GRAPHS.items()}
 
@@ -211,6 +212,47 @@ def test_singular_dropped_block_raises(path3):
     red.parent = types.SimpleNamespace(n=3, L=np.pad(singular, ((1, 0), (1, 0))))
     with pytest.raises(SingularSystem):
         red.solve_dropped(np.ones(2))
+
+
+def test_solve_dropped_checks_several_columns(path5):
+    # factors of a slightly wrong matrix fail the residual check on the
+    # combination of the columns, as on a single one
+    red = cg.ReducedNetwork(path5, [0, 4])
+    A, norm, (lu, piv) = red._lu
+    red._lu = (A, norm, (lu * (1.0 + 1e-6), piv))
+    for rhs in (np.ones(3), np.eye(3), np.column_stack([np.zeros(3), np.ones(3)])):
+        with pytest.raises(SingularSystem):
+            red.solve_dropped(rhs)
+
+
+def test_reduction_of_large_rates_scales_exactly():
+    # the residual of the Schur solve grows with the rates while its
+    # solution, a harmonic measure, does not; the checks must scale with
+    # ||-L_DD|| to accept these networks
+    rng = np.random.default_rng(5)
+    edges = [(a, b, w * rng.uniform(0.5, 2.0)) for a, b, w in grid_edges(6, 6)]
+    # every third diagonal kept: each dropped vertex has a dropped neighbour
+    keep = [v for v in range(36) if (v // 6 + v % 6) % 3 == 0]
+    net = build_network(edges, 36)
+    big = build_network([(a, b, w * 1e8) for a, b, w in edges], 36)
+    Lbar, h = cg.schur_reduce(net, keep).Lbar, oracle.hitting_times(net, keep)
+    assert np.abs(cg.schur_reduce(big, keep).Lbar / 1e8 - Lbar).max() < 1e-12
+    assert np.abs(oracle.hitting_times(big, keep) * 1e8 - h).max() < 1e-12 * h.max()
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
+def test_return_speeds_match_exact_hitting_times(name):
+    n, edges = SMALL_GRAPHS[name]
+    net = ALL_NETS[name]
+    for keep in keep_choices(n):
+        h = fe.exact_hitting_times(n, edges, list(keep))
+        drop = np.setdiff1d(np.arange(n), keep)
+        want = (
+            float((skeleton(net)[list(keep), :] @ h).max()),
+            float(h[drop].max()) if drop.size else 0.0,
+        )
+        got = [1.0 / s for s in cg.beta_gamma(net, keep)]
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-12), keep
 
 
 # ---------------------------------------------------------------------------

@@ -447,6 +447,18 @@ def test_reconstruct_checks_its_residual(monkeypatch):
         lvl.op.reconstruct(np.ones(lvl.keep.size), lvl.detail)
 
 
+def test_pyramid_of_large_rates_reconstructs():
+    # reconstruction solves -L_DD for harmonic extensions, whose residual
+    # grows with the rates; the check scales with ||-L_DD||
+    edges = [(a, b, 1e8 * w) for a, b, w in grid_edges(6, 6)]
+    keep = [v for v in range(36) if (v // 6 + v % 6) % 3 == 0]
+    f = np.sin(np.arange(36.0))
+    pyr = wv.build_pyramid(
+        build_network(edges, 36), f, forced_keep=[keep], forced_q_prime=[1e8]
+    )
+    assert np.abs(wv.reconstruct_pyramid(pyr) - f).max() < 1e-10
+
+
 def test_detail_size_check_checks_its_residual(monkeypatch):
     # a guard: the Green inverse it used to form checked its residual too
     f, pyr = build_cycle_pyramid(n=32, seed=3, max_levels=2)
