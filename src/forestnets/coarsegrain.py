@@ -175,7 +175,7 @@ def _canon_keep(net: Network, keep: Sequence[int]) -> np.ndarray:
 
 def schur_complement(net: Network, keep: Sequence[int]) -> np.ndarray:
     """Schur complement of the generator onto ``keep`` (exact, unclamped):
-    the complement of ``ReducedNetwork(net, keep)``, without its checks."""
+    the complement of ``ReducedNetwork(net, keep)``, without its rate checks."""
     return ReducedNetwork(net, keep)._complement()
 
 
