@@ -441,15 +441,17 @@ def cmd_signal_analyze(args) -> int:
     return EXIT_OK
 
 
-def _check_keep_fraction(args) -> None:
-    if args.keep_fraction is not None and not 0.0 <= args.keep_fraction <= 1.0:
-        raise InvalidParams("--keep-fraction must lie in [0, 1]")
+def _check_keep(pyr: wv.Pyramid, args) -> None:
+    if args.keep_fraction is not None:
+        wv.check_fractions([args.keep_fraction])
+    if args.keep_count is not None:
+        wv.check_keep_count(pyr, args.keep_count)
 
 
 def _compressed_values(pyr: wv.Pyramid, args) -> np.ndarray:
-    if getattr(args, "keep_count", None) is not None:
+    if args.keep_count is not None:
         return wv.compress(pyr, args.keep_count).values
-    if getattr(args, "keep_fraction", None) is not None:
+    if args.keep_fraction is not None:
         frac = args.keep_fraction
         return wv.compress(pyr, int(round(frac * pyr.detail_count()))).values
     return wv.reconstruct_pyramid(pyr)
@@ -457,7 +459,7 @@ def _compressed_values(pyr: wv.Pyramid, args) -> np.ndarray:
 
 def cmd_signal_reconstruct(args) -> int:
     pyr, _ = _load_pyramid(args)
-    _check_keep_fraction(args)
+    _check_keep(pyr, args)
     if _dry(args):
         return EXIT_OK
     values = _compressed_values(pyr, args)
@@ -477,6 +479,7 @@ def cmd_signal_approx(args) -> int:
 
 def cmd_signal_compress(args) -> int:
     pyr, _ = _load_pyramid(args)
+    wv.check_fractions(args.fractions)
     if _dry(args):
         return EXIT_OK
     results = wv.compression_curve(pyr, args.fractions)
@@ -492,6 +495,7 @@ def cmd_signal_compress(args) -> int:
 
 def cmd_signal_bounds(args) -> int:
     pyr, _ = _load_pyramid(args)
+    wv.check_stability_args(pyr, args.p)
     if _dry(args):
         return EXIT_OK
     report = wv.stability_bounds(pyr, args.p)
@@ -538,7 +542,7 @@ def cmd_signal_image_reconstruct(args) -> int:
     pyr, meta = _load_pyramid(args)
     if not {"rows", "cols"} <= set(meta):
         raise MalformedInput("pyramid archive carries no image geometry")
-    _check_keep_fraction(args)
+    _check_keep(pyr, args)
     if _dry(args):
         return EXIT_OK
     values = _compressed_values(pyr, args)

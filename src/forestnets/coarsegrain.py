@@ -19,24 +19,21 @@ sparsification of reduced generators.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import config, oracle, sampler
 from .errors import (
     EmptyBlock,
     InvalidParams,
     NumericalError,
-    SingularSystem,
     ZeroProbability,
 )
 from .network import Network, reachable, skeleton, vertex_id, vertex_set
-from .norms import condition_measure, holder_conjugate, lp_norm, tv_distance
+from .norms import check_p, condition_measure, holder_conjugate, lp_norm, tv_distance
 
 
 # ---------------------------------------------------------------------------
@@ -59,10 +56,10 @@ class ReducedNetwork:
     ``w_max`` never builds the network.
 
     :meth:`solve_dropped` solves with ``-L_DD``, the parent's generator on
-    the ``dropped`` vertices, through one LU factorization made on first
-    use and kept.  The complement ``Lbar = L_kk + L_kd (-L_DD)^-1 L_dk``,
-    the hitting times behind the ``speeds`` and every reconstruction
-    through this reduction all share it.
+    the ``dropped`` vertices, through one :class:`oracle.CheckedLU` made on
+    first use and kept.  The complement ``Lbar = L_kk + L_kd (-L_DD)^-1
+    L_dk``, the hitting times behind the ``speeds`` and every
+    reconstruction through this reduction all share it.
     """
 
     def __init__(self, parent: Network, keep: Sequence[int]) -> None:
@@ -74,35 +71,13 @@ class ReducedNetwork:
         return np.setdiff1d(np.arange(self.parent.n), self.kept)
 
     @cached_property
-    def _lu(self) -> tuple[np.ndarray, float, tuple[np.ndarray, np.ndarray]]:
-        """``-L_DD`` and its norm ``||-L_DD||_inf``, kept for the residual
-        checks, and its LU factors."""
+    def _lu(self) -> oracle.CheckedLU:
         d = self.dropped
-        A = -self.parent.L[np.ix_(d, d)]
-        # lu_factor only warns on a singular matrix
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-            try:
-                lu, piv = scipy.linalg.lu_factor(A)
-            except scipy.linalg.LinAlgWarning as exc:
-                raise SingularSystem("-L_DD is singular") from exc
-        if not np.diag(lu).all():
-            raise SingularSystem("-L_DD has a zero pivot")
-        return A, float(np.abs(A).sum(axis=1).max()), (lu, piv)
+        return oracle.CheckedLU(-self.parent.L[np.ix_(d, d)], "-L_DD")
 
     def solve_dropped(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``-L_DD x = rhs`` (one or several columns) with the kept
-        factorization, checking the residual as :func:`oracle.check_residual`
-        does; several columns are checked on one fixed random combination,
-        which costs ``O(d^2 + dk)`` rather than a ``d x d x k`` product."""
-        A, norm, factors = self._lu
-        x = scipy.linalg.lu_solve(factors, rhs)
-        if x.ndim == 1:
-            oracle.check_residual(A, x, rhs, "dropped-block", norm)
-        else:
-            v = np.random.default_rng(0).uniform(0.5, 1.5, x.shape[1])
-            oracle.check_residual(A, x @ v, rhs @ v, "dropped-block", norm)
-        return x
+        """Solve ``-L_DD x = rhs`` (one or several columns) with ``_lu``."""
+        return self._lu.solve(rhs)
 
     @cached_property
     def mu(self) -> np.ndarray:
@@ -331,8 +306,7 @@ def tv_meta_bound(
     The mean root count is exact; mean loop-erased path lengths (edge
     counts) are Monte-Carlo estimates.
     """
-    if p != math.inf and p < 1:
-        raise InvalidParams("p must be >= 1 or inf")
+    check_p(p)
     if q <= 0 or q_prime <= 0:
         raise InvalidParams("q and q' must be positive")
     mean_roots, _ = oracle.root_count_moments(net, q)
@@ -466,8 +440,7 @@ def operator_intertwining_residual(
     norm); for ``p = inf`` it is the exact row-sup operator norm.  The
     bound is ``2 q' (w_max / beta)^(1/p*) / mu(kept)^(1/p)``.
     """
-    if p != math.inf and p < 1:
-        raise InvalidParams("p must be >= 1 or inf")
+    check_p(p)
     red = ReducedNetwork(net, keep)
     kept = red.kept
     link = kernel_link(net, kept, q_prime)

@@ -22,14 +22,19 @@ def lp_norm(f: Sequence[float], mu: Sequence[float], p: float) -> float:
     mu = _as_vec(mu)
     if f.shape != mu.shape:
         raise ShapeMismatch("f and mu must have the same length")
-    if p != math.inf and p < 1:
-        raise InvalidParams(f"p must be >= 1 or inf, got {p}")
+    check_p(p)
     if p == math.inf:
         support = mu > 0
         if not support.any():
             return 0.0
         return float(np.abs(f[support]).max())
     return float((np.abs(f) ** p @ mu) ** (1.0 / p))
+
+
+def check_p(p: float) -> None:
+    """Raise ``InvalidParams`` unless ``p >= 1`` (``inf`` passes, NaN not)."""
+    if not p >= 1:
+        raise InvalidParams(f"p must be >= 1 or inf, got {p}")
 
 
 def mu_inner(f: Sequence[float], g: Sequence[float], mu: Sequence[float]) -> float:

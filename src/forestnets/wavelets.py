@@ -26,9 +26,9 @@ import numpy as np
 
 from . import coarsegrain as cg
 from . import config, oracle, sampler
-from .errors import DegenerateBasis, InvalidParams, NumericalError, SingularSystem
+from .errors import DegenerateBasis, InvalidParams, NumericalError
 from .network import Network
-from .norms import condition_measure, holder_conjugate, lp_norm
+from .norms import check_p, condition_measure, holder_conjugate, lp_norm
 
 _MAX_ROOT_RETRIES = 64
 _SEED_MASK = (1 << 64) - 1
@@ -59,11 +59,11 @@ class _LevelOperator:
     kept set, which factors ``-L_DD`` once and computes the Schur
     complement, its ``w_max`` and the return speeds once each (see
     :class:`coarsegrain.ReducedNetwork`), and the smoothing rate ``q'``
-    with the operators that depend on it.  No query forms the killed
-    kernel ``K_{q'}`` or any inverse: :meth:`reconstruct` solves with the
-    kept factorization, and :meth:`detail_size_check` solves
-    ``q' Id - L`` for the two vectors it needs, so a pyramid holds no
-    ``n x n`` inverse.
+    with the operators that depend on it.  Only :meth:`analyze` forms the
+    killed kernel ``K_{q'}``: :meth:`reconstruct` solves with the kept LU
+    of ``-L_DD``, and :meth:`detail_size_check` factors ``q' Id - L`` for
+    two vectors and drops the factors.  Each solve is an
+    :class:`oracle.CheckedLU`.
     """
 
     def __init__(self, reduction: cg.ReducedNetwork, q_prime: float) -> None:
@@ -73,6 +73,11 @@ class _LevelOperator:
         self.kept = reduction.kept
         self.dropped = reduction.dropped
         self.q_prime = q_prime
+
+    def analyze(self, values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        f = _as_signal(values, self.net.n)
+        smooth = oracle.green(self.net, self.q_prime).K @ f
+        return smooth[self.kept], (smooth - f)[self.dropped]
 
     def reconstruct(
         self, approx: Sequence[float], detail: Sequence[float]
@@ -129,16 +134,10 @@ class _LevelOperator:
         for ``f`` and ``1_D``."""
         net, d, qp = self.net, self.dropped, self.q_prime
         f = _as_signal(values, net.n)
-        rhs = np.zeros((net.n, 2))
-        rhs[:, 0] = f
-        rhs[d, 1] = 1.0
+        rhs = np.column_stack([f, np.isin(np.arange(net.n), d)])
         M = -net.L
         M.flat[:: net.n + 1] += qp
-        try:
-            G = np.linalg.solve(M, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(f"q' Id - L singular at q'={qp}") from exc
-        oracle.check_residual(M, G, rhs, "q' Id - L")
+        G = oracle.CheckedLU(M, "q' Id - L").solve(rhs)
         Kf, K1d = qp * G[:, 0], qp * G[:, 1]
         fd = (Kf - f)[d]
         measured = lp_norm(fd, condition_measure(net.mu, d), p)
@@ -165,10 +164,7 @@ def analyze_level(
     net: Network, keep: Sequence[int], q_prime: float, values: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split a signal into (approximation on kept, detail on dropped)."""
-    op = _LevelOperator(_reduction(net, keep), q_prime)
-    f = _as_signal(values, net.n)
-    smooth = oracle.green(net, q_prime).K @ f
-    return smooth[op.kept], (smooth - f)[op.dropped]
+    return _LevelOperator(_reduction(net, keep), q_prime).analyze(values)
 
 
 def reconstruct_level(
@@ -389,14 +385,13 @@ def build_pyramid(
             )
             keep = _draw_keep(current, q_tuning, seed, idx)
         reduction = _reduction(current, keep)
-        kept = reduction.kept
         if forced_q_prime is not None:
             q_prime = float(forced_q_prime[idx])
         else:
-            q_prime = 2.0 * current.w_max * kept.size / (current.n - kept.size)
+            q_prime = 2.0 * current.w_max * reduction.kept.size / reduction.dropped.size
         op = _LevelOperator(reduction, q_prime)
 
-        approx, detail = analyze_level(current, kept, q_prime, f)
+        approx, detail = op.analyze(f)
         stored_next = None
         if sparsify_theta is not None:
             sparse = cg.sparsify(reduction, q_prime, sparsify_theta)
@@ -475,10 +470,15 @@ def compress(pyr: Pyramid, keep_count: int) -> CompressionResult:
     return _compress(pyr, keep_count, reconstruct_pyramid(pyr))
 
 
-def _compress(pyr: Pyramid, keep_count: int, exact: np.ndarray) -> CompressionResult:
+def check_keep_count(pyr: Pyramid, keep_count: int) -> None:
+    """Raise ``InvalidParams`` unless :func:`compress` accepts ``keep_count``."""
     total = pyr.detail_count()
     if not (0 <= keep_count <= total):
         raise InvalidParams(f"keep_count must lie in 0..{total}")
+
+
+def _compress(pyr: Pyramid, keep_count: int, exact: np.ndarray) -> CompressionResult:
+    check_keep_count(pyr, keep_count)
     details = [np.zeros(lvl.dropped.size) for lvl in pyr.levels]
     for _, li, di in _detail_scores(pyr)[:keep_count]:
         details[li][di] = pyr.levels[li].detail[di]
@@ -487,8 +487,15 @@ def _compress(pyr: Pyramid, keep_count: int, exact: np.ndarray) -> CompressionRe
     denom = lp_norm(exact, mu, 2.0)
     rel = 0.0 if denom == 0.0 else lp_norm(values - exact, mu, 2.0) / denom
     return CompressionResult(
-        keep_count=keep_count, total_details=total, values=values, rel_error=float(rel)
+        keep_count=keep_count, total_details=pyr.detail_count(),
+        values=values, rel_error=float(rel),
     )
+
+
+def check_fractions(fractions: Sequence[float]) -> None:
+    """Raise ``InvalidParams`` unless every fraction lies in [0, 1]."""
+    if not all(0.0 <= frac <= 1.0 for frac in fractions):
+        raise InvalidParams("fractions must lie in [0, 1]")
 
 
 def compression_curve(
@@ -496,8 +503,7 @@ def compression_curve(
 ) -> list[CompressionResult]:
     """Compression results at several kept fractions of the detail
     budget (fraction 1 keeps everything and is exact)."""
-    if not all(0.0 <= frac <= 1.0 for frac in fractions):
-        raise InvalidParams("fractions must lie in [0, 1]")
+    check_fractions(fractions)
     total = pyr.detail_count()
     exact = reconstruct_pyramid(pyr)
     return [_compress(pyr, int(round(frac * total)), exact) for frac in fractions]
@@ -573,6 +579,13 @@ class StabilityReport:
         return ok
 
 
+def check_stability_args(pyr: Pyramid, p: float) -> None:
+    """Raise ``InvalidParams`` unless :func:`stability_bounds` accepts these."""
+    check_p(p)
+    if not pyr.levels:
+        raise InvalidParams("pyramid has no levels")
+
+
 def stability_bounds(pyr: Pyramid, p: float) -> StabilityReport:
     """Measured norms versus their a priori bounds, per level and for the
     whole transform.
@@ -584,10 +597,7 @@ def stability_bounds(pyr: Pyramid, p: float) -> StabilityReport:
     between the signal and its pure approximation against the cascade
     bound built from per-level constants.
     """
-    if p != math.inf and p < 1:
-        raise InvalidParams("p must be >= 1 or inf")
-    if not pyr.levels:
-        raise InvalidParams("pyramid has no levels")
+    check_stability_args(pyr, p)
     sigs = signal_levels(pyr)
     base_mu = pyr.base.mu
     f0 = sigs[0]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from hypothesis import strategies as st
+
 
 def undirected(pairs):
     """Expand symmetric (x, y, w) pairs into both directed edges."""
@@ -90,3 +92,25 @@ def grid_edges(rows: int, cols: int, w: float = 1.0):
             if r + 1 < rows:
                 pairs.append((v, v + cols, w))
     return undirected(pairs)
+
+
+@st.composite
+def digraphs(draw, min_n: int = 1, max_n: int = 6):
+    """(edges, n): a strongly connected digraph on ``min_n`` to ``max_n``
+    vertices with weights in [0.01, 100], in shuffled order, sometimes
+    symmetric."""
+    n = draw(st.integers(min_n, max_n))
+    cycle = draw(st.permutations(range(n)))
+    pairs = {(cycle[i], cycle[(i + 1) % n]) for i in range(n)} if n > 1 else set()
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs |= {(a, b) for a, b in draw(st.lists(extra, max_size=n * n)) if a != b}
+    weight = st.floats(0.01, 100.0)
+    if draw(st.booleans()):
+        pairs |= {(b, a) for a, b in pairs}
+        w = {}
+        for a, b in sorted(pairs):
+            w[(a, b)] = w.get((b, a)) or draw(weight)
+        edges = [(a, b, w[(a, b)]) for a, b in sorted(pairs)]
+    else:
+        edges = [(a, b, draw(weight)) for a, b in sorted(pairs)]
+    return draw(st.permutations(edges)), n

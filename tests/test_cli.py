@@ -12,7 +12,7 @@ from forestnets import wavelets as wv
 from forestnets.errors import NumericalError
 from forestnets.network import build_network
 
-from netdefs import cycle_edges
+from netdefs import cycle_edges, grid_edges
 
 
 @pytest.fixture
@@ -588,17 +588,60 @@ def image_archive(tmp_path):
     return str(path)
 
 
+def test_oracle_green_of_large_rates(capsys, tmp_path):
+    # an absolute residual check refused these rates at q = 1 (exit 4)
+    path = tmp_path / "grid.tsv"
+    lines = [f"{a}\t{b}\t{1e8 * w!r}\n" for a, b, w in grid_edges(6, 6)]
+    path.write_text("".join(lines))
+    code, out, _ = run(capsys, ["oracle", "green", str(path), "--q", "1"])
+    assert code == 0
+    assert np.asarray(json.loads(out)["K"]).sum(axis=1) == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("cmd", [["green"], ["root-prob", "--vertices", "0"]])
+def test_oracle_of_overflowing_q_exits_4(capsys, tmp_path, cmd):
+    # q Id - L overflows: a numerical error, not a traceback or NaN output
+    path = tmp_path / "huge.tsv"
+    path.write_text("0\t1\t1.5e308\n1\t0\t1.0\n")
+    argv = ["oracle", cmd[0], str(path), "--q", "1.5e308"] + cmd[1:]
+    code, out, err = run(capsys, argv)
+    assert code == 4 and out == ""
+    assert err.splitlines() == ["error: q Id - L overflows"]
+
+
+@pytest.fixture
+def empty_archive(tmp_path):
+    path = tmp_path / "empty.json"
+    with open(path, "w") as fh:
+        net = build_network(GOLDEN_EDGES, 8)
+        fileio.write_pyramid(fh, wv.build_pyramid(net, GOLDEN_SIGNAL, forced_keep=[]))
+    return str(path)
+
+
 @pytest.mark.parametrize("dry", [[], ["--dry-run"]])
 @pytest.mark.parametrize("argv", [
     ["graph", "reduce", "{edges}", "--undirected", "--keep", "0,2",
      "--sparsify-theta", "0.5"],
     ["signal", "reconstruct", "{archive}", "--keep-fraction", "2"],
     ["signal", "image-reconstruct", "{image}", "--keep-fraction", "2"],
+    ["signal", "reconstruct", "{archive}", "--keep-count", "999"],
+    ["signal", "reconstruct", "{archive}", "--keep-count", "-1"],
+    ["signal", "image-reconstruct", "{image}", "--keep-count", "7"],
+    ["signal", "compress", "{archive}", "--fractions", "0.5,3"],
+    ["signal", "compress", "{archive}", "--fractions", "nan"],
+    ["signal", "bounds", "{archive}", "--p", "0.5"],
+    ["signal", "bounds", "{archive}", "--p", "nan"],
+    ["signal", "bounds", "{empty}", "--p", "2"],
 ])
 def test_dry_run_refuses_what_the_run_refuses(
-    capsys, path3_file, golden_archive, image_archive, argv, dry
+    capsys, path3_file, golden_archive, image_archive, empty_archive, argv, dry
 ):
-    paths = {"edges": path3_file, "archive": golden_archive, "image": image_archive}
+    paths = {
+        "edges": path3_file,
+        "archive": golden_archive,
+        "image": image_archive,
+        "empty": empty_archive,
+    }
     code, out, err = run(capsys, [a.format(**paths) for a in argv] + dry)
     assert code == 2 and out == ""
     lines = err.splitlines()

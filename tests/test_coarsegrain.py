@@ -218,8 +218,8 @@ def test_solve_dropped_checks_several_columns(path5):
     # factors of a slightly wrong matrix fail the residual check on the
     # combination of the columns, as on a single one
     red = cg.ReducedNetwork(path5, [0, 4])
-    A, norm, (lu, piv) = red._lu
-    red._lu = (A, norm, (lu * (1.0 + 1e-6), piv))
+    lu, piv = red._lu.factors
+    red._lu.factors = (lu * (1.0 + 1e-6), piv)
     for rhs in (np.ones(3), np.eye(3), np.column_stack([np.zeros(3), np.ones(3)])):
         with pytest.raises(SingularSystem):
             red.solve_dropped(rhs)

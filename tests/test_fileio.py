@@ -255,8 +255,9 @@ def test_archive_round_trip_computes_each_schur_complement_once(monkeypatch, the
 
 @pytest.mark.parametrize("theta", [None, 0.5])
 def test_read_path_forms_no_inverse(monkeypatch, theta):
-    # the queries form no killed kernel, and each level factors its -L_DD
-    # block once for every reconstruction
+    # the queries form no killed kernel; each level factors its -L_DD
+    # block once for every reconstruction, and q' Id - L once for each
+    # detail-size check
     n = 32
     net = build_network(cycle_edges(n, 1.0), n)
     f = np.sin(np.arange(n) / 4.0)
@@ -269,17 +270,26 @@ def test_read_path_forms_no_inverse(monkeypatch, theta):
         oracle, "green", lambda *a: greens.append(a) or real_green(*a)
     )
     monkeypatch.setattr(
-        scipy.linalg, "lu_factor", lambda A: factored.append(A.shape) or real_lu(A)
+        scipy.linalg, "lu_factor", lambda A: factored.append(A.copy()) or real_lu(A)
     )
     back, _ = fileio.read_pyramid(io.StringIO(buf.getvalue()))
     assert any(lvl.sparsified for lvl in back.levels) == (theta is not None)
     wv.compression_curve(back, [0.1, 0.5, 1.0])
     wv.reconstruct_pyramid(back)
-    for p in (1.0, 2.0, math.inf):
+    ps = (1.0, 2.0, math.inf)
+    for p in ps:
         wv.stability_bounds(back, p)
     assert greens == []
-    assert sorted(factored) == sorted((lvl.dropped.size,) * 2 for lvl in back.levels)
-    assert len(factored) == back.depth == 3
+
+    def times_factored(M):
+        return sum(A.shape == M.shape and np.array_equal(A, M) for A in factored)
+
+    for lvl in back.levels:
+        L, d = lvl.network.L, lvl.dropped
+        assert times_factored(-L[np.ix_(d, d)]) == 1
+        assert times_factored(lvl.q_prime * np.eye(lvl.n) - L) == len(ps)
+    assert len(factored) == (1 + len(ps)) * back.depth
+    assert back.depth == 3
 
 
 @pytest.mark.parametrize("theta", [None, 0.5])

@@ -170,23 +170,10 @@ BAD_WEIGHTS = (0.0, -0.0, -1.5, float("nan"), float("inf"), float("-inf"))
 
 @st.composite
 def faulty_edge_lists(draw):
-    """(edges, n): a strongly connected digraph on up to 6 vertices in
-    shuffled order, sometimes symmetric, with up to 3 injected faults."""
-    n = draw(st.integers(1, 6))
-    cycle = draw(st.permutations(range(n)))
-    pairs = {(cycle[i], cycle[(i + 1) % n]) for i in range(n)} if n > 1 else set()
-    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    pairs |= {(a, b) for a, b in draw(st.lists(extra, max_size=n * n)) if a != b}
+    """(edges, n): a digraph of :func:`netdefs.digraphs` with up to 3
+    injected faults."""
+    edges, n = draw(netdefs.digraphs())
     weight = st.floats(0.01, 100.0)
-    if draw(st.booleans()):
-        pairs |= {(b, a) for a, b in pairs}
-        w = {}
-        for a, b in sorted(pairs):
-            w[(a, b)] = w.get((b, a)) or draw(weight)
-        edges = [(a, b, w[(a, b)]) for a, b in sorted(pairs)]
-    else:
-        edges = [(a, b, draw(weight)) for a, b in sorted(pairs)]
-    edges = draw(st.permutations(edges))
     for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=3)):
         at = draw(st.integers(0, len(edges)))
         v = draw(st.integers(0, n - 1))

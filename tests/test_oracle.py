@@ -10,11 +10,12 @@ import math
 import numpy as np
 import pytest
 
-from forestnets import oracle
+from forestnets import config, oracle
 from forestnets.errors import (
     InvalidParams,
     InvalidStart,
     NotSelfAvoiding,
+    SingularSystem,
     UnknownEdge,
     ZeroCoefficient,
 )
@@ -56,6 +57,36 @@ def test_green_requires_positive_q_or_roots(two_asym):
     oracle.green(two_asym, 0.0, B=[0])  # fine
     with pytest.raises(InvalidParams):
         oracle.green(two_asym, -1.0)
+
+
+def test_green_of_large_rates_is_solved():
+    # the residual of the Green solve grows with ||q Id - L||, and so does
+    # its check: an absolute 1e-9 refused this grid at q = 1
+    q = 1.0
+    edges = [(a, b, 1e8 * w) for a, b, w in netdefs.grid_edges(6, 6)]
+    net = build_network(edges, 36)
+    K = oracle.green(net, q).K
+    unit = np.finfo(float).eps * (1.0 + net.w_max / q)
+    assert np.abs(K.sum(axis=1) - 1.0).max() <= 64 * unit
+
+
+def test_green_checks_its_residual(monkeypatch, two_asym):
+    monkeypatch.setattr(config, "RESIDUAL_TOL", -1.0)
+    with pytest.raises(SingularSystem, match="q Id - L residual"):
+        oracle.green(two_asym, 3.0)
+
+
+def test_checked_lu():
+    with pytest.raises(SingularSystem, match="^M is singular"):
+        oracle.CheckedLU(np.ones((2, 2)), "M")
+    with pytest.raises(SingularSystem, match="^M overflows"):
+        oracle.CheckedLU(np.array([[np.inf, 0.0], [0.0, 1.0]]), "M")
+    M = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    lu = oracle.CheckedLU(M, "M")
+    assert lu.norm == 3.0
+    rhs = np.array([[1.0, 0.0], [0.0, 1.0]])
+    np.testing.assert_allclose(lu.solve(rhs), np.linalg.inv(M), atol=1e-15)
+    np.testing.assert_allclose(lu.solve(rhs[:, 0]), [2 / 3, 1 / 3], atol=1e-15)
 
 
 # -- partition function -----------------------------------------------------

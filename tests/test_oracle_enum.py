@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forestnets import oracle
 from forestnets.network import build_network
@@ -151,3 +153,42 @@ def test_charpoly_coeffs_count_forest_weights():
                 name,
                 k,
             )
+
+
+# ---------------------------------------------------------------------------
+# random digraphs
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=netdefs.digraphs(min_n=2, max_n=5),
+    decades=st.floats(0.0, 8.0),
+    q=st.floats(1e-2, 1e2),
+)
+def test_root_inclusion_matches_enumeration_at_any_scale(case, decades, q):
+    # the error of the Green solve grows as eps * cond(q Id - L), about
+    # eps * (1 + w_max/q); a residual check that grows with ||q Id - L||
+    # solves large rates instead of refusing them.  64 units leave room
+    # for the 5 x 5 LU and for the enumeration's own rounding.
+    edges, n = case
+    edges = [(a, b, w * 10.0**decades) for a, b, w in edges]
+    net = build_network(edges, n)
+    law = fe.forest_law(n, edges, q)
+    unit = np.finfo(float).eps * (1.0 + net.w_max / q)
+    for v in range(n):
+        got = oracle.root_inclusion_prob(net, q, [v])
+        assert abs(got - fe.root_inclusion(law, (v,))) <= 64 * unit, v
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=netdefs.digraphs(min_n=2, max_n=5), q=st.floats(1e-2, 1e2))
+def test_root_count_law_matches_enumeration_on_random_digraphs(case, q):
+    # a guard at unit scale; large rates leave the eigenvalues too badly
+    # conditioned for the pmf check
+    edges, n = case
+    law = oracle.root_count_law(build_network(edges, n), q)
+    want = fe.root_count_pmf(fe.forest_law(n, edges, q))
+    assert law.pmf.sum() == pytest.approx(1.0, abs=1e-9)
+    for k in range(n + 1):
+        got = law.as_dict().get(k, 0.0)
+        assert got == pytest.approx(want.get(k, 0.0), abs=1e-9), k

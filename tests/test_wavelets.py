@@ -459,6 +459,20 @@ def test_pyramid_of_large_rates_reconstructs():
     assert np.abs(wv.reconstruct_pyramid(pyr) - f).max() < 1e-10
 
 
+def test_pyramid_of_large_rates_smooths_slowly():
+    # analysis solves q' Id - L with q' far below the rates; the Green
+    # residual check scales with ||q' Id - L|| and accepts it
+    edges = [(a, b, 1e8 * w) for a, b, w in grid_edges(6, 6)]
+    keep = [v for v in range(36) if (v // 6 + v % 6) % 3 == 0]
+    f = np.sin(np.arange(36.0))
+    net = build_network(edges, 36)
+    pyr = wv.build_pyramid(net, f, forced_keep=[keep], forced_q_prime=[1.0])
+    unit = np.finfo(float).eps * (1.0 + net.w_max / 1.0)
+    assert np.abs(wv.reconstruct_pyramid(pyr) - f).max() <= 64 * unit
+    for p in (1.0, 2.0, math.inf):
+        assert wv.stability_bounds(pyr, p).all_dominated()
+
+
 def test_detail_size_check_checks_its_residual(monkeypatch):
     # a guard: the Green inverse it used to form checked its residual too
     f, pyr = build_cycle_pyramid(n=32, seed=3, max_levels=2)
