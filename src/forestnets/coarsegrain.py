@@ -237,12 +237,21 @@ def kernel_link(net: Network, keep: Sequence[int], q_prime: float) -> np.ndarray
     ``K_{q'}(kept[i], .)`` on the full network (a probability measure)."""
     kept = _canon_keep(net, keep)
     check_q_prime(q_prime)
-    K = oracle.green(net, q_prime).K
-    link = K[kept, :]
-    rows = link.sum(axis=1)
-    if np.abs(rows - 1.0).max() > config.STRUCTURAL_TOL * net.n:
-        raise NumericalError("kernel link rows do not sum to 1")
+    link = oracle.green(net, q_prime).K[kept, :]
+    _check_rows_sum_to_one(net, link, q_prime, "kernel link")
     return link
+
+
+def _check_rows_sum_to_one(
+    net: Network, P: np.ndarray, q_prime: float, what: str
+) -> None:
+    """Raise ``NumericalError`` unless the rows of ``P``, built from
+    ``K_{q'}``, sum to 1 within the larger of ``STRUCTURAL_TOL * n`` and 64
+    units of ``eps * (1 + w_max/q')``, the error of the Green solve."""
+    unit = np.finfo(float).eps * (1.0 + net.w_max / q_prime)
+    allowed = max(config.STRUCTURAL_TOL * net.n, 64 * unit)
+    if np.abs(P.sum(axis=1) - 1.0).max() > allowed:
+        raise NumericalError(f"{what} rows do not sum to 1")
 
 
 def metastable_kernel(
@@ -251,27 +260,22 @@ def metastable_kernel(
     """Coarse kernel of a partition: start from the block equilibrium, run
     the walk to an independent exponential time of rate ``q'``, record the
     landing block."""
-    link, K = _partition_kernel(net, blocks, q_prime)
-    return _metastable(net, link, K)
+    return _metastable(net, blocks, q_prime)[2]
 
 
-def _partition_kernel(
+def _metastable(
     net: Network, blocks: Sequence[Sequence[int]], q_prime: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The partition link and the killed kernel ``K_{q'}``."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The partition link, the killed kernel ``K_{q'}`` and the metastable
+    kernel."""
     link = partition_link(net, blocks)
     check_q_prime(q_prime)
-    return link, oracle.green(net, q_prime).K
-
-
-def _metastable(net: Network, link: np.ndarray, K: np.ndarray) -> np.ndarray:
+    K = oracle.green(net, q_prime).K
     # row i of the link is positive exactly on block i
     member = (link > 0.0).astype(float)
     Pbar = link @ K @ member.T
-    rows = Pbar.sum(axis=1)
-    if np.abs(rows - 1.0).max() > config.STRUCTURAL_TOL * net.n:
-        raise NumericalError("metastable kernel rows do not sum to 1")
-    return Pbar
+    _check_rows_sum_to_one(net, Pbar, q_prime, "metastable kernel")
+    return link, K, Pbar
 
 
 def intertwining_error_tv(
@@ -279,8 +283,7 @@ def intertwining_error_tv(
 ) -> np.ndarray:
     """Row-wise total variation gap between running the fine kernel after
     the link and running the coarse kernel before it."""
-    link, K = _partition_kernel(net, blocks, q_prime)
-    Pbar = _metastable(net, link, K)
+    link, K, Pbar = _metastable(net, blocks, q_prime)
     fine = link @ K
     coarse = Pbar @ link
     return np.asarray(
@@ -378,17 +381,14 @@ def squeezing_spectral_bound(
         raise InvalidParams(f"m must lie in 1..{net.n}")
     if q <= 0 or q_prime <= 0:
         raise InvalidParams("q and q' must be positive")
-    lam = oracle.spectrum(net)
-    scale = max(1.0, float(np.abs(lam).max()))
-    if np.abs(lam.imag).max() > 1e-9 * scale:
+    lam = oracle._nonzero_spectrum(net, np.zeros(0, dtype=np.int64))
+    scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
+    if np.abs(lam.imag).max(initial=0.0) > 1e-9 * scale:
         raise InvalidParams(
             "spectral squeezing bound needs a real spectrum "
             "(reversible network)"
         )
-    lam = np.sort(lam.real)
-    if abs(lam[0]) > 1e-8 * scale:
-        raise NumericalError("missing zero eigenvalue")
-    lam = lam[1:]
+    lam = lam.real
     pq = q / (q + lam)
     pqp = q_prime / (q_prime + lam)
     s_n = float((pqp ** 2 * (1.0 - pq) ** 2).sum())

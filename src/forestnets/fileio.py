@@ -102,6 +102,8 @@ def read_signal(fh: IO[str], n: int | None = None) -> np.ndarray:
             raise MalformedInput(f"line {lineno}: {exc}") from None
         if v in seen:
             raise MalformedInput(f"line {lineno}: vertex {v} listed twice")
+        if not np.isfinite(val):
+            raise InvalidParams(f"line {lineno}: signal value {val} is not finite")
         seen[v] = val
     if not seen:
         raise MalformedInput("signal file is empty")
@@ -335,6 +337,8 @@ def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
                 raise MalformedInput(
                     f"level {li}: detail length does not match dropped set"
                 )
+            if not np.isfinite(detail).all():
+                raise MalformedInput(f"level {li}: detail is not finite")
             next_edges = entry["next_edges"]
             where = f"level {li}: next_edges"
             if next_edges is None and version == 1:
@@ -366,6 +370,8 @@ def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
         apex = np.asarray([float(x) for x in doc["apex"]])
         if apex.size != current.n:
             raise MalformedInput("apex length does not match final network")
+        if not np.isfinite(apex).all():
+            raise MalformedInput("apex is not finite")
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"malformed pyramid archive: {exc}") from None
     pyr = Pyramid(base=base, levels=levels, apex=apex, seed=doc.get("seed"))

@@ -89,7 +89,10 @@ class CheckedLU:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``M x = rhs``; several columns are checked on one fixed
-        random combination, in ``O(n^2 + nk)`` not ``O(n^2 k)``."""
+        random combination, in ``O(n^2 + nk)`` not ``O(n^2 k)``; a
+        right-hand side that is not finite raises ``NumericalError``."""
+        if not np.isfinite(rhs).all():
+            raise NumericalError(f"{self.what}: right-hand side is not finite")
         x = scipy.linalg.lu_solve(self.factors, rhs)
         xv, bv = x, rhs
         if x.ndim > 1:
@@ -281,29 +284,32 @@ def spectrum(net: Network, B: Sequence[int] = ()) -> np.ndarray:
     return np.linalg.eigvals(-L[np.ix_(free, free)])
 
 
+def _nonzero_spectrum(net: Network, roots: np.ndarray) -> np.ndarray:
+    """Eigenvalues of ``-L`` outside ``roots``; with no roots, those of
+    ``M[:-1, :-1] - M[-1, :-1]`` with ``M = -L``, which are exactly the
+    ``n - 1`` besides the zero of ``M 1 = 0``.  ``NumericalError`` when
+    the matrix or its spectrum overflows."""
+    free = _free_vertices(net, roots)
+    M = -net.L[np.ix_(free, free)]
+    if roots.size == 0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            M = M[:-1, :-1] - M[-1, :-1]
+    if not np.isfinite(M).all():
+        raise NumericalError("the deflated -L overflows")
+    lam = np.linalg.eigvals(M)
+    if not np.isfinite(lam).all():
+        raise NumericalError("the spectrum of -L overflows")
+    return lam
+
+
 def _split_spectrum(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split eigenvalues into reals and one representative per conjugate pair."""
-    if lam.size == 0:
-        return np.zeros(0), np.zeros(0, dtype=complex)
-    scale = max(1.0, float(np.abs(lam).max()))
-    imag_tol = 1e-9 * scale
-    real = lam[np.abs(lam.imag) <= imag_tol].real
-    plus = sorted(lam[lam.imag > imag_tol], key=lambda z: (z.real, z.imag))
-    minus = list(lam[lam.imag < -imag_tol])
-    if len(plus) != len(minus):
+    """Split the eigenvalues of a real matrix into the reals and one
+    representative per conjugate pair.  LAPACK returns each pair as
+    adjacent exact conjugates, the positive imaginary part first."""
+    plus, minus = lam[lam.imag > 0], lam[lam.imag < 0]
+    if not np.array_equal(np.conj(plus), minus):
         raise NumericalError("complex eigenvalues do not pair up")
-    pair_tol = 1e-8 * scale
-    reps = []
-    for z in plus:
-        dists = [abs(np.conj(z) - m) for m in minus]
-        k = int(np.argmin(dists))
-        if dists[k] > pair_tol:
-            raise NumericalError(
-                f"no conjugate within {pair_tol:.1e} for eigenvalue {z}"
-            )
-        minus.pop(k)
-        reps.append(z)
-    return np.asarray(real), np.asarray(reps, dtype=complex)
+    return lam[lam.imag == 0].real, plus
 
 
 @dataclass
@@ -322,23 +328,22 @@ class RootCountLaw:
 def root_count_law(net: Network, q: float, B: Sequence[int] = ()) -> RootCountLaw:
     """Exact law of the root count.
 
-    The count is ``|B|`` plus a sum of independent Bernoulli variables with
-    success probability ``q / (q + eigenvalue)`` for each real eigenvalue of
-    ``-L`` outside ``B``, plus, for each complex conjugate pair, an
-    independent {0,1,2}-valued variable with
+    The count is ``|B|``, or one certain root when ``B`` is empty (the zero
+    eigenvalue of ``-L``), plus a sum of independent Bernoulli variables
+    with success probability ``p = q / (q + eigenvalue)`` for each real
+    nonzero eigenvalue of ``-L`` outside ``B``, plus, for each complex
+    conjugate pair, an independent {0,1,2}-valued variable with
     ``P(2) = |p|^2`` and ``P(1) = 2 Re(p) - 2 |p|^2``.
     """
     roots = vertex_set(net.n, B, "root set")
     q = _check_q(q, roots)
-    lam = spectrum(net, roots)
-    real, pairs = _split_spectrum(lam)
+    real, pairs = _split_spectrum(_nonzero_spectrum(net, roots))
+    p_real, p_pairs = q / (q + real), q / (q + pairs)
 
-    pmf = np.array([1.0])
-    for lam_j in real:
-        p = q / (q + lam_j)
+    pmf = np.array([1.0]) if roots.size else np.array([0.0, 1.0])
+    for p in p_real:
         pmf = np.convolve(pmf, [1.0 - p, p])
-    for z in pairs:
-        p = q / (q + z)
+    for p in p_pairs:
         p2 = abs(p) ** 2
         p1 = 2.0 * p.real - 2.0 * p2
         p0 = 1.0 - 2.0 * p.real + p2
@@ -353,26 +358,20 @@ def root_count_law(net: Network, q: float, B: Sequence[int] = ()) -> RootCountLa
     pmf = np.clip(pmf, 0.0, 1.0)
 
     counts = np.arange(roots.size, roots.size + pmf.size)
-    mean, variance = root_count_moments(net, q, roots)
-    return RootCountLaw(counts=counts, pmf=pmf, mean=mean, variance=variance)
+    mean = max(roots.size, 1) + p_real.sum() + 2.0 * p_pairs.real.sum()
+    variance = (p_real - p_real**2).sum() + 2.0 * (p_pairs - p_pairs**2).real.sum()
+    return RootCountLaw(counts, pmf, mean=float(mean), variance=float(variance))
 
 
 def root_count_moments(
     net: Network, q: float, B: Sequence[int] = ()
 ) -> tuple[float, float]:
-    """Mean and variance of the root count from the spectrum outside ``B``:
-    ``mean = |B| + sum_j q/(q+lam_j)`` and
-    ``variance = sum_j [q/(q+lam_j) - (q/(q+lam_j))^2]``."""
-    roots = vertex_set(net.n, B, "root set")
-    q = _check_q(q, roots)
-    lam = spectrum(net, roots)
-    p = q / (q + lam) if lam.size else np.zeros(0, dtype=complex)
-    mean_c = p.sum()
-    var_c = (p - p * p).sum()
-    scale = max(1.0, abs(mean_c), abs(var_c))
-    if max(abs(mean_c.imag), abs(var_c.imag)) > config.STRUCTURAL_TOL * scale:
-        raise NumericalError("root-count moments have nonreal residue")
-    return roots.size + float(mean_c.real), float(var_c.real)
+    """Mean and variance of the root count (see :func:`root_count_law`):
+    ``mean = max(|B|, 1) + sum_j q/(q+lam_j)`` and
+    ``variance = sum_j [q/(q+lam_j) - (q/(q+lam_j))^2]`` over the nonzero
+    spectrum outside ``B``."""
+    law = root_count_law(net, q, B)
+    return law.mean, law.variance
 
 
 # ---------------------------------------------------------------------------
@@ -449,35 +448,25 @@ def hitting_times(net: Network, B: Sequence[int]) -> np.ndarray:
 
 def mean_root_hitting(net: Network, q: float) -> float:
     """Expected time for the walk to reach the random root set:
+    ``P(|roots| >= 2) / q``, which is
     ``(1/q) (1 - prod_j lam_j / (q + lam_j))`` over the nonzero spectrum
     of ``-L``; independent of the start vertex."""
     if q <= 0 or not np.isfinite(q):
         raise InvalidParams("q must be positive and finite")
-    lam = spectrum(net)
-    k = int(np.argmin(np.abs(lam)))
-    scale = max(1.0, float(np.abs(lam).max()))
-    if abs(lam[k]) > 1e-8 * scale:
-        raise NumericalError("no (near) zero eigenvalue found; not a generator?")
-    rest = np.delete(lam, k)
-    prod = np.prod(rest / (q + rest)) if rest.size else 1.0 + 0.0j
-    if abs(np.imag(prod)) > config.STRUCTURAL_TOL * max(1.0, abs(prod)):
-        raise NumericalError("eigenvalue product has nonreal residue")
-    return (1.0 - float(np.real(prod))) / q
+    return float(root_count_law(net, q).pmf[2:].sum()) / q
 
 
 def charpoly_root_coeffs(net: Network) -> np.ndarray:
-    """Magnitudes ``a_k`` of the coefficients of ``x^k`` in ``det(x Id - L)``.
+    """Magnitudes ``a_k`` of the coefficients of ``x^k`` in ``det(x Id - L)``
+    ``= x prod_j (x + lam_j)`` over the nonzero spectrum of ``-L``.
 
     ``a_k`` equals the total weight of spanning forests with exactly ``k``
-    roots; index 0..n.
+    roots; index 0..n, with ``a_0 = 0``.
     """
-    L = net.L
-    coeffs = np.poly(np.linalg.eigvals(L))  # highest power first
-    scale = max(1.0, float(np.abs(coeffs).max()))
-    if np.abs(coeffs.imag).max() > 1e-8 * scale:
-        raise NumericalError("characteristic polynomial has nonreal residue")
-    a = np.abs(coeffs.real[::-1])  # a[k] multiplies x^k
-    return a
+    lam = _nonzero_spectrum(net, np.zeros(0, dtype=np.int64))
+    _split_spectrum(lam)  # np.poly is real exactly on conjugate pairs
+    coeffs = np.atleast_1d(np.poly(-lam))  # highest power first
+    return np.concatenate([[0.0], np.abs(coeffs[::-1])])
 
 
 def mean_root_hitting_conditional(net: Network, m: int) -> float:

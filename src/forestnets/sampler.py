@@ -31,7 +31,7 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
-import scipy.stats
+import scipy.special
 
 from . import oracle
 from .errors import InvalidParams, InvalidStart, NumericalError
@@ -381,8 +381,9 @@ def _chi2_against_law(
     obs = np.array([c[0] for c in cells])
     exp = np.array([c[1] for c in cells])
     exp *= obs.sum() / exp.sum()  # remove float drift in total mass
-    stat, pvalue = scipy.stats.chisquare(obs, exp)
-    return float(stat), float(pvalue)
+    # scipy.stats.chisquare, without the cost of importing scipy.stats
+    stat = ((obs - exp) ** 2 / exp).sum()
+    return float(stat), float(scipy.special.chdtrc(obs.size - 1, stat))
 
 
 def empirical_stats(

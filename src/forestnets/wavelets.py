@@ -47,6 +47,8 @@ def _as_signal(values: Sequence[float], n: int) -> np.ndarray:
     f = np.asarray(values, dtype=float)
     if f.shape != (n,):
         raise InvalidParams(f"signal must have shape ({n},), got {f.shape}")
+    if not np.isfinite(f).all():
+        raise InvalidParams("signal values must be finite")
     return f
 
 

@@ -14,7 +14,9 @@ algebra: plain dictionaries, explicit products, explicit cycle checks.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -95,7 +97,7 @@ def forest_law(
         if not bset.issubset(roots):
             continue
         masses[phi] = phi.weight * q ** (len(roots) - len(bset))
-    z = sum(masses.values())
+    z = math.fsum(masses.values())
     return {phi: m / z for phi, m in masses.items()}
 
 
@@ -134,11 +136,10 @@ def edge_inclusion(
 
 
 def root_count_pmf(law: dict[EnumForest, float]) -> dict[int, float]:
-    pmf: dict[int, float] = {}
+    terms: dict[int, list[float]] = {}
     for phi, p in law.items():
-        k = len(phi.roots)
-        pmf[k] = pmf.get(k, 0.0) + p
-    return pmf
+        terms.setdefault(len(phi.roots), []).append(p)
+    return {k: math.fsum(ps) for k, ps in terms.items()}
 
 
 def mean_hitting_of_roots(
@@ -146,11 +147,9 @@ def mean_hitting_of_roots(
 ) -> float:
     """E over forests of E_x[time to reach roots(phi)], via a supplied
     hitting-time solver (cross-module check) or exact solver."""
-    total = 0.0
-    for phi, p in law.items():
-        h = hitting_times_fn(list(phi.roots))
-        total += p * h[x]
-    return total
+    return math.fsum(
+        p * hitting_times_fn(list(phi.roots))[x] for phi, p in law.items()
+    )
 
 
 def all_self_avoiding_paths(n: int, start: int) -> list[tuple[int, ...]]:
@@ -182,4 +181,32 @@ def exact_hitting_times(
     if free:
         M = -L[np.ix_(free, free)]
         h[free] = np.linalg.solve(M, np.ones(len(free)))
+    return h
+
+
+def rational_hitting_times(
+    n: int, edges: list[tuple[int, int, float]], B: list[int]
+) -> list[Fraction]:
+    """E_x[T_B] in exact rational arithmetic (Gauss-Jordan elimination of
+    ``-L h = 1`` outside ``B``), free of the rounding of a dense solve
+    whose error grows with the spread of the rates."""
+    free = [v for v in range(n) if v not in set(B)]
+    idx = {v: i for i, v in enumerate(free)}
+    m = len(free)
+    A = [[Fraction(0)] * m + [Fraction(1)] for _ in range(m)]
+    for s, d, w in edges:
+        if s in idx:
+            A[idx[s]][idx[s]] += Fraction(w)
+            if d in idx:
+                A[idx[s]][idx[d]] -= Fraction(w)
+    for c in range(m):
+        pivot = next(r for r in range(c, m) if A[r][c] != 0)
+        A[c], A[pivot] = A[pivot], A[c]
+        for r in range(m):
+            if r != c and A[r][c] != 0:
+                f = A[r][c] / A[c][c]
+                A[r] = [a - f * b for a, b in zip(A[r], A[c])]
+    h = [Fraction(0)] * n
+    for v, i in idx.items():
+        h[v] = A[i][m] / A[i][i]
     return h

@@ -2,16 +2,20 @@
 
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import forestnets
 from forestnets import cli, fileio, oracle
 from forestnets import wavelets as wv
 from forestnets.errors import NumericalError
 from forestnets.network import build_network
 
+import forest_enum as fe
 from netdefs import cycle_edges, grid_edges
 
 
@@ -837,3 +841,95 @@ def test_overflowing_exit_rate_is_invalid(capsys, tmp_path):
         bounds = run(capsys, ["signal", "bounds", str(archive), "--p", "2"])
     assert info == (2, "", "error: exit rate of vertex 0 overflows\n")
     assert bounds == (3, "", "error: base: exit rate of vertex 0 overflows\n")
+
+
+# ---------------------------------------------------------------------------
+# the nonzero spectrum, non-finite inputs, cold start
+
+
+def test_root_count_at_small_q_has_one_certain_root(capsys, tmp_path):
+    # the rounded zero eigenvalue of -L printed 0:2.24e-07
+    edges = [(0, 1, 1.0), (1, 0, 2.0), (1, 2, 1.0), (2, 1, 1.0)]
+    path = tmp_path / "g3.tsv"
+    path.write_text("".join(f"{s}\t{d}\t{w!r}\n" for s, d, w in edges))
+    code, out, _ = run(capsys, ["oracle", "root-count", str(path), "--q", "1e-9"])
+    assert code == 0
+    got = {int(k): float(p) for k, p in (tok.split(":") for tok in out.split())}
+    want = fe.root_count_pmf(fe.forest_law(3, edges, 1e-9))
+    assert 0 not in got
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def two_vertex_file(tmp_path, rate):
+    path = tmp_path / "two.tsv"
+    path.write_text(f"0\t1\t{rate!r}\n1\t0\t{rate!r}\n")
+    return str(path)
+
+
+def test_spectral_laws_at_rate_1e200(capsys, tmp_path):
+    # the eigenvalue 2e200 of -L is resolved: it no longer swamps the zero
+    path = two_vertex_file(tmp_path, 1e200)
+    assert run(capsys, ["oracle", "root-count", path, "--q", "1"]) == (
+        0, "1:1.0 2:5e-201\n", ""
+    )
+    assert run(capsys, ["oracle", "mean-root-hitting", path, "--q", "1"]) == (
+        0, "5e-201\n", ""
+    )
+
+
+@pytest.mark.parametrize("cmd", ["root-count", "mean-root-hitting"])
+def test_spectrum_that_overflows_exits_4(capsys, tmp_path, cmd):
+    path = two_vertex_file(tmp_path, 1e308)
+    code, out, err = run(capsys, ["oracle", cmd, path, "--q", "1"])
+    assert code == 4 and out == ""
+    assert err == "error: the deflated -L overflows\n"
+
+
+def test_graph_reduce_of_large_rates_at_unit_q_prime(capsys, tmp_path):
+    # the kernel link's row sums were held to an absolute 3.6e-9 (exit 4)
+    path = tmp_path / "grid.tsv"
+    path.write_text("".join(f"{a}\t{b}\t{1e8 * w!r}\n" for a, b, w in grid_edges(6, 6)))
+    argv = ["graph", "reduce", str(path), "--keep", "0,3,7,10,14,17,21,24,28,31,35",
+            "--sparsify-theta", "0.5", "--q-prime", "1"]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == "" and out
+
+
+@pytest.mark.parametrize("dry", [[], ["--dry-run"]])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_signal_exits_2(capsys, cycle_file, tmp_path, value, dry):
+    # analyze used to write bare NaN tokens into the archive
+    path = tmp_path / "bad.csv"
+    path.write_text("".join(f"{i},1.0\n" for i in range(31)) + f"31,{value}\n")
+    argv = ["signal", "analyze", cycle_file, str(path), "--seed", "1"] + dry
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: line 32: signal value {float(value)} is not finite\n"
+
+
+@pytest.mark.parametrize("cmd", [["reconstruct"], ["bounds", "--p", "2"]])
+@pytest.mark.parametrize("where", ["detail", "apex"])
+def test_non_finite_archive_values_exit_3(capsys, golden_archive, tmp_path, where, cmd):
+    # they reached a solve and ended in a ValueError traceback
+    doc = json.loads(open(golden_archive).read())
+    if where == "detail":
+        doc["levels"][0]["detail"][1] = float("nan")
+        want = "error: level 0: detail is not finite\n"
+    else:
+        doc["apex"][0] = float("inf")
+        want = "error: apex is not finite\n"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(capsys, ["signal", cmd[0], str(bad)] + cmd[1:]) == (3, "", want)
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs about a second per process and the CLI needs none of it
+    src = os.path.dirname(os.path.dirname(forestnets.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, forestnets.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout == "False\n"

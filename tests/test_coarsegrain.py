@@ -555,3 +555,15 @@ def test_sparsify_validation(ring8_reduction, cycle3):
     nonrev = cg.schur_reduce(cycle3, [0, 1, 2])
     with pytest.raises(InvalidParams):
         cg.sparsify(nonrev, 1.0, 0.5)
+
+
+def test_row_sums_of_large_rates_scale_with_w_max_over_q_prime():
+    # at q' = 1 the rows of K_{q'} on rates x1e8 sum to 1 only within about
+    # eps * w_max / q', above the absolute STRUCTURAL_TOL * n
+    net = build_network(grid_edges(6, 6, 1e8), 36)
+    unit = np.finfo(float).eps * (1.0 + net.w_max / 1.0)
+    link = cg.kernel_link(net, [0, 3, 7, 10, 14, 17, 21, 24, 28, 31, 35], 1.0)
+    rows = [list(range(r, r + 6)) for r in range(0, 36, 6)]
+    Pbar = cg.metastable_kernel(net, rows, 1.0)
+    for P in (link, Pbar):
+        assert np.abs(P.sum(axis=1) - 1.0).max() <= 64 * unit

@@ -15,6 +15,7 @@ from forestnets.errors import (
     InvalidParams,
     InvalidStart,
     NotSelfAvoiding,
+    NumericalError,
     SingularSystem,
     UnknownEdge,
     ZeroCoefficient,
@@ -87,6 +88,14 @@ def test_checked_lu():
     rhs = np.array([[1.0, 0.0], [0.0, 1.0]])
     np.testing.assert_allclose(lu.solve(rhs), np.linalg.inv(M), atol=1e-15)
     np.testing.assert_allclose(lu.solve(rhs[:, 0]), [2 / 3, 1 / 3], atol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_checked_lu_refuses_non_finite_rhs(bad):
+    lu = oracle.CheckedLU(np.array([[2.0, -1.0], [-1.0, 2.0]]), "M")
+    for rhs in (np.array([1.0, bad]), np.array([[1.0, 0.0], [bad, 1.0]])):
+        with pytest.raises(NumericalError, match="^M: right-hand side is not finite"):
+            lu.solve(rhs)
 
 
 # -- partition function -----------------------------------------------------

@@ -1,6 +1,7 @@
 """Dual-route checks: every determinantal formula against brute-force
 enumeration of all rooted spanning forests (and all self-avoiding paths)."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -183,8 +184,8 @@ def test_root_inclusion_matches_enumeration_at_any_scale(case, decades, q):
 @settings(max_examples=100, deadline=None)
 @given(case=netdefs.digraphs(min_n=2, max_n=5), q=st.floats(1e-2, 1e2))
 def test_root_count_law_matches_enumeration_on_random_digraphs(case, q):
-    # a guard at unit scale; large rates leave the eigenvalues too badly
-    # conditioned for the pmf check
+    # a guard at unit scale; test_spectral_laws_match_enumeration_at_any_scale
+    # checks the law at rates up to 1e8
     edges, n = case
     law = oracle.root_count_law(build_network(edges, n), q)
     want = fe.root_count_pmf(fe.forest_law(n, edges, q))
@@ -192,3 +193,47 @@ def test_root_count_law_matches_enumeration_on_random_digraphs(case, q):
     for k in range(n + 1):
         got = law.as_dict().get(k, 0.0)
         assert got == pytest.approx(want.get(k, 0.0), abs=1e-9), k
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=netdefs.digraphs(min_n=2, max_n=5),
+    decades=st.floats(0.0, 8.0),
+    q=st.floats(1e-2, 1e2),
+)
+def test_spectral_laws_match_enumeration_at_any_scale(case, decades, q):
+    # with no forced root the zero eigenvalue of -L is one certain root and
+    # never enters the formulas; each other eigenvalue is still off by
+    # about eps ||L||, which moves q / (q + lam) by about eps * w_max / q.
+    # So the laws get 64 units of eps * (1 + w_max/q), as root inclusion
+    # does.  The coefficients do not depend on q: their unit has
+    # a_2 / a_1 = sum_j 1/lam_j, the mean time to reach a single random
+    # root, in place of 1/q.
+    edges, n = case
+    edges = [(a, b, w * 10.0**decades) for a, b, w in edges]
+    net = build_network(edges, n)
+    law = fe.forest_law(n, edges, q)
+    want = fe.root_count_pmf(law)
+    eps = np.finfo(float).eps
+    unit = eps * (1.0 + net.w_max / q)
+
+    got = oracle.root_count_law(net, q)
+    assert got.counts[0] == 0 and got.pmf[0] == 0.0
+    for k in range(n + 1):
+        assert abs(got.pmf[k] - want.get(k, 0.0)) <= 64 * unit, k
+    mean = sum(k * p for k, p in want.items())
+    assert oracle.root_count_moments(net, q)[0] == pytest.approx(mean, rel=64 * unit)
+
+    exact = functools.cache(lambda B: fe.rational_hitting_times(n, edges, list(B)))
+    mrh = oracle.mean_root_hitting(net, q)
+    for x in range(n):
+        ref = fe.mean_hitting_of_roots(law, lambda B: exact(tuple(B)), x)
+        assert mrh == pytest.approx(ref, rel=64 * unit), x
+
+    a = [0.0] * (n + 1)
+    for phi in fe.all_spanning_forests(n, edges):
+        a[len(phi.roots)] += phi.weight
+    unit_a = eps * (1.0 + net.w_max * a[2] / a[1])
+    got_a = oracle.charpoly_root_coeffs(net)
+    assert got_a[0] == 0.0
+    assert np.abs(got_a - a).max() <= 64 * unit_a * max(a)

@@ -354,3 +354,22 @@ def test_generator_as_forced_roots(path3):
     assert f.parent[0] == -1 and f.parent[1] == -1
     with pytest.raises(InvalidParams):
         sampler.wilson_sample(path3, 1.0, (v for v in [0, 0]), seed=1)
+
+
+def test_chi2_matches_scipy_stats_chisquare():
+    # the statistic and p-value of scipy.stats.chisquare, which the CLI no
+    # longer imports; every expected count is at least 5, so no cell merges
+    import scipy.stats
+
+    rng = np.random.default_rng(11)
+    n = 1000
+    for _ in range(200):
+        k = int(rng.integers(2, 8))
+        pmf = 0.5 * rng.dirichlet(np.ones(k)) + 0.5 / k
+        law = oracle.RootCountLaw(np.arange(k), pmf, mean=0.0, variance=0.0)
+        obs = rng.multinomial(n, pmf).astype(float)
+        got = sampler._chi2_against_law(dict(enumerate(obs)), law, n)
+        exp = pmf * n
+        exp *= obs.sum() / exp.sum()
+        want = scipy.stats.chisquare(obs, exp)
+        assert got == pytest.approx((want[0], want[1]), rel=1e-14)

@@ -486,3 +486,17 @@ def test_stability_bounds_validation(two_asym):
     pyr = wv.build_pyramid(two_asym, [1.0, 0.0], forced_keep=[[0]])
     with pytest.raises(InvalidParams):
         wv.stability_bounds(pyr, 0.3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_signal_is_invalid(bad):
+    # it used to reach a solve (a ValueError) or spread NaN into the output
+    net = build_network(cycle_edges(8), 8)
+    f = [1.0] * 7 + [bad]
+    for call in (
+        lambda: wv.analyze_level(net, [0, 2, 4, 6], 1.0, f),
+        lambda: wv.reconstruct_level(net, [0, 2, 4, 6], 1.0, f[:4], f[4:]),
+        lambda: wv.build_pyramid(net, f, forced_keep=[[0, 2, 4, 6]]),
+    ):
+        with pytest.raises(InvalidParams, match="signal values must be finite"):
+            call()
