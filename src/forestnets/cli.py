@@ -29,7 +29,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .network import Network, skeleton
+from .network import Network, skeleton, vertex_set
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -142,11 +142,13 @@ def cmd_graph_skeleton(args) -> int:
 
 def cmd_graph_reduce(args) -> int:
     net = _load_network(args)
-    if args.sparsify_theta is not None and args.q_prime is None:
-        raise InvalidParams("--sparsify-theta requires --q-prime")
+    reduction = cg.ReducedNetwork(net, args.keep)
+    if args.sparsify_theta is not None:
+        if args.q_prime is None:
+            raise InvalidParams("--sparsify-theta requires --q-prime")
+        cg.check_sparsify_args(args.q_prime, args.sparsify_theta)
     if _dry(args):
         return EXIT_OK
-    reduction = cg.schur_reduce(net, args.keep)
     reduced = reduction.network
     if args.sparsify_theta is not None:
         reduced = cg.sparsify(reduction, args.q_prime, args.sparsify_theta)
@@ -179,6 +181,7 @@ def cmd_oracle_partition(args) -> int:
 
 def cmd_oracle_green(args) -> int:
     net = _load_network(args)
+    oracle.check_q(net, args.q, args.roots)
     if _dry(args):
         return EXIT_OK
     kern = oracle.green(net, args.q, args.roots)
@@ -194,6 +197,8 @@ def cmd_oracle_green(args) -> int:
 
 def cmd_oracle_root_prob(args) -> int:
     net = _load_network(args)
+    oracle.check_q(net, args.q, args.roots)
+    vertex_set(net.n, args.vertices, "root event")
     if _dry(args):
         return EXIT_OK
     print(_fmt(oracle.root_inclusion_prob(net, args.q, args.vertices, args.roots)))
@@ -202,6 +207,7 @@ def cmd_oracle_root_prob(args) -> int:
 
 def cmd_oracle_edge_prob(args) -> int:
     net = _load_network(args)
+    oracle.check_q(net, args.q, args.roots)
     if _dry(args):
         return EXIT_OK
     print(
@@ -216,6 +222,7 @@ def cmd_oracle_edge_prob(args) -> int:
 
 def cmd_oracle_root_count(args) -> int:
     net = _load_network(args)
+    oracle.check_q(net, args.q, args.roots)
     if _dry(args):
         return EXIT_OK
     law = oracle.root_count_law(net, args.q, args.roots)
@@ -236,6 +243,7 @@ def cmd_oracle_root_count(args) -> int:
 
 def cmd_oracle_path_prob(args) -> int:
     net = _load_network(args)
+    oracle.check_path(net, args.q, args.path, args.roots)
     if _dry(args):
         return EXIT_OK
     print(_fmt(oracle.lerw_path_prob(net, args.q, args.path, args.roots)))
@@ -271,6 +279,7 @@ def cmd_oracle_mean_root_hitting(args) -> int:
 
 def cmd_forest_sample(args) -> int:
     net = _load_network(args)
+    sampler.check_sampling_args(net, args.q, args.roots)
     if _dry(args):
         return EXIT_OK
     forest = sampler.wilson_sample(
@@ -283,6 +292,7 @@ def cmd_forest_sample(args) -> int:
 
 def cmd_forest_stats(args) -> int:
     net = _load_network(args)
+    sampler.check_sampling_args(net, args.q, args.roots, args.samples)
     if _dry(args):
         return EXIT_OK
     stats = sampler.empirical_stats(
@@ -338,6 +348,7 @@ def cmd_forest_roots_target(args) -> int:
 
 def cmd_forest_walk(args) -> int:
     net = _load_network(args)
+    sampler.check_sampling_args(net, args.q, args.roots)
     if _dry(args):
         return EXIT_OK
     path = sampler.loop_erased_walk(
@@ -354,6 +365,7 @@ def cmd_forest_walk(args) -> int:
 
 def cmd_forest_equilibrium_check(args) -> int:
     net = _load_network(args)
+    sampler.check_sampling_args(net, args.q)
     if _dry(args):
         return EXIT_OK
     report = sampler.conditional_root_equilibrium_check(
@@ -382,6 +394,7 @@ def cmd_forest_equilibrium_check(args) -> int:
 
 def cmd_tune(args) -> int:
     net = _load_network(args)
+    sampler.check_tuning_args(net, args.grid, args.samples)
     if _dry(args):
         return EXIT_OK
     records = sampler.estimate_tuning(net, args.grid, args.samples, seed=args.seed)

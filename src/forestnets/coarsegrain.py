@@ -32,8 +32,8 @@ from .errors import (
     NumericalError,
     ZeroProbability,
 )
-from .network import Network, reachable, skeleton, vertex_id, vertex_set
-from .norms import check_p, condition_measure, holder_conjugate, lp_norm, tv_distance
+from .network import Network, breadth_first, skeleton, vertex_id, vertex_set
+from .norms import check_p, condition_measure, holder_conjugate, lp_norm
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +282,12 @@ def intertwining_error_tv(
     net: Network, blocks: Sequence[Sequence[int]], q_prime: float
 ) -> np.ndarray:
     """Row-wise total variation gap between running the fine kernel after
-    the link and running the coarse kernel before it."""
+    the link and running the coarse kernel before it.  Both sides' rows
+    sum to those of the metastable kernel, which :func:`_metastable` has
+    checked to the scale of the Green solve, so they are not checked again
+    against an absolute tolerance."""
     link, K, Pbar = _metastable(net, blocks, q_prime)
-    fine = link @ K
-    coarse = Pbar @ link
-    return np.asarray(
-        [tv_distance(fine[i], coarse[i]) for i in range(link.shape[0])]
-    )
+    return 0.5 * np.abs(link @ K - Pbar @ link).sum(axis=1)
 
 
 def tv_meta_bound(
@@ -479,7 +478,15 @@ def _nonzero_edges(w: np.ndarray) -> np.ndarray:
 
 def _support_connected(w: np.ndarray) -> bool:
     src, dst = np.nonzero(w > 0)
-    return bool(reachable(w.shape[0], src, dst).all())
+    return breadth_first(w.shape[0], src, dst)[0].size == w.shape[0]
+
+
+def check_sparsify_args(q_prime: float, theta: float) -> None:
+    """Raise ``InvalidParams`` unless ``theta`` is finite and ``>= 0`` and
+    ``q'`` is positive and finite."""
+    if theta < 0 or not np.isfinite(theta):
+        raise InvalidParams("theta must be finite and >= 0")
+    check_q_prime(q_prime)
 
 
 def sparsify(reduction: ReducedNetwork, q_prime: float, theta: float) -> Network:
@@ -497,8 +504,7 @@ def sparsify(reduction: ReducedNetwork, q_prime: float, theta: float) -> Network
     takes ``reduction.mu`` as its measure once :func:`check_invariant`
     has checked it against the remaining rates.
     """
-    if theta < 0 or not np.isfinite(theta):
-        raise InvalidParams("theta must be finite and >= 0")
+    check_sparsify_args(q_prime, theta)
     red_net = reduction.network
     if not red_net.reversible:
         raise InvalidParams("sparsification requires a reversible reduction")

@@ -51,6 +51,16 @@ class Network:
         for ``mu(. | kept)``; it must be positive and is used instead of
         solving for one.
 
+    Otherwise ``mu`` is solved for.  A reversible network gets it in
+    ``O(m)`` by detailed balance down the forward breadth-first tree
+    (:func:`_tree_measure`), taken only when it balances every edge to
+    within the rounding of the tree products; every other network, and a
+    near-reversible one, gets it by GTH state reduction in ``O(n^3)``
+    (:func:`_gth_measure`).  Both are exact to a few units in the last
+    place entrywise on any weight range (birth-death chains over six
+    decades: within 22.5 eps relative at ``n = 1000`` on the tree, 23 by
+    GTH), and both results are checked positive and invariant.
+
     Attributes
     ----------
     n : int
@@ -80,13 +90,14 @@ class Network:
         self.src, self.dst, self.w = _sorted_edges(edge_array(edges), n)
 
         if n > 1:
-            for direction, (a, b) in (
-                ("forward", (self.src, self.dst)),
-                ("backward", (self.dst, self.src)),
+            # the forward search's tree also serves the reversible measure
+            tree = breadth_first(n, self.src, self.dst)
+            for direction, (order, _) in (
+                ("forward", tree),
+                ("backward", breadth_first(n, self.dst, self.src)),
             ):
-                reached = reachable(n, a, b)
-                if not reached.all():
-                    missing = int(np.flatnonzero(~reached)[0])
+                if order.size < n:
+                    missing = int(np.setdiff1d(np.arange(n), order)[0])
                     raise NotIrreducible(
                         f"vertex {missing} not {direction}-reachable from 0"
                     )
@@ -110,7 +121,7 @@ class Network:
 
         self.w_max = float((-np.diag(L)).max())
         if mu is None:
-            self.mu = self._invariant_measure()
+            self.mu = self._invariant_measure(*tree)
         elif len(mu) == n and np.all(mu > 0):
             self.mu = mu
         else:
@@ -145,9 +156,15 @@ class Network:
 
     # -- invariant measure ---------------------------------------------
 
-    def _invariant_measure(self) -> np.ndarray:
+    def _invariant_measure(self, order: np.ndarray, pred: np.ndarray) -> np.ndarray:
+        """``mu`` from detailed balance on the breadth-first tree
+        ``order``/``pred`` when the network is reversible within the
+        rounding of that tree, else by GTH state reduction; either way
+        checked positive and invariant."""
         with np.errstate(all="ignore"):
-            mu = _gth_measure(self.L)
+            mu = _tree_measure(self.n, self.src, self.dst, self.w, order, pred)
+            if mu is None:
+                mu = _gth_measure(self.L)
         if not np.all(mu > 0):
             raise NumericalError("invariant measure has nonpositive entries")
         resid = np.abs(mu @ self.L).max()
@@ -164,6 +181,58 @@ class Network:
             f"Network(n={self.n}, edges={len(self.edges)}, "
             f"w_max={self.w_max:.6g}, reversible={self.reversible})"
         )
+
+
+# a detailed-balance defect below this many units of (depth + 1) * eps is
+# the rounding of the tree products (twice its first-order worst case)
+_TREE_ROUNDING = 4
+
+
+def _tree_measure(
+    n: int,
+    src: np.ndarray,
+    dst: np.ndarray,
+    w: np.ndarray,
+    order: np.ndarray,
+    pred: np.ndarray,
+) -> np.ndarray | None:
+    """Invariant probability of a reversible network from detailed balance
+    down a spanning tree, in ``O(m)``; ``None`` if the network is not
+    reversible within the rounding of that tree.
+
+    The edges ``src``, ``dst``, ``w`` are sorted by ``(src, dst)``; the
+    tree is the breadth-first search from vertex 0 (``order`` and its
+    predecessors ``pred``).  If every edge ``(x, y)`` has its reverse,
+    ``mu(0) = 1`` and ``mu(x) = mu(p) w(p, x) / w(x, p)`` for ``p`` the
+    predecessor of ``x``.  Each entry is then a product of ``depth(x)``
+    rounded ratios, off by less than ``depth(x) * eps`` relative, so
+    ``mu(x) w(x, y)`` and ``mu(y) w(y, x)`` agree within ``2 (depth + 1)
+    eps`` on every edge when the weights are in detailed balance, with
+    ``depth`` the larger of the two depths; the result is accepted only
+    if they agree within ``_TREE_ROUNDING (depth + 1) eps``, and only if
+    every entry is a normal positive number."""
+    key = src * n + dst  # ascending, as the edges are sorted
+    rkey = dst * n + src
+    rev = np.minimum(np.searchsorted(key, rkey), key.size - 1)
+    if not np.array_equal(key[rev], rkey):
+        return None
+    w_back = w[rev]  # w(y, x) for each edge (x, y)
+    kids = order[1:]
+    up = pred[kids]
+    arc = np.searchsorted(key, up * n + kids)  # the tree edge (pred(x), x)
+    mu = [1.0] * n
+    depth = [0] * n
+    for x, p, r in zip(kids.tolist(), up.tolist(), (w[arc] / w_back[arc]).tolist()):
+        mu[x] = mu[p] * r
+        depth[x] = depth[p] + 1
+    mu = np.array(mu)
+    d = np.array(depth)
+    flow, back = mu[src] * w, mu[dst] * w_back
+    tol = _TREE_ROUNDING * np.finfo(float).eps * (np.maximum(d[src], d[dst]) + 1)
+    balanced = np.all(np.abs(flow - back) <= tol * flow)
+    if not (balanced and mu.min() >= np.finfo(float).tiny):
+        return None
+    return mu / mu.sum()
 
 
 _GTH_BLOCK = 64
@@ -284,15 +353,17 @@ def _sorted_edges(
     return pairs[order, 0], pairs[order, 1], w[order]
 
 
-def reachable(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Boolean mask of the vertices of ``0..n-1`` reached from vertex 0
-    along the directed edges ``src[i] -> dst[i]``."""
+def breadth_first(
+    n: int, src: np.ndarray, dst: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first search from vertex 0 of ``0..n-1`` along the directed
+    edges ``src[i] -> dst[i]``: the vertices reached, in the order reached,
+    and each vertex's predecessor in the search (negative at 0 and at the
+    vertices not reached)."""
     order = np.argsort(src, kind="stable")
     indptr = np.searchsorted(src[order], np.arange(n + 1))
     graph = csr_matrix((np.ones(src.size), dst[order], indptr), shape=(n, n))
-    reached = np.zeros(n, dtype=bool)
-    reached[breadth_first_order(graph, 0, return_predecessors=False)] = True
-    return reached
+    return breadth_first_order(graph, 0, return_predecessors=True)
 
 
 def build_network(edges: Iterable[Edge] | np.ndarray, n: int | None = None) -> Network:

@@ -55,7 +55,7 @@ def tv_distance(mu: Sequence[float], nu: Sequence[float]) -> float:
         raise ShapeMismatch("mu and nu must have the same length")
     for name, v in (("mu", mu), ("nu", nu)):
         if abs(float(v.sum()) - 1.0) > config.ARITHMETIC_TOL * max(1, v.size):
-            raise UnnormalizedMeasure(f"{name} sums to {v.sum()!r}, expected 1")
+            raise UnnormalizedMeasure(f"{name} sums to {float(v.sum())!r}, expected 1")
     return 0.5 * float(np.abs(mu - nu).sum())
 
 

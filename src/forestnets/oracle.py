@@ -52,13 +52,19 @@ def _free_vertices(net: Network, roots: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def _check_q(q: float, roots: np.ndarray) -> float:
+def check_q(
+    net: Network, q: float, B: Sequence[int] = ()
+) -> tuple[float, np.ndarray]:
+    """The killing rate as a float and the forced root set as sorted ids;
+    ``InvalidParams`` unless ``q`` is finite and ``>= 0``, and positive
+    when ``B`` is empty."""
+    roots = vertex_set(net.n, B, "root set")
     q = float(q)
     if not np.isfinite(q) or q < 0:
         raise InvalidParams(f"killing rate q must be finite and >= 0, got {q}")
     if q == 0 and roots.size == 0:
         raise InvalidParams("q = 0 requires a nonempty forced root set")
-    return q
+    return q, roots
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +135,7 @@ def green(net: Network, q: float, B: Sequence[int] = ()) -> GreenKernel:
     """Green's function ``G = [q Id - L]^-1`` outside ``B``, with ``K = qG``,
     solved for the identity through one :class:`CheckedLU` of
     ``q Id - L``, whose residual check scales with ``||q Id - L||``."""
-    roots = vertex_set(net.n, B, "root set")
-    q = _check_q(q, roots)
+    q, roots = check_q(net, q, B)
     free = _free_vertices(net, roots)
     G = np.zeros((net.n, net.n))
     if free.size:
@@ -188,8 +193,7 @@ def root_inclusion_prob(
     Determinantal: ``det [K]_(A minus B)`` with ``K = qG``; forced roots in
     ``A`` contribute factor one.
     """
-    roots = vertex_set(net.n, B, "root set")
-    q = _check_q(q, roots)
+    q, roots = check_q(net, q, B)
     a = np.setdiff1d(vertex_set(net.n, A, "root event"), roots)
     if a.size == 0:
         return 1.0
@@ -213,8 +217,7 @@ def transfer_current(
     which turns principal minors into probabilities of seeing each edge in
     either orientation.
     """
-    roots = vertex_set(net.n, B, "root set")
-    q = _check_q(q, roots)
+    q, roots = check_q(net, q, B)
     edges = [
         (vertex_id(s, "edge event"), vertex_id(d, "edge event")) for s, d in edge_list
     ]
@@ -335,8 +338,7 @@ def root_count_law(net: Network, q: float, B: Sequence[int] = ()) -> RootCountLa
     conjugate pair, an independent {0,1,2}-valued variable with
     ``P(2) = |p|^2`` and ``P(1) = 2 Re(p) - 2 |p|^2``.
     """
-    roots = vertex_set(net.n, B, "root set")
-    q = _check_q(q, roots)
+    q, roots = check_q(net, q, B)
     real, pairs = _split_spectrum(_nonzero_spectrum(net, roots))
     p_real, p_pairs = q / (q + real), q / (q + pairs)
 
@@ -393,8 +395,33 @@ def lerw_path_prob(
         killed:  q * w(path) * det[q Id - L]_(V minus B minus path)
                      / det[q Id - L]_(V minus B)
     """
-    roots = vertex_set(net.n, B, "root set")
-    q = _check_q(q, roots)
+    q, roots, p = check_path(net, q, path, B)
+    weight = 1.0
+    for a, b in zip(p[:-1], p[1:]):
+        weight *= net.L[a, b]
+    if weight == 0.0:
+        return 0.0
+
+    ends_absorbed = p[-1] in roots
+    removed = p[:-1] if ends_absorbed else p
+    sign_d, log_d = _log_partition(net, q, roots)
+    if sign_d <= 0:
+        raise SingularSystem("normalizing determinant is not positive")
+    forbidden = np.concatenate([roots, np.asarray(removed, dtype=np.int64)])
+    sign_n, log_n = _log_partition(net, q, forbidden)
+    val = sign_n * math.exp(log_n - log_d) * weight
+    if not ends_absorbed:
+        val *= q
+    return _clamp_unit(val)
+
+
+def check_path(
+    net: Network, q: float, path: Sequence[int], B: Sequence[int] = ()
+) -> tuple[float, np.ndarray, list[int]]:
+    """:func:`check_q`, then the path of :func:`lerw_path_prob` as a list
+    of ids: nonempty, self-avoiding, in range, starting outside ``B`` and
+    entering ``B`` at most at its end."""
+    q, roots = check_q(net, q, B)
     p = [vertex_id(x, "path") for x in path]
     if not p:
         raise InvalidParams("path must contain at least one vertex")
@@ -407,24 +434,7 @@ def lerw_path_prob(
         raise InvalidStart(f"path starts inside the forced root set: {p[0]}")
     if any(x in root_set for x in p[1:-1]):
         raise InvalidParams("path passes through the forced root set")
-
-    weight = 1.0
-    for a, b in zip(p[:-1], p[1:]):
-        weight *= net.L[a, b]
-    if weight == 0.0:
-        return 0.0
-
-    ends_absorbed = p[-1] in root_set
-    removed = p[:-1] if ends_absorbed else p
-    sign_d, log_d = _log_partition(net, q, roots)
-    if sign_d <= 0:
-        raise SingularSystem("normalizing determinant is not positive")
-    forbidden = np.concatenate([roots, np.asarray(removed, dtype=np.int64)])
-    sign_n, log_n = _log_partition(net, q, forbidden)
-    val = sign_n * math.exp(log_n - log_d) * weight
-    if not ends_absorbed:
-        val *= q
-    return _clamp_unit(val)
+    return q, roots, p
 
 
 # ---------------------------------------------------------------------------

@@ -180,14 +180,15 @@ class RootedForest:
         return [np.flatnonzero(self.partition == i) for i in range(self.roots.size)]
 
 
-def _check_sampling_args(net: Network, q: float, B: Sequence[int]) -> tuple[float, list[int]]:
-    q = float(q)
-    roots = vertex_set(net.n, B, "forced root set").tolist()
-    if not np.isfinite(q) or q < 0:
-        raise InvalidParams(f"killing rate q must be finite and >= 0, got {q}")
-    if q == 0 and not roots:
-        raise InvalidParams("q = 0 requires a nonempty forced root set")
-    return q, roots
+def check_sampling_args(
+    net: Network, q: float, B: Sequence[int] = (), n_samples: int = 1
+) -> tuple[float, list[int]]:
+    """:func:`oracle.check_q`, with the forced roots as a sorted list;
+    also ``InvalidParams`` unless ``n_samples >= 1``."""
+    q, roots = oracle.check_q(net, q, B)
+    if n_samples < 1:
+        raise InvalidParams("n_samples must be >= 1")
+    return q, roots.tolist()
 
 
 def _run_branch(
@@ -304,7 +305,7 @@ def wilson_sample(
     """Draw one random spanning forest with killing rate ``q`` and forced
     roots ``B``.  Identical ``(seed, sample_index)`` always reproduces the
     same forest."""
-    q, roots = _check_sampling_args(net, q, B)
+    q, roots = check_sampling_args(net, q, B)
     (parent,) = next(_sample_parents(net, q, roots, seed, sample_index, 1))
     return RootedForest(q=q, forced_roots=tuple(roots), parent=parent)
 
@@ -321,7 +322,7 @@ def loop_erased_walk(
     """Loop erasure of one killed walk from ``start`` (the first branch of a
     Wilson sample).  The path ends inside ``B`` when absorbed, else at the
     kill position."""
-    q, roots = _check_sampling_args(net, q, B)
+    q, roots = check_sampling_args(net, q, B)
     if not (0 <= start < net.n):
         raise InvalidParams(f"start vertex {start} outside 0..{net.n - 1}")
     if start in roots:
@@ -398,9 +399,7 @@ def empirical_stats(
     a chi-square comparison of the root-count histogram with the exact law.
     Sample ``i`` consumes the substream keyed ``(seed, i)``.
     """
-    q, roots = _check_sampling_args(net, q, B)
-    if n_samples < 1:
-        raise InvalidParams("n_samples must be >= 1")
+    q, roots = check_sampling_args(net, q, B, n_samples)
     n = net.n
     # counts[x, y] = times parent of x was y; column n counts "x is root"
     cells = np.arange(n) * (n + 1)
@@ -469,7 +468,7 @@ def sample_with_m_roots(
     window is never hit the best forest seen so far is returned with
     ``converged=False``.
     """
-    _, roots = _check_sampling_args(net, 1.0, B)
+    _, roots = check_sampling_args(net, 1.0, B)
     if not (max(1, len(roots)) <= m <= net.n):
         raise InvalidParams(f"target root count m={m} outside [1, {net.n}]")
     if max_iters < 1:
@@ -565,7 +564,7 @@ def conditional_root_equilibrium_check(
     frequency inside each block with ``restricted_equilibrium``; reports
     the worst total-variation gap per partition.
     """
-    q, roots = _check_sampling_args(net, q, B=())
+    q, roots = check_sampling_args(net, q, B=())
     # per partition key: [count, {block_index: {root: count}}]
     seen: dict[tuple[tuple[int, ...], ...], list] = {}
     for parents in _sample_parents(net, q, roots, seed, 0, n_samples):
@@ -618,6 +617,20 @@ def default_q_grid(net: Network) -> list[float]:
     return [net.w_max * 2.0 ** (-k) for k in range(7)]
 
 
+def check_tuning_args(
+    net: Network, q_grid: Sequence[float] | None, n_samples: int
+) -> list[float]:
+    """The grid of :func:`estimate_tuning` as floats (``default_q_grid``
+    when ``None``); ``InvalidParams`` unless every entry is positive and
+    finite and ``n_samples >= 1``."""
+    grid = [float(x) for x in (default_q_grid(net) if q_grid is None else q_grid)]
+    if any(x <= 0 or not np.isfinite(x) for x in grid):
+        raise InvalidParams("q grid entries must be positive and finite")
+    if n_samples < 1:
+        raise InvalidParams("n_samples must be >= 1")
+    return grid
+
+
 def estimate_tuning(
     net: Network,
     q_grid: Sequence[float] | None = None,
@@ -633,13 +646,7 @@ def estimate_tuning(
     return-speed; their product is the objective to minimize.  Grid point
     ``g`` uses sample indices ``g * n_samples .. (g + 1) * n_samples - 1``.
     """
-    if q_grid is None:
-        q_grid = default_q_grid(net)
-    grid = [float(x) for x in q_grid]
-    if any(x <= 0 or not np.isfinite(x) for x in grid):
-        raise InvalidParams("q grid entries must be positive and finite")
-    if n_samples < 1:
-        raise InvalidParams("n_samples must be >= 1")
+    grid = check_tuning_args(net, q_grid, n_samples)
     n = net.n
     records = []
     for gi, q in enumerate(grid):

@@ -652,6 +652,33 @@ def test_dry_run_refuses_what_the_run_refuses(
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize("dry", [[], ["--dry-run"]])
+@pytest.mark.parametrize("argv", [
+    ["oracle", "green", "{edges}", "--q", "-1"],
+    ["oracle", "root-prob", "{edges}", "--q", "1", "--vertices", "5"],
+    ["oracle", "edge-prob", "{edges}", "--q", "nan", "--edges-in-forest", "0-1"],
+    ["oracle", "root-count", "{edges}", "--q", "0"],
+    ["oracle", "path-prob", "{edges}", "--q", "1", "--path", "0,0"],
+    ["forest", "stats", "{edges}", "--q", "1", "--seed", "1", "--samples", "0"],
+    ["forest", "sample", "{edges}", "--q", "1", "--seed", "1", "--roots", "2"],
+    ["forest", "walk", "{edges}", "--q", "-1", "--start", "0", "--seed", "1"],
+    ["forest", "equilibrium-check", "{edges}", "--q", "inf", "--seed", "1",
+     "--samples", "10"],
+    ["graph", "reduce", "{edges}", "--keep", "5"],
+    ["graph", "reduce", "{edges}", "--keep", "0", "--sparsify-theta", "-1",
+     "--q-prime", "1"],
+    ["graph", "reduce", "{edges}", "--keep", "0", "--sparsify-theta", "0.5",
+     "--q-prime", "0"],
+    ["tune", "{edges}", "--seed", "1", "--samples", "0"],
+    ["tune", "{edges}", "--seed", "1", "--grid", "1,-2"],
+])
+def test_dry_run_checks_arguments(capsys, two_file, argv, dry):
+    code, out, err = run(capsys, [a.format(edges=two_file) for a in argv] + dry)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 @pytest.fixture
 def big_cycle_file(tmp_path):
     # one vertex more than config.MAX_VERTICES

@@ -567,3 +567,13 @@ def test_row_sums_of_large_rates_scale_with_w_max_over_q_prime():
     Pbar = cg.metastable_kernel(net, rows, 1.0)
     for P in (link, Pbar):
         assert np.abs(P.sum(axis=1) - 1.0).max() <= 64 * unit
+
+
+def test_intertwining_tv_of_large_rates():
+    # the same rows: held to the Green solve's scale, not to 1e-12 n; the
+    # walk mixes long before it is killed, so both sides are near mu
+    net = build_network(grid_edges(6, 6, 1e8), 36)
+    rows = [list(range(r, r + 6)) for r in range(0, 36, 6)]
+    err = cg.intertwining_error_tv(net, rows, 1.0)
+    assert err.shape == (6,)
+    assert 0.0 <= err.min() and err.max() < 1e-6

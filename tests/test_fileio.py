@@ -342,23 +342,35 @@ def test_rewriting_a_v1_archive_keeps_its_networks(monkeypatch):
 @pytest.mark.parametrize("theta", [None, 0.5])
 def test_only_the_base_measure_is_solved(monkeypatch, theta):
     # every level network carries the base measure conditioned down to
-    # it, built or read, exact or sparsified
-    calls = []
-    real = network._gth_measure
+    # it, built or read, exact or sparsified; the undirected cycle solves
+    # it on a spanning tree, the directed one (which cannot be sparsified)
+    # by GTH
+    solves, gth = [], []
+    solve, real = network.Network._invariant_measure, network._gth_measure
     monkeypatch.setattr(
-        network, "_gth_measure", lambda L, *a: calls.append(L) or real(L, *a)
+        network.Network,
+        "_invariant_measure",
+        lambda self, *a: solves.append(self) or solve(self, *a),
+    )
+    monkeypatch.setattr(
+        network, "_gth_measure", lambda L, *a: gth.append(L) or real(L, *a)
     )
     n = 32
-    net = build_network(cycle_edges(n, 1.0), n)
-    calls.clear()
-    f = np.sin(np.arange(n) / 4.0)
-    pyr = wv.build_pyramid(net, f, seed=9, max_levels=3, sparsify_theta=theta)
-    buf = io.StringIO()
-    fileio.write_pyramid(buf, pyr)
-    assert calls == []
-    back, _ = fileio.read_pyramid(io.StringIO(buf.getvalue()))
-    assert len(calls) == 1
-    for p in (pyr, back):
-        nets = [lvl.network for lvl in p.levels] + [p.levels[-1].next_network]
-        mus = [lvl.mu for lvl in p.levels] + [p.apex_mu]
-        assert all(np.array_equal(a.mu, b) for a, b in zip(nets, mus))
+    directed = [(x, (x + 1) % n, 1.0 + x / n) for x in range(n)]
+    cases = [(cycle_edges(n, 1.0), 0)] + [(directed, 1)] * (theta is None)
+    for edges, gth_solves in cases:
+        net = build_network(edges, n)
+        solves.clear()
+        gth.clear()
+        f = np.sin(np.arange(n) / 4.0)
+        pyr = wv.build_pyramid(net, f, seed=9, max_levels=3, sparsify_theta=theta)
+        buf = io.StringIO()
+        fileio.write_pyramid(buf, pyr)
+        assert solves == gth == []
+        back, _ = fileio.read_pyramid(io.StringIO(buf.getvalue()))
+        assert len(solves) == 1
+        assert len(gth) == gth_solves
+        for p in (pyr, back):
+            nets = [lvl.network for lvl in p.levels] + [p.levels[-1].next_network]
+            mus = [lvl.mu for lvl in p.levels] + [p.apex_mu]
+            assert all(np.array_equal(a.mu, b) for a, b in zip(nets, mus))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -298,6 +299,89 @@ def test_given_measure_is_taken_not_solved(monkeypatch):
     mu = np.array([0.2, 0.3, 0.5])
     net = Network(edges, n, mu=mu)
     assert net.mu is mu
+
+
+def _refuse(*a):
+    raise AssertionError("GTH called on a reversible network")
+
+
+@st.composite
+def random_trees(draw, max_n=12):
+    """(parent, n): vertex k > 0 hangs below ``parent[k] < k``."""
+    n = draw(st.integers(2, max_n))
+    return [None] + [draw(st.integers(0, k - 1)) for k in range(1, n)], n
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tree=random_trees(),
+    extra=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=20),
+    weights=st.lists(st.floats(0.001, 1000.0), min_size=40, max_size=40),
+)
+def test_symmetric_weights_give_the_uniform_measure(tree, extra, weights):
+    # a spanning tree plus chords, one weight per undirected pair
+    parent, n = tree
+    pairs = {(parent[k], k) for k in range(1, n)}
+    pairs |= {(min(a, b), max(a, b)) for a, b in extra if a != b and max(a, b) < n}
+    edges = netdefs.undirected(
+        [(a, b, w) for (a, b), w in zip(sorted(pairs), weights)]
+    )
+    with mock.patch.object(network, "_gth_measure", _refuse):
+        net = build_network(edges, n)
+    assert np.array_equal(net.mu, np.full(n, 1 / n))
+    assert net.reversible
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=random_trees(max_n=30), data=st.data())
+def test_tree_measure_is_exact_entrywise(tree, data):
+    # weights over six decades, each direction its own; mu(x) is the
+    # product of w(p, x) / w(x, p) down the tree, normalized
+    parent, n = tree
+    weight = st.floats(0.001, 1000.0)
+    down = [None] + [data.draw(weight) for _ in range(1, n)]
+    up = [None] + [data.draw(weight) for _ in range(1, n)]
+    edges = [(parent[k], k, down[k]) for k in range(1, n)]
+    edges += [(k, parent[k], up[k]) for k in range(1, n)]
+    exact, depth = [Fraction(1)], [0]
+    for k in range(1, n):
+        exact.append(exact[parent[k]] * Fraction(down[k]) / Fraction(up[k]))
+        depth.append(depth[parent[k]] + 1)
+    total = sum(exact)
+    exact = np.array([float(x / total) for x in exact])
+    with mock.patch.object(network, "_gth_measure", _refuse):
+        mu = build_network(edges, n).mu
+    # below depth(x) eps per tree product, n/2 eps for the sum
+    bound = (2 * max(depth) + n) * np.finfo(float).eps
+    assert np.abs(mu / exact - 1).max() <= bound
+
+
+def _bidirected_ring4():
+    # RING4_ASYM with each missing reverse added: every edge has its
+    # reverse, but the 4-cycle's weight products are 4 and 0.5
+    n, edges = netdefs.RING4_ASYM
+    have = {(s, d) for s, d, _ in edges}
+    return n, edges + [(d, s, 1.0) for s, d, _ in edges if (d, s) not in have]
+
+
+def _perturbed_grid():
+    n, edges = 9, netdefs.grid_edges(3, 3, 1.5)
+    s, d, w = edges[4]
+    edges[4] = (s, d, w * (1 + 1e-9))
+    return n, edges
+
+
+@pytest.mark.parametrize("case", [_bidirected_ring4, _perturbed_grid])
+def test_irreversible_networks_with_every_reverse_edge_take_gth(monkeypatch, case):
+    n, edges = case()
+    tried = []
+    tree = network._tree_measure
+    monkeypatch.setattr(
+        network, "_tree_measure", lambda *a: tried.append(tree(*a)) or tried[-1]
+    )
+    net = build_network(edges, n)
+    assert tried == [None]
+    assert np.array_equal(net.mu, _gth_measure(net.L))
 
 
 @pytest.mark.parametrize(

@@ -54,6 +54,11 @@ def test_tv_distance_rejects_unnormalized():
         tv_distance([0.5, 0.6], [0.5, 0.5])
 
 
+def test_tv_distance_names_the_sum_as_a_plain_float():
+    with pytest.raises(UnnormalizedMeasure, match=r"^nu sums to 0\.9, expected 1$"):
+        tv_distance(np.array([0.5, 0.5]), np.array([0.5, 0.4]))
+
+
 def test_condition_measure():
     mu = np.array([0.25, 0.5, 0.25])
     np.testing.assert_allclose(condition_measure(mu, [1, 2]), [2 / 3, 1 / 3])
