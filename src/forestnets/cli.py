@@ -171,8 +171,7 @@ def cmd_graph_reduce(args) -> int:
 
 def cmd_oracle_partition(args) -> int:
     net = _load_network(args)
-    if args.q < 0:
-        raise InvalidParams("killing rate q must be >= 0")
+    oracle.check_q(net, args.q, args.roots)
     if _dry(args):
         return EXIT_OK
     print(_fmt(oracle.partition_fn(net, args.q, args.roots)))
@@ -208,6 +207,7 @@ def cmd_oracle_root_prob(args) -> int:
 def cmd_oracle_edge_prob(args) -> int:
     net = _load_network(args)
     oracle.check_q(net, args.q, args.roots)
+    oracle.check_edge_event(net, args.edges_in_forest, args.signed)
     if _dry(args):
         return EXIT_OK
     print(
@@ -252,6 +252,7 @@ def cmd_oracle_path_prob(args) -> int:
 
 def cmd_oracle_hitting(args) -> int:
     net = _load_network(args)
+    oracle.check_targets(net, args.targets)
     if _dry(args):
         return EXIT_OK
     h = oracle.hitting_times(net, args.targets)
@@ -264,6 +265,10 @@ def cmd_oracle_mean_root_hitting(args) -> int:
     net = _load_network(args)
     if (args.q is None) == (args.root_count is None):
         raise InvalidParams("exactly one of --q and --root-count is required")
+    if args.q is not None:
+        oracle.check_q(net, args.q)
+    else:
+        oracle.check_root_count(net, args.root_count)
     if _dry(args):
         return EXIT_OK
     if args.q is not None:
@@ -280,6 +285,7 @@ def cmd_oracle_mean_root_hitting(args) -> int:
 def cmd_forest_sample(args) -> int:
     net = _load_network(args)
     sampler.check_sampling_args(net, args.q, args.roots)
+    sampler.check_stream(args.seed, args.sample_index, 1)
     if _dry(args):
         return EXIT_OK
     forest = sampler.wilson_sample(
@@ -293,6 +299,7 @@ def cmd_forest_sample(args) -> int:
 def cmd_forest_stats(args) -> int:
     net = _load_network(args)
     sampler.check_sampling_args(net, args.q, args.roots, args.samples)
+    sampler.check_stream(args.seed, 0, args.samples)
     if _dry(args):
         return EXIT_OK
     stats = sampler.empirical_stats(
@@ -319,6 +326,8 @@ def cmd_forest_stats(args) -> int:
 
 def cmd_forest_roots_target(args) -> int:
     net = _load_network(args)
+    sampler.check_m_roots_args(net, args.m, args.roots, args.q0, args.max_iters)
+    sampler.check_stream(args.seed, 0, args.max_iters)
     if _dry(args):
         return EXIT_OK
     result = sampler.sample_with_m_roots(
@@ -348,7 +357,8 @@ def cmd_forest_roots_target(args) -> int:
 
 def cmd_forest_walk(args) -> int:
     net = _load_network(args)
-    sampler.check_sampling_args(net, args.q, args.roots)
+    sampler.check_walk_args(net, args.q, args.start, args.roots)
+    sampler.check_stream(args.seed, args.sample_index, 1)
     if _dry(args):
         return EXIT_OK
     path = sampler.loop_erased_walk(
@@ -366,6 +376,7 @@ def cmd_forest_walk(args) -> int:
 def cmd_forest_equilibrium_check(args) -> int:
     net = _load_network(args)
     sampler.check_sampling_args(net, args.q)
+    sampler.check_stream(args.seed, 0, args.samples)
     if _dry(args):
         return EXIT_OK
     report = sampler.conditional_root_equilibrium_check(
@@ -394,7 +405,8 @@ def cmd_forest_equilibrium_check(args) -> int:
 
 def cmd_tune(args) -> int:
     net = _load_network(args)
-    sampler.check_tuning_args(net, args.grid, args.samples)
+    grid = sampler.check_tuning_args(net, args.grid, args.samples)
+    sampler.check_stream(args.seed, 0, len(grid) * args.samples)
     if _dry(args):
         return EXIT_OK
     records = sampler.estimate_tuning(net, args.grid, args.samples, seed=args.seed)

@@ -238,26 +238,22 @@ def _tree_measure(
 _GTH_BLOCK = 64
 
 
-def _gth_measure(L: np.ndarray, block: int = _GTH_BLOCK) -> np.ndarray:
-    """Invariant probability of an irreducible generator ``L`` with
-    ``n > 1`` by Grassmann-Taksar-Heyman state reduction (Oper. Res. 33,
-    1985), censored ``block`` vertices at a time from the end.
+def gth_eliminate(r: np.ndarray, block: int = _GTH_BLOCK) -> list[tuple]:
+    """Grassmann-Taksar-Heyman state reduction (Oper. Res. 33, 1985) of the
+    chain of rates ``r`` (overwritten; the diagonal is never read) onto
+    vertex 0, one ``block`` of vertices at a time from the end; killing is
+    a jump to vertex 0.
 
     A block's exit matrix ``M = -L_BB`` is factored as ``low @ up`` with
     each pivot taken as the sum of the rates still leaving its vertex
-    (including those out of the block), never as a difference.  The kept
+    (including those out of the block), never as a difference; the kept
     vertices then gain the rates through the block from two triangular
-    solves and one product, and ``mu_B`` is ``mu_A L_AB M^-1``.  Every
-    step adds, multiplies or divides nonnegative numbers, so each entry
-    of ``mu`` is exact to a few units in the last place however wide the
-    weight range; an LU solve of ``mu L = 0`` loses about ``cond(L)``
-    units.  Costs O(n^3) flops, mostly in BLAS-3 calls, plus one
-    Python-level step per vertex."""
-    n = L.shape[0]
-    r = L.copy()
-    r[np.diag_indices(n)] = 0.0
+    solves and one product.  Nothing is subtracted, so each pivot is exact
+    to a few ulps however wide the weight range.  Returns the blocks
+    ``(lo, hi, low, up)``, last first; the pivots, the diagonals of ``up``,
+    multiply to ``det(-L)`` off vertex 0.  Costs O(n^3), mostly BLAS-3."""
     blocks = []
-    hi = n
+    hi = r.shape[0]
     while hi > 1:
         lo = max(1, hi - block)
         b = hi - lo
@@ -279,6 +275,15 @@ def _gth_measure(L: np.ndarray, block: int = _GTH_BLOCK) -> np.ndarray:
         r[:lo, :lo] += r[:lo, lo:hi] @ solve_triangular(up, into, check_finite=False)
         blocks.append((lo, hi, low, up))
         hi = lo
+    return blocks
+
+
+def _gth_measure(L: np.ndarray, block: int = _GTH_BLOCK) -> np.ndarray:
+    """Invariant probability of an irreducible ``L`` with ``n > 1``, exact to
+    a few ulps: :func:`gth_eliminate`, then ``mu_B = mu_A L_AB M^-1``."""
+    n = L.shape[0]
+    r = L.copy()
+    blocks = gth_eliminate(r, block)
     mu = np.empty(n)
     mu[0] = 1.0
     for lo, hi, low, up in reversed(blocks):

@@ -5,15 +5,14 @@ root set ``B``, the random forest measure weights every spanning forest
 ``phi`` whose root set contains ``B`` proportionally to
 ``w(phi) * q^(|roots| - |B|)``, where ``w(phi)`` is the product of its edge
 weights.  Everything observable about this measure reduces to the killed
-Green's function
-
-    G = inverse of (q Id - L) restricted to the rows/columns outside B,
-
-embedded back into the full vertex set with zero rows and columns on ``B``.
-This module evaluates those closed forms: normalizing constant, root and
-edge inclusion probabilities (transfer currents), the law and moments of
-the number of roots, the path law of the loop-erased random walk, expected
-hitting times, and the mean time to hit the random root set.
+Green's function ``G``, the inverse of ``q Id - L`` outside ``B`` (zero on
+``B``), and to ``det(q Id - L)`` outside a vertex set.  This module
+evaluates those closed forms: normalizing constant, root and edge
+inclusion probabilities (transfer currents), the law and moments of the
+number of roots, the path law of the loop-erased random walk, expected
+hitting times, and the mean time to hit the random root set.  Each
+determinant comes from the subtraction-free GTH elimination of
+:func:`network.gth_eliminate`, each ``G`` from one checked LU.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .errors import (
     UnknownEdge,
     ZeroCoefficient,
 )
-from .network import Network, vertex_id, vertex_set
+from .network import Network, gth_eliminate, vertex_id, vertex_set
 
 OrientedEdge = tuple[int, int]
 
@@ -47,9 +46,7 @@ OrientedEdge = tuple[int, int]
 
 
 def _free_vertices(net: Network, roots: np.ndarray) -> np.ndarray:
-    mask = np.ones(net.n, dtype=bool)
-    mask[roots] = False
-    return np.flatnonzero(mask)
+    return np.setdiff1d(np.arange(net.n), roots)
 
 
 def check_q(
@@ -152,25 +149,27 @@ def partition_fn(net: Network, q: float, B: Sequence[int] = ()) -> float:
     Equals the weighted sum over spanning forests rooted at supersets of
     ``B`` of ``w(phi) q^(|roots| - |B|)``, and also the product of
     ``q + eigenvalue`` over the spectrum of ``-L`` outside ``B``.
+    ``NumericalError`` when it overflows.
     """
-    roots = vertex_set(net.n, B, "root set")
-    q = float(q)
-    if not np.isfinite(q):
-        raise InvalidParams("q must be finite")
-    sign, logdet = _log_partition(net, q, roots)
-    if sign == 0:
-        return 0.0
-    return float(sign * math.exp(logdet))
+    q, roots = check_q(net, q, B)
+    try:
+        return math.exp(_log_partition(net, q, roots))
+    except OverflowError:
+        raise NumericalError("partition function overflows") from None
 
 
-def _log_partition(net: Network, q: float, forbidden: np.ndarray) -> tuple[float, float]:
-    """(sign, log |det|) of [q Id - L] with rows/cols ``forbidden`` removed."""
+def _log_partition(net: Network, q: float, forbidden: np.ndarray) -> float:
+    """``log det[q Id - L]`` off ``forbidden``: the sum of the logs of the
+    positive pivots of :func:`network.gth_eliminate` on the free vertices,
+    killed at rate ``q`` plus their rates into ``forbidden``.  A pivot is
+    at most ``q + exit rate``; ``SingularSystem`` if that overflows."""
     free = _free_vertices(net, forbidden)
-    if free.size == 0:
-        return 1.0, 0.0
-    M = q * np.eye(free.size) - net.L[np.ix_(free, free)]
-    sign, logdet = np.linalg.slogdet(M)
-    return float(sign), float(logdet)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(q - net.L[free, free]).all():
+            raise SingularSystem("q Id - L overflows")
+    r = np.pad(net.L[np.ix_(free, free)], (1, 0))  # killing: a jump to 0
+    r[1:, 0] = q + net.L[np.ix_(free, forbidden)].sum(axis=1)
+    return float(sum(np.log(np.diag(up)).sum() for *_, up in gth_eliminate(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +177,8 @@ def _log_partition(net: Network, q: float, forbidden: np.ndarray) -> tuple[float
 
 
 def _clamp_unit(x: float) -> float:
-    if -config.PROB_CLAMP_TOL <= x < 0.0:
-        return 0.0
-    if 1.0 < x <= 1.0 + config.PROB_CLAMP_TOL:
-        return 1.0
+    if -config.PROB_CLAMP_TOL <= x <= 1.0 + config.PROB_CLAMP_TOL:
+        return min(max(x, 0.0), 1.0)
     return x
 
 
@@ -218,6 +215,20 @@ def transfer_current(
     either orientation.
     """
     q, roots = check_q(net, q, B)
+    edges = check_edge_event(net, edge_list, signed)
+    tail, head = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    G, L = green(net, q, roots).G, net.L
+    J = G[:, tail] * L[tail, head]  # J[x, e'] for every vertex x
+    if signed:
+        J = J - G[:, head] * L[head, tail]
+    return J[tail] - J[head]
+
+
+def check_edge_event(
+    net: Network, edge_list: Sequence[OrientedEdge], signed: bool = False
+) -> list[OrientedEdge]:
+    """The edges of :func:`transfer_current` as id pairs; ``UnknownEdge``
+    for one not in the network (nor reversed, if ``signed``), or a repeat."""
     edges = [
         (vertex_id(s, "edge event"), vertex_id(d, "edge event")) for s, d in edge_list
     ]
@@ -236,23 +247,7 @@ def transfer_current(
         unordered = [frozenset(e) for e in edges]
         if len(set(unordered)) != len(unordered):
             raise InvalidParams("signed edge event repeats an undirected edge")
-    G = green(net, q, roots).G
-
-    def j_plus(x: int, e: OrientedEdge) -> float:
-        return G[x, e[0]] * L[e]
-
-    def j_val(x: int, e: OrientedEdge) -> float:
-        if not signed:
-            return j_plus(x, e)
-        rev = (e[1], e[0])
-        return j_plus(x, e) - (G[x, rev[0]] * L[rev])
-
-    k = len(edges)
-    cur = np.zeros((k, k))
-    for i, e in enumerate(edges):
-        for jj, ep in enumerate(edges):
-            cur[i, jj] = j_val(e[0], ep) - j_val(e[1], ep)
-    return cur
+    return edges
 
 
 def edge_inclusion_prob(
@@ -279,12 +274,10 @@ def edge_inclusion_prob(
 
 def spectrum(net: Network, B: Sequence[int] = ()) -> np.ndarray:
     """Eigenvalues of ``-L`` restricted outside ``B`` (complex array)."""
-    roots = vertex_set(net.n, B, "root set")
-    free = _free_vertices(net, roots)
+    free = _free_vertices(net, vertex_set(net.n, B, "root set"))
     if free.size == 0:
         return np.zeros(0, dtype=complex)
-    L = net.L
-    return np.linalg.eigvals(-L[np.ix_(free, free)])
+    return np.linalg.eigvals(-net.L[np.ix_(free, free)])
 
 
 def _nonzero_spectrum(net: Network, roots: np.ndarray) -> np.ndarray:
@@ -388,7 +381,9 @@ def lerw_path_prob(
     The walk starts at ``path[0]``, is killed at rate ``q`` and absorbed on
     ``B``; its chronological loop erasure is a self-avoiding path.  If the
     path ends inside ``B`` the walk was absorbed; otherwise it was killed at
-    the final vertex.  Both cases are ratios of characteristic polynomials:
+    the final vertex.  Both cases are ratios of characteristic polynomials,
+    taken in logs so that neither the path weight nor a determinant
+    overflows:
 
         ends in B:   w(path) * det[q Id - L]_(V minus B minus interior)
                      / det[q Id - L]_(V minus B)
@@ -396,23 +391,14 @@ def lerw_path_prob(
                      / det[q Id - L]_(V minus B)
     """
     q, roots, p = check_path(net, q, path, B)
-    weight = 1.0
-    for a, b in zip(p[:-1], p[1:]):
-        weight *= net.L[a, b]
-    if weight == 0.0:
-        return 0.0
-
     ends_absorbed = p[-1] in roots
-    removed = p[:-1] if ends_absorbed else p
-    sign_d, log_d = _log_partition(net, q, roots)
-    if sign_d <= 0:
-        raise SingularSystem("normalizing determinant is not positive")
-    forbidden = np.concatenate([roots, np.asarray(removed, dtype=np.int64)])
-    sign_n, log_n = _log_partition(net, q, forbidden)
-    val = sign_n * math.exp(log_n - log_d) * weight
-    if not ends_absorbed:
-        val *= q
-    return _clamp_unit(val)
+    factors = net.L[p[:-1], p[1:]].tolist() + ([] if ends_absorbed else [q])
+    if not all(factors):
+        return 0.0
+    removed = np.asarray(p[:-1] if ends_absorbed else p, dtype=np.int64)
+    log_d = _log_partition(net, q, roots)
+    log_n = _log_partition(net, q, np.concatenate([roots, removed]))
+    return _clamp_unit(math.exp(sum(map(math.log, factors)) + log_n - log_d))
 
 
 def check_path(
@@ -450,10 +436,16 @@ def hitting_times(net: Network, B: Sequence[int]) -> np.ndarray:
     """
     from .coarsegrain import ReducedNetwork  # coarsegrain imports oracle
 
+    return ReducedNetwork(net, check_targets(net, B)).hitting_times
+
+
+def check_targets(net: Network, B: Sequence[int]) -> np.ndarray:
+    """The target set of :func:`hitting_times` as sorted ids;
+    ``InvalidParams`` unless it is a nonempty set of vertices."""
     roots = vertex_set(net.n, B, "root set")
     if roots.size == 0:
         raise InvalidParams("hitting times need a nonempty target set")
-    return ReducedNetwork(net, roots).hitting_times
+    return roots
 
 
 def mean_root_hitting(net: Network, q: float) -> float:
@@ -461,8 +453,6 @@ def mean_root_hitting(net: Network, q: float) -> float:
     ``P(|roots| >= 2) / q``, which is
     ``(1/q) (1 - prod_j lam_j / (q + lam_j))`` over the nonzero spectrum
     of ``-L``; independent of the start vertex."""
-    if q <= 0 or not np.isfinite(q):
-        raise InvalidParams("q must be positive and finite")
     return float(root_count_law(net, q).pmf[2:].sum()) / q
 
 
@@ -484,11 +474,16 @@ def mean_root_hitting_conditional(net: Network, m: int) -> float:
     roots: the ratio ``a_(m+1) / a_m`` of characteristic-polynomial
     coefficient magnitudes (with ``a_(n+1) = 0``); independent of ``q`` and
     of the start vertex."""
-    if not (1 <= m <= net.n):
-        raise InvalidParams(f"root count m must lie in 1..{net.n}")
+    check_root_count(net, m)
     a = charpoly_root_coeffs(net)
     scale = max(1.0, float(a.max()))
     if a[m] <= 1e-13 * scale:
         raise ZeroCoefficient(f"coefficient a_{m} vanishes")
     upper = a[m + 1] if m + 1 <= net.n else 0.0
     return float(upper / a[m])
+
+
+def check_root_count(net: Network, m: int) -> None:
+    """``InvalidParams`` unless ``m`` is a root count ``1..n`` of ``net``."""
+    if not (1 <= m <= net.n):
+        raise InvalidParams(f"root count m must lie in 1..{net.n}")

@@ -78,7 +78,7 @@ def _philox_uniforms(
     return [(x >> 11) * 2.0**-53 for x in (c0, c1, c2, c3)]
 
 
-def _stream_range(seed, first, count: int) -> tuple[int, range]:
+def check_stream(seed, first, count: int) -> tuple[int, range]:
     """Validated stream key words: the seed and the sample indices
     ``first .. first + count - 1``, all in ``[0, 2**64)``."""
     try:
@@ -256,7 +256,7 @@ def _sample_parents(
     With ``start`` given only the first branch is grown, from ``start``;
     following ``parent`` from ``start`` then traces its loop erasure.
     """
-    seed, indices = _stream_range(seed, first, count)
+    seed, indices = check_stream(seed, first, count)
     targets, cumw, rates = net.adjacency
     kill = [q / (q + r) for r in rates]
     n = net.n
@@ -322,11 +322,7 @@ def loop_erased_walk(
     """Loop erasure of one killed walk from ``start`` (the first branch of a
     Wilson sample).  The path ends inside ``B`` when absorbed, else at the
     kill position."""
-    q, roots = check_sampling_args(net, q, B)
-    if not (0 <= start < net.n):
-        raise InvalidParams(f"start vertex {start} outside 0..{net.n - 1}")
-    if start in roots:
-        raise InvalidStart(f"walk cannot start on a forced root: {start}")
+    q, roots = check_walk_args(net, q, start, B)
     (parent,) = next(
         _sample_parents(net, q, roots, seed, sample_index, 1, start=start)
     )
@@ -335,6 +331,19 @@ def loop_erased_walk(
     while parent[path[-1]] != -1:
         path.append(parent[path[-1]])
     return path
+
+
+def check_walk_args(
+    net: Network, q: float, start: int, B: Sequence[int] = ()
+) -> tuple[float, list[int]]:
+    """:func:`check_sampling_args`, then ``InvalidParams`` unless ``start``
+    is a vertex and ``InvalidStart`` if it is a forced root."""
+    q, roots = check_sampling_args(net, q, B)
+    if not (0 <= start < net.n):
+        raise InvalidParams(f"start vertex {start} outside 0..{net.n - 1}")
+    if start in roots:
+        raise InvalidStart(f"walk cannot start on a forced root: {start}")
+    return q, roots
 
 
 # ---------------------------------------------------------------------------
@@ -468,16 +477,9 @@ def sample_with_m_roots(
     window is never hit the best forest seen so far is returned with
     ``converged=False``.
     """
-    _, roots = check_sampling_args(net, 1.0, B)
-    if not (max(1, len(roots)) <= m <= net.n):
-        raise InvalidParams(f"target root count m={m} outside [1, {net.n}]")
-    if max_iters < 1:
-        raise InvalidParams("max_iters must be >= 1")
+    roots, q = check_m_roots_args(net, m, B, q0, max_iters)
     lo = m - 2.0 * np.sqrt(m)
     hi = m + 2.0 * np.sqrt(m)
-    q = float(q0) if q0 is not None else net.w_max
-    if q <= 0 or not np.isfinite(q):
-        raise InvalidParams("q0 must be positive and finite")
 
     best: RootedForest | None = None
     best_gap = np.inf
@@ -502,6 +504,28 @@ def sample_with_m_roots(
         forest=best, q=best_q, iterations=max_iters,
         converged=False, q_trace=trace,
     )
+
+
+def check_m_roots_args(
+    net: Network,
+    m: int,
+    B: Sequence[int] = (),
+    q0: float | None = None,
+    max_iters: int = 30,
+) -> tuple[list[int], float]:
+    """The forced roots of :func:`sample_with_m_roots` as a sorted list and
+    its first ``q`` (``q0``, by default ``w_max``); ``InvalidParams``
+    unless ``m`` is a reachable root count, ``max_iters >= 1`` and that
+    ``q`` is positive and finite."""
+    _, roots = check_sampling_args(net, 1.0, B)
+    if not (max(1, len(roots)) <= m <= net.n):
+        raise InvalidParams(f"target root count m={m} outside [1, {net.n}]")
+    if max_iters < 1:
+        raise InvalidParams("max_iters must be >= 1")
+    q = float(q0) if q0 is not None else net.w_max
+    if q <= 0 or not np.isfinite(q):
+        raise InvalidParams("q0 must be positive and finite")
+    return roots, q
 
 
 # ---------------------------------------------------------------------------

@@ -602,7 +602,10 @@ def test_oracle_green_of_large_rates(capsys, tmp_path):
     assert np.asarray(json.loads(out)["K"]).sum(axis=1) == pytest.approx(1.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("cmd", [["green"], ["root-prob", "--vertices", "0"]])
+@pytest.mark.parametrize("cmd", [
+    ["green"], ["root-prob", "--vertices", "0"], ["partition"],
+    ["path-prob", "--path", "0,1"],
+])
 def test_oracle_of_overflowing_q_exits_4(capsys, tmp_path, cmd):
     # q Id - L overflows: a numerical error, not a traceback or NaN output
     path = tmp_path / "huge.tsv"
@@ -611,6 +614,16 @@ def test_oracle_of_overflowing_q_exits_4(capsys, tmp_path, cmd):
     code, out, err = run(capsys, argv)
     assert code == 4 and out == ""
     assert err.splitlines() == ["error: q Id - L overflows"]
+
+
+def test_oracle_partition_that_overflows_exits_4(capsys, tmp_path):
+    # Z is about 1e332 here; math.exp raised OverflowError (exit 1)
+    path = tmp_path / "cycle12.tsv"
+    lines = [f"{a}\t{b}\t{w!r}\n" for a, b, w in cycle_edges(12, 1e30)]
+    path.write_text("".join(lines))
+    code, out, err = run(capsys, ["oracle", "partition", str(path), "--q", "1"])
+    assert code == 4 and out == ""
+    assert err.splitlines() == ["error: partition function overflows"]
 
 
 @pytest.fixture
@@ -671,6 +684,23 @@ def test_dry_run_refuses_what_the_run_refuses(
      "--q-prime", "0"],
     ["tune", "{edges}", "--seed", "1", "--samples", "0"],
     ["tune", "{edges}", "--seed", "1", "--grid", "1,-2"],
+    ["oracle", "hitting", "{edges}", "--targets", "5"],
+    ["oracle", "mean-root-hitting", "{edges}", "--q", "-1"],
+    ["oracle", "mean-root-hitting", "{edges}", "--root-count", "3"],
+    ["oracle", "partition", "{edges}", "--q", "1", "--roots", "7"],
+    ["oracle", "edge-prob", "{edges}", "--q", "1", "--edges-in-forest", "0-5"],
+    ["forest", "roots-target", "{edges}", "--m", "3", "--seed", "1"],
+    ["forest", "walk", "{edges}", "--q", "1", "--start", "5", "--seed", "1"],
+    ["forest", "sample", "{edges}", "--q", "1", "--seed", "-1"],
+    ["oracle", "partition", "{edges}", "--q", "nan"],
+    ["oracle", "partition", "{edges}", "--q", "inf", "--roots", "0"],
+    ["oracle", "partition", "{edges}", "--q", "0"],
+    ["forest", "stats", "{edges}", "--q", "1", "--seed", "-1", "--samples", "3"],
+    ["forest", "walk", "{edges}", "--q", "1", "--start", "0", "--seed", "-1"],
+    ["forest", "roots-target", "{edges}", "--m", "1", "--seed", "-1"],
+    ["forest", "equilibrium-check", "{edges}", "--q", "1", "--seed", "-1",
+     "--samples", "3"],
+    ["tune", "{edges}", "--seed", "-1"],
 ])
 def test_dry_run_checks_arguments(capsys, two_file, argv, dry):
     code, out, err = run(capsys, [a.format(edges=two_file) for a in argv] + dry)

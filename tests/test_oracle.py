@@ -121,6 +121,15 @@ def test_partition_fn_eigenvalue_product(two_asym):
         )
 
 
+@pytest.mark.parametrize(
+    "q,B", [(-1.0, [0]), (math.nan, []), (math.inf, [0]), (0.0, [])]
+)
+def test_partition_fn_checks_q(two_asym, q, B):
+    # the q rule of every other oracle: slogdet returned a value for q < 0
+    with pytest.raises(InvalidParams):
+        oracle.partition_fn(two_asym, q, B)
+
+
 # -- inclusion probabilities ------------------------------------------------
 
 
@@ -298,6 +307,18 @@ def test_lerw_path_takes_integral_numbers(two_asym):
 def test_lerw_missing_edge_probability_zero(path3):
     # 0 -> 2 is not an edge on the path graph
     assert oracle.lerw_path_prob(path3, 1.0, [0, 2]) == 0.0
+
+
+def test_lerw_path_law_at_large_rates():
+    # the path weight (1e400) overflowed and the determinant ratio
+    # underflowed, so the product was nan; in logs they cancel.  The walk
+    # mixes long before it is killed, so it dies at 2 with probability
+    # 1/4, and by symmetry its loop erasure then runs through 1 or 3.
+    net = build_network(netdefs.cycle_edges(4, 1e200), 4)
+    assert oracle.lerw_path_prob(net, 1.0, [0, 1, 2]) == pytest.approx(0.125, rel=1e-12)
+    paths = [[0], [0, 1], [0, 3], [0, 1, 2], [0, 3, 2], [0, 1, 2, 3], [0, 3, 2, 1]]
+    total = math.fsum(oracle.lerw_path_prob(net, 1.0, p) for p in paths)
+    assert total == pytest.approx(1.0, abs=1e-12)
 
 
 # -- hitting times ----------------------------------------------------------

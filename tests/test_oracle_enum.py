@@ -3,6 +3,8 @@ enumeration of all rooted spanning forests (and all self-avoiding paths)."""
 
 import functools
 import itertools
+from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -237,3 +239,44 @@ def test_spectral_laws_match_enumeration_at_any_scale(case, decades, q):
     got_a = oracle.charpoly_root_coeffs(net)
     assert got_a[0] == 0.0
     assert np.abs(got_a - a).max() <= 64 * unit_a * max(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=netdefs.digraphs(min_n=2, max_n=5),
+    decades=st.floats(0.0, 8.0),
+    q=st.floats(1e-2, 1e2),
+    forced=st.booleans(),
+)
+def test_determinants_match_exact_enumeration_at_any_scale(case, decades, q, forced):
+    # the GTH pivots never subtract, so the partition function and the
+    # loop-erased path law hold to a few ulps at any rate scale; an LU
+    # determinant lost about eps * cond(q Id - L), up to 4.5e-7 relative.
+    # The reference is exact: rational forest weights, and for each path
+    # the forests whose path from its start is that path.
+    edges, n = case
+    edges = [(a, b, w * 10.0**decades) for a, b, w in edges]
+    net = build_network(edges, n)
+    B = (n - 1,) if forced else ()
+    rate = {(a, b): Fraction(w) for a, b, w in edges}
+    z = Fraction(0)
+    by_path = defaultdict(Fraction)
+    for phi in fe.all_spanning_forests(n, edges):
+        if not set(B) <= set(phi.roots):
+            continue
+        mass = Fraction(q) ** (len(phi.roots) - len(B))
+        for e in phi.edges:
+            mass *= rate[e]
+        z += mass
+        for x in range(n):
+            path = [x]
+            while phi.parent[path[-1]] != -1:
+                path.append(phi.parent[path[-1]])
+            by_path[tuple(path)] += mass
+    assert oracle.partition_fn(net, q, B) == pytest.approx(float(z), rel=1e-13)
+    for x in set(range(n)) - set(B):
+        for path in fe.all_self_avoiding_paths(n, x):
+            if any(v in B for v in path[1:-1]):
+                continue
+            got = oracle.lerw_path_prob(net, q, list(path), B)
+            assert got == pytest.approx(float(by_path[path] / z), rel=1e-13), path
