@@ -375,7 +375,7 @@ def cmd_forest_walk(args) -> int:
 
 def cmd_forest_equilibrium_check(args) -> int:
     net = _load_network(args)
-    sampler.check_sampling_args(net, args.q)
+    sampler.check_sampling_args(net, args.q, n_samples=args.samples)
     sampler.check_stream(args.seed, 0, args.samples)
     if _dry(args):
         return EXIT_OK

@@ -32,7 +32,7 @@ from .errors import (
     NumericalError,
     ZeroProbability,
 )
-from .network import Network, breadth_first, skeleton, vertex_id, vertex_set
+from .network import Network, breadth_first, skeleton, vertex_set
 from .norms import check_p, condition_measure, holder_conjugate, lp_norm
 
 
@@ -203,22 +203,17 @@ def schur_reduce(net: Network, keep: Sequence[int]) -> ReducedNetwork:
 def partition_link(net: Network, blocks: Sequence[Sequence[int]]) -> np.ndarray:
     """Link operator of a partition: row ``i`` is ``mu`` conditioned on
     block ``i`` (a probability measure supported on that block)."""
-    seen: set[int] = set()
+    covered = np.zeros(net.n, dtype=bool)
     rows = []
     for b in blocks:
-        if len(b) == 0:
+        idx = vertex_set(net.n, b, "partition")
+        if idx.size == 0:
             raise EmptyBlock("partition contains an empty block")
-        ids = []
-        for v in b:
-            v = vertex_id(v, "partition")
-            if v in seen:
-                raise InvalidParams(f"vertex {v} appears in two blocks")
-            if not (0 <= v < net.n):
-                raise InvalidParams(f"vertex {v} outside 0..{net.n - 1}")
-            seen.add(v)
-            ids.append(v)
-        rows.append(np.asarray(sorted(ids), dtype=np.int64))
-    if len(seen) != net.n:
+        if covered[idx].any():
+            raise InvalidParams(f"vertex {idx[covered[idx]][0]} appears in two blocks")
+        covered[idx] = True
+        rows.append(idx)
+    if not covered.all():
         raise EmptyBlock("partition does not cover every vertex")
     link = np.zeros((len(rows), net.n))
     for i, idx in enumerate(rows):
@@ -309,8 +304,8 @@ def tv_meta_bound(
     counts) are Monte-Carlo estimates.
     """
     check_p(p)
-    if q <= 0 or q_prime <= 0:
-        raise InvalidParams("q and q' must be positive")
+    q, _ = oracle.check_q(net, q)
+    check_q_prime(q_prime)
     mean_roots, _ = oracle.root_count_moments(net, q)
     total_len = 0.0
     for x in range(net.n):
@@ -378,8 +373,8 @@ def squeezing_spectral_bound(
     """
     if not (1 <= m <= net.n):
         raise InvalidParams(f"m must lie in 1..{net.n}")
-    if q <= 0 or q_prime <= 0:
-        raise InvalidParams("q and q' must be positive")
+    q, _ = oracle.check_q(net, q)
+    check_q_prime(q_prime)
     lam = oracle._nonzero_spectrum(net, np.zeros(0, dtype=np.int64))
     scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
     if np.abs(lam.imag).max(initial=0.0) > 1e-9 * scale:

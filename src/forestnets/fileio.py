@@ -2,7 +2,8 @@
 
 All writers produce deterministic byte streams (stable ordering, shortest
 round-trip float representation) so identical inputs yield identical
-output files.
+output files.  A pyramid archive is read into levels made as
+:func:`wavelets.build_pyramid` makes them.
 """
 
 from __future__ import annotations
@@ -16,13 +17,7 @@ from .coarsegrain import check_invariant
 from .errors import InvalidParams, MalformedInput, NumericalError, ValidationError
 from .network import Network, build_network
 from .sampler import RootedForest
-from .wavelets import (
-    Pyramid,
-    PyramidLevel,
-    _LevelOperator,
-    _next_base_mass,
-    _reduction,
-)
+from .wavelets import Pyramid, PyramidLevel
 
 PYRAMID_FORMAT = "forestnets-pyramid"
 #: version 2 stores a level's reduced network only when it was sparsified;
@@ -311,6 +306,8 @@ def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
     an edge list (every level of version 1, a sparsified level of version
     2) runs it on that network, which must leave ``mu(. | keep)`` invariant.
     Either way the next network carries ``mu(. | keep)`` as its measure.
+    A level is made by :meth:`PyramidLevel.of`, whose checks of ``keep``
+    and ``q_prime`` report a malformed level.
     """
     try:
         doc = json.load(fh)
@@ -327,44 +324,33 @@ def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
         current = base
         for li, entry in enumerate(doc["levels"]):
             try:
-                op = _LevelOperator(
-                    _reduction(current, entry["keep"]), float(entry["q_prime"])
-                )
+                level = PyramidLevel.of(current, entry["keep"], float(entry["q_prime"]))
             except InvalidParams as exc:
                 raise MalformedInput(f"level {li}: {exc}") from None
-            detail = np.asarray([float(x) for x in entry["detail"]])
-            if detail.size != op.dropped.size:
+            level.detail = np.asarray([float(x) for x in entry["detail"]])
+            if level.detail.size != level.dropped.size:
                 raise MalformedInput(
                     f"level {li}: detail length does not match dropped set"
                 )
-            if not np.isfinite(detail).all():
+            if not np.isfinite(level.detail).all():
                 raise MalformedInput(f"level {li}: detail is not finite")
             next_edges = entry["next_edges"]
             where = f"level {li}: next_edges"
             if next_edges is None and version == 1:
                 raise MalformedInput(f"{where}: null in a version 1 archive")
-            if next_edges is None:
-                stored_next = None
-            elif isinstance(next_edges, list):
-                stored_next = _archived_network(
-                    next_edges, op.kept.size, where, op.reduction.mu
+            if isinstance(next_edges, list):
+                level.stored_next = _archived_network(
+                    next_edges, level.keep.size, where, level.reduction.mu
                 )
-                L = stored_next.L
+                L = level.stored_next.L
                 try:
-                    check_invariant(stored_next.mu, L - np.diag(np.diag(L)))
+                    check_invariant(level.stored_next.mu, L - np.diag(np.diag(L)))
                 except NumericalError as exc:
                     raise MalformedInput(f"{where}: {exc}") from None
-            else:
+            elif next_edges is not None:
                 raise MalformedInput(f"{where}: must be null or an edge list")
-            level = PyramidLevel(
-                op=op,
-                detail=detail,
-                base_mass=_next_base_mass(levels),
-                stored_next=stored_next,
-                q_tuning=(
-                    None if entry.get("q_tuning") is None else float(entry["q_tuning"])
-                ),
-            )
+            if entry.get("q_tuning") is not None:
+                level.q_tuning = float(entry["q_tuning"])
             levels.append(level)
             current = level.next_network
         apex = np.asarray([float(x) for x in doc["apex"]])

@@ -588,7 +588,7 @@ def conditional_root_equilibrium_check(
     frequency inside each block with ``restricted_equilibrium``; reports
     the worst total-variation gap per partition.
     """
-    q, roots = check_sampling_args(net, q, B=())
+    q, roots = check_sampling_args(net, q, n_samples=n_samples)
     # per partition key: [count, {block_index: {root: count}}]
     seen: dict[tuple[tuple[int, ...], ...], list] = {}
     for parents in _sample_parents(net, q, roots, seed, 0, n_samples):

@@ -14,12 +14,18 @@ vector on the final coarse network.  This module builds pyramids with
 forest-sampled kept sets, reconstructs exactly, compresses by discarding
 small detail coefficients, and evaluates the stability bounds that
 control each operator of the transform.
+
+One type is the analysis step: :class:`PyramidLevel`.  Pyramid levels, the
+levels :mod:`fileio` reads from an archive and the one-step functions
+(:func:`analyze_level`, :func:`reconstruct_level`, ...) are all made by its
+constructor, which checks the kept set and ``q'`` once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -32,15 +38,6 @@ from .norms import check_p, condition_measure, holder_conjugate, lp_norm
 
 _MAX_ROOT_RETRIES = 64
 _SEED_MASK = (1 << 64) - 1
-
-
-def _reduction(net: Network, keep: Sequence[int]) -> cg.ReducedNetwork:
-    """The reduction of an analysis step, whose kept set must be a proper
-    nonempty subset of the network's vertices."""
-    reduction = cg.ReducedNetwork(net, keep)
-    if reduction.kept.size >= net.n:
-        raise InvalidParams("kept set must be a proper nonempty subset")
-    return reduction
 
 
 def _as_signal(values: Sequence[float], n: int) -> np.ndarray:
@@ -56,38 +53,88 @@ def _as_signal(values: Sequence[float], n: int) -> np.ndarray:
 # one level
 
 
-class _LevelOperator:
-    """One analysis step: the reduction of the level's network onto its
-    kept set, which factors ``-L_DD`` once and computes the Schur
+@dataclass
+class PyramidLevel:
+    """One analysis step: the reduction of the level's network (level 0 is
+    the base) onto its kept set, which the constructor checks is a proper
+    nonempty subset, and the smoothing rate ``q_prime``, which it checks
+    too.  The reduction factors ``-L_DD`` once and computes the Schur
     complement, its ``w_max`` and the return speeds once each (see
-    :class:`coarsegrain.ReducedNetwork`), and the smoothing rate ``q'``
-    with the operators that depend on it.  Only :meth:`analyze` forms the
+    :class:`coarsegrain.ReducedNetwork`).  Only :meth:`analyze` forms the
     killed kernel ``K_{q'}``: :meth:`reconstruct` solves with the kept LU
     of ``-L_DD``, and :meth:`detail_size_check` factors ``q' Id - L`` for
     two vectors and drops the factors.  Each solve is an
     :class:`oracle.CheckedLU`.
+
+    Position ``i`` of the next level corresponds to ``keep[i]`` here.  In
+    a pyramid, ``detail`` holds the level's detail coefficients and
+    ``q_tuning`` the killing rate its kept set was sampled at, if it was.
+    ``stored_next`` is the network the next level runs on when that is not
+    the exact reduction's: a sparsification of it, or, read from an
+    archive, a stored network that may be either.  The level's measure
+    ``mu`` (the base measure conditioned down to this level) is its
+    network's own.
     """
 
-    def __init__(self, reduction: cg.ReducedNetwork, q_prime: float) -> None:
-        cg.check_q_prime(q_prime)
-        self.reduction = reduction
-        self.net = reduction.parent
-        self.kept = reduction.kept
-        self.dropped = reduction.dropped
-        self.q_prime = q_prime
+    reduction: cg.ReducedNetwork
+    q_prime: float
+    detail: np.ndarray | None = None
+    stored_next: Network | None = None
+    q_tuning: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.keep.size >= self.n:
+            raise InvalidParams("kept set must be a proper nonempty subset")
+        cg.check_q_prime(self.q_prime)
+
+    @classmethod
+    def of(cls, net: Network, keep: Sequence[int], q_prime: float) -> PyramidLevel:
+        """The analysis step of ``net`` onto ``keep`` at rate ``q'``."""
+        return cls(cg.ReducedNetwork(net, keep), q_prime)
+
+    @property
+    def network(self) -> Network:
+        return self.reduction.parent
+
+    @property
+    def keep(self) -> np.ndarray:
+        return self.reduction.kept
+
+    @property
+    def dropped(self) -> np.ndarray:
+        return self.reduction.dropped
+
+    @property
+    def mu(self) -> np.ndarray:
+        return self.network.mu
+
+    @property
+    def n(self) -> int:
+        return self.network.n
+
+    @property
+    def next_network(self) -> Network:
+        """The network the next level runs on."""
+        if self.stored_next is None:
+            return self.reduction.network
+        return self.stored_next
+
+    @property
+    def sparsified(self) -> bool:
+        return self.stored_next is not None
 
     def analyze(self, values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        f = _as_signal(values, self.net.n)
-        smooth = oracle.green(self.net, self.q_prime).K @ f
-        return smooth[self.kept], (smooth - f)[self.dropped]
+        f = _as_signal(values, self.n)
+        smooth = oracle.green(self.network, self.q_prime).K @ f
+        return smooth[self.keep], (smooth - f)[self.dropped]
 
     def reconstruct(
         self, approx: Sequence[float], detail: Sequence[float]
     ) -> np.ndarray:
-        k, d, qp = self.kept, self.dropped, self.q_prime
+        k, d, qp = self.keep, self.dropped, self.q_prime
         fb = _as_signal(approx, k.size)
         fd = _as_signal(detail, d.size)
-        L, n = self.net.L, self.net.n
+        L, n = self.network.L, self.n
         # the off-diagonal blocks of L act through zero-padded vectors,
         # which reads L in place instead of copying a block out of it
         padded = np.zeros(n)
@@ -106,11 +153,11 @@ class _LevelOperator:
         a = 1.0 + 2.0 * self.reduction.w_max / self.q_prime
         if p == math.inf:
             return a
-        return (a**p + self.net.w_max / self.reduction.speeds[0]) ** (1.0 / p)
+        return (a**p + self.network.w_max / self.reduction.speeds[0]) ** (1.0 / p)
 
     def detail_factor(self, p: float) -> float:
         beta, gamma = self.reduction.speeds
-        w_over_beta = self.net.w_max / beta
+        w_over_beta = self.network.w_max / beta
         b = 1.0 + self.q_prime / gamma if math.isfinite(gamma) else 1.0
         if p == math.inf:
             return max(w_over_beta, b)
@@ -119,13 +166,13 @@ class _LevelOperator:
         return (lead + b**p) ** (1.0 / p)
 
     def approx_check(self, coarse: Sequence[float], p: float) -> tuple[float, float]:
-        fb = _as_signal(coarse, self.kept.size)
+        fb = _as_signal(coarse, self.keep.size)
         lifted = self.reconstruct(fb, np.zeros(self.dropped.size))
-        return self._lift_check(lifted, fb, self.kept, self.approx_factor(p), p)
+        return self._lift_check(lifted, fb, self.keep, self.approx_factor(p), p)
 
     def detail_check(self, detail: Sequence[float], p: float) -> tuple[float, float]:
         fd = _as_signal(detail, self.dropped.size)
-        lifted = self.reconstruct(np.zeros(self.kept.size), fd)
+        lifted = self.reconstruct(np.zeros(self.keep.size), fd)
         return self._lift_check(lifted, fd, self.dropped, self.detail_factor(p), p)
 
     def detail_size_check(
@@ -134,7 +181,7 @@ class _LevelOperator:
         """(measured, bound) for the size of a signal's detail coefficients
         (see :func:`detail_size_check`), from one solve of ``q' Id - L``
         for ``f`` and ``1_D``."""
-        net, d, qp = self.net, self.dropped, self.q_prime
+        net, d, qp = self.network, self.dropped, self.q_prime
         f = _as_signal(values, net.n)
         rhs = np.column_stack([f, np.isin(np.arange(net.n), d)])
         M = -net.L
@@ -154,7 +201,7 @@ class _LevelOperator:
 
     def _lift_check(self, lifted, coeffs, part, factor, p) -> tuple[float, float]:
         """(measured, bound) for ``coeffs`` on ``part`` lifted to ``lifted``."""
-        mu = self.net.mu
+        mu = self.mu
         measured = lp_norm(lifted, mu, p)
         mass = float(mu[part].sum())
         mass_f = mass ** (1.0 / p) if p != math.inf else 1.0
@@ -166,7 +213,7 @@ def analyze_level(
     net: Network, keep: Sequence[int], q_prime: float, values: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split a signal into (approximation on kept, detail on dropped)."""
-    return _LevelOperator(_reduction(net, keep), q_prime).analyze(values)
+    return PyramidLevel.of(net, keep, q_prime).analyze(values)
 
 
 def reconstruct_level(
@@ -183,7 +230,7 @@ def reconstruct_level(
     through the complementary blocks.  ``Lbar`` is the exact Schur
     complement of the generator on the kept set.
     """
-    return _LevelOperator(_reduction(net, keep), q_prime).reconstruct(approx, detail)
+    return PyramidLevel.of(net, keep, q_prime).reconstruct(approx, detail)
 
 
 def basis_functions(
@@ -196,10 +243,10 @@ def basis_functions(
     the wavelet of dropped vertex ``j``, which has zero mean under ``mu``.
     Analysis coefficients are ``mu``-inner products against these rows.
     """
-    op = _LevelOperator(_reduction(net, keep), q_prime)
+    lvl = PyramidLevel.of(net, keep, q_prime)
     K = oracle.green(net, q_prime).K
-    scaling = K[op.kept, :] / net.mu[None, :]
-    wavelets = (K - np.eye(net.n))[op.dropped, :] / net.mu[None, :]
+    scaling = K[lvl.keep, :] / net.mu[None, :]
+    wavelets = (K - np.eye(net.n))[lvl.dropped, :] / net.mu[None, :]
     if check:
         stacked = np.vstack([scaling, wavelets])
         g = (stacked * net.mu[None, :]) @ stacked.T
@@ -216,90 +263,28 @@ def basis_functions(
 
 
 @dataclass
-class PyramidLevel:
-    """One analysis step of a pyramid.
-
-    ``op`` is the step's operator, which holds the level's network (level
-    0 is the base), its ``keep`` and ``dropped`` index sets into that
-    network, ``q_prime`` and the exact reduction onto ``keep``; position
-    ``i`` of the next level corresponds to ``keep[i]`` here.
-    ``base_mass`` is the total base-measure weight the level still
-    carries.  ``stored_next`` is the network the next level runs on when
-    that is not the exact reduction's: a sparsification of it, or, read
-    from an archive, a stored network that may be either; otherwise it is
-    ``None``.  The level's measure ``mu`` (the base measure conditioned
-    down to this level) is its network's own.
-    """
-
-    op: _LevelOperator
-    detail: np.ndarray
-    base_mass: float
-    stored_next: Network | None = None
-    q_tuning: float | None = None
-
-    @property
-    def network(self) -> Network:
-        return self.op.net
-
-    @property
-    def mu(self) -> np.ndarray:
-        return self.network.mu
-
-    @property
-    def next_network(self) -> Network:
-        """The network the next level runs on."""
-        if self.stored_next is None:
-            return self.op.reduction.network
-        return self.stored_next
-
-    @property
-    def sparsified(self) -> bool:
-        return self.stored_next is not None
-
-    @property
-    def keep(self) -> np.ndarray:
-        return self.op.kept
-
-    @property
-    def dropped(self) -> np.ndarray:
-        return self.op.dropped
-
-    @property
-    def q_prime(self) -> float:
-        return self.op.q_prime
-
-    @property
-    def n(self) -> int:
-        return self.network.n
-
-
-def _next_base_mass(levels: list[PyramidLevel]) -> float:
-    """Base-measure weight carried by the network after ``levels``: 1 at
-    the base, times ``mu(keep)`` at every level."""
-    if not levels:
-        return 1.0
-    last = levels[-1]
-    return last.base_mass * float(last.mu[last.keep].sum())
-
-
-@dataclass
 class Pyramid:
     """Levels from the base network down, and the apex signal on the
-    network after the last level, whose measure and base-measure weight
-    are ``apex_mu`` and ``apex_base_mass``."""
+    network after the last level, whose measure is ``apex_mu``."""
 
     base: Network
     levels: list[PyramidLevel]
     apex: np.ndarray
     seed: int | None = None
 
+    @cached_property
+    def base_masses(self) -> list[float]:
+        """Total base-measure weight each level's network still carries,
+        then the apex network's: 1 at the base, times ``mu(keep)`` at every
+        level."""
+        masses = [1.0]
+        for lvl in self.levels:
+            masses.append(masses[-1] * float(lvl.mu[lvl.keep].sum()))
+        return masses
+
     @property
     def apex_mu(self) -> np.ndarray:
         return self.levels[-1].next_network.mu if self.levels else self.base.mu
-
-    @property
-    def apex_base_mass(self) -> float:
-        return _next_base_mass(self.levels)
 
     @property
     def depth(self) -> int:
@@ -386,26 +371,19 @@ def build_pyramid(
                 current, q_grid, n_tuning_samples, (seed + idx + 1) & _SEED_MASK
             )
             keep = _draw_keep(current, q_tuning, seed, idx)
-        reduction = _reduction(current, keep)
+        reduction = cg.ReducedNetwork(current, keep)
         if forced_q_prime is not None:
             q_prime = float(forced_q_prime[idx])
         else:
-            q_prime = 2.0 * current.w_max * reduction.kept.size / reduction.dropped.size
-        op = _LevelOperator(reduction, q_prime)
-
-        approx, detail = op.analyze(f)
-        stored_next = None
+            # a kept set with nothing dropped is refused by the level
+            dropped = max(reduction.dropped.size, 1)
+            q_prime = 2.0 * current.w_max * reduction.kept.size / dropped
+        level = PyramidLevel(reduction, q_prime, q_tuning=q_tuning)
+        approx, level.detail = level.analyze(f)
         if sparsify_theta is not None:
             sparse = cg.sparsify(reduction, q_prime, sparsify_theta)
             if sparse is not reduction.network:
-                stored_next = sparse
-        level = PyramidLevel(
-            op=op,
-            detail=detail,
-            base_mass=_next_base_mass(levels),
-            stored_next=stored_next,
-            q_tuning=q_tuning,
-        )
+                level.stored_next = sparse
         levels.append(level)
         current = level.next_network
         f = approx
@@ -424,7 +402,7 @@ def _lift(pyr: Pyramid, details: list[np.ndarray]) -> list[np.ndarray]:
     and one detail vector per level."""
     out = [pyr.apex]
     for lvl, det in zip(reversed(pyr.levels), reversed(details)):
-        out.append(lvl.op.reconstruct(out[-1], det))
+        out.append(lvl.reconstruct(out[-1], det))
     out.reverse()
     return out
 
@@ -456,8 +434,8 @@ def _detail_scores(pyr: Pyramid) -> list[tuple[float, int, int]]:
     2-norm: |coefficient| times the square root of the base-measure mass
     of the vertex carrying it.  Ties break deterministically."""
     scored = []
-    for li, lvl in enumerate(pyr.levels):
-        base_w = lvl.mu[lvl.dropped] * lvl.base_mass
+    for li, (lvl, mass) in enumerate(zip(pyr.levels, pyr.base_masses)):
+        base_w = lvl.mu[lvl.dropped] * mass
         for di in range(lvl.dropped.size):
             scored.append(
                 (float(np.abs(lvl.detail[di]) * np.sqrt(base_w[di])), li, di)
@@ -524,14 +502,14 @@ def approx_check(
     the approximation-operator constant times the kept-mass correction
     times the coarse norm.
     """
-    return _LevelOperator(_reduction(net, keep), q_prime).approx_check(coarse, p)
+    return PyramidLevel.of(net, keep, q_prime).approx_check(coarse, p)
 
 
 def detail_check(
     net: Network, keep: Sequence[int], q_prime: float, detail: Sequence[float], p: float
 ) -> tuple[float, float]:
     """(measured, bound) for lifting a detail vector back to the level."""
-    return _LevelOperator(_reduction(net, keep), q_prime).detail_check(detail, p)
+    return PyramidLevel.of(net, keep, q_prime).detail_check(detail, p)
 
 
 def detail_size_check(
@@ -545,7 +523,7 @@ def detail_size_check(
     ``p``, ``(max K_{q'} 1_D / mu(D))^(1/p)``.  ``K_{q'} f`` and
     ``K_{q'} 1_D`` come from one two-column solve, not from ``K_{q'}``.
     """
-    return _LevelOperator(_reduction(net, keep), q_prime).detail_size_check(values, p)
+    return PyramidLevel.of(net, keep, q_prime).detail_size_check(values, p)
 
 
 @dataclass
@@ -610,9 +588,9 @@ def stability_bounds(pyr: Pyramid, p: float) -> StabilityReport:
         LevelBounds(
             i,
             lvl.q_prime,
-            *lvl.op.approx_check(sigs[i + 1], p),
-            *lvl.op.detail_check(lvl.detail, p),
-            *lvl.op.detail_size_check(sigs[i], p),
+            *lvl.approx_check(sigs[i + 1], p),
+            *lvl.detail_check(lvl.detail, p),
+            *lvl.detail_size_check(sigs[i], p),
         )
         for i, lvl in enumerate(pyr.levels)
     ]
@@ -630,10 +608,11 @@ def stability_bounds(pyr: Pyramid, p: float) -> StabilityReport:
         analysis_measured = max(parts)
         analysis_bound = 2.0 * lp_norm(f0, base_mu, p)
     else:
-        acc = pyr.apex_base_mass * lp_norm(pyr.apex, pyr.apex_mu, p) ** p
-        for lvl in pyr.levels:
+        masses = pyr.base_masses
+        acc = masses[-1] * lp_norm(pyr.apex, pyr.apex_mu, p) ** p
+        for lvl, mass in zip(pyr.levels, masses):
             if lvl.dropped.size:
-                w = lvl.base_mass * float(lvl.mu[lvl.dropped].sum())
+                w = mass * float(lvl.mu[lvl.dropped].sum())
                 acc += w * lp_norm(
                     lvl.detail, condition_measure(lvl.mu, lvl.dropped), p
                 ) ** p
@@ -649,14 +628,14 @@ def stability_bounds(pyr: Pyramid, p: float) -> StabilityReport:
     defect_acc = 0.0
     prod = 1.0
     for lvl in pyr.levels:
-        term = prod * lvl.op.detail_factor(p) / lvl.q_prime
+        term = prod * lvl.detail_factor(p) / lvl.q_prime
         a_sum += term
         b_sum += term * defect_acc
-        wb = lvl.network.w_max / lvl.op.reduction.speeds[0]
+        wb = lvl.network.w_max / lvl.reduction.speeds[0]
         defect_acc += 2.0 * lvl.q_prime * (
             wb ** (1.0 / pstar) if pstar != math.inf else 1.0
         )
-        prod *= lvl.op.approx_factor(p)
+        prod *= lvl.approx_factor(p)
     lf = pyr.levels[0].network.L @ f0
     gap_bound = a_sum * lp_norm(lf, base_mu, p) + b_sum * lp_norm(f0, base_mu, p)
     gap_measured = lp_norm(f0 - approximation(pyr), base_mu, p)

@@ -701,6 +701,10 @@ def test_dry_run_refuses_what_the_run_refuses(
     ["forest", "equilibrium-check", "{edges}", "--q", "1", "--seed", "-1",
      "--samples", "3"],
     ["tune", "{edges}", "--seed", "-1"],
+    ["forest", "equilibrium-check", "{edges}", "--q", "1", "--seed", "1",
+     "--samples", "0"],
+    ["forest", "equilibrium-check", "{edges}", "--q", "1", "--seed", "1",
+     "--samples", "-5"],
 ])
 def test_dry_run_checks_arguments(capsys, two_file, argv, dry):
     code, out, err = run(capsys, [a.format(edges=two_file) for a in argv] + dry)

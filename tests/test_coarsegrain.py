@@ -274,6 +274,15 @@ def test_partition_link_validation(path3):
         cg.partition_link(path3, [[0], [1]])
 
 
+def test_partition_link_checks_each_block_as_a_vertex_set(path3):
+    with pytest.raises(InvalidParams, match="^duplicate vertex in partition$"):
+        cg.partition_link(path3, [[0, 0], [1, 2]])
+    with pytest.raises(InvalidParams, match="^vertex 3 of partition outside 0..2$"):
+        cg.partition_link(path3, [[0, 3], [1, 2]])
+    with pytest.raises(InvalidParams, match="^vertex 1 appears in two blocks$"):
+        cg.partition_link(path3, [[0, 1], [2, 1]])
+
+
 @pytest.mark.parametrize(
     "blocks", [[[0.5], [1, 2]], [[0], [1, 2.5]], [[0, math.nan], [1, 2]]]
 )
@@ -375,6 +384,40 @@ def test_tv_meta_bound_validation(two_asym):
         cg.tv_meta_bound(two_asym, 1.0, 1.0, 0.5, seed=1)
     with pytest.raises(InvalidParams):
         cg.tv_meta_bound(two_asym, 0.0, 1.0, 2.0, seed=1)
+
+
+# a bad killing rate q or smoothing rate q', each with the message of its check
+BAD_RATES = [
+    pytest.param(bad, 1.0, "killing rate q must be finite", id=f"q={bad}")
+    for bad in (math.inf, math.nan, -1.0)
+] + [
+    pytest.param(1.0, bad, "q' must be positive and finite", id=f"q'={bad}")
+    for bad in (math.inf, math.nan, 0.0, -1.0)
+]
+
+
+def _refuse_work(monkeypatch):
+    # the rates are checked before any spectrum, moment or walk is computed
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the rates were checked")
+
+    for name in ("_nonzero_spectrum", "root_count_moments"):
+        monkeypatch.setattr(oracle, name, no_work)
+    monkeypatch.setattr(sampler, "loop_erased_walk", no_work)
+
+
+@pytest.mark.parametrize("q, q_prime, message", BAD_RATES)
+def test_spectral_bound_checks_rates_first(monkeypatch, two_asym, q, q_prime, message):
+    _refuse_work(monkeypatch)
+    with pytest.raises(InvalidParams, match=message):
+        cg.squeezing_spectral_bound(two_asym, q, q_prime, 1)
+
+
+@pytest.mark.parametrize("q, q_prime, message", BAD_RATES)
+def test_tv_meta_bound_checks_rates_first(monkeypatch, two_asym, q, q_prime, message):
+    _refuse_work(monkeypatch)
+    with pytest.raises(InvalidParams, match=message):
+        cg.tv_meta_bound(two_asym, q, q_prime, 2.0, n_walks=4, seed=1)
 
 
 # ---------------------------------------------------------------------------

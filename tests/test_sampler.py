@@ -168,6 +168,12 @@ def test_conditional_root_equilibrium(path3):
     assert rep.max_tv <= 0.05
 
 
+@pytest.mark.parametrize("n_samples", [0, -5])
+def test_conditional_root_equilibrium_refuses_no_samples(two_asym, n_samples):
+    with pytest.raises(InvalidParams, match="n_samples must be >= 1"):
+        sampler.conditional_root_equilibrium_check(two_asym, 1.0, n_samples, seed=1)
+
+
 def test_estimate_tuning_two_asym(two_asym):
     # at q = 3: E[|V-R|/(1+|R|)] = 1/4 so w_tilde = 3/4;
     # E[|V-R|/|R|] = 1/2 so 1/beta_tilde = 1/4

@@ -263,11 +263,21 @@ def test_forced_keep_sets_q_prime(two_asym):
     assert np.allclose(wv.reconstruct_pyramid(pinned), [3.0, 0.0])
 
 
+@pytest.mark.parametrize("forced_q_prime", [None, [1.0]])
+def test_forced_keep_must_drop_a_vertex(two_asym, forced_q_prime):
+    # the default q' divides by the dropped count; a full kept set is
+    # refused by the level, not by that division
+    with pytest.raises(InvalidParams, match="proper nonempty subset"):
+        wv.build_pyramid(
+            two_asym, [3.0, 0.0], forced_keep=[[0, 1]], forced_q_prime=forced_q_prime
+        )
+
+
 def test_pyramid_measure_bookkeeping():
     pyr = wv.build_pyramid(BD3, [1.0, -2.0, 0.5], forced_keep=[[0, 2]])
     assert np.allclose(pyr.levels[0].mu, [3 / 11, 6 / 11, 2 / 11])
     assert np.allclose(pyr.apex_mu, [0.6, 0.4])
-    assert pyr.apex_base_mass == pytest.approx(5 / 11)
+    assert pyr.base_masses[-1] == pytest.approx(5 / 11)
     assert np.abs(wv.reconstruct_pyramid(pyr) - [1.0, -2.0, 0.5]).max() < 1e-12
 
 
@@ -444,7 +454,7 @@ def test_reconstruct_checks_its_residual(monkeypatch):
     lvl = pyr.levels[0]
     monkeypatch.setattr(config, "RESIDUAL_TOL", -1.0)
     with pytest.raises(SingularSystem):
-        lvl.op.reconstruct(np.ones(lvl.keep.size), lvl.detail)
+        lvl.reconstruct(np.ones(lvl.keep.size), lvl.detail)
 
 
 def test_pyramid_of_large_rates_reconstructs():
