@@ -442,25 +442,26 @@ def cmd_tune(args) -> int:
 # signal commands
 
 
-def _build_pyramid_from_args(args, net: Network, values: np.ndarray) -> wv.Pyramid:
-    return wv.build_pyramid(
-        net,
-        values,
-        seed=args.seed,
-        max_levels=args.levels,
+def _build_options(args) -> dict:
+    """The ``build_pyramid`` options of the command line, checked by
+    ``wavelets.check_build_args``."""
+    options = dict(
         min_size=args.min_size,
         sparsify_theta=args.sparsify_theta,
         n_tuning_samples=args.tuning_samples,
     )
+    wv.check_build_args(args.seed, **options)
+    return dict(options, seed=args.seed, max_levels=args.levels)
 
 
 def cmd_signal_analyze(args) -> int:
     net = _load_network(args)
     with open(args.signal) as fh:
         values = fileio.read_signal(fh, net.n)
+    options = _build_options(args)
     if _dry(args):
         return EXIT_OK
-    pyr = _build_pyramid_from_args(args, net, values)
+    pyr = wv.build_pyramid(net, values, **options)
     with _out(args) as fh:
         fileio.write_pyramid(fh, pyr)
     return EXIT_OK
@@ -554,9 +555,10 @@ def cmd_signal_image_analyze(args) -> int:
         image, maxval = fileio.read_pgm(fh)
     rows, cols = image.shape
     net = fileio.grid_network(rows, cols)
+    options = _build_options(args)
     if _dry(args):
         return EXIT_OK
-    pyr = _build_pyramid_from_args(args, net, image.ravel())
+    pyr = wv.build_pyramid(net, image.ravel(), **options)
     meta = {"rows": rows, "cols": cols, "maxval": maxval}
     with _out(args) as fh:
         fileio.write_pyramid(fh, pyr, meta)
@@ -565,16 +567,13 @@ def cmd_signal_image_analyze(args) -> int:
 
 def cmd_signal_image_reconstruct(args) -> int:
     pyr, meta = _load_pyramid(args)
-    if not {"rows", "cols"} <= set(meta):
-        raise MalformedInput("pyramid archive carries no image geometry")
+    rows, cols, maxval = fileio.image_geometry(meta, pyr.base.n)
     _check_keep(pyr, args)
     if _dry(args):
         return EXIT_OK
-    values = _compressed_values(pyr, args)
-    rows, cols = int(meta["rows"]), int(meta["cols"])
-    image = np.asarray(values).reshape(rows, cols)
+    image = np.asarray(_compressed_values(pyr, args)).reshape(rows, cols)
     with _out(args, binary=True) as fh:
-        fileio.write_pgm(fh, image, int(meta.get("maxval", 255)))
+        fileio.write_pgm(fh, image, maxval)
     return EXIT_OK
 
 

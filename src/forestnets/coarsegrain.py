@@ -229,10 +229,14 @@ def check_q_prime(q_prime: float) -> None:
 
 def kernel_link(net: Network, keep: Sequence[int], q_prime: float) -> np.ndarray:
     """Link operator of a kept set: row ``i`` is the killed-walk kernel
-    ``K_{q'}(kept[i], .)`` on the full network (a probability measure)."""
+    ``K_{q'}(kept[i], .)`` on the full network (a probability measure).
+    The kept rows alone are solved, from ``(q' Id - L)^T`` (see
+    :func:`oracle.killed_lu`); ``K_{q'}`` itself is never formed."""
     kept = _canon_keep(net, keep)
     check_q_prime(q_prime)
-    link = oracle.green(net, q_prime).K[kept, :]
+    rows = np.zeros((net.n, kept.size))
+    rows[kept, np.arange(kept.size)] = 1.0
+    link = q_prime * oracle.killed_lu(net, q_prime, transpose=True).solve(rows).T
     _check_rows_sum_to_one(net, link, q_prime, "kernel link")
     return link
 
@@ -242,7 +246,7 @@ def _check_rows_sum_to_one(
 ) -> None:
     """Raise ``NumericalError`` unless the rows of ``P``, built from
     ``K_{q'}``, sum to 1 within the larger of ``STRUCTURAL_TOL * n`` and 64
-    units of ``eps * (1 + w_max/q')``, the error of the Green solve."""
+    units of ``eps * (1 + w_max/q')``, the error of the solve."""
     unit = np.finfo(float).eps * (1.0 + net.w_max / q_prime)
     allowed = max(config.STRUCTURAL_TOL * net.n, 64 * unit)
     if np.abs(P.sum(axis=1) - 1.0).max() > allowed:
@@ -261,16 +265,17 @@ def metastable_kernel(
 def _metastable(
     net: Network, blocks: Sequence[Sequence[int]], q_prime: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The partition link, the killed kernel ``K_{q'}`` and the metastable
-    kernel."""
+    """The partition link, the link run through the fine kernel
+    ``link K_{q'}`` (solved from the transposed system, without forming
+    ``K_{q'}``) and the metastable kernel."""
     link = partition_link(net, blocks)
     check_q_prime(q_prime)
-    K = oracle.green(net, q_prime).K
+    link_K = q_prime * oracle.killed_lu(net, q_prime, transpose=True).solve(link.T).T
     # row i of the link is positive exactly on block i
     member = (link > 0.0).astype(float)
-    Pbar = link @ K @ member.T
+    Pbar = link_K @ member.T
     _check_rows_sum_to_one(net, Pbar, q_prime, "metastable kernel")
-    return link, K, Pbar
+    return link, link_K, Pbar
 
 
 def intertwining_error_tv(
@@ -279,10 +284,10 @@ def intertwining_error_tv(
     """Row-wise total variation gap between running the fine kernel after
     the link and running the coarse kernel before it.  Both sides' rows
     sum to those of the metastable kernel, which :func:`_metastable` has
-    checked to the scale of the Green solve, so they are not checked again
+    checked to the scale of the solve, so they are not checked again
     against an absolute tolerance."""
-    link, K, Pbar = _metastable(net, blocks, q_prime)
-    return 0.5 * np.abs(link @ K - Pbar @ link).sum(axis=1)
+    link, link_K, Pbar = _metastable(net, blocks, q_prime)
+    return 0.5 * np.abs(link_K - Pbar @ link).sum(axis=1)
 
 
 def tv_meta_bound(
@@ -476,11 +481,17 @@ def _support_connected(w: np.ndarray) -> bool:
     return breadth_first(w.shape[0], src, dst)[0].size == w.shape[0]
 
 
+def check_theta(theta: float) -> None:
+    """Raise ``InvalidParams`` unless the sparsification budget ``theta``
+    is finite and ``>= 0``."""
+    if theta < 0 or not np.isfinite(theta):
+        raise InvalidParams("theta must be finite and >= 0")
+
+
 def check_sparsify_args(q_prime: float, theta: float) -> None:
     """Raise ``InvalidParams`` unless ``theta`` is finite and ``>= 0`` and
     ``q'`` is positive and finite."""
-    if theta < 0 or not np.isfinite(theta):
-        raise InvalidParams("theta must be finite and >= 0")
+    check_theta(theta)
     check_q_prime(q_prime)
 
 

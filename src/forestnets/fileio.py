@@ -235,6 +235,29 @@ def write_pgm(fh: IO[bytes], image: np.ndarray, maxval: int = 255) -> None:
         fh.write((" ".join(str(v) for v in pixels[r]) + "\n").encode())
 
 
+def image_geometry(meta: object, n: int) -> tuple[int, int, int]:
+    """``(rows, cols, maxval)`` of an archive's image ``meta``: positive
+    integers ``rows`` and ``cols`` with ``rows * cols == n``, and an
+    integer ``maxval`` in ``1..65535`` (255 when absent); ``MalformedInput``
+    otherwise."""
+    if not isinstance(meta, dict) or not {"rows", "cols"} <= set(meta):
+        raise MalformedInput("pyramid archive carries no image geometry")
+    rows, cols, maxval = meta["rows"], meta["cols"], meta.get("maxval", 255)
+
+    def is_int(x) -> bool:
+        return isinstance(x, int) and not isinstance(x, bool)
+
+    if not (is_int(rows) and is_int(cols) and rows > 0 and cols > 0):
+        raise MalformedInput("image rows and cols must be positive integers")
+    if rows * cols != n:
+        raise MalformedInput(
+            f"image geometry {rows}x{cols} does not match {n} base vertices"
+        )
+    if not (is_int(maxval) and 0 < maxval < 65536):
+        raise MalformedInput("image maxval must be an integer in 1..65535")
+    return rows, cols, maxval
+
+
 def grid_network(rows: int, cols: int, weight: float = 1.0) -> Network:
     """Four-neighbor grid in row-major vertex order."""
     v = np.arange(rows * cols).reshape(rows, cols)

@@ -128,17 +128,30 @@ class GreenKernel:
     K: np.ndarray
 
 
+def killed_lu(
+    net: Network, q: float, free: np.ndarray | None = None, *, transpose: bool = False
+) -> CheckedLU:
+    """The one :class:`CheckedLU` of ``q Id - L`` on ``free`` (every vertex
+    by default), for a ``q`` already checked: ``K_q f`` is ``q`` times its
+    solve for ``f``.  With ``transpose`` the transpose is the factored
+    matrix, so the residual check reads its own norm: rows ``r`` of
+    ``K_q`` are ``q`` times the solve for ``r^T``."""
+    L = net.L if free is None else net.L[np.ix_(free, free)]
+    with np.errstate(over="ignore"):  # CheckedLU refuses an overflow
+        M = q * np.eye(L.shape[0]) - L
+    return CheckedLU(M.T if transpose else M, "q Id - L")
+
+
 def green(net: Network, q: float, B: Sequence[int] = ()) -> GreenKernel:
     """Green's function ``G = [q Id - L]^-1`` outside ``B``, with ``K = qG``,
-    solved for the identity through one :class:`CheckedLU` of
-    ``q Id - L``, whose residual check scales with ``||q Id - L||``."""
+    solved for the identity through :func:`killed_lu`.  It forms the whole
+    ``n x n`` inverse, so only callers that want the whole matrix read it;
+    a caller that applies ``K_q`` solves with :func:`killed_lu`."""
     q, roots = check_q(net, q, B)
     free = _free_vertices(net, roots)
     G = np.zeros((net.n, net.n))
     if free.size:
-        with np.errstate(over="ignore"):  # CheckedLU refuses an overflow
-            M = q * np.eye(free.size) - net.L[np.ix_(free, free)]
-        G[np.ix_(free, free)] = CheckedLU(M, "q Id - L").solve(np.eye(free.size))
+        G[np.ix_(free, free)] = killed_lu(net, q, free).solve(np.eye(free.size))
     return GreenKernel(q=q, roots=roots, G=G, K=q * G)
 
 

@@ -60,11 +60,12 @@ class PyramidLevel:
     nonempty subset, and the smoothing rate ``q_prime``, which it checks
     too.  The reduction factors ``-L_DD`` once and computes the Schur
     complement, its ``w_max`` and the return speeds once each (see
-    :class:`coarsegrain.ReducedNetwork`).  Only :meth:`analyze` forms the
-    killed kernel ``K_{q'}``: :meth:`reconstruct` solves with the kept LU
-    of ``-L_DD``, and :meth:`detail_size_check` factors ``q' Id - L`` for
-    two vectors and drops the factors.  Each solve is an
-    :class:`oracle.CheckedLU`.
+    :class:`coarsegrain.ReducedNetwork`).  No method forms the killed
+    kernel ``K_{q'}``: :meth:`reconstruct` solves with the kept LU of
+    ``-L_DD``, and :meth:`analyze` and :meth:`detail_size_check` each
+    factor ``q' Id - L`` (:func:`oracle.killed_lu`) for their right-hand
+    sides and drop the factors, so a level holds no ``n x n`` matrix
+    beyond its network's.  Each solve is an :class:`oracle.CheckedLU`.
 
     Position ``i`` of the next level corresponds to ``keep[i]`` here.  In
     a pyramid, ``detail`` holds the level's detail coefficients and
@@ -124,8 +125,11 @@ class PyramidLevel:
         return self.stored_next is not None
 
     def analyze(self, values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """(approximation on kept, detail on dropped) of a signal, from
+        ``K_{q'} f``: one solve of ``q' Id - L``."""
         f = _as_signal(values, self.n)
-        smooth = oracle.green(self.network, self.q_prime).K @ f
+        qp = self.q_prime
+        smooth = qp * oracle.killed_lu(self.network, qp).solve(f)
         return smooth[self.keep], (smooth - f)[self.dropped]
 
     def reconstruct(
@@ -184,9 +188,7 @@ class PyramidLevel:
         net, d, qp = self.network, self.dropped, self.q_prime
         f = _as_signal(values, net.n)
         rhs = np.column_stack([f, np.isin(np.arange(net.n), d)])
-        M = -net.L
-        M.flat[:: net.n + 1] += qp
-        G = oracle.CheckedLU(M, "q' Id - L").solve(rhs)
+        G = oracle.killed_lu(net, qp).solve(rhs)
         Kf, K1d = qp * G[:, 0], qp * G[:, 1]
         fd = (Kf - f)[d]
         measured = lp_norm(fd, condition_measure(net.mu, d), p)
@@ -234,7 +236,7 @@ def reconstruct_level(
 
 
 def basis_functions(
-    net: Network, keep: Sequence[int], q_prime: float, check: bool = True
+    net: Network, keep: Sequence[int], q_prime: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analysis basis as functions on the network.
 
@@ -242,19 +244,18 @@ def basis_functions(
     ``i`` (killed-walk kernel row over ``mu``); row ``j`` of the second is
     the wavelet of dropped vertex ``j``, which has zero mean under ``mu``.
     Analysis coefficients are ``mu``-inner products against these rows.
+    Every row of ``K_{q'}`` is wanted, so this reads :func:`oracle.green`.
+    ``DegenerateBasis`` when the rows are numerically linearly dependent.
     """
     lvl = PyramidLevel.of(net, keep, q_prime)
     K = oracle.green(net, q_prime).K
     scaling = K[lvl.keep, :] / net.mu[None, :]
     wavelets = (K - np.eye(net.n))[lvl.dropped, :] / net.mu[None, :]
-    if check:
-        stacked = np.vstack([scaling, wavelets])
-        g = (stacked * net.mu[None, :]) @ stacked.T
-        lam = np.linalg.eigvalsh(0.5 * (g + g.T))
-        if lam[0] <= config.GRAM_SINGULAR_REL * max(lam[-1], 1e-300):
-            raise DegenerateBasis(
-                "analysis basis is numerically linearly dependent"
-            )
+    stacked = np.vstack([scaling, wavelets])
+    g = (stacked * net.mu[None, :]) @ stacked.T
+    lam = np.linalg.eigvalsh(0.5 * (g + g.T))
+    if lam[0] <= config.GRAM_SINGULAR_REL * max(lam[-1], 1e-300):
+        raise DegenerateBasis("analysis basis is numerically linearly dependent")
     return scaling, wavelets
 
 
@@ -294,13 +295,8 @@ class Pyramid:
         return sum(lvl.dropped.size for lvl in self.levels)
 
 
-def _choose_q(
-    net: Network,
-    q_grid: Sequence[float] | None,
-    n_tuning: int,
-    tune_seed: int,
-) -> float:
-    records = sampler.estimate_tuning(net, q_grid, n_tuning, seed=tune_seed)
+def _choose_q(net: Network, n_tuning: int, tune_seed: int) -> float:
+    records = sampler.estimate_tuning(net, None, n_tuning, seed=tune_seed)
     best = min(records, key=lambda r: (r.objective, -r.q))
     return best.q
 
@@ -317,6 +313,36 @@ def _draw_keep(net: Network, q: float, seed: int, level: int) -> np.ndarray:
     )
 
 
+def check_build_args(
+    seed: int | None,
+    *,
+    min_size: int = 2,
+    n_tuning_samples: int = 16,
+    sparsify_theta: float | None = None,
+    forced_keep: Sequence[Sequence[int]] | None = None,
+    forced_q_prime: Sequence[float] | None = None,
+) -> None:
+    """Raise ``InvalidParams`` unless :func:`build_pyramid` accepts these:
+    a seed in ``[0, 2**64)`` when kept sets are sampled, ``forced_q_prime``
+    only alongside a ``forced_keep`` of its length, ``min_size >= 2``,
+    ``n_tuning_samples >= 1`` and a finite ``sparsify_theta >= 0``."""
+    if forced_keep is None:
+        if seed is None:
+            raise InvalidParams("seed is required when kept sets are sampled")
+        sampler.check_stream(seed, 0, 1)
+    if forced_q_prime is not None:
+        if forced_keep is None or len(forced_q_prime) != len(forced_keep):
+            raise InvalidParams(
+                "forced_q_prime requires forced_keep of the same length"
+            )
+    if min_size < 2:
+        raise InvalidParams("min_size must be at least 2")
+    if n_tuning_samples < 1:
+        raise InvalidParams("n_tuning_samples must be >= 1")
+    if sparsify_theta is not None:
+        cg.check_theta(sparsify_theta)
+
+
 def build_pyramid(
     net: Network,
     values: Sequence[float],
@@ -324,7 +350,6 @@ def build_pyramid(
     seed: int | None = None,
     max_levels: int | None = None,
     min_size: int = 2,
-    q_grid: Sequence[float] | None = None,
     n_tuning_samples: int = 16,
     sparsify_theta: float | None = None,
     forced_keep: Sequence[Sequence[int]] | None = None,
@@ -341,18 +366,18 @@ def build_pyramid(
     reduced network is sparsified before feeding the next level; the
     exact Schur complement is still what the reconstruction and the
     stability constants of the current level use.  Level ``k`` tunes with
-    seed ``seed + k + 1`` modulo ``2**64``.
+    seed ``seed + k + 1`` modulo ``2**64``.  Every argument is checked
+    (:func:`check_build_args`) before any work.
     """
     f = _as_signal(values, net.n)
-    if forced_keep is None and seed is None:
-        raise InvalidParams("seed is required when kept sets are sampled")
-    if forced_q_prime is not None:
-        if forced_keep is None or len(forced_q_prime) != len(forced_keep):
-            raise InvalidParams(
-                "forced_q_prime requires forced_keep of the same length"
-            )
-    if min_size < 2:
-        raise InvalidParams("min_size must be at least 2")
+    check_build_args(
+        seed,
+        min_size=min_size,
+        n_tuning_samples=n_tuning_samples,
+        sparsify_theta=sparsify_theta,
+        forced_keep=forced_keep,
+        forced_q_prime=forced_q_prime,
+    )
 
     levels: list[PyramidLevel] = []
     current = net
@@ -368,7 +393,7 @@ def build_pyramid(
         else:
             # tuning seeds wrap around the seed domain [0, 2**64)
             q_tuning = _choose_q(
-                current, q_grid, n_tuning_samples, (seed + idx + 1) & _SEED_MASK
+                current, n_tuning_samples, (seed + idx + 1) & _SEED_MASK
             )
             keep = _draw_keep(current, q_tuning, seed, idx)
         reduction = cg.ReducedNetwork(current, keep)

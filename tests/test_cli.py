@@ -754,6 +754,92 @@ def test_oversize_image_refused_before_tuning(capsys, tmp_path, monkeypatch, dry
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.fixture
+def small_image(tmp_path):
+    path = tmp_path / "small.pgm"
+    path.write_bytes(b"P5\n4 4\n255\n" + bytes(range(0, 160, 10)))
+    return str(path)
+
+
+#: pyramid-building options that the build refuses, with or without
+#: ``--dry-run``
+BAD_BUILD_OPTIONS = [
+    ["--seed", "-1"],
+    ["--seed", "18446744073709551616"],
+    ["--seed", "1", "--min-size", "1"],
+    ["--seed", "1", "--tuning-samples", "0"],
+    ["--seed", "1", "--sparsify-theta", "-1"],
+]
+
+
+@pytest.mark.parametrize("dry", [[], ["--dry-run"]])
+@pytest.mark.parametrize("cmd", ["analyze", "image-analyze"])
+@pytest.mark.parametrize("options", BAD_BUILD_OPTIONS)
+def test_pyramid_build_options_are_checked(
+    capsys, cycle_file, signal_file, small_image, cmd, options, dry
+):
+    if cmd == "analyze":
+        inputs = [cycle_file, signal_file, "--undirected"]
+    else:
+        inputs = [small_image]
+    code, out, err = run(capsys, ["signal", cmd] + inputs + options + dry)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("options", [
+    ["--seed", "-1"],
+    ["--seed", "1", "--sparsify-theta", "-1"],
+])
+def test_bad_build_options_refused_before_tuning(
+    capsys, monkeypatch, cycle_file, signal_file, options
+):
+    # a bad seed was refused after level 0's tuning scan, and a bad theta
+    # after level 0's analysis
+    from forestnets import sampler
+
+    def never(*args, **kwargs):
+        raise AssertionError("tuning scan or analysis ran")
+
+    monkeypatch.setattr(sampler, "estimate_tuning", never)
+    monkeypatch.setattr(oracle, "killed_lu", never)
+    code, out, err = run(
+        capsys,
+        ["signal", "analyze", cycle_file, signal_file, "--undirected"] + options,
+    )
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("dry", [[], ["--dry-run"]])
+@pytest.mark.parametrize("meta", [
+    {"rows": 3, "cols": 4, "maxval": 255},
+    {"rows": "x", "cols": 4},
+    {"rows": -2, "cols": -4},
+    {"rows": 0, "cols": 4},
+    {"rows": 2.0, "cols": 4},
+    {"rows": True, "cols": 8},
+    {"rows": 2, "cols": 4, "maxval": "x"},
+    {"rows": 2, "cols": 4, "maxval": 0},
+    {"rows": 2, "cols": 4, "maxval": 65536},
+    {"cols": 8},
+    5,
+    [2, 4],
+])
+def test_bad_image_geometry_exits_3(capsys, tmp_path, meta, dry):
+    # a geometry that does not fit the base network crashed the
+    # reconstruction (ValueError or TypeError, exit 1)
+    path = tmp_path / "image.json"
+    with open(path, "w") as fh:
+        fileio.write_pyramid(fh, golden_pyramid(), meta)
+    code, out, err = run(capsys, ["signal", "image-reconstruct", str(path)] + dry)
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

@@ -350,8 +350,12 @@ def test_intertwining_tv_singletons_exact(path3):
 
 
 def test_intertwining_tv_builds_its_link_and_kernel_once(monkeypatch, path3):
-    calls = {"green": 0, "partition_link": 0}
-    for mod, name in ((oracle, "green"), (cg, "partition_link")):
+    # one partition link and one factorization of (q' Id - L)^T, which
+    # the link is solved against; the killed kernel itself is not formed
+    calls = {"green": 0, "partition_link": 0, "lu_factor": 0}
+    for mod, name in (
+        (oracle, "green"), (cg, "partition_link"), (scipy.linalg, "lu_factor")
+    ):
         real = getattr(mod, name)
 
         def counted(*args, _real=real, _name=name):
@@ -360,7 +364,7 @@ def test_intertwining_tv_builds_its_link_and_kernel_once(monkeypatch, path3):
 
         monkeypatch.setattr(mod, name, counted)
     cg.intertwining_error_tv(path3, [[0], [1, 2]], 1.0)
-    assert calls == {"green": 1, "partition_link": 1}
+    assert calls == {"green": 0, "partition_link": 1, "lu_factor": 1}
 
 
 # ---------------------------------------------------------------------------

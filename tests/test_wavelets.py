@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import io
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forestnets import coarsegrain as cg
-from forestnets import config, oracle
+from forestnets import config, fileio, oracle
 from forestnets import wavelets as wv
 from forestnets.errors import (
     DegenerateBasis,
@@ -21,7 +22,7 @@ from forestnets.errors import (
 from forestnets.network import build_network
 from forestnets.norms import condition_measure, mu_inner
 
-from netdefs import SMALL_GRAPHS, cycle_edges, grid_edges
+from netdefs import SMALL_GRAPHS, cycle_edges, digraphs, grid_edges
 
 ALL_NETS = {name: build_network(e, n) for name, (n, e) in SMALL_GRAPHS.items()}
 
@@ -510,3 +511,69 @@ def test_non_finite_signal_is_invalid(bad):
     ):
         with pytest.raises(InvalidParams, match="signal values must be finite"):
             call()
+
+
+# ---------------------------------------------------------------------------
+# the killed kernel is applied by solving
+
+
+def test_no_build_or_link_path_forms_the_killed_kernel(monkeypatch):
+    # analysis, the detail-size check and every link solve q' Id - L (or
+    # its transpose) for what they apply; none forms K_{q'} through green
+    def never(*args, **kwargs):
+        raise AssertionError("oracle.green was called")
+
+    monkeypatch.setattr(oracle, "green", never)
+    _, sampled = build_cycle_pyramid(n=32, seed=3, max_levels=2)
+    net = build_network(cycle_edges(8), 8)
+    forced = wv.build_pyramid(
+        net, np.arange(8.0), forced_keep=[[0, 2, 4, 6], [1, 3]]
+    )
+    _, sparse = build_cycle_pyramid(n=32, seed=9, max_levels=3, sparsify_theta=0.5)
+    assert sparse.levels[0].sparsified
+    for pyr in (sampled, forced, sparse):
+        buf = io.StringIO()
+        fileio.write_pyramid(buf, pyr)
+        back, _ = fileio.read_pyramid(io.StringIO(buf.getvalue()))
+        wv.compression_curve(back, [0.0, 0.5, 1.0])
+        for p in (1.0, 2.0, math.inf):
+            wv.stability_bounds(back, p)
+        back_f = wv.reconstruct_pyramid(back)
+        assert np.abs(back_f - wv.reconstruct_pyramid(pyr)).max() < 1e-9
+
+    keep, blocks = [0, 3, 5], [[0, 1], [2, 3, 4], [5, 6, 7]]
+    assert cg.kernel_link(net, keep, 1.5).shape == (3, 8)
+    assert cg.metastable_kernel(net, blocks, 1.5).shape == (3, 3)
+    assert cg.intertwining_error_tv(net, blocks, 1.5).shape == (3,)
+    cg.operator_intertwining_residual(net, keep, 1.5, 2.0)
+    cg.sparsify(cg.ReducedNetwork(net, keep), 1.5, 0.5)
+
+
+@st.composite
+def scaled_levels(draw):
+    """(net, keep, q', f): a digraph of :func:`netdefs.digraphs` with its
+    rates scaled by up to ``1e8``, a proper nonempty kept set, a smoothing
+    rate in [1e-2, 1e2] and a signal."""
+    edges, n = draw(digraphs(min_n=2))
+    scale = 10.0 ** draw(st.floats(0.0, 8.0))
+    net = build_network([(a, b, w * scale) for a, b, w in edges], n)
+    keep = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)))
+    q_prime = draw(st.floats(1e-2, 1e2))
+    f = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    return net, keep, q_prime, np.asarray(f)
+
+
+# a guard: analysis formed K_{q'} = q' G and multiplied before it solved;
+# both are good to the conditioning of q' Id - L, about eps (1 + w_max/q')
+@settings(max_examples=200, deadline=None)
+@given(case=scaled_levels())
+def test_solved_analysis_matches_the_killed_kernel(case):
+    net, keep, q_prime, f = case
+    smooth = oracle.green(net, q_prime).K @ f
+    approx, detail = wv.analyze_level(net, keep, q_prime, f)
+    dropped = np.setdiff1d(np.arange(net.n), keep)
+    unit = np.finfo(float).eps * (1.0 + net.w_max / q_prime)
+    # below the normal range a signal has no relative precision to keep
+    allowed = 64 * unit * max(np.abs(f).max(), np.finfo(float).tiny)
+    assert np.abs(approx - smooth[keep]).max() <= allowed
+    assert np.abs(detail - (smooth - f)[dropped]).max() <= allowed
