@@ -57,7 +57,6 @@ from .oracle import (
     root_count_law,
     root_count_moments,
     root_inclusion_prob,
-    spectrum,
     transfer_current,
 )
 from .sampler import (

@@ -446,12 +446,13 @@ def _build_options(args) -> dict:
     """The ``build_pyramid`` options of the command line, checked by
     ``wavelets.check_build_args``."""
     options = dict(
+        max_levels=args.levels,
         min_size=args.min_size,
         sparsify_theta=args.sparsify_theta,
         n_tuning_samples=args.tuning_samples,
     )
     wv.check_build_args(args.seed, **options)
-    return dict(options, seed=args.seed, max_levels=args.levels)
+    return dict(options, seed=args.seed)
 
 
 def cmd_signal_analyze(args) -> int:

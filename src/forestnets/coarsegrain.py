@@ -321,9 +321,9 @@ def tv_meta_bound(
             total_len += len(path) - 1
     mean_len_sum = total_len / n_walks
     pstar = holder_conjugate(p)
-    first = mean_roots ** (1.0 / p) if p != math.inf else 1.0
+    first = mean_roots ** (1.0 / p)
     base = (q_prime / q) * mean_len_sum
-    second = base ** (1.0 / pstar) if pstar != math.inf else 1.0
+    second = base ** (1.0 / pstar)
     return float(first * second)
 
 
@@ -459,9 +459,9 @@ def operator_intertwining_residual(
     beta, _ = red.speeds
     pstar = holder_conjugate(p)
     w_over_beta = net.w_max / beta
-    factor = w_over_beta ** (1.0 / pstar) if pstar != math.inf else 1.0
+    factor = w_over_beta ** (1.0 / pstar)
     mass = float(mu[kept].sum())
-    mass_factor = mass ** (-1.0 / p) if p != math.inf else 1.0
+    mass_factor = mass ** (-1.0 / p)
     bound = 2.0 * q_prime * factor * mass_factor
     return ResidualReport(p=p, residual=residual, bound=bound)
 

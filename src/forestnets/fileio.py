@@ -21,7 +21,7 @@ from .wavelets import Pyramid, PyramidLevel
 
 PYRAMID_FORMAT = "forestnets-pyramid"
 #: version 2 stores a level's reduced network only when it was sparsified;
-#: version 1, which stores every level's, is still read
+#: version 1, which stored every level's, is no longer read
 PYRAMID_VERSION = 2
 
 
@@ -323,11 +323,11 @@ def _archived_network(edges, n: int, where: str, mu=None) -> Network:
 def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
     """Inverse of :func:`write_pyramid`: (pyramid, metadata dict).
 
-    A level whose ``next_edges`` is null (version 2 only) runs the next
-    level on its exact Schur reduction, recomputed here; the level's
-    reduction keeps that Schur complement for later queries.  A level with
-    an edge list (every level of version 1, a sparsified level of version
-    2) runs it on that network, which must leave ``mu(. | keep)`` invariant.
+    A level whose ``next_edges`` is null runs the next level on its exact
+    Schur reduction, recomputed here; the level's reduction keeps that
+    Schur complement for later queries.  A level with an edge list (a
+    sparsified level) runs it on that network, which must leave
+    ``mu(. | keep)`` invariant.
     Either way the next network carries ``mu(. | keep)`` as its measure.
     A level is made by :meth:`PyramidLevel.of`, whose checks of ``keep``
     and ``q_prime`` report a malformed level.
@@ -339,7 +339,7 @@ def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
     if not isinstance(doc, dict) or doc.get("format") != PYRAMID_FORMAT:
         raise MalformedInput("not a pyramid archive")
     version = doc.get("version")
-    if version not in (1, PYRAMID_VERSION):
+    if version != PYRAMID_VERSION:
         raise MalformedInput(f"unsupported pyramid version {version}")
     try:
         base = _archived_network(doc["base"]["edges"], int(doc["base"]["n"]), "base")
@@ -359,8 +359,6 @@ def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
                 raise MalformedInput(f"level {li}: detail is not finite")
             next_edges = entry["next_edges"]
             where = f"level {li}: next_edges"
-            if next_edges is None and version == 1:
-                raise MalformedInput(f"{where}: null in a version 1 archive")
             if isinstance(next_edges, list):
                 level.stored_next = _archived_network(
                     next_edges, level.keep.size, where, level.reduction.mu

@@ -10,9 +10,12 @@ Green's function ``G``, the inverse of ``q Id - L`` outside ``B`` (zero on
 evaluates those closed forms: normalizing constant, root and edge
 inclusion probabilities (transfer currents), the law and moments of the
 number of roots, the path law of the loop-erased random walk, expected
-hitting times, and the mean time to hit the random root set.  Each
-determinant comes from the subtraction-free GTH elimination of
-:func:`network.gth_eliminate`, each ``G`` from one checked LU.
+hitting times, and the mean time to hit the random root set.  Each query
+solves only what it reads: vertex events (the partition function, root
+inclusion, the path law) read determinants from the subtraction-free GTH
+elimination of :func:`network.gth_eliminate`; edge events solve one
+checked LU for their endpoints' columns of ``G``; only a caller that wants
+all of ``G`` reads :func:`green`.
 """
 
 from __future__ import annotations
@@ -185,6 +188,17 @@ def _log_partition(net: Network, q: float, forbidden: np.ndarray) -> float:
     return float(sum(np.log(np.diag(up)).sum() for *_, up in gth_eliminate(r)))
 
 
+def _removal_ratio(
+    net: Network, q: float, roots: np.ndarray, removed: np.ndarray, log_w: float
+) -> float:
+    """``exp(log_w) * Z_(B u S) / Z_B``, clamped to ``[0, 1]``, for
+    ``B = roots`` and ``S = removed``, with ``Z`` from :func:`_log_partition`
+    taken in logs so that neither the weight nor a determinant overflows."""
+    log_d = _log_partition(net, q, roots)
+    log_n = _log_partition(net, q, np.concatenate([roots, removed]))
+    return _clamp_unit(math.exp(log_w + log_n - log_d))
+
+
 # ---------------------------------------------------------------------------
 # inclusion probabilities (determinantal formulas)
 
@@ -200,16 +214,18 @@ def root_inclusion_prob(
 ) -> float:
     """Probability that every vertex of ``A`` is a root of the random forest.
 
-    Determinantal: ``det [K]_(A minus B)`` with ``K = qG``; forced roots in
-    ``A`` contribute factor one.
+    With ``A' = A minus B`` (forced roots in ``A`` contribute factor one),
+    a ratio of forest determinants, as in :func:`lerw_path_prob`:
+
+        q^|A'| * det[q Id - L]_(V minus B minus A') / det[q Id - L]_(V minus B)
     """
     q, roots = check_q(net, q, B)
     a = np.setdiff1d(vertex_set(net.n, A, "root event"), roots)
     if a.size == 0:
         return 1.0
-    K = green(net, q, roots).K
-    val = float(np.linalg.det(K[np.ix_(a, a)]))
-    return _clamp_unit(val)
+    if q == 0:
+        return 0.0
+    return _removal_ratio(net, q, roots, a, a.size * math.log(q))
 
 
 def transfer_current(
@@ -230,7 +246,14 @@ def transfer_current(
     q, roots = check_q(net, q, B)
     edges = check_edge_event(net, edge_list, signed)
     tail, head = np.array(edges, dtype=np.int64).reshape(-1, 2).T
-    G, L = green(net, q, roots).G, net.L
+    # only the endpoints' columns of G are read: solve for those alone
+    free = _free_vertices(net, roots)
+    cols = np.flatnonzero(np.isin(free, np.concatenate([tail, head])))
+    G, L = np.zeros((net.n, net.n)), net.L
+    if free.size:
+        G[np.ix_(free, free[cols])] = killed_lu(net, q, free).solve(
+            np.eye(free.size)[:, cols]
+        )
     J = G[:, tail] * L[tail, head]  # J[x, e'] for every vertex x
     if signed:
         J = J - G[:, head] * L[head, tail]
@@ -283,14 +306,6 @@ def edge_inclusion_prob(
 
 # ---------------------------------------------------------------------------
 # spectrum-driven laws
-
-
-def spectrum(net: Network, B: Sequence[int] = ()) -> np.ndarray:
-    """Eigenvalues of ``-L`` restricted outside ``B`` (complex array)."""
-    free = _free_vertices(net, vertex_set(net.n, B, "root set"))
-    if free.size == 0:
-        return np.zeros(0, dtype=complex)
-    return np.linalg.eigvals(-net.L[np.ix_(free, free)])
 
 
 def _nonzero_spectrum(net: Network, roots: np.ndarray) -> np.ndarray:
@@ -409,9 +424,7 @@ def lerw_path_prob(
     if not all(factors):
         return 0.0
     removed = np.asarray(p[:-1] if ends_absorbed else p, dtype=np.int64)
-    log_d = _log_partition(net, q, roots)
-    log_n = _log_partition(net, q, np.concatenate([roots, removed]))
-    return _clamp_unit(math.exp(sum(map(math.log, factors)) + log_n - log_d))
+    return _removal_ratio(net, q, roots, removed, sum(map(math.log, factors)))
 
 
 def check_path(

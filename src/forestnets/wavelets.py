@@ -166,7 +166,7 @@ class PyramidLevel:
         if p == math.inf:
             return max(w_over_beta, b)
         pstar = holder_conjugate(p)
-        lead = w_over_beta ** (p / pstar) if pstar != math.inf else 1.0
+        lead = w_over_beta ** (p / pstar)
         return (lead + b**p) ** (1.0 / p)
 
     def approx_check(self, coarse: Sequence[float], p: float) -> tuple[float, float]:
@@ -206,7 +206,7 @@ class PyramidLevel:
         mu = self.mu
         measured = lp_norm(lifted, mu, p)
         mass = float(mu[part].sum())
-        mass_f = mass ** (1.0 / p) if p != math.inf else 1.0
+        mass_f = mass ** (1.0 / p)
         bound = factor * mass_f * lp_norm(coeffs, condition_measure(mu, part), p)
         return float(measured), float(bound)
 
@@ -316,6 +316,7 @@ def _draw_keep(net: Network, q: float, seed: int, level: int) -> np.ndarray:
 def check_build_args(
     seed: int | None,
     *,
+    max_levels: int | None = None,
     min_size: int = 2,
     n_tuning_samples: int = 16,
     sparsify_theta: float | None = None,
@@ -324,8 +325,9 @@ def check_build_args(
 ) -> None:
     """Raise ``InvalidParams`` unless :func:`build_pyramid` accepts these:
     a seed in ``[0, 2**64)`` when kept sets are sampled, ``forced_q_prime``
-    only alongside a ``forced_keep`` of its length, ``min_size >= 2``,
-    ``n_tuning_samples >= 1`` and a finite ``sparsify_theta >= 0``."""
+    only alongside a ``forced_keep`` of its length, ``max_levels >= 0``,
+    ``min_size >= 2``, ``n_tuning_samples >= 1`` and a finite
+    ``sparsify_theta >= 0``."""
     if forced_keep is None:
         if seed is None:
             raise InvalidParams("seed is required when kept sets are sampled")
@@ -335,6 +337,8 @@ def check_build_args(
             raise InvalidParams(
                 "forced_q_prime requires forced_keep of the same length"
             )
+    if max_levels is not None and max_levels < 0:
+        raise InvalidParams("max_levels must be >= 0")
     if min_size < 2:
         raise InvalidParams("min_size must be at least 2")
     if n_tuning_samples < 1:
@@ -372,6 +376,7 @@ def build_pyramid(
     f = _as_signal(values, net.n)
     check_build_args(
         seed,
+        max_levels=max_levels,
         min_size=min_size,
         n_tuning_samples=n_tuning_samples,
         sparsify_theta=sparsify_theta,
@@ -642,7 +647,7 @@ def stability_bounds(pyr: Pyramid, p: float) -> StabilityReport:
                     lvl.detail, condition_measure(lvl.mu, lvl.dropped), p
                 ) ** p
         analysis_measured = acc ** (1.0 / p)
-        two = 2.0 ** (1.0 / pstar) if pstar != math.inf else 1.0
+        two = 2.0 ** (1.0 / pstar)
         analysis_bound = two * (1 + n_levels) ** (1.0 / p) * lp_norm(f0, base_mu, p)
 
     # cascade bound on ||f - approximation||: detail contributions pushed
@@ -657,9 +662,7 @@ def stability_bounds(pyr: Pyramid, p: float) -> StabilityReport:
         a_sum += term
         b_sum += term * defect_acc
         wb = lvl.network.w_max / lvl.reduction.speeds[0]
-        defect_acc += 2.0 * lvl.q_prime * (
-            wb ** (1.0 / pstar) if pstar != math.inf else 1.0
-        )
+        defect_acc += 2.0 * lvl.q_prime * wb ** (1.0 / pstar)
         prod *= lvl.approx_factor(p)
     lf = pyr.levels[0].network.L @ f0
     gap_bound = a_sum * lp_norm(lf, base_mu, p) + b_sum * lp_norm(f0, base_mu, p)

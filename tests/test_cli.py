@@ -396,11 +396,6 @@ BOUNDS_GOLDEN = {
 }
 
 
-#: the golden pyramid as a version 1 archive, which stores every level's
-#: reduced network
-GOLDEN_V1 = os.path.join(os.path.dirname(__file__), "data", "golden_v1.json")
-
-
 def golden_pyramid():
     net = build_network(GOLDEN_EDGES, 8)
     return wv.build_pyramid(net, GOLDEN_SIGNAL, forced_keep=GOLDEN_KEEPS)
@@ -487,10 +482,12 @@ def assert_level0_malformed(capsys, tmp_path, archive, change, cmd):
 
 @pytest.mark.parametrize("cmd", [["reconstruct"], ["bounds", "--p", "2"]])
 @pytest.mark.parametrize("change", list(BAD_LEVEL0.values()), ids=list(BAD_LEVEL0))
-def test_malformed_archive_level_exits_3(capsys, golden_archive, tmp_path, change, cmd):
-    # a version 2 archive stores no reduced network for an exact level, so
-    # the changes to one run against the version 1 archive
-    archive = GOLDEN_V1 if callable(change) else golden_archive
+def test_malformed_archive_level_exits_3(
+    capsys, golden_archive, sparsified_archives, tmp_path, change, cmd
+):
+    # a version 2 archive stores a reduced network only for a sparsified
+    # level, so the changes to one run against the sparsified archive
+    archive = sparsified_archives[1] if callable(change) else golden_archive
     assert_level0_malformed(capsys, tmp_path, archive, change, cmd)
 
 
@@ -500,11 +497,15 @@ KEEP_AND_Q = {k: v for k, v in BAD_LEVEL0.items() if not callable(v)}
 @pytest.mark.parametrize("cmd", [["reconstruct"], ["bounds", "--p", "2"]])
 @pytest.mark.parametrize("change", list(KEEP_AND_Q.values()), ids=list(KEEP_AND_Q))
 def test_malformed_v1_archive_level_exits_3(capsys, tmp_path, change, cmd):
-    assert_level0_malformed(capsys, tmp_path, GOLDEN_V1, change, cmd)
+    # a level that stores its reduced network checks its kept set and q'
+    # as an exact level does
+    v1 = tmp_path / "v1.json"
+    v1.write_text(v1_archive(golden_pyramid()))
+    assert_level0_malformed(capsys, tmp_path, str(v1), change, cmd)
 
 
 def test_archive_reduced_network_must_keep_measure(capsys, tmp_path):
-    doc = json.loads(open(GOLDEN_V1).read())
+    doc = json.loads(v1_archive(golden_pyramid()))
     del doc["levels"][0]["next_edges"][0]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -624,6 +625,44 @@ def test_oracle_partition_that_overflows_exits_4(capsys, tmp_path):
     code, out, err = run(capsys, ["oracle", "partition", str(path), "--q", "1"])
     assert code == 4 and out == ""
     assert err.splitlines() == ["error: partition function overflows"]
+
+
+def test_no_vertex_or_edge_query_forms_the_green_function(
+    capsys, tmp_path, monkeypatch
+):
+    # root, path and partition queries read forest determinants, and edge
+    # queries solve q Id - L for their endpoints' columns; none inverts it
+    # through green
+    def never(*args, **kwargs):
+        raise AssertionError("oracle.green was called")
+
+    monkeypatch.setattr(oracle, "green", never)
+    net = build_network(GOLDEN_EDGES, 8)
+    edges = [(0, 1), (2, 3), (6, 2)]
+    for B in [(), (5,)]:
+        probs = [
+            oracle.root_inclusion_prob(net, 0.7, [0, 3], B),
+            oracle.edge_inclusion_prob(net, 0.7, edges, B),
+            oracle.edge_inclusion_prob(net, 0.7, edges, B, signed=True),
+            oracle.lerw_path_prob(net, 0.7, [0, 1, 2], B),
+        ]
+        assert all(0.0 < x < 1.0 for x in probs)
+        assert oracle.partition_fn(net, 0.7, B) > 0.0
+    path = tmp_path / "golden.tsv"
+    path.write_text("".join(f"{a}\t{b}\t{w!r}\n" for a, b, w in GOLDEN_EDGES))
+    queries = [
+        (["root-prob", "--vertices", "0,3"],
+         oracle.root_inclusion_prob(net, 0.7, [0, 3])),
+        (["edge-prob", "--edges-in-forest", "0-1,6-2", "--roots", "5"],
+         oracle.edge_inclusion_prob(net, 0.7, [(0, 1), (6, 2)], [5])),
+        (["edge-prob", "--edges-in-forest", "1-0,2-3", "--signed"],
+         oracle.edge_inclusion_prob(net, 0.7, [(1, 0), (2, 3)], signed=True)),
+    ]
+    for (cmd, *options), want in queries:
+        argv = ["oracle", cmd, str(path), "--q", "0.7"] + options
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert float(out) == pytest.approx(want, rel=1e-15)
 
 
 @pytest.fixture
@@ -769,6 +808,7 @@ BAD_BUILD_OPTIONS = [
     ["--seed", "1", "--min-size", "1"],
     ["--seed", "1", "--tuning-samples", "0"],
     ["--seed", "1", "--sparsify-theta", "-1"],
+    ["--seed", "1", "--levels", "-1"],
 ]
 
 
@@ -791,6 +831,7 @@ def test_pyramid_build_options_are_checked(
 @pytest.mark.parametrize("options", [
     ["--seed", "-1"],
     ["--seed", "1", "--sparsify-theta", "-1"],
+    ["--seed", "1", "--levels", "-1"],
 ])
 def test_bad_build_options_refused_before_tuning(
     capsys, monkeypatch, cycle_file, signal_file, options
@@ -811,6 +852,18 @@ def test_bad_build_options_refused_before_tuning(
     assert code == 2 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_zero_levels_is_an_archive_of_the_signal(capsys, cycle_file, signal_file):
+    # a negative --levels is refused; --levels 0 archives the signal as the apex
+    code, out, err = run(
+        capsys,
+        ["signal", "analyze", cycle_file, signal_file, "--undirected", "--seed", "1",
+         "--levels", "0"],
+    )
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["levels"] == [] and len(doc["apex"]) == 32
 
 
 @pytest.mark.parametrize("dry", [[], ["--dry-run"]])
@@ -850,26 +903,23 @@ def test_version(capsys):
 # pyramid archive versions
 
 
-def v1_archive(pyr: wv.Pyramid) -> str:
-    """``pyr`` as a version 1 archive: every level stores its reduced
-    network.  This is how version 1 writers wrote it (checked against
-    ``GOLDEN_V1``)."""
+def v1_archive(pyr: wv.Pyramid, version: int = fileio.PYRAMID_VERSION) -> str:
+    """``pyr`` as version 1 writers wrote it, every level storing its
+    reduced network, relabelled ``version``.  Version 1 is no longer read;
+    relabelled 2, such an archive reads every level through the stored-edge
+    path, as the version 1 reader did."""
     doc = fileio.pyramid_to_dict(pyr)
-    doc["version"] = 1
+    doc["version"] = version
     for entry, lvl in zip(doc["levels"], pyr.levels):
         entry["next_edges"] = [list(e) for e in lvl.next_network.edges]
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def test_v1_writer_helper_matches_golden_v1():
-    assert v1_archive(golden_pyramid()) == open(GOLDEN_V1).read()
 
 
 def test_v2_archive_stores_no_exact_level(golden_archive):
     doc = json.loads(open(golden_archive).read())
     assert doc["version"] == 2
     assert [lv["next_edges"] for lv in doc["levels"]] == [None] * 3
-    v1 = json.loads(open(GOLDEN_V1).read())
+    v1 = json.loads(v1_archive(golden_pyramid()))
     for lv, lv1 in zip(doc["levels"], v1["levels"]):
         del lv1["next_edges"]
         del lv["next_edges"]
@@ -910,9 +960,14 @@ QUERIES = [
 @pytest.mark.parametrize("query", QUERIES, ids=lambda q: "-".join(q))
 @pytest.mark.parametrize("kind", ["plain", "sparsified"])
 def test_v1_and_v2_archives_answer_alike(
-    capsys, golden_archive, sparsified_archives, kind, query
+    capsys, golden_archive, sparsified_archives, tmp_path, kind, query
 ):
-    v1, v2 = (GOLDEN_V1, golden_archive) if kind == "plain" else sparsified_archives
+    if kind == "plain":
+        v1 = tmp_path / "v1.json"
+        v1.write_text(v1_archive(golden_pyramid()))
+        v1, v2 = str(v1), golden_archive
+    else:
+        v1, v2 = sparsified_archives
     outs = []
     for archive in (v1, v2):
         code, out, err = run(capsys, ["signal", query[0], archive] + query[1:])
@@ -940,13 +995,16 @@ def test_next_edges_neither_null_nor_list_exits_3(
 
 
 def test_null_next_edges_in_v1_archive_exits_3(capsys, tmp_path):
-    doc = json.loads(open(GOLDEN_V1).read())
-    doc["levels"][1]["next_edges"] = None
+    # a version 1 archive is refused by its version, before any level is read
+    doc = json.loads(v1_archive(golden_pyramid(), version=1))
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    code, out, err = run(capsys, ["signal", "reconstruct", str(bad)])
-    assert (code, out) == (3, "")
-    assert err == "error: level 1: next_edges: null in a version 1 archive\n"
+    for nulled in (False, True):
+        if nulled:
+            doc["levels"][1]["next_edges"] = None
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["signal", "reconstruct", str(bad)])
+        assert (code, out) == (3, "")
+        assert err == "error: unsupported pyramid version 1\n"
 
 
 def test_tampered_sparsified_level_exits_3(capsys, sparsified_archives, tmp_path):
@@ -975,10 +1033,10 @@ def test_non_integral_keep_argument_exits_2(capsys, two_file):
 OVERFLOW_EDGES = [[0, 1, 1e308], [0, 2, 1e308], [1, 0, 1.0], [2, 0, 1.0]]
 
 
-def test_overflowing_exit_rate_is_invalid(capsys, tmp_path):
+def test_overflowing_exit_rate_is_invalid(capsys, golden_archive, tmp_path):
     edges = tmp_path / "overflow.tsv"
     edges.write_text("".join(f"{s}\t{d}\t{w!r}\n" for s, d, w in OVERFLOW_EDGES))
-    doc = json.loads(open(GOLDEN_V1).read())
+    doc = json.loads(open(golden_archive).read())
     doc["base"] = {"n": 3, "edges": OVERFLOW_EDGES}
     archive = tmp_path / "overflow.json"
     archive.write_text(json.dumps(doc))

@@ -249,11 +249,14 @@ def test_spectral_laws_match_enumeration_at_any_scale(case, decades, q):
     forced=st.booleans(),
 )
 def test_determinants_match_exact_enumeration_at_any_scale(case, decades, q, forced):
-    # the GTH pivots never subtract, so the partition function and the
-    # loop-erased path law hold to a few ulps at any rate scale; an LU
-    # determinant lost about eps * cond(q Id - L), up to 4.5e-7 relative.
-    # The reference is exact: rational forest weights, and for each path
-    # the forests whose path from its start is that path.
+    # the GTH pivots never subtract, so the partition function, the
+    # loop-erased path law and root inclusion, all ratios of its
+    # determinants, hold to a few ulps at any rate scale; an LU determinant
+    # lost about eps * cond(q Id - L), up to 4.5e-7 relative, and root
+    # inclusion read from the inverse up to 1.35e-6.  The reference is
+    # exact: rational forest weights, for each path the forests whose path
+    # from its start is that path, and for each root event the forests
+    # whose roots contain it.
     edges, n = case
     edges = [(a, b, w * 10.0**decades) for a, b, w in edges]
     net = build_network(edges, n)
@@ -261,6 +264,7 @@ def test_determinants_match_exact_enumeration_at_any_scale(case, decades, q, for
     rate = {(a, b): Fraction(w) for a, b, w in edges}
     z = Fraction(0)
     by_path = defaultdict(Fraction)
+    by_roots = defaultdict(Fraction)
     for phi in fe.all_spanning_forests(n, edges):
         if not set(B) <= set(phi.roots):
             continue
@@ -273,7 +277,14 @@ def test_determinants_match_exact_enumeration_at_any_scale(case, decades, q, for
             while phi.parent[path[-1]] != -1:
                 path.append(phi.parent[path[-1]])
             by_path[tuple(path)] += mass
+        for size in (1, 2):
+            for A in itertools.combinations(sorted(phi.roots), size):
+                by_roots[A] += mass
     assert oracle.partition_fn(net, q, B) == pytest.approx(float(z), rel=1e-13)
+    for size in (1, 2):
+        for A in itertools.combinations(range(n), size):
+            got = oracle.root_inclusion_prob(net, q, list(A), B)
+            assert got == pytest.approx(float(by_roots[A] / z), rel=1e-13), A
     for x in set(range(n)) - set(B):
         for path in fe.all_self_avoiding_paths(n, x):
             if any(v in B for v in path[1:-1]):
