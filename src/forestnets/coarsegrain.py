@@ -53,7 +53,10 @@ class ReducedNetwork:
     ``speeds``.  ``mu`` is the parent's measure conditioned on ``kept``,
     which those checks show invariant for the reduced generator, so the
     network takes it rather than solving for one; reading ``mu`` or
-    ``w_max`` never builds the network.
+    ``w_max`` never builds the network.  The network is made from the
+    checked rates themselves (:meth:`Network.of_rates`), not from an edge
+    list: an edge list is how input is validated, and these rates are
+    derived, not input.
 
     :meth:`solve_dropped` solves with ``-L_DD``, the parent's generator on
     the ``dropped`` vertices, through one :class:`oracle.CheckedLU` made on
@@ -112,7 +115,7 @@ class ReducedNetwork:
         # the rates reduced_rates checked, recomputed rather than kept next
         # to Lbar and the network's own generator
         rates = np.maximum(self.Lbar - np.diag(np.diag(self.Lbar)), 0.0)
-        return Network(_nonzero_edges(rates), self.kept.size, mu=self.mu)
+        return Network.of_rates(rates, self.mu)
 
     @cached_property
     def hitting_times(self) -> np.ndarray:
@@ -470,12 +473,6 @@ def operator_intertwining_residual(
 # sparsification
 
 
-def _nonzero_edges(w: np.ndarray) -> np.ndarray:
-    """``(m, 3)`` edge array of the nonzero entries of a rate matrix."""
-    i, j = np.nonzero(w)
-    return np.column_stack([i, j, w[i, j]])
-
-
 def _support_connected(w: np.ndarray) -> bool:
     src, dst = np.nonzero(w > 0)
     return breadth_first(w.shape[0], src, dst)[0].size == w.shape[0]
@@ -507,8 +504,9 @@ def sparsify(reduction: ReducedNetwork, q_prime: float, theta: float) -> Network
     irreducible and both touched defect rows respect the budget.  Weights
     removed from a row are folded into the diagonal, preserving zero row
     sums, reversibility and the invariant measure.  The sparsified network
-    takes ``reduction.mu`` as its measure once :func:`check_invariant`
-    has checked it against the remaining rates.
+    is made from the remaining rates (:meth:`Network.of_rates`) and takes
+    ``reduction.mu`` as its measure, once :func:`check_invariant` has
+    checked it against those rates.
     """
     check_sparsify_args(q_prime, theta)
     red_net = reduction.network
@@ -563,7 +561,7 @@ def sparsify(reduction: ReducedNetwork, q_prime: float, theta: float) -> Network
     if not removed_any:
         return red_net
     check_invariant(reduction.mu, W)
-    sparse_net = Network(_nonzero_edges(W), m, mu=reduction.mu)
+    sparse_net = Network.of_rates(W, reduction.mu)
     if not sparse_net.reversible:
         raise NumericalError("sparsified network lost reversibility")
     return sparse_net

@@ -379,7 +379,8 @@ def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
             raise MalformedInput("apex length does not match final network")
         if not np.isfinite(apex).all():
             raise MalformedInput("apex is not finite")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: a JSON number beyond float range, or an infinite n
         raise MalformedInput(f"malformed pyramid archive: {exc}") from None
     pyr = Pyramid(base=base, levels=levels, apex=apex, seed=doc.get("seed"))
     return pyr, doc.get("meta", {})

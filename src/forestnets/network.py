@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -35,12 +35,20 @@ Edge = tuple[int, int, float]
 class Network:
     """Irreducible weighted directed network with cached spectra-free data.
 
+    A network is made one of two ways.  Input (edge files, an archive's
+    stored edge lists, Python triples) comes as an edge list, and every
+    row is validated.  A level derived from a network comes as a rate
+    matrix its maker has already checked (:meth:`of_rates`), and its
+    nonzero entries are taken as the edges as they are.  Either way the
+    reachability, exit-rate and measure checks below run.
+
     Parameters
     ----------
     edges :
         iterable of ``(src, dst, weight)`` triples, or an ``(m, 3)`` array
         of them; weights must be finite and strictly positive, ordered
-        pairs must be unique, no self loops.
+        pairs must be unique, no self loops.  Or, from :meth:`of_rates`,
+        checked rates.
     n :
         vertex count, at most ``config.MAX_VERTICES`` (checked before any
         edge is read).  Vertex ids must be integers in ``0..n-1`` and the
@@ -87,7 +95,12 @@ class Network:
                 f"{config.MAX_VERTICES}"
             )
         self.n = n
-        self.src, self.dst, self.w = _sorted_edges(edge_array(edges), n)
+        if isinstance(edges, _CheckedRates):
+            # row-major order is (src, dst) order
+            self.src, self.dst = np.nonzero(edges.rates)
+            self.w = edges.rates[self.src, self.dst]
+        else:
+            self.src, self.dst, self.w = _sorted_edges(edge_array(edges), n)
 
         if n > 1:
             # the forward search's tree also serves the reversible measure
@@ -130,6 +143,18 @@ class Network:
         back = self.mu[self.dst] * L[self.dst, self.src]
         excess = np.abs(flow - back) > config.STRUCTURAL_TOL * np.maximum(1.0, flow)
         self.reversible = not bool(excess.any())
+
+    @classmethod
+    def of_rates(cls, rates: np.ndarray, mu: np.ndarray) -> Network:
+        """The network whose edges are the nonzero entries of the square
+        rate matrix ``rates`` and whose measure is ``mu``, as a Schur
+        reduction or a sparsification makes them: entries that their maker
+        has checked to be finite and nonnegative, with a zero diagonal, and
+        a measure it has checked invariant for them.  The entries are not
+        validated again as an edge list would be; the network comes out
+        exactly as from the edge list of those entries.
+        """
+        return cls(_CheckedRates(rates), rates.shape[0], mu)
 
     # -- representation ------------------------------------------------
 
@@ -181,6 +206,12 @@ class Network:
             f"Network(n={self.n}, edges={len(self.edges)}, "
             f"w_max={self.w_max:.6g}, reversible={self.reversible})"
         )
+
+
+class _CheckedRates(NamedTuple):
+    """A rate matrix handed to :class:`Network` by :meth:`Network.of_rates`."""
+
+    rates: np.ndarray
 
 
 # a detailed-balance defect below this many units of (depth + 1) * eps is

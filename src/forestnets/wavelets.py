@@ -477,7 +477,7 @@ def _detail_scores(pyr: Pyramid) -> list[tuple[float, int, int]]:
 def compress(pyr: Pyramid, keep_count: int) -> CompressionResult:
     """Reconstruct keeping only the ``keep_count`` largest detail
     coefficients (nested: larger counts always include smaller ones)."""
-    return _compress(pyr, keep_count, reconstruct_pyramid(pyr))
+    return _compress(pyr, keep_count, reconstruct_pyramid(pyr), _detail_scores(pyr))
 
 
 def check_keep_count(pyr: Pyramid, keep_count: int) -> None:
@@ -487,10 +487,18 @@ def check_keep_count(pyr: Pyramid, keep_count: int) -> None:
         raise InvalidParams(f"keep_count must lie in 0..{total}")
 
 
-def _compress(pyr: Pyramid, keep_count: int, exact: np.ndarray) -> CompressionResult:
+def _compress(
+    pyr: Pyramid,
+    keep_count: int,
+    exact: np.ndarray,
+    ranked: list[tuple[float, int, int]],
+) -> CompressionResult:
+    """:func:`compress` against the full reconstruction ``exact``, keeping
+    the first ``keep_count`` coefficients of the ranking ``ranked`` of
+    :func:`_detail_scores`."""
     check_keep_count(pyr, keep_count)
     details = [np.zeros(lvl.dropped.size) for lvl in pyr.levels]
-    for _, li, di in _detail_scores(pyr)[:keep_count]:
+    for _, li, di in ranked[:keep_count]:
         details[li][di] = pyr.levels[li].detail[di]
     values = _lift(pyr, details)[0]
     mu = pyr.base.mu
@@ -512,11 +520,15 @@ def compression_curve(
     pyr: Pyramid, fractions: Sequence[float]
 ) -> list[CompressionResult]:
     """Compression results at several kept fractions of the detail
-    budget (fraction 1 keeps everything and is exact)."""
+    budget (fraction 1 keeps everything and is exact).  The coefficients
+    are ranked once for the whole curve."""
     check_fractions(fractions)
     total = pyr.detail_count()
     exact = reconstruct_pyramid(pyr)
-    return [_compress(pyr, int(round(frac * total)), exact) for frac in fractions]
+    ranked = _detail_scores(pyr)
+    return [
+        _compress(pyr, int(round(frac * total)), exact, ranked) for frac in fractions
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,16 @@ from hypothesis import strategies as st
 
 from forestnets import coarsegrain as cg
 from forestnets import network, oracle, sampler
+from forestnets import wavelets as wv
 from forestnets.errors import (
     EmptyBlock,
     InvalidParams,
+    NotIrreducible,
     NumericalError,
     SingularSystem,
     ZeroProbability,
 )
-from forestnets.network import build_network, skeleton
+from forestnets.network import Network, build_network, skeleton
 from forestnets.norms import condition_measure
 
 import forest_enum as fe
@@ -624,3 +626,81 @@ def test_intertwining_tv_of_large_rates():
     err = cg.intertwining_error_tv(net, rows, 1.0)
     assert err.shape == (6,)
     assert 0.0 <= err.min() and err.max() < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# networks of checked rates
+
+
+def random_grid(side, rng, symmetric):
+    """4-neighbour grid with weights in [0.5, 2]: the same both ways, or
+    drawn for each direction."""
+    pairs = [(x, y) for x, y, _ in grid_edges(side, side)[::2]]
+    fwd, back = rng.uniform(0.5, 2.0, (2, len(pairs)))
+    if symmetric:
+        back = fwd
+    edges = [(x, y, w) for (x, y), w in zip(pairs, fwd)]
+    return edges + [(y, x, w) for (x, y), w in zip(pairs, back)]
+
+
+def edge_list_network(rates, mu):
+    """The network of the nonzero entries of ``rates`` built as a validated
+    edge list."""
+    i, j = np.nonzero(rates)
+    return Network(np.column_stack([i, j, rates[i, j]]), rates.shape[0], mu=mu)
+
+
+def assert_same_network(a, b):
+    for name in ("src", "dst", "w", "L", "mu"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    assert (a.n, a.w_max, a.reversible) == (b.n, b.w_max, b.reversible)
+
+
+def test_rates_and_edge_list_build_the_same_network():
+    rng = np.random.default_rng(11)
+    side = 24
+    net = build_network(random_grid(side, rng, symmetric=True), side * side)
+    keeps, n = [], side * side
+    for _ in range(3):
+        m = round(0.65 * n)
+        keeps.append(sorted(rng.choice(n, m, replace=False).tolist()))
+        n = m
+    f = rng.normal(size=side * side)
+    forced = wv.build_pyramid(net, f, forced_keep=keeps)
+    asym = build_network(random_grid(6, rng, symmetric=False), 36)
+    sampled = wv.build_pyramid(asym, rng.normal(size=36), seed=4, max_levels=3)
+    assert sampled.depth == 3 and not asym.reversible
+    for pyr in (forced, sampled):
+        for lvl in pyr.levels:
+            red = lvl.reduction
+            rates = np.maximum(red.Lbar - np.diag(np.diag(red.Lbar)), 0.0)
+            assert_same_network(red.network, edge_list_network(rates, red.mu))
+
+    small = build_network(random_grid(4, rng, symmetric=True), 16)
+    red = cg.schur_reduce(small, range(0, 16, 2))
+    sparse = cg.sparsify(red, 1.0, 1e9)
+    assert sparse.w.size < red.network.w.size
+    rates = sparse.L - np.diag(np.diag(sparse.L))
+    assert_same_network(sparse, edge_list_network(rates, red.mu))
+
+
+def test_rates_path_checks_reachability_both_ways():
+    mu = np.full(3, 1 / 3)
+    forward_only = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(NotIrreducible, match="backward-reachable"):
+        Network.of_rates(forward_only, mu)
+    with pytest.raises(NotIrreducible, match="forward-reachable"):
+        Network.of_rates(forward_only.T.copy(), mu)
+
+
+@pytest.mark.parametrize("mu", [[0.5, 0.0], [1.5, -0.5], [1.0]])
+def test_rates_path_refuses_a_measure_that_is_not_positive(mu):
+    with pytest.raises(InvalidParams, match="not positive"):
+        Network.of_rates(np.array([[0.0, 2.0], [1.0, 0.0]]), np.array(mu))
+
+
+def test_rates_path_checks_exit_rate_overflow():
+    rates = np.array([[0.0, 1e308, 1e308], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    with pytest.raises(InvalidParams, match="exit rate of vertex 0 overflows"):
+        Network.of_rates(rates, np.full(3, 1 / 3))

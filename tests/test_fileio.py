@@ -318,6 +318,32 @@ def test_each_level_checks_its_reduced_rates_once(monkeypatch, theta):
     assert len(calls) == back.depth
 
 
+@pytest.mark.parametrize("theta", [None, 0.5])
+def test_read_validates_only_the_stored_edge_lists(monkeypatch, theta):
+    # the base and each stored next_edges are input and are validated as
+    # edge lists; an exact level's network is built from its checked rates
+    n = 32
+    net = build_network(cycle_edges(n, 1.0), n)
+    f = np.sin(np.arange(n) / 4.0)
+    pyr = wv.build_pyramid(net, f, seed=9, max_levels=3, sparsify_theta=theta)
+    stored = sum(lvl.sparsified for lvl in pyr.levels)
+    assert (stored > 0) == (theta is not None)
+    buf = io.StringIO()
+    fileio.write_pyramid(buf, pyr)
+    calls = []
+    real = network._sorted_edges
+
+    def counted(a, n):
+        calls.append(n)
+        return real(a, n)
+
+    monkeypatch.setattr(network, "_sorted_edges", counted)
+    back, _ = fileio.read_pyramid(io.StringIO(buf.getvalue()))
+    assert back.depth == 3
+    assert len(calls) == 1 + stored
+    assert calls[0] == n
+
+
 def test_rewriting_a_v1_archive_keeps_its_networks(monkeypatch):
     # a version 1 archive, relabelled version 2, stores every level's
     # network; such a level may hold an exact or a sparsified network, so
