@@ -582,69 +582,92 @@ def cmd_signal_image_reconstruct(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="forestnets",
-        description="Random spanning forests: exact statistics, sampling, "
-        "coarse-graining and multiresolution signal analysis.",
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Arguments that several commands share.  Each adds its arguments to a
+# command's parser, right after its ``-h``, in the order the command lists
+# them.
 
-    edges_p = argparse.ArgumentParser(add_help=False)
-    edges_p.add_argument("edges", help="edge list file (src<TAB>dst<TAB>weight)")
-    edges_p.add_argument(
+
+def _edges_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("edges", help="edge list file (src<TAB>dst<TAB>weight)")
+    p.add_argument(
         "--undirected",
         action="store_true",
         help="add the reverse of every listed edge",
     )
-    dry_p = argparse.ArgumentParser(add_help=False)
-    dry_p.add_argument(
+
+
+def _dry_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
         "--dry-run",
         action="store_true",
         help="validate inputs and exit without computing",
     )
-    out_p = argparse.ArgumentParser(add_help=False)
-    out_p.add_argument("--output", help="write to this file instead of stdout")
-    roots_p = argparse.ArgumentParser(add_help=False)
-    roots_p.add_argument(
+
+
+def _out_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--output", help="write to this file instead of stdout")
+
+
+def _roots_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
         "--roots",
         type=_id_list,
         default=[],
         help="comma-separated vertices forced to be roots",
     )
 
-    # graph
-    graph = sub.add_parser("graph", help="inspect and reduce networks")
+
+def _build_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--levels", type=int, default=None)
+    p.add_argument("--min-size", type=int, default=2)
+    p.add_argument("--sparsify-theta", type=float, default=None)
+    p.add_argument("--tuning-samples", type=int, default=16)
+
+
+def _pyramid_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("pyramid", help="pyramid archive (JSON)")
+
+
+def _keep_arg(p: argparse.ArgumentParser) -> None:
+    keep_grp = p.add_mutually_exclusive_group()
+    keep_grp.add_argument("--keep-count", type=int, default=None)
+    keep_grp.add_argument("--keep-fraction", type=float, default=None)
+
+
+def _command(sub, name: str, func, *shared) -> argparse.ArgumentParser:
+    """The parser of command ``name`` under ``sub``, which runs ``func``,
+    with the ``shared`` arguments added first."""
+    p = sub.add_parser(name)
+    for add in shared:
+        add(p)
+    p.set_defaults(func=func)
+    return p
+
+
+def _fill_graph(graph: argparse.ArgumentParser) -> None:
     gsub = graph.add_subparsers(dest="subcommand", required=True)
-    g_info = gsub.add_parser("info", parents=[edges_p, dry_p])
+    g_info = _command(gsub, "info", cmd_graph_info, _edges_arg, _dry_arg)
     g_info.add_argument("--json", action="store_true")
-    g_info.set_defaults(func=cmd_graph_info)
-    g_skel = gsub.add_parser("skeleton", parents=[edges_p, dry_p])
-    g_skel.set_defaults(func=cmd_graph_skeleton)
-    g_red = gsub.add_parser("reduce", parents=[edges_p, dry_p, out_p])
+    _command(gsub, "skeleton", cmd_graph_skeleton, _edges_arg, _dry_arg)
+    g_red = _command(gsub, "reduce", cmd_graph_reduce, _edges_arg, _dry_arg, _out_arg)
     g_red.add_argument("--keep", type=_id_list, required=True)
     g_red.add_argument("--sparsify-theta", type=float, default=None)
     g_red.add_argument("--q-prime", type=float, default=None)
     g_red.add_argument("--json", action="store_true")
-    g_red.set_defaults(func=cmd_graph_reduce)
 
-    # oracle
-    orc = sub.add_parser("oracle", help="exact forest statistics")
+
+def _fill_oracle(orc: argparse.ArgumentParser) -> None:
     osub = orc.add_subparsers(dest="subcommand", required=True)
-    o_part = osub.add_parser("partition", parents=[edges_p, dry_p, roots_p])
+    shared = (_edges_arg, _dry_arg, _roots_arg)
+    o_part = _command(osub, "partition", cmd_oracle_partition, *shared)
     o_part.add_argument("--q", type=float, required=True)
-    o_part.set_defaults(func=cmd_oracle_partition)
-    o_green = osub.add_parser("green", parents=[edges_p, dry_p, roots_p])
+    o_green = _command(osub, "green", cmd_oracle_green, *shared)
     o_green.add_argument("--q", type=float, required=True)
-    o_green.set_defaults(func=cmd_oracle_green)
-    o_rp = osub.add_parser("root-prob", parents=[edges_p, dry_p, roots_p])
+    o_rp = _command(osub, "root-prob", cmd_oracle_root_prob, *shared)
     o_rp.add_argument("--q", type=float, required=True)
     o_rp.add_argument("--vertices", type=_id_list, required=True)
-    o_rp.set_defaults(func=cmd_oracle_root_prob)
-    o_ep = osub.add_parser("edge-prob", parents=[edges_p, dry_p, roots_p])
+    o_ep = _command(osub, "edge-prob", cmd_oracle_edge_prob, *shared)
     o_ep.add_argument("--q", type=float, required=True)
     o_ep.add_argument(
         "--edges-in-forest",
@@ -658,19 +681,19 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="count an edge when either orientation is present",
     )
-    o_ep.set_defaults(func=cmd_oracle_edge_prob)
-    o_rc = osub.add_parser("root-count", parents=[edges_p, dry_p, roots_p])
+    o_rc = _command(osub, "root-count", cmd_oracle_root_count, *shared)
     o_rc.add_argument("--q", type=float, required=True)
     o_rc.add_argument("--json", action="store_true")
-    o_rc.set_defaults(func=cmd_oracle_root_count)
-    o_pp = osub.add_parser("path-prob", parents=[edges_p, dry_p, roots_p])
+    o_pp = _command(osub, "path-prob", cmd_oracle_path_prob, *shared)
     o_pp.add_argument("--q", type=float, required=True)
     o_pp.add_argument("--path", type=_id_list, required=True)
-    o_pp.set_defaults(func=cmd_oracle_path_prob)
-    o_hit = osub.add_parser("hitting", parents=[edges_p, dry_p, out_p])
+    o_hit = _command(
+        osub, "hitting", cmd_oracle_hitting, _edges_arg, _dry_arg, _out_arg
+    )
     o_hit.add_argument("--targets", type=_id_list, required=True)
-    o_hit.set_defaults(func=cmd_oracle_hitting)
-    o_mrh = osub.add_parser("mean-root-hitting", parents=[edges_p, dry_p])
+    o_mrh = _command(
+        osub, "mean-root-hitting", cmd_oracle_mean_root_hitting, _edges_arg, _dry_arg
+    )
     o_mrh.add_argument("--q", type=float, default=None)
     o_mrh.add_argument(
         "--root-count",
@@ -678,97 +701,136 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="condition on this many roots instead of using --q",
     )
-    o_mrh.set_defaults(func=cmd_oracle_mean_root_hitting)
 
-    # forest
-    forest = sub.add_parser("forest", help="sampling and empirical checks")
+
+def _fill_forest(forest: argparse.ArgumentParser) -> None:
     fsub = forest.add_subparsers(dest="subcommand", required=True)
-    f_sample = fsub.add_parser("sample", parents=[edges_p, dry_p, out_p, roots_p])
+    f_sample = _command(
+        fsub, "sample", cmd_forest_sample, _edges_arg, _dry_arg, _out_arg, _roots_arg
+    )
     f_sample.add_argument("--q", type=float, required=True)
     f_sample.add_argument("--seed", type=int, required=True)
     f_sample.add_argument("--sample-index", type=int, default=0)
-    f_sample.set_defaults(func=cmd_forest_sample)
-    f_stats = fsub.add_parser("stats", parents=[edges_p, dry_p, roots_p])
+    f_stats = _command(
+        fsub, "stats", cmd_forest_stats, _edges_arg, _dry_arg, _roots_arg
+    )
     f_stats.add_argument("--q", type=float, required=True)
     f_stats.add_argument("--seed", type=int, required=True)
     f_stats.add_argument("--samples", type=int, required=True)
-    f_stats.set_defaults(func=cmd_forest_stats)
-    f_tgt = fsub.add_parser("roots-target", parents=[edges_p, dry_p, out_p, roots_p])
+    f_tgt = _command(
+        fsub,
+        "roots-target",
+        cmd_forest_roots_target,
+        _edges_arg,
+        _dry_arg,
+        _out_arg,
+        _roots_arg,
+    )
     f_tgt.add_argument("--m", type=int, required=True)
     f_tgt.add_argument("--seed", type=int, required=True)
     f_tgt.add_argument("--q0", type=float, default=None)
     f_tgt.add_argument("--max-iters", type=int, default=30)
     f_tgt.add_argument("--json", action="store_true")
-    f_tgt.set_defaults(func=cmd_forest_roots_target)
-    f_walk = fsub.add_parser("walk", parents=[edges_p, dry_p, roots_p])
+    f_walk = _command(fsub, "walk", cmd_forest_walk, _edges_arg, _dry_arg, _roots_arg)
     f_walk.add_argument("--q", type=float, required=True)
     f_walk.add_argument("--start", type=int, required=True)
     f_walk.add_argument("--seed", type=int, required=True)
     f_walk.add_argument("--sample-index", type=int, default=0)
-    f_walk.set_defaults(func=cmd_forest_walk)
-    f_eq = fsub.add_parser("equilibrium-check", parents=[edges_p, dry_p])
+    f_eq = _command(
+        fsub, "equilibrium-check", cmd_forest_equilibrium_check, _edges_arg, _dry_arg
+    )
     f_eq.add_argument("--q", type=float, required=True)
     f_eq.add_argument("--seed", type=int, required=True)
     f_eq.add_argument("--samples", type=int, required=True)
     f_eq.add_argument("--min-count", type=int, default=100)
-    f_eq.set_defaults(func=cmd_forest_equilibrium_check)
 
-    # tune
-    tune = sub.add_parser(
-        "tune", parents=[edges_p, dry_p], help="killing-rate selection"
-    )
+
+def _fill_tune(tune: argparse.ArgumentParser) -> None:
+    _edges_arg(tune)
+    _dry_arg(tune)
     tune.add_argument("--seed", type=int, required=True)
     tune.add_argument("--grid", type=_float_list, default=None)
     tune.add_argument("--samples", type=int, default=16)
     tune.add_argument("--json", action="store_true")
     tune.set_defaults(func=cmd_tune)
 
-    # signal
-    signal = sub.add_parser("signal", help="multiresolution signal analysis")
+
+def _fill_signal(signal: argparse.ArgumentParser) -> None:
     ssub = signal.add_subparsers(dest="subcommand", required=True)
-
-    build_p = argparse.ArgumentParser(add_help=False)
-    build_p.add_argument("--seed", type=int, required=True)
-    build_p.add_argument("--levels", type=int, default=None)
-    build_p.add_argument("--min-size", type=int, default=2)
-    build_p.add_argument("--sparsify-theta", type=float, default=None)
-    build_p.add_argument("--tuning-samples", type=int, default=16)
-
-    s_an = ssub.add_parser("analyze", parents=[edges_p, dry_p, out_p, build_p])
-    s_an.add_argument("signal", help="signal file (vertex,value)")
-    s_an.set_defaults(func=cmd_signal_analyze)
-
-    pyr_p = argparse.ArgumentParser(add_help=False)
-    pyr_p.add_argument("pyramid", help="pyramid archive (JSON)")
-    keep_p = argparse.ArgumentParser(add_help=False)
-    keep_grp = keep_p.add_mutually_exclusive_group()
-    keep_grp.add_argument("--keep-count", type=int, default=None)
-    keep_grp.add_argument("--keep-fraction", type=float, default=None)
-
-    s_rec = ssub.add_parser("reconstruct", parents=[pyr_p, dry_p, out_p, keep_p])
-    s_rec.set_defaults(func=cmd_signal_reconstruct)
-    s_apx = ssub.add_parser("approx", parents=[pyr_p, dry_p, out_p])
-    s_apx.set_defaults(func=cmd_signal_approx)
-    s_cmp = ssub.add_parser("compress", parents=[pyr_p, dry_p, out_p])
-    s_cmp.add_argument("--fractions", type=_float_list, required=True)
-    s_cmp.set_defaults(func=cmd_signal_compress)
-    s_bnd = ssub.add_parser("bounds", parents=[pyr_p, dry_p])
-    s_bnd.add_argument("--p", type=float, required=True)
-    s_bnd.set_defaults(func=cmd_signal_bounds)
-    s_ia = ssub.add_parser("image-analyze", parents=[dry_p, out_p, build_p])
-    s_ia.add_argument("image", help="P2/P5 graymap file")
-    s_ia.set_defaults(func=cmd_signal_image_analyze)
-    s_ir = ssub.add_parser(
-        "image-reconstruct", parents=[pyr_p, dry_p, out_p, keep_p]
+    s_an = _command(
+        ssub, "analyze", cmd_signal_analyze, _edges_arg, _dry_arg, _out_arg, _build_arg
     )
-    s_ir.set_defaults(func=cmd_signal_image_reconstruct)
+    s_an.add_argument("signal", help="signal file (vertex,value)")
+    _command(
+        ssub,
+        "reconstruct",
+        cmd_signal_reconstruct,
+        _pyramid_arg,
+        _dry_arg,
+        _out_arg,
+        _keep_arg,
+    )
+    _command(ssub, "approx", cmd_signal_approx, _pyramid_arg, _dry_arg, _out_arg)
+    s_cmp = _command(
+        ssub, "compress", cmd_signal_compress, _pyramid_arg, _dry_arg, _out_arg
+    )
+    s_cmp.add_argument("--fractions", type=_float_list, required=True)
+    s_bnd = _command(ssub, "bounds", cmd_signal_bounds, _pyramid_arg, _dry_arg)
+    s_bnd.add_argument("--p", type=float, required=True)
+    s_ia = _command(
+        ssub, "image-analyze", cmd_signal_image_analyze, _dry_arg, _out_arg, _build_arg
+    )
+    s_ia.add_argument("image", help="P2/P5 graymap file")
+    _command(
+        ssub,
+        "image-reconstruct",
+        cmd_signal_image_reconstruct,
+        _pyramid_arg,
+        _dry_arg,
+        _out_arg,
+        _keep_arg,
+    )
 
+
+#: each command group's help line, and the function that fills in its
+#: commands
+_GROUPS = {
+    "graph": ("inspect and reduce networks", _fill_graph),
+    "oracle": ("exact forest statistics", _fill_oracle),
+    "forest": ("sampling and empirical checks", _fill_forest),
+    "tune": ("killing-rate selection", _fill_tune),
+    "signal": ("multiresolution signal analysis", _fill_signal),
+}
+
+
+def build_parser(group: str | None = None) -> argparse.ArgumentParser:
+    """The command line parser.  Every command group is registered, so the
+    top-level usage, help and errors read the same whatever ``group`` is;
+    only the commands of the group named ``group`` are filled in, or those
+    of every group when ``group`` names none."""
+    parser = argparse.ArgumentParser(
+        prog="forestnets",
+        description="Random spanning forests: exact statistics, sampling, "
+        "coarse-graining and multiresolution signal analysis.",
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"%(prog)s {__version__}"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, fill) in _GROUPS.items():
+        group_parser = sub.add_parser(name, help=help_line)
+        if group not in _GROUPS or name == group:
+            fill(group_parser)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run the command of ``argv`` (``sys.argv[1:]`` by default) and return
+    its exit code.  The parser is built for the group ``argv[0]`` names
+    alone (:func:`build_parser`): a command's arguments, usage and errors
+    are its group's, which is the only group built in full."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except MalformedInput as exc:

@@ -113,7 +113,7 @@ class ReducedNetwork:
     @cached_property
     def network(self) -> Network:
         # the rates reduced_rates checked, recomputed rather than kept next
-        # to Lbar and the network's own generator
+        # to Lbar; of_rates builds the network's generator in them
         rates = np.maximum(self.Lbar - np.diag(np.diag(self.Lbar)), 0.0)
         return Network.of_rates(rates, self.mu)
 
@@ -131,9 +131,10 @@ class ReducedNetwork:
         """Return speeds ``(beta, gamma)`` toward the kept set: ``1/beta``
         is the worst expected time to re-enter it after one skeleton step
         from a kept vertex, ``1/gamma`` the worst expected entrance time
-        from a dropped vertex."""
+        from a dropped vertex.  Only the kept rows of the skeleton are
+        formed."""
         h = self.hitting_times
-        one_over_beta = float((skeleton(self.parent)[self.kept, :] @ h).max())
+        one_over_beta = float((skeleton(self.parent, self.kept) @ h).max())
         one_over_gamma = float(h.max())
         beta = math.inf if one_over_beta == 0.0 else 1.0 / one_over_beta
         gamma = math.inf if one_over_gamma == 0.0 else 1.0 / one_over_gamma
@@ -561,7 +562,7 @@ def sparsify(reduction: ReducedNetwork, q_prime: float, theta: float) -> Network
     if not removed_any:
         return red_net
     check_invariant(reduction.mu, W)
-    sparse_net = Network.of_rates(W, reduction.mu)
+    sparse_net = Network.of_rates(W, reduction.mu)  # W becomes its generator
     if not sparse_net.reversible:
         raise NumericalError("sparsified network lost reversibility")
     return sparse_net

@@ -9,13 +9,15 @@ output files.  A pyramid archive is read into levels made as
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
 from typing import IO, Sequence
 
 import numpy as np
 
 from .coarsegrain import check_invariant
 from .errors import InvalidParams, MalformedInput, NumericalError, ValidationError
-from .network import Network, build_network
+from .network import NOT_TRIPLES, Network, build_network
 from .sampler import RootedForest
 from .wavelets import Pyramid, PyramidLevel
 
@@ -310,11 +312,34 @@ def write_pyramid(fh: IO[str], pyr: Pyramid, meta: dict | None = None) -> None:
     fh.write("\n")
 
 
+#: the Python types of JSON numbers; a string or a boolean is not one
+_JSON_NUMBERS = frozenset({int, float})
+
+
+def _numbers(values, what: str) -> list:
+    """``values``, checked to be a JSON list of numbers: ``TypeError``
+    naming ``what`` on anything else.  The check is one pass of ``type``
+    over the list, run in C, as the float conversion that follows is."""
+    if not (isinstance(values, list) and set(map(type, values)) <= _JSON_NUMBERS):
+        raise TypeError(f"{what} must be a list of numbers")
+    return values
+
+
+def _number(x, what: str) -> float:
+    """The JSON number ``x`` as a float; ``TypeError`` naming ``what`` on
+    anything else."""
+    if type(x) not in _JSON_NUMBERS:
+        raise TypeError(f"{what} must be a number")
+    return float(x)
+
+
 def _archived_network(edges, n: int, where: str, mu=None) -> Network:
     """Network of an archive's edge list, with invariant measure ``mu`` if
-    given; a validation error is a malformed archive, reported with
-    ``where`` (the base or a level)."""
+    given; a validation error, or an entry that is not a JSON number, is a
+    malformed archive, reported with ``where`` (the base or a level)."""
     try:
+        if not set(map(type, chain.from_iterable(edges))) <= _JSON_NUMBERS:
+            raise InvalidParams(NOT_TRIPLES)
         return Network(edges, n, mu)
     except ValidationError as exc:
         raise MalformedInput(f"{where}: {exc}") from None
@@ -330,7 +355,9 @@ def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
     ``mu(. | keep)`` invariant.
     Either way the next network carries ``mu(. | keep)`` as its measure.
     A level is made by :meth:`PyramidLevel.of`, whose checks of ``keep``
-    and ``q_prime`` report a malformed level.
+    and ``q_prime`` report a malformed level.  Every number must be a JSON
+    number, the base ``n`` an integer and a ``q_tuning`` finite: a string
+    or a boolean in a number's place is a malformed archive.
     """
     try:
         doc = json.load(fh)
@@ -342,15 +369,21 @@ def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
     if version != PYRAMID_VERSION:
         raise MalformedInput(f"unsupported pyramid version {version}")
     try:
-        base = _archived_network(doc["base"]["edges"], int(doc["base"]["n"]), "base")
+        n = doc["base"]["n"]
+        if type(n) is not int:
+            raise TypeError("base n must be an integer")
+        base = _archived_network(doc["base"]["edges"], n, "base")
         levels: list[PyramidLevel] = []
         current = base
         for li, entry in enumerate(doc["levels"]):
+            keep = _numbers(entry["keep"], f"level {li}: keep")
+            q_prime = _number(entry["q_prime"], f"level {li}: q_prime")
             try:
-                level = PyramidLevel.of(current, entry["keep"], float(entry["q_prime"]))
+                level = PyramidLevel.of(current, keep, q_prime)
             except InvalidParams as exc:
                 raise MalformedInput(f"level {li}: {exc}") from None
-            level.detail = np.asarray([float(x) for x in entry["detail"]])
+            detail = _numbers(entry["detail"], f"level {li}: detail")
+            level.detail = np.asarray(detail, dtype=float)
             if level.detail.size != level.dropped.size:
                 raise MalformedInput(
                     f"level {li}: detail length does not match dropped set"
@@ -371,16 +404,19 @@ def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
             elif next_edges is not None:
                 raise MalformedInput(f"{where}: must be null or an edge list")
             if entry.get("q_tuning") is not None:
-                level.q_tuning = float(entry["q_tuning"])
+                q_tuning = _number(entry["q_tuning"], f"level {li}: q_tuning")
+                if not math.isfinite(q_tuning):
+                    raise ValueError(f"level {li}: q_tuning is not finite")
+                level.q_tuning = q_tuning
             levels.append(level)
             current = level.next_network
-        apex = np.asarray([float(x) for x in doc["apex"]])
+        apex = np.asarray(_numbers(doc["apex"], "apex"), dtype=float)
         if apex.size != current.n:
             raise MalformedInput("apex length does not match final network")
         if not np.isfinite(apex).all():
             raise MalformedInput("apex is not finite")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # OverflowError: a JSON number beyond float range, or an infinite n
+        # OverflowError: a JSON number beyond float range
         raise MalformedInput(f"malformed pyramid archive: {exc}") from None
     pyr = Pyramid(base=base, levels=levels, apex=apex, seed=doc.get("seed"))
     return pyr, doc.get("meta", {})

@@ -38,8 +38,9 @@ class Network:
     A network is made one of two ways.  Input (edge files, an archive's
     stored edge lists, Python triples) comes as an edge list, and every
     row is validated.  A level derived from a network comes as a rate
-    matrix its maker has already checked (:meth:`of_rates`), and its
-    nonzero entries are taken as the edges as they are.  Either way the
+    matrix its maker has already checked (:meth:`of_rates`): its nonzero
+    entries are taken as the edges as they are, and the matrix itself
+    becomes the generator, with no second ``n x n`` array.  Either way the
     reachability, exit-rate and measure checks below run.
 
     Parameters
@@ -96,11 +97,15 @@ class Network:
             )
         self.n = n
         if isinstance(edges, _CheckedRates):
-            # row-major order is (src, dst) order
-            self.src, self.dst = np.nonzero(edges.rates)
-            self.w = edges.rates[self.src, self.dst]
+            # row-major order is (src, dst) order; the generator is built
+            # in the rate matrix itself, whose diagonal is zero
+            L = edges.rates
+            self.src, self.dst = np.nonzero(L)
+            self.w = L[self.src, self.dst]
         else:
             self.src, self.dst, self.w = _sorted_edges(edge_array(edges), n)
+            L = np.zeros((n, n))
+            L[self.src, self.dst] = self.w
 
         if n > 1:
             # the forward search's tree also serves the reversible measure
@@ -115,8 +120,6 @@ class Network:
                         f"vertex {missing} not {direction}-reachable from 0"
                     )
 
-        L = np.zeros((n, n))
-        L[self.src, self.dst] = self.w
         with np.errstate(over="ignore"):
             exits = L.sum(axis=1)
         if not np.isfinite(exits).all():
@@ -153,6 +156,10 @@ class Network:
         a measure it has checked invariant for them.  The entries are not
         validated again as an edge list would be; the network comes out
         exactly as from the edge list of those entries.
+
+        ``rates`` is taken over, not copied: its diagonal is set to minus
+        the exit rates and it becomes the network's ``L``, so a caller
+        hands over a float64 C-contiguous array that it does not keep.
         """
         return cls(_CheckedRates(rates), rates.shape[0], mu)
 
@@ -327,7 +334,7 @@ def _gth_measure(L: np.ndarray, block: int = _GTH_BLOCK) -> np.ndarray:
     return mu / mu.sum()
 
 
-_NOT_TRIPLES = "edges must be (src, dst, weight) triples of numbers"
+NOT_TRIPLES = "edges must be (src, dst, weight) triples of numbers"
 
 
 def edge_array(edges: Iterable[Edge] | np.ndarray) -> np.ndarray:
@@ -338,11 +345,11 @@ def edge_array(edges: Iterable[Edge] | np.ndarray) -> np.ndarray:
     try:
         a = np.asarray(rows, dtype=float)
     except (TypeError, ValueError, OverflowError):
-        raise InvalidParams(_NOT_TRIPLES) from None
+        raise InvalidParams(NOT_TRIPLES) from None
     if a.shape == (0,):
         return a.reshape(0, 3)
     if a.ndim != 2 or a.shape[1] != 3:
-        raise InvalidParams(_NOT_TRIPLES)
+        raise InvalidParams(NOT_TRIPLES)
     return a
 
 
@@ -418,19 +425,24 @@ def build_network(edges: Iterable[Edge] | np.ndarray, n: int | None = None) -> N
     return Network(edges, int(n))
 
 
-def skeleton(net: Network) -> np.ndarray:
-    """Discrete-time jump kernel ``P = Id + L / w_max`` of the network.
+def skeleton(net: Network, rows: np.ndarray | None = None) -> np.ndarray:
+    """Discrete-time jump kernel ``P = Id + L / w_max`` of the network, or
+    only its ``rows`` (distinct vertex ids), which are all that is formed.
 
     Rows are probability vectors; the diagonal holds the laziness
     ``1 - w(x) / w_max`` needed to equalize exit rates across vertices.
+    Each formed row is checked to sum to 1.
     """
+    rows = np.arange(net.n) if rows is None else np.asarray(rows)
     if net.n == 1:
-        return np.array([[1.0]])
-    P = np.eye(net.n) + net.L / net.w_max
+        return np.ones((rows.size, 1))
+    P = net.L[rows]
+    P /= net.w_max
+    P[np.arange(rows.size), rows] += 1.0
     # defensive: clamp parasitic -0.0 and verify stochasticity
     P[np.abs(P) < 1e-300] = 0.0
-    rows = P.sum(axis=1)
-    if np.abs(rows - 1.0).max() > config.ARITHMETIC_TOL * net.n:
+    sums = P.sum(axis=1)
+    if np.abs(sums - 1.0).max() > config.ARITHMETIC_TOL * net.n:
         raise NumericalError("skeleton rows do not sum to 1")
     return P
 

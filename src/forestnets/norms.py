@@ -11,13 +11,18 @@ from . import config
 from .errors import InvalidParams, ShapeMismatch, UnnormalizedMeasure
 
 
+_TINY = np.finfo(float).tiny
+
+
 def _as_vec(x: Sequence[float]) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
 def lp_norm(f: Sequence[float], mu: Sequence[float], p: float) -> float:
     """``(sum_x |f(x)|^p mu(x))^(1/p)``; for ``p = inf`` the max of ``|f|``
-    over the support of ``mu``."""
+    over the support of ``mu``.  When the sum leaves the normal float range
+    (a large ``p``), it is taken of ``f / max |f|`` instead and the result
+    scaled back, so the norm neither overflows nor underflows to 0."""
     f = _as_vec(f)
     mu = _as_vec(mu)
     if f.shape != mu.shape:
@@ -28,7 +33,13 @@ def lp_norm(f: Sequence[float], mu: Sequence[float], p: float) -> float:
         if not support.any():
             return 0.0
         return float(np.abs(f[support]).max())
-    return float((np.abs(f) ** p @ mu) ** (1.0 / p))
+    a = np.abs(f)
+    with np.errstate(over="ignore"):
+        total = a**p @ mu
+    top = float(a.max(initial=0.0))
+    if _TINY <= total < math.inf or not 0.0 < top < math.inf:
+        return float(total ** (1.0 / p))
+    return top * float(((a / top) ** p @ mu) ** (1.0 / p))
 
 
 def check_p(p: float) -> None:

@@ -20,6 +20,7 @@ all of ``G`` reads :func:`green`.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -71,6 +72,16 @@ def check_q(
 # dense solves
 
 
+@functools.lru_cache(maxsize=64)
+def _check_weights(m: int) -> np.ndarray:
+    """The fixed positive combination of ``m`` solved columns that
+    :meth:`CheckedLU.solve` checks, drawn once per width: the first ``m``
+    uniforms on ``[0.5, 1.5)`` of ``default_rng(0)``."""
+    v = np.random.default_rng(0).uniform(0.5, 1.5, m)
+    v.flags.writeable = False
+    return v
+
+
 class CheckedLU:
     """One LU factorization of the square matrix ``M`` (``what`` in
     errors), which raises ``SingularSystem`` on an entry or row sum that
@@ -78,7 +89,8 @@ class CheckedLU:
     Each :meth:`solve` checks ``max |M x - b|`` against ``RESIDUAL_TOL``
     times ``max(1, max |x| * max(1, ||M||_inf))``: an LU residual grows as
     the matrix's norm times the solution's, so large rates pass as small
-    ones do."""
+    ones do.  Several columns are checked on one fixed combination of them
+    (:func:`_check_weights`), the same for every solve of that width."""
 
     def __init__(self, M: np.ndarray, what: str) -> None:
         self.M = M
@@ -102,7 +114,7 @@ class CheckedLU:
         x = scipy.linalg.lu_solve(self.factors, rhs)
         xv, bv = x, rhs
         if x.ndim > 1:
-            v = np.random.default_rng(0).uniform(0.5, 1.5, x.shape[1])
+            v = _check_weights(x.shape[1])
             xv, bv = x @ v, rhs @ v
         resid = float(np.abs(self.M @ xv - bv).max())
         scale = float(np.abs(xv).max()) * max(1.0, self.norm)

@@ -645,9 +645,11 @@ def check_tuning_args(
     net: Network, q_grid: Sequence[float] | None, n_samples: int
 ) -> list[float]:
     """The grid of :func:`estimate_tuning` as floats (``default_q_grid``
-    when ``None``); ``InvalidParams`` unless every entry is positive and
-    finite and ``n_samples >= 1``."""
+    when ``None``); ``InvalidParams`` unless it is nonempty, every entry is
+    positive and finite and ``n_samples >= 1``."""
     grid = [float(x) for x in (default_q_grid(net) if q_grid is None else q_grid)]
+    if not grid:
+        raise InvalidParams("q grid must not be empty")
     if any(x <= 0 or not np.isfinite(x) for x in grid):
         raise InvalidParams("q grid entries must be positive and finite")
     if n_samples < 1:

@@ -617,9 +617,20 @@ def stability_bounds(pyr: Pyramid, p: float) -> StabilityReport:
     the roughness ``L f`` of the level signal.  Globally: the composite
     analysis norm against ``2^(1/p*) (1+N)^(1/p) ||f||``, and the gap
     between the signal and its pure approximation against the cascade
-    bound built from per-level constants.
+    bound built from per-level constants.  A finite ``p`` so large that
+    a constant's ``p``-th power leaves the float range raises
+    ``NumericalError``.
     """
     check_stability_args(pyr, p)
+    try:
+        return _stability_bounds(pyr, p)
+    except OverflowError:
+        raise NumericalError(
+            f"stability bounds at p = {p} overflow the float range"
+        ) from None
+
+
+def _stability_bounds(pyr: Pyramid, p: float) -> StabilityReport:
     sigs = signal_levels(pyr)
     base_mu = pyr.base.mu
     f0 = sigs[0]

@@ -1,0 +1,219 @@
+"""Property test: a command line drawn from every command, flag, edge value
+and input file exits with a documented code (0, 2, 3 or 4) and at most a
+one-line error, never a traceback; and the parser built for the group that
+``argv[0]`` names reads it as the parser of every group does."""
+
+import argparse
+import contextlib
+import io
+import json
+import random
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
+
+from forestnets import cli, fileio
+from forestnets import wavelets as wv
+from forestnets.network import build_network
+
+
+def command_parsers() -> dict[tuple[str, ...], argparse.ArgumentParser]:
+    """The parser of every command of the full parser, by its argv prefix:
+    each group's commands, and ``tune``, a group that is one command."""
+    top = cli.build_parser()
+    (groups,) = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
+    out = {}
+    for name, group in groups.choices.items():
+        subs = [a for a in group._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            out[(name,)] = group
+        for command, parser in (subs[0].choices.items() if subs else ()):
+            out[(name, command)] = parser
+    return out
+
+
+COMMANDS = command_parsers()
+#: edge values by kind: huge, not finite, small numbers, lists, junk
+VALUE_KINDS = [
+    [str(2**64), str(2**64 - 1), "1e308", "1e400", "-1e400"],
+    ["nan", "inf", "-inf"],
+    ["-1", "0", "-0", "1", "2", "0.5", "1e-300"],
+    ["0,0", "0,1", "1,2", "0-1", "0-1,1-2", "1-0,2-1"],
+    ["", "x"],
+]
+EDGE_VALUES = [v for kind in VALUE_KINDS for v in kind]
+# Sampling takes about w_max / q steps per walk and one pass per draw, and
+# these pass their checks: a sampling q near 0 or a draw count near 2**64
+# runs for ever, so those flags draw from the values that end.
+ENDLESS = {"1e-300", str(2**64), str(2**64 - 1)}
+SAMPLING_GROUPS = {"forest", "tune"}
+SAMPLING_FLAGS = {"--q", "--q0", "--grid"}
+COUNT_FLAGS = {"--samples", "--max-iters", "--tuning-samples"}
+TOKENS = sorted(
+    {word for argv in COMMANDS for word in argv}
+    | {opt for p in COMMANDS.values() for a in p._actions for opt in a.option_strings}
+    | {"--version", "bogus"}
+    | set(EDGE_VALUES)
+)
+
+
+def write_inputs(tmp) -> dict[str, list[str]]:
+    """Input files by the positional argument they are meant for, plus
+    broken ones that any positional may draw."""
+    e3 = tmp / "e3.tsv"
+    e3.write_text("0\t1\t2.0\n1\t0\t1.0\n1\t2\t1.0\n2\t1\t0.5\n")
+    one_way = tmp / "one_way.tsv"
+    one_way.write_text("0\t1\t1.0\n1\t2\t1.0\n")
+    sig = tmp / "s3.csv"
+    sig.write_text("vertex,value\n0,1.0\n1,-0.5\n2,2.0\n")
+    image = tmp / "img.pgm"
+    image.write_text("P2\n3 3\n9\n0 1 2\n3 4 5\n6 7 9\n")
+
+    n = 6
+    w = np.random.default_rng(3).uniform(0.5, 2.0, n)
+    edges = [(i, (i + 1) % n, float(w[i])) for i in range(n)]
+    edges += [((i + 1) % n, i, float(w[i])) for i in range(n)]
+    pyr = wv.build_pyramid(
+        build_network(edges, n), np.cos(np.arange(n)), forced_keep=[[0, 2, 4], [1]]
+    )
+    archive = tmp / "pyr.json"
+    with open(archive, "w") as fh:
+        fileio.write_pyramid(fh, pyr)
+    grid = fileio.grid_network(3, 3)
+    img_pyr = wv.build_pyramid(grid, np.arange(9.0), forced_keep=[[0, 4, 8]])
+    img_archive = tmp / "img_pyr.json"
+    with open(img_archive, "w") as fh:
+        fileio.write_pyramid(fh, img_pyr, {"rows": 3, "cols": 3, "maxval": 9})
+    not_json = tmp / "not.json"
+    not_json.write_text(json.dumps({"format": "other"}))
+
+    empty = tmp / "empty"
+    empty.write_text("")
+    broken = [str(empty), str(tmp), str(tmp / "missing")]
+    return {
+        "edges": [str(e3), str(one_way), str(sig)] + broken,
+        "signal": [str(sig), str(e3)] + broken,
+        "pyramid": [str(archive), str(img_archive), str(not_json)] + broken,
+        "image": [str(image), str(e3)] + broken,
+        "--output": [str(tmp / "out" / "result"), str(tmp), str(tmp / "missing" / "x")],
+    }
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("argv")
+    (tmp / "out").mkdir()
+    return write_inputs(tmp)
+
+
+def command_line(rnd: random.Random, inputs, prefix=None) -> list[str]:
+    """An argv of the command ``prefix`` (any command by default): its
+    positionals, mostly the input file each is meant for; a shuffled
+    subset of its options (most of the required ones) with edge values of
+    a random kind; and at times a stray token or ``--help``.  Now and then,
+    when no command is given, any tokens at all."""
+    if prefix is None:
+        if rnd.random() < 0.1:
+            return rnd.choices(TOKENS, k=rnd.randint(0, 5))
+        prefix = rnd.choice(sorted(COMMANDS))
+    parser = COMMANDS[prefix]
+    argv = list(prefix)
+    for action in parser._actions:
+        if not action.option_strings and rnd.random() < 0.95:
+            files = inputs[action.dest]
+            argv.append(files[0] if rnd.random() < 0.75 else rnd.choice(files))
+    options = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+    rnd.shuffle(options)
+    for action in options:
+        if rnd.random() >= (0.9 if action.required else 0.3):
+            continue
+        flag = action.option_strings[0]
+        argv.append(flag)
+        if action.nargs == 0:
+            continue
+        if flag == "--output":
+            argv.append(rnd.choice(inputs["--output"]))
+            continue
+        values = rnd.choice(VALUE_KINDS)
+        if flag in COUNT_FLAGS or (
+            prefix[0] in SAMPLING_GROUPS and flag in SAMPLING_FLAGS
+        ):
+            values = [v for v in values if v not in ENDLESS] or ["1"]
+        argv.append(rnd.choice(values))
+    if rnd.random() < 0.1:
+        argv.insert(rnd.randint(0, len(argv)), rnd.choice(TOKENS + ["--help"]))
+    return argv
+
+
+def draw_argv(data, inputs, prefix=None) -> list[str]:
+    # uniform draws: hypothesis's own favour simple choices, and drew the
+    # same few command lines over and over
+    rnd = data.draw(st.randoms(use_true_random=True))
+    argv = command_line(rnd, inputs, prefix)
+    note(f"argv = {argv!r}")
+    return argv
+
+
+def run(call):
+    """``call()``'s result or exit code, stdout bytes and stderr text, with
+    the warnings it raised."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = call()
+            except SystemExit as exc:
+                result = exc.code
+        out.flush()
+    return result, out.buffer.getvalue(), err.getvalue(), caught
+
+
+def parse(parser: argparse.ArgumentParser, argv: list[str]):
+    def namespace():  # as text, where a NaN equals itself
+        return repr(vars(parser.parse_args(argv)))
+
+    result, out, err, _ = run(namespace)
+    return result, out, err
+
+
+@pytest.mark.parametrize("prefix", sorted(COMMANDS), ids=" ".join)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_command_line_exits_cleanly(inputs, prefix, data):
+    argv = draw_argv(data, inputs, prefix)
+    code, _, err, caught = run(lambda: cli.main(argv))
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in err
+    assert not caught, [str(w.message) for w in caught]
+    if code in (3, 4):
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    elif code == 2:
+        # a usage error ends in argparse's one error line
+        last = err.splitlines()[-1]
+        assert last.startswith(("error: ", "forestnets")), err
+        assert err.count("\n") == 1 or err.startswith("usage: "), err
+    else:
+        assert err == "", err
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_group_parser_reads_every_command_line_as_the_full_parser(inputs, data):
+    argv = draw_argv(data, inputs)
+    group = cli.build_parser(argv[0] if argv else None)
+    assert parse(group, argv) == parse(cli.build_parser(), argv)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], []] + [
+    [name, "--help"] for name in ("graph", "oracle", "forest", "tune", "signal")
+])
+def test_help_is_that_of_the_full_parser(argv):
+    # guard: main builds the group argv[0] names, and every group is listed
+    full = parse(cli.build_parser(), argv)
+    assert full[0] in (0, 2) and (full[1] or full[2])
+    assert run(lambda: cli.main(argv))[:3] == full

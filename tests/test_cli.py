@@ -1138,3 +1138,64 @@ def test_cli_import_leaves_out_scipy_stats():
         env=env, capture_output=True, text=True, check=True,
     )
     assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("p", ["1000", "1e5", "1e308", "18446744073709551616"])
+def test_bounds_at_a_huge_finite_p_exits_4(capsys, golden_archive, p):
+    # a constant's p-th power overflowed as an OverflowError traceback
+    code, out, err = run(capsys, ["signal", "bounds", golden_archive, "--p", p])
+    assert (code, out) == (4, "")
+    assert err == f"error: stability bounds at p = {float(p)} overflow the float range\n"
+
+
+#: archive numbers written as JSON strings or booleans, or a q_tuning that
+#: is not a number, each as a change to the golden archive's document
+NOT_NUMBERS = {
+    "n-string": lambda d: d["base"].update(n=str(d["base"]["n"])),
+    "q-prime-string": lambda d: d["levels"][0].update(q_prime="0.9"),
+    "detail-string": lambda d: d["levels"][0]["detail"].__setitem__(0, "0.25"),
+    "keep-string": lambda d: d["levels"][0]["keep"].__setitem__(0, "3"),
+    "keep-boolean": lambda d: d["levels"][1]["keep"].__setitem__(0, True),
+    "base-weight-string": lambda d: d["base"]["edges"][0].__setitem__(2, "0.5"),
+    "base-id-boolean": lambda d: d["base"]["edges"][0].__setitem__(0, False),
+    "apex-boolean": lambda d: d["apex"].__setitem__(0, True),
+    "q-tuning-nan": lambda d: d["levels"][0].update(q_tuning=float("nan")),
+    "q-tuning-string": lambda d: d["levels"][0].update(q_tuning="1.0"),
+}
+
+
+@pytest.mark.parametrize("cmd", [["reconstruct"], ["bounds", "--p", "2"]])
+@pytest.mark.parametrize("change", list(NOT_NUMBERS.values()), ids=list(NOT_NUMBERS))
+def test_archive_number_that_is_not_a_json_number_exits_3(
+    capsys, golden_archive, tmp_path, change, cmd
+):
+    # int() and float() took each of these for a number, and every query
+    # answered
+    doc = json.loads(open(golden_archive).read())
+    change(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["signal", cmd[0], str(bad)] + cmd[1:])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "malformed pyramid archive" in err or "triples of numbers" in err
+
+
+def test_archive_of_integer_numbers_reads(capsys, golden_archive, tmp_path):
+    # guard: a JSON integer is a number wherever a float is
+    doc = json.loads(open(golden_archive).read())
+    doc["levels"][0]["q_prime"] = 1
+    doc["levels"][0]["q_tuning"] = 2
+    doc["apex"] = [int(x) for x in doc["apex"]]
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps(doc))
+    pyr, _ = fileio.read_pyramid(open(path))
+    assert pyr.levels[0].q_prime == 1.0 and pyr.levels[0].q_tuning == 2.0
+    assert run(capsys, ["signal", "reconstruct", str(path)])[0] == 0
+
+
+@pytest.mark.parametrize("dry", [[], ["--dry-run"]])
+def test_tune_on_an_empty_grid_exits_2(capsys, two_file, dry):
+    # the choice of q read min() of no records, a ValueError traceback
+    argv = ["tune", two_file, "--seed", "1", "--grid", ""] + dry
+    assert run(capsys, argv) == (2, "", "error: q grid must not be empty\n")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,3 +72,26 @@ def test_holder_conjugate():
     assert holder_conjugate(math.inf) == 1.0
     assert holder_conjugate(2) == 2.0
     assert holder_conjugate(4) == pytest.approx(4 / 3)
+
+
+@pytest.mark.parametrize("p", [1000.0, 1e5, 1e308, float(2**64)])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 7.0, 1e200])
+def test_lp_norm_at_large_p_neither_overflows_nor_underflows(p, scale):
+    # |f|^p leaves the float range; the norm, between the largest |f| times
+    # mu of its vertex to the 1/p and the largest |f|, does not
+    f = scale * np.array([0.5, -1.0, 0.25])
+    mu = np.array([0.2, 0.3, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning either
+        got = lp_norm(f, mu, p)
+    assert scale * 0.3 ** (1 / p) <= got <= scale
+    assert got == pytest.approx(scale, rel=2e-3)
+
+
+def test_lp_norm_in_range_is_the_plain_sum():
+    # guard: the rescaled sum is taken only outside the normal range
+    f = np.array([0.3, -1.7, 2.9, 0.0])
+    mu = np.array([0.1, 0.2, 0.3, 0.4])
+    for p in (1.0, 2.0, 3.5, 50.0):
+        assert lp_norm(f, mu, p) == float((np.abs(f) ** p @ mu) ** (1.0 / p))
+    assert lp_norm(np.zeros(4), mu, 1000.0) == 0.0

@@ -90,6 +90,22 @@ def test_checked_lu():
     np.testing.assert_allclose(lu.solve(rhs[:, 0]), [2 / 3, 1 / 3], atol=1e-15)
 
 
+def test_checked_lu_checks_every_width_on_one_fixed_combination(monkeypatch):
+    # the combination is drawn once per width, as default_rng(0) draws it,
+    # and every solve still checks its residual on it
+    for m in (2, 3, 2):
+        v = oracle._check_weights(m)
+        assert not v.flags.writeable
+        assert v.tobytes() == np.random.default_rng(0).uniform(0.5, 1.5, m).tobytes()
+    assert oracle._check_weights(3) is oracle._check_weights(3)
+    lu = oracle.CheckedLU(np.array([[2.0, -1.0], [-1.0, 2.0]]), "M")
+    lu.solve(np.eye(2))
+    monkeypatch.setattr(config, "RESIDUAL_TOL", -1.0)
+    for _ in range(2):
+        with pytest.raises(SingularSystem, match="^M residual"):
+            lu.solve(np.eye(2))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_checked_lu_refuses_non_finite_rhs(bad):
     lu = oracle.CheckedLU(np.array([[2.0, -1.0], [-1.0, 2.0]]), "M")
