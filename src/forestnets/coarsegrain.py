@@ -24,6 +24,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
+import scipy.sparse
 
 from . import config, oracle, sampler
 from .errors import (
@@ -60,9 +61,11 @@ class ReducedNetwork:
 
     :meth:`solve_dropped` solves with ``-L_DD``, the parent's generator on
     the ``dropped`` vertices, through one :class:`oracle.CheckedLU` made on
-    first use and kept.  The complement ``Lbar = L_kk + L_kd (-L_DD)^-1
-    L_dk``, the hitting times behind the ``speeds`` and every
-    reconstruction through this reduction all share it.
+    first use and kept: SuperLU's factors of the sparse block when the
+    density rule picks it (:func:`oracle.sparse_block`), with no dense copy
+    of ``-L_DD`` beside them, else the dense LU.  The complement ``Lbar =
+    L_kk + L_kd (-L_DD)^-1 L_dk``, the hitting times behind the ``speeds``
+    and every reconstruction through this reduction all share it.
     """
 
     def __init__(self, parent: Network, keep: Sequence[int]) -> None:
@@ -76,7 +79,10 @@ class ReducedNetwork:
     @cached_property
     def _lu(self) -> oracle.CheckedLU:
         d = self.dropped
-        return oracle.CheckedLU(-self.parent.L[np.ix_(d, d)], "-L_DD")
+        M = oracle.sparse_block(self.parent, d)
+        if M is None:
+            M = -self.parent.L[np.ix_(d, d)]
+        return oracle.CheckedLU(M, "-L_DD")
 
     def solve_dropped(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``-L_DD x = rhs`` (one or several columns) with ``_lu``."""
@@ -88,11 +94,32 @@ class ReducedNetwork:
 
     def _complement(self) -> np.ndarray:
         """The exact, unclamped Schur complement of the parent's generator
-        on ``kept``."""
+        on ``kept``.  When ``-L_DD`` is factored sparsely, the blocks are
+        read from the edge arrays: ``L_Dk`` is solved for as one dense
+        right-hand side, and the sparse product of ``L_kD`` with the
+        solution is added into ``L_kk``."""
         L, k, d = self.parent.L, self.kept, self.dropped
-        Lbar = L[np.ix_(k, k)]
-        if d.size:
-            Lbar += L[np.ix_(k, d)] @ self.solve_dropped(L[np.ix_(d, k)])
+        if not d.size:
+            return L[np.ix_(k, k)]
+        if not scipy.sparse.issparse(self._lu.M):
+            X = self.solve_dropped(L[np.ix_(d, k)])
+            return L[np.ix_(k, k)] + L[np.ix_(k, d)] @ X
+        net = self.parent
+        pos = np.empty(net.n, dtype=np.int64)
+        pos[k], pos[d] = np.arange(k.size), np.arange(d.size)
+        in_d = np.zeros(net.n, dtype=bool)
+        in_d[d] = True
+        s, t, w = pos[net.src], pos[net.dst], net.w
+        from_d, to_d = in_d[net.src], in_d[net.dst]
+        Lbar = np.zeros((k.size, k.size))
+        kk = ~from_d & ~to_d
+        Lbar[s[kk], t[kk]] = w[kk]
+        np.fill_diagonal(Lbar, L[k, k])
+        dk, kd = from_d & ~to_d, ~from_d & to_d
+        L_Dk = np.zeros((d.size, k.size))
+        L_Dk[s[dk], t[dk]] = w[dk]
+        L_kD = scipy.sparse.csr_array((w[kd], (s[kd], t[kd])), shape=(k.size, d.size))
+        Lbar += L_kD @ self.solve_dropped(L_Dk)
         return Lbar
 
     @cached_property

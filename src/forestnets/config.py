@@ -20,6 +20,11 @@ RESIDUAL_TOL: float = 1e-9
 #: n x n generator, so larger networks are refused with InvalidParams
 MAX_VERTICES: int = 4096
 
+#: largest number of walk steps a sampling run may need, on the lower bound
+#: of sampler.check_step_budget; a run that needs more is refused before
+#: its first draw (at a few million steps per second, 1e12 steps take days)
+MAX_WALK_STEPS: float = 1e12
+
 #: relative floor used when deciding that a Gram matrix is singular
 GRAM_SINGULAR_REL: float = 1e-14
 

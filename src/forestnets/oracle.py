@@ -28,6 +28,8 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from . import config
 from .errors import (
@@ -69,7 +71,66 @@ def check_q(
 
 
 # ---------------------------------------------------------------------------
-# dense solves
+# checked solves, dense or sparse
+
+#: the density rule: a block of at least ``SPARSE_MIN_SIZE`` rows with at
+#: most ``SPARSE_DENSITY`` of its entries nonzero is factored by SuperLU.
+#: Chosen on the Schur chains of seeded 10x10 to 40x40 grids (kept shares
+#: 35-80%, one BLAS thread, block build included), SuperLU's time over the
+#: dense time is: 0.05-0.78 for two-column killed-kernel solves and
+#: 0.27-0.61 for Schur complements below 2% density from 128 rows up;
+#: 0.3-2.1 between 2% and 6% (above 1 only below 270 rows, by at most
+#: 0.8 ms); 1.1-7.4 above 9% density or below 100 rows.  Near the
+#: boundary it errs both ways: Schur complements of 90-105 dropped rows
+#: at 2-6% take 0.56-0.87, a killed-kernel solve at 676 rows and 14% 0.75.
+SPARSE_MIN_SIZE = 128
+SPARSE_DENSITY = 0.05
+
+
+def sparse_pays(size: int, nnz: int) -> bool:
+    """Whether a ``size x size`` block with ``nnz`` nonzero entries is
+    factored sparsely: the one density rule (``SPARSE_MIN_SIZE``,
+    ``SPARSE_DENSITY``)."""
+    return size >= SPARSE_MIN_SIZE and nnz <= SPARSE_DENSITY * size * size
+
+
+def sparse_block(
+    net: Network, part: np.ndarray | None = None, q: float = 0.0, *,
+    transpose: bool = False,
+) -> scipy.sparse.csc_array | None:
+    """``q Id - L`` on the sorted vertex ids ``part`` (every vertex by
+    default), or its transpose, as a CSC matrix built from the edge arrays
+    when :func:`sparse_pays` for it; ``None`` when the block is to be
+    factored densely.  The size is read first, so a small block reads
+    nothing of ``net`` but ``n``.  Entries are those of the dense block:
+    ``-w`` off the diagonal and ``q`` plus the exit rate on it."""
+    size = net.n if part is None else part.size
+    if size < SPARSE_MIN_SIZE:
+        return None
+    src, dst, w = net.src, net.dst, net.w
+    if part is not None:
+        pos = np.full(net.n, -1)
+        pos[part] = np.arange(size)
+        src, dst = pos[src], pos[dst]
+        inside = (src >= 0) & (dst >= 0)
+        src, dst, w = src[inside], dst[inside], w[inside]
+    if not sparse_pays(size, w.size + size):
+        return None
+    ids = np.arange(size)
+    diag_L = np.diag(net.L) if part is None else net.L[part, part]
+    with np.errstate(over="ignore"):  # CheckedLU refuses an overflow
+        data = np.concatenate([-w, q - diag_L])
+    rows, cols = np.concatenate([src, ids]), np.concatenate([dst, ids])
+    if transpose:
+        rows, cols = cols, rows
+    return scipy.sparse.csc_array((data, (rows, cols)), shape=(size, size))
+
+
+def generator(net: Network) -> np.ndarray | scipy.sparse.csc_array:
+    """``L`` as the matrix its products read: minus the sparse block of
+    :func:`sparse_block` when the density rule picks it, else ``net.L``."""
+    M = sparse_block(net)
+    return net.L if M is None else -M
 
 
 @functools.lru_cache(maxsize=64)
@@ -84,34 +145,50 @@ def _check_weights(m: int) -> np.ndarray:
 
 class CheckedLU:
     """One LU factorization of the square matrix ``M`` (``what`` in
-    errors), which raises ``SingularSystem`` on an entry or row sum that
-    overflows or on an exact zero pivot (LAPACK's test of singularity).
-    Each :meth:`solve` checks ``max |M x - b|`` against ``RESIDUAL_TOL``
-    times ``max(1, max |x| * max(1, ||M||_inf))``: an LU residual grows as
-    the matrix's norm times the solution's, so large rates pass as small
-    ones do.  Several columns are checked on one fixed combination of them
+    errors): LAPACK's dense LU when ``M`` is an array, SuperLU's when it is
+    a SciPy sparse matrix (see :func:`sparse_block`), and the same checks
+    either way.  It raises ``SingularSystem`` on an entry or row sum that
+    overflows or on an exact zero pivot (LAPACK's test of singularity,
+    and SuperLU's "exactly singular").  Each :meth:`solve` checks
+    ``max |M x - b|`` against ``RESIDUAL_TOL`` times
+    ``max(1, max |x| * max(1, ||M||_inf))``: an LU residual grows as the
+    matrix's norm times the solution's, so large rates pass as small ones
+    do.  Several columns are checked on one fixed combination of them
     (:func:`_check_weights`), the same for every solve of that width."""
 
-    def __init__(self, M: np.ndarray, what: str) -> None:
+    def __init__(self, M: np.ndarray | scipy.sparse.csc_array, what: str) -> None:
         self.M = M
         self.what = what
-        self.norm = float(np.abs(M).sum(axis=1).max())
+        self.norm = float(abs(M).sum(axis=1).max())
         if not math.isfinite(self.norm):
             raise SingularSystem(f"{what} overflows")
-        with warnings.catch_warnings():
-            # lu_factor warns exactly when a pivot is zero, checked here
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            self.factors = scipy.linalg.lu_factor(M)
-        if not np.diag(self.factors[0]).all():
+        if scipy.sparse.issparse(M):
+            try:
+                self.factors = scipy.sparse.linalg.splu(M)
+                pivots_nonzero = True
+            except RuntimeError as exc:
+                if "exactly singular" not in str(exc):
+                    raise
+                pivots_nonzero = False
+        else:
+            with warnings.catch_warnings():
+                # lu_factor warns exactly when a pivot is zero, checked here
+                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                self.factors = scipy.linalg.lu_factor(M)
+            pivots_nonzero = np.diag(self.factors[0]).all()
+        if not pivots_nonzero:
             raise SingularSystem(f"{what} is singular (zero pivot)")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``M x = rhs``; several columns are checked on one fixed
-        random combination, in ``O(n^2 + nk)`` not ``O(n^2 k)``; a
-        right-hand side that is not finite raises ``NumericalError``."""
+        random combination, in ``O(nnz(M) + nk)`` beyond the solve itself;
+        a right-hand side that is not finite raises ``NumericalError``."""
         if not np.isfinite(rhs).all():
             raise NumericalError(f"{self.what}: right-hand side is not finite")
-        x = scipy.linalg.lu_solve(self.factors, rhs)
+        if scipy.sparse.issparse(self.M):
+            x = self.factors.solve(rhs)
+        else:
+            x = scipy.linalg.lu_solve(self.factors, rhs)
         xv, bv = x, rhs
         if x.ndim > 1:
             v = _check_weights(x.shape[1])
@@ -150,11 +227,16 @@ def killed_lu(
     by default), for a ``q`` already checked: ``K_q f`` is ``q`` times its
     solve for ``f``.  With ``transpose`` the transpose is the factored
     matrix, so the residual check reads its own norm: rows ``r`` of
-    ``K_q`` are ``q`` times the solve for ``r^T``."""
-    L = net.L if free is None else net.L[np.ix_(free, free)]
-    with np.errstate(over="ignore"):  # CheckedLU refuses an overflow
-        M = q * np.eye(L.shape[0]) - L
-    return CheckedLU(M.T if transpose else M, "q Id - L")
+    ``K_q`` are ``q`` times the solve for ``r^T``.  The matrix is the
+    sparse block of :func:`sparse_block` when the density rule picks it,
+    else the dense one."""
+    M = sparse_block(net, free, q, transpose=transpose)
+    if M is None:
+        L = net.L if free is None else net.L[np.ix_(free, free)]
+        with np.errstate(over="ignore"):  # CheckedLU refuses an overflow
+            M = q * np.eye(L.shape[0]) - L
+        M = M.T if transpose else M
+    return CheckedLU(M, "q Id - L")
 
 
 def green(net: Network, q: float, B: Sequence[int] = ()) -> GreenKernel:
@@ -258,17 +340,20 @@ def transfer_current(
     q, roots = check_q(net, q, B)
     edges = check_edge_event(net, edge_list, signed)
     tail, head = np.array(edges, dtype=np.int64).reshape(-1, 2).T
-    # only the endpoints' columns of G are read: solve for those alone
+    # only the endpoints' columns of G are read: G[:, j] is the column of
+    # ends[j], solved for alone, and zero for a forced root
+    ends = np.union1d(tail, head)
     free = _free_vertices(net, roots)
-    cols = np.flatnonzero(np.isin(free, np.concatenate([tail, head])))
-    G, L = np.zeros((net.n, net.n)), net.L
-    if free.size:
-        G[np.ix_(free, free[cols])] = killed_lu(net, q, free).solve(
-            np.eye(free.size)[:, cols]
-        )
-    J = G[:, tail] * L[tail, head]  # J[x, e'] for every vertex x
+    live = np.flatnonzero(np.isin(ends, free))
+    G, L = np.zeros((net.n, ends.size)), net.L
+    if live.size:
+        unit = np.zeros((free.size, live.size))
+        unit[np.searchsorted(free, ends[live]), np.arange(live.size)] = 1.0
+        G[np.ix_(free, live)] = killed_lu(net, q, free).solve(unit)
+    at_tail, at_head = np.searchsorted(ends, tail), np.searchsorted(ends, head)
+    J = G[:, at_tail] * L[tail, head]  # J[x, e'] for every vertex x
     if signed:
-        J = J - G[:, head] * L[head, tail]
+        J = J - G[:, at_head] * L[head, tail]
     return J[tail] - J[head]
 
 

@@ -33,7 +33,7 @@ from typing import Iterator, Sequence
 import numpy as np
 import scipy.special
 
-from . import oracle
+from . import config, oracle
 from .errors import InvalidParams, InvalidStart, NumericalError
 from .network import Network, vertex_set
 
@@ -184,11 +184,33 @@ def check_sampling_args(
     net: Network, q: float, B: Sequence[int] = (), n_samples: int = 1
 ) -> tuple[float, list[int]]:
     """:func:`oracle.check_q`, with the forced roots as a sorted list;
-    also ``InvalidParams`` unless ``n_samples >= 1``."""
+    also ``InvalidParams`` unless ``n_samples >= 1`` and the draws fit
+    the step budget (:func:`check_step_budget`)."""
     q, roots = oracle.check_q(net, q, B)
     if n_samples < 1:
         raise InvalidParams("n_samples must be >= 1")
+    check_step_budget(net, [q], n_samples, forced=bool(roots.size))
     return q, roots.tolist()
+
+
+def check_step_budget(
+    net: Network, q_grid: Sequence[float], n_draws: int, *, forced: bool = False
+) -> None:
+    """``InvalidParams`` when ``n_draws`` draws at each killing rate of
+    ``q_grid`` need more than ``config.MAX_WALK_STEPS`` walk steps, before
+    any draw.  The count is a lower bound, so no run that would end within
+    the budget is refused: a draw takes at least one step, and with no
+    ``forced`` roots its first walk runs until it is killed, which takes
+    at least ``w_min / q`` steps on average (``w_min`` the least exit
+    rate)."""
+    w_min = -float(net.L.diagonal().max())
+    per_draw = [1.0 if forced else max(1.0, w_min / q) for q in q_grid]
+    steps = n_draws * sum(per_draw)
+    if steps > config.MAX_WALK_STEPS:
+        raise InvalidParams(
+            f"sampling needs at least {steps:.3g} walk steps, more than "
+            f"the {config.MAX_WALK_STEPS:.3g} allowed"
+        )
 
 
 def _run_branch(
@@ -515,17 +537,19 @@ def check_m_roots_args(
 ) -> tuple[list[int], float]:
     """The forced roots of :func:`sample_with_m_roots` as a sorted list and
     its first ``q`` (``q0``, by default ``w_max``); ``InvalidParams``
-    unless ``m`` is a reachable root count, ``max_iters >= 1`` and that
-    ``q`` is positive and finite."""
-    _, roots = check_sampling_args(net, 1.0, B)
-    if not (max(1, len(roots)) <= m <= net.n):
+    unless ``m`` is a reachable root count, ``max_iters >= 1``, that
+    ``q`` is positive and finite and its first draw fits the step budget
+    (:func:`check_step_budget`)."""
+    _, roots = oracle.check_q(net, 1.0, B)
+    if not (max(1, roots.size) <= m <= net.n):
         raise InvalidParams(f"target root count m={m} outside [1, {net.n}]")
     if max_iters < 1:
         raise InvalidParams("max_iters must be >= 1")
     q = float(q0) if q0 is not None else net.w_max
     if q <= 0 or not np.isfinite(q):
         raise InvalidParams("q0 must be positive and finite")
-    return roots, q
+    check_step_budget(net, [q], 1, forced=bool(roots.size))
+    return roots.tolist(), q
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +670,8 @@ def check_tuning_args(
 ) -> list[float]:
     """The grid of :func:`estimate_tuning` as floats (``default_q_grid``
     when ``None``); ``InvalidParams`` unless it is nonempty, every entry is
-    positive and finite and ``n_samples >= 1``."""
+    positive and finite, ``n_samples >= 1`` and the scan fits the step
+    budget (:func:`check_step_budget`)."""
     grid = [float(x) for x in (default_q_grid(net) if q_grid is None else q_grid)]
     if not grid:
         raise InvalidParams("q grid must not be empty")
@@ -654,6 +679,7 @@ def check_tuning_args(
         raise InvalidParams("q grid entries must be positive and finite")
     if n_samples < 1:
         raise InvalidParams("n_samples must be >= 1")
+    check_step_budget(net, grid, n_samples)
     return grid
 
 

@@ -29,6 +29,7 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse
 
 from . import coarsegrain as cg
 from . import config, oracle, sampler
@@ -64,8 +65,13 @@ class PyramidLevel:
     kernel ``K_{q'}``: :meth:`reconstruct` solves with the kept LU of
     ``-L_DD``, and :meth:`analyze` and :meth:`detail_size_check` each
     factor ``q' Id - L`` (:func:`oracle.killed_lu`) for their right-hand
-    sides and drop the factors, so a level holds no ``n x n`` matrix
-    beyond its network's.  Each solve is an :class:`oracle.CheckedLU`.
+    sides and drop the factors.  Each solve is an :class:`oracle.CheckedLU`,
+    sparse (SuperLU) or dense by the density rule of
+    :func:`oracle.sparse_pays`, and the products with ``L`` read its
+    sparse rows under the same rule (:attr:`generator`).  A level keeps
+    the network's dense ``L`` and the dense Schur complement; the factors
+    of ``-L_DD`` it keeps are sparse on a sparse level and an LU of a
+    dense copy of the block on a dense one.
 
     Position ``i`` of the next level corresponds to ``keep[i]`` here.  In
     a pyramid, ``detail`` holds the level's detail coefficients and
@@ -124,6 +130,12 @@ class PyramidLevel:
     def sparsified(self) -> bool:
         return self.stored_next is not None
 
+    @cached_property
+    def generator(self) -> np.ndarray | scipy.sparse.csc_array:
+        """The network's generator as its products read it: sparse rows
+        when the density rule picks them (:func:`oracle.generator`)."""
+        return oracle.generator(self.network)
+
     def analyze(self, values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """(approximation on kept, detail on dropped) of a signal, from
         ``K_{q'} f``: one solve of ``q' Id - L``."""
@@ -138,7 +150,7 @@ class PyramidLevel:
         k, d, qp = self.keep, self.dropped, self.q_prime
         fb = _as_signal(approx, k.size)
         fd = _as_signal(detail, d.size)
-        L, n = self.network.L, self.n
+        L, n = self.generator, self.n
         # the off-diagonal blocks of L act through zero-padded vectors,
         # which reads L in place instead of copying a block out of it
         padded = np.zeros(n)
@@ -192,7 +204,7 @@ class PyramidLevel:
         Kf, K1d = qp * G[:, 0], qp * G[:, 1]
         fd = (Kf - f)[d]
         measured = lp_norm(fd, condition_measure(net.mu, d), p)
-        lf = net.L @ f
+        lf = self.generator @ f
         if p == math.inf:
             factor = 1.0 / qp
         else:
@@ -687,7 +699,7 @@ def _stability_bounds(pyr: Pyramid, p: float) -> StabilityReport:
         wb = lvl.network.w_max / lvl.reduction.speeds[0]
         defect_acc += 2.0 * lvl.q_prime * wb ** (1.0 / pstar)
         prod *= lvl.approx_factor(p)
-    lf = pyr.levels[0].network.L @ f0
+    lf = pyr.levels[0].generator @ f0
     gap_bound = a_sum * lp_norm(lf, base_mu, p) + b_sum * lp_norm(f0, base_mu, p)
     gap_measured = lp_norm(f0 - approximation(pyr), base_mu, p)
 

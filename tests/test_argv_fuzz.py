@@ -45,13 +45,13 @@ VALUE_KINDS = [
     ["", "x"],
 ]
 EDGE_VALUES = [v for kind in VALUE_KINDS for v in kind]
-# Sampling takes about w_max / q steps per walk and one pass per draw, and
-# these pass their checks: a sampling q near 0 or a draw count near 2**64
-# runs for ever, so those flags draw from the values that end.
+# A sampling q near 0 or a draw count near 2**64 is refused before the
+# first draw (sampler.check_step_budget), so every flag draws those values
+# but --max-iters: roots-target stops when it converges, so its iteration
+# count bounds no work from below and passes the budget, and 2**64 of
+# them would run for ever.
 ENDLESS = {"1e-300", str(2**64), str(2**64 - 1)}
-SAMPLING_GROUPS = {"forest", "tune"}
-SAMPLING_FLAGS = {"--q", "--q0", "--grid"}
-COUNT_FLAGS = {"--samples", "--max-iters", "--tuning-samples"}
+ENDLESS_FLAGS = {"--max-iters"}
 TOKENS = sorted(
     {word for argv in COMMANDS for word in argv}
     | {opt for p in COMMANDS.values() for a in p._actions for opt in a.option_strings}
@@ -138,9 +138,7 @@ def command_line(rnd: random.Random, inputs, prefix=None) -> list[str]:
             argv.append(rnd.choice(inputs["--output"]))
             continue
         values = rnd.choice(VALUE_KINDS)
-        if flag in COUNT_FLAGS or (
-            prefix[0] in SAMPLING_GROUPS and flag in SAMPLING_FLAGS
-        ):
+        if flag in ENDLESS_FLAGS:
             values = [v for v in values if v not in ENDLESS] or ["1"]
         argv.append(rnd.choice(values))
     if rnd.random() < 0.1:

@@ -1199,3 +1199,24 @@ def test_tune_on_an_empty_grid_exits_2(capsys, two_file, dry):
     # the choice of q read min() of no records, a ValueError traceback
     argv = ["tune", two_file, "--seed", "1", "--grid", ""] + dry
     assert run(capsys, argv) == (2, "", "error: q grid must not be empty\n")
+
+
+@pytest.mark.parametrize("dry", [[], ["--dry-run"]])
+@pytest.mark.parametrize("argv", [
+    ["forest", "sample", "{edges}", "--q", "1e-300", "--seed", "1"],
+    ["forest", "stats", "{edges}", "--q", "1e-300", "--seed", "1", "--samples", "5"],
+    ["forest", "walk", "{edges}", "--q", "1e-300", "--start", "0", "--seed", "1"],
+    ["forest", "equilibrium-check", "{edges}", "--q", "1e-300", "--seed", "1",
+     "--samples", "5"],
+    ["forest", "roots-target", "{edges}", "--m", "1", "--q0", "1e-300", "--seed", "1"],
+    ["tune", "{edges}", "--seed", "1", "--grid", "1e-300"],
+    ["forest", "stats", "{edges}", "--q", "1", "--seed", "1",
+     "--samples", "18446744073709551615"],
+    ["forest", "stats", "{edges}", "--q", "1", "--seed", "1", "--roots", "0",
+     "--samples", "18446744073709551615"],
+])
+def test_sampling_that_cannot_end_is_refused(capsys, two_file, argv, dry):
+    # each of these ran for ever: refused before the first draw
+    code, out, err = run(capsys, [a.format(edges=two_file) for a in argv] + dry)
+    assert code == 2 and out == ""
+    assert err.startswith("error: sampling needs at least ") and err.count("\n") == 1

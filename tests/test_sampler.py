@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestnets import oracle, sampler
+from forestnets import config, oracle, sampler
 from forestnets.errors import InvalidParams, InvalidStart
 from forestnets.network import build_network
 
@@ -379,3 +379,29 @@ def test_chi2_matches_scipy_stats_chisquare():
         exp *= obs.sum() / exp.sum()
         want = scipy.stats.chisquare(obs, exp)
         assert got == pytest.approx((want[0], want[1]), rel=1e-14)
+
+
+def test_step_budget_is_the_lower_bound_of_the_walk_steps(monkeypatch):
+    # exit rates 2 and 1: a rootless draw at q = 0.5 walks at least
+    # max(1, 1 / 0.5) = 2 steps on average, a draw with a forced root 1
+    net = build_network([(0, 1, 2.0), (1, 0, 1.0)], 2)
+    cases = [
+        (20, lambda: sampler.check_sampling_args(net, 0.5, (), 10)),
+        (10, lambda: sampler.check_sampling_args(net, 0.5, (0,), 10)),
+        (12, lambda: sampler.check_tuning_args(net, [0.5, 2.0], 4)),
+        (4, lambda: sampler.check_m_roots_args(net, 1, (), 0.25)),
+        (1, lambda: sampler.check_m_roots_args(net, 1, (0,), 1e-300)),
+    ]
+    for steps, check in cases:
+        monkeypatch.setattr(config, "MAX_WALK_STEPS", steps)
+        check()
+        monkeypatch.setattr(config, "MAX_WALK_STEPS", steps - 0.5)
+        with pytest.raises(InvalidParams, match=f"needs at least {steps} walk steps"):
+            check()
+
+
+def test_m_roots_args_do_not_budget_a_rate_they_do_not_draw_at():
+    # the forced roots are checked at a stand-in q = 1, which no draw uses:
+    # at exit rates of 1e13 it must not count 1e13 steps against q0
+    net = build_network([(0, 1, 1e13), (1, 0, 1e13)], 2)
+    assert sampler.check_m_roots_args(net, 1, (), 1e13) == ([], 1e13)

@@ -1,0 +1,226 @@
+"""Sparse factorization of sparse levels: SuperLU and the dense LU give the
+same solves, and the checks of :class:`oracle.CheckedLU` hold on both.
+
+A solve's path is picked by the density rule (:func:`oracle.sparse_pays`)
+in the library, and by the type of the matrix handed to ``CheckedLU`` in
+the references below: a dense array factors densely, a sparse matrix
+sparsely."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+import scipy.sparse
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from forestnets import cli, oracle
+from forestnets import coarsegrain as cg
+from forestnets import wavelets as wv
+from forestnets.errors import SingularSystem
+from forestnets.network import build_network
+
+from netdefs import grid_edges
+
+REL = 1e-13
+
+
+def grid_net(rng, side):
+    """A side x side grid with symmetric weights in [0.5, 2]."""
+    pairs = grid_edges(side, side)[::2]
+    w = rng.uniform(0.5, 2.0, len(pairs))
+    edges = [(x, y, c) for (x, y, _), c in zip(pairs, w)]
+    edges += [(y, x, c) for (x, y, _), c in zip(pairs, w)]
+    return build_network(edges, side * side)
+
+
+def digraph_net(rng, n, extra):
+    """A strongly connected digraph: a directed n-cycle plus ``extra``
+    random arcs out of each vertex, each arc with its own weight."""
+    arcs = {(v, (v + 1) % n) for v in range(n)}
+    for v in range(n):
+        targets = rng.choice(n, min(extra, n), replace=False)
+        arcs |= {(v, int(u)) for u in targets if u != v}
+    return build_network(
+        [(s, d, rng.uniform(0.1, 10.0)) for s, d in sorted(arcs)], n
+    )
+
+
+@st.composite
+def networks(draw):
+    """Grids and digraphs on both sides of the density rule: below 128
+    vertices, and at 128-300 vertices from under 2% to over 10% dense."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return grid_net(rng, draw(st.integers(4, 17))), rng
+    n = draw(st.integers(20, 300))
+    return digraph_net(rng, n, draw(st.integers(0, 30))), rng
+
+
+def close(a, b, scale=0.0):
+    """``a`` matches ``b`` to ``REL`` of the larger of ``max |b|`` and
+    ``scale``, the size of what cancelled into ``b``."""
+    return np.abs(a - b).max() <= REL * max(np.abs(b).max(), scale)
+
+
+def dense_lu(M):
+    return oracle.CheckedLU(np.asarray(M), "M")
+
+
+def nnz(net, part):
+    inside = np.isin(net.src, part) & np.isin(net.dst, part)
+    return int(inside.sum()) + part.size
+
+
+@settings(max_examples=30, deadline=None)
+@given(drawn=networks(), data=st.data())
+def test_sparse_and_dense_factors_agree(drawn, data):
+    net, rng = drawn
+    n, L = net.n, net.L
+    keep = np.sort(rng.choice(n, data.draw(st.integers(1, n - 1)), replace=False))
+    red = cg.ReducedNetwork(net, keep)
+    k, d = red.kept, red.dropped
+    assert scipy.sparse.issparse(red._lu.M) == oracle.sparse_pays(d.size, nnz(net, d))
+
+    # the Schur complement and the hitting times
+    A = dense_lu(-L[np.ix_(d, d)])
+    Lbar = L[np.ix_(k, k)] + L[np.ix_(k, d)] @ A.solve(L[np.ix_(d, k)])
+    assert close(red._complement(), Lbar, net.w_max)  # rows sum to 0
+    assert close(red.hitting_times[d], A.solve(np.ones(d.size)))
+
+    # killed_lu, plain, on free vertices and transposed
+    q = float(rng.uniform(0.1, 10.0)) * net.w_max
+    rhs = rng.normal(size=(n, 3))
+    M = q * np.eye(n) - L
+    assert close(oracle.killed_lu(net, q).solve(rhs), dense_lu(M).solve(rhs))
+    assert close(
+        oracle.killed_lu(net, q, transpose=True).solve(rhs), dense_lu(M.T).solve(rhs)
+    )
+    free = np.sort(rng.choice(n, data.draw(st.integers(1, n)), replace=False))
+    lu = oracle.killed_lu(net, q, free)
+    assert scipy.sparse.issparse(lu.M) == oracle.sparse_pays(free.size, nnz(net, free))
+    assert close(lu.solve(rhs[free]), dense_lu(M[np.ix_(free, free)]).solve(rhs[free]))
+
+    # one analysis and reconstruction, against a level that reads dense
+    # matrices only
+    f = rng.normal(size=n)
+    level = wv.PyramidLevel.of(net, keep, q)
+    approx, detail = level.analyze(f)
+    dense = wv.PyramidLevel.of(net, keep, q)
+    dense.reduction._lu = A
+    dense.generator = L
+    back = level.reconstruct(approx, detail)
+    assert close(back, dense.reconstruct(approx, detail))
+    assert np.abs(back - f).max() <= 1e-10 * np.abs(f).max()
+
+
+def test_the_rule_picks_each_side():
+    # guard: the property above sees both paths
+    rng = np.random.default_rng(0)
+    grid = grid_net(rng, 12)
+    assert scipy.sparse.issparse(oracle.killed_lu(grid, 1.0).M)
+    assert scipy.sparse.issparse(oracle.generator(grid))
+    small = grid_net(rng, 11)  # 121 vertices, below the size floor
+    assert isinstance(oracle.killed_lu(small, 1.0).M, np.ndarray)
+    assert oracle.generator(small) is small.L
+    dense = digraph_net(rng, 150, 20)  # about 14% of n^2
+    assert isinstance(oracle.killed_lu(dense, 1.0).M, np.ndarray)
+
+
+def test_sparse_singular_matrix_raises():
+    M = scipy.sparse.csc_array(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(SingularSystem, match="^M is singular"):
+        oracle.CheckedLU(M, "M")
+
+
+def test_sparse_singular_system_exits_4(monkeypatch, tmp_path, capsys):
+    # SuperLU's "exactly singular" on a command line: one error line,
+    # exit 4; a column of explicit zeros makes the real factor singular
+    real = scipy.sparse.linalg.splu
+
+    def singular(M):
+        M = M.copy()
+        M.data[M.indptr[0] : M.indptr[1]] = 0.0
+        return real(M)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    path = tmp_path / "grid.tsv"
+    path.write_text("".join(f"{s}\t{t}\t{w!r}\n" for s, t, w in grid_edges(12, 12)))
+    assert cli.main(["oracle", "hitting", str(path), "--targets", "0"]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: -L_DD is singular (zero pivot)\n"
+
+
+def test_sparse_overflow_raises():
+    M = scipy.sparse.csc_array(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    with pytest.raises(SingularSystem, match="^M overflows"):
+        oracle.CheckedLU(M, "M")
+    # q + exit rate overflows on the diagonal of the sparse block
+    grid = build_network(grid_edges(12, 12, 1e307), 144)
+    with pytest.raises(SingularSystem, match="^q Id - L overflows"):
+        oracle.killed_lu(grid, 1.7e308)
+
+
+def test_sparse_solve_checks_several_columns():
+    # the sparse twin of test_solve_dropped_checks_several_columns: SuperLU
+    # factors of a slightly wrong matrix fail the residual check on the
+    # combination of the columns, as on a single one
+    red = cg.ReducedNetwork(build_network(grid_edges(16, 16), 256), range(0, 256, 3))
+    M = red._lu.M
+    assert scipy.sparse.issparse(M)
+    red._lu.factors = scipy.sparse.linalg.splu(M * (1.0 + 1e-6))
+    m = red.dropped.size
+    for rhs in (np.ones(m), np.eye(m), np.column_stack([np.zeros(m), np.ones(m)])):
+        with pytest.raises(SingularSystem, match="^-L_DD residual"):
+            red.solve_dropped(rhs)
+
+
+def full_matrix_transfer_current(net, q, edges, B=(), signed=False):
+    """transfer_current as it was: the endpoint columns of an n x n G."""
+    q, roots = oracle.check_q(net, q, B)
+    tail, head = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    free = np.setdiff1d(np.arange(net.n), roots)
+    cols = np.flatnonzero(np.isin(free, np.concatenate([tail, head])))
+    G, L = np.zeros((net.n, net.n)), net.L
+    G[np.ix_(free, free[cols])] = oracle.killed_lu(net, q, free).solve(
+        np.eye(free.size)[:, cols]
+    )
+    J = G[:, tail] * L[tail, head]
+    if signed:
+        J = J - G[:, head] * L[head, tail]
+    return J[tail] - J[head]
+
+
+@pytest.mark.parametrize("side", [5, 12])
+@pytest.mark.parametrize(
+    "edges, B, signed",
+    [
+        ([(0, 1)], (), False),
+        ([(1, 0), (6, 7), (3, 4)], (), False),
+        ([(0, 1), (2, 3)], (), True),
+        ([(0, 1), (1, 2)], (1,), False),
+        ([(1, 2), (6, 7)], (0, 12), True),
+    ],
+)
+def test_transfer_current_matches_the_full_matrix_formula(side, edges, B, signed):
+    # byte for byte, on the dense (5x5) and the sparse (12x12) factor path
+    net = grid_net(np.random.default_rng(side), side)
+    got = oracle.transfer_current(net, 1.5, edges, B, signed=signed)
+    want = full_matrix_transfer_current(net, 1.5, edges, B, signed)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_edge_inclusion_allocates_far_less_than_n_squared():
+    # the edge query solves its endpoint columns alone: no n x n G, no
+    # identity and, on this sparse grid, no dense q Id - L
+    net = grid_net(np.random.default_rng(0), 64)
+    n = net.n
+    tracemalloc.start()
+    try:
+        p = oracle.edge_inclusion_prob(net, 1.0, [(0, 1), (5, 6), (77, 78)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < p < 1.0
+    assert peak < n * n * 8 / 16
