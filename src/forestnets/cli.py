@@ -146,7 +146,9 @@ def cmd_graph_reduce(args) -> int:
     if args.sparsify_theta is not None:
         if args.q_prime is None:
             raise InvalidParams("--sparsify-theta requires --q-prime")
-        cg.check_sparsify_args(args.q_prime, args.sparsify_theta)
+        cg.check_theta(args.sparsify_theta)
+    if args.q_prime is not None:
+        cg.check_q_prime(args.q_prime)
     if _dry(args):
         return EXIT_OK
     reduced = reduction.network

@@ -33,7 +33,13 @@ from .errors import (
     NumericalError,
     ZeroProbability,
 )
-from .network import Network, breadth_first, skeleton, vertex_set
+from .network import (
+    Network,
+    _CheckedRates,
+    _strongly_connected,
+    skeleton,
+    vertex_set,
+)
 from .norms import check_p, condition_measure, holder_conjugate, lp_norm
 
 
@@ -54,10 +60,13 @@ class ReducedNetwork:
     ``speeds``.  ``mu`` is the parent's measure conditioned on ``kept``,
     which those checks show invariant for the reduced generator, so the
     network takes it rather than solving for one; reading ``mu`` or
-    ``w_max`` never builds the network.  The network is made from the
-    checked rates themselves (:meth:`Network.of_rates`), not from an edge
-    list: an edge list is how input is validated, and these rates are
-    derived, not input.
+    ``w_max`` never builds the network.  The rates are checked once, in
+    one copy of ``Lbar``, and the exit rates summed once; the network is
+    then built in that same array with those exit rates, as
+    :meth:`Network.of_rates` would build it, not from an edge list: an
+    edge list is how input is validated, and these rates are derived, not
+    input.  Its build runs one strong-components test and no
+    breadth-first search, and leaves ``reversible`` to its first read.
 
     :meth:`solve_dropped` solves with ``-L_DD``, the parent's generator on
     the ``dropped`` vertices, through one :class:`oracle.CheckedLU` made on
@@ -123,10 +132,10 @@ class ReducedNetwork:
         return Lbar
 
     @cached_property
-    def _schur(self) -> tuple[np.ndarray, float]:
+    def _schur(self) -> tuple[np.ndarray, _CheckedRates]:
+        """``Lbar`` and its checked rates, which ``network`` takes over."""
         Lbar = self._complement()
-        rates = reduced_rates(self.parent, self.kept, Lbar)
-        return Lbar, float(rates.sum(axis=1).max())
+        return Lbar, _CheckedRates(*reduced_rates(self.parent, self.kept, Lbar))
 
     @property
     def Lbar(self) -> np.ndarray:
@@ -135,14 +144,11 @@ class ReducedNetwork:
 
     @property
     def w_max(self) -> float:
-        return self._schur[1]
+        return float(self._schur[1].exits.max())
 
     @cached_property
     def network(self) -> Network:
-        # the rates reduced_rates checked, recomputed rather than kept next
-        # to Lbar; of_rates builds the network's generator in them
-        rates = np.maximum(self.Lbar - np.diag(np.diag(self.Lbar)), 0.0)
-        return Network.of_rates(rates, self.mu)
+        return Network(self._schur[1], self.kept.size, self.mu)
 
     @cached_property
     def hitting_times(self) -> np.ndarray:
@@ -185,30 +191,34 @@ def schur_complement(net: Network, keep: Sequence[int]) -> np.ndarray:
     return ReducedNetwork(net, keep)._complement()
 
 
-def reduced_rates(net: Network, kept: np.ndarray, Lbar: np.ndarray) -> np.ndarray:
+def reduced_rates(
+    net: Network, kept: np.ndarray, Lbar: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Off-diagonal part of the Schur complement ``Lbar`` of ``net``'s
-    generator on ``kept``, noise below zero clamped to zero.  Raises
+    generator on ``kept``, noise below zero clamped to zero, formed in one
+    copy of ``Lbar``, and its row sums, the exit rates.  Raises
     ``NumericalError`` on an entry below ``-1e-12 max(1, w_max)``, or when
     ``mu(. | kept)`` is not invariant for the clamped generator (see
     :func:`check_invariant`).
     """
-    off = Lbar - np.diag(np.diag(Lbar))
-    floor = -1e-12 * max(1.0, net.w_max)
-    if off.min() < floor:
+    rates = Lbar.copy()
+    np.fill_diagonal(rates, 0.0)
+    lowest = rates.min()
+    if lowest < -1e-12 * max(1.0, net.w_max):
         raise NumericalError(
-            f"Schur complement off-diagonal {off.min():.3e} is negative "
+            f"Schur complement off-diagonal {lowest:.3e} is negative "
             "beyond clamping tolerance"
         )
-    rates = np.maximum(off, 0.0)
-    check_invariant(condition_measure(net.mu, kept), rates)
-    return rates
+    np.maximum(rates, 0.0, out=rates)
+    return rates, check_invariant(condition_measure(net.mu, kept), rates)
 
 
-def check_invariant(mu: np.ndarray, rates: np.ndarray) -> None:
+def check_invariant(mu: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """Raise ``NumericalError`` unless the probability vector ``mu`` is
     invariant for the generator with off-diagonal rates ``rates``: the
     residual ``max |mu rates - mu exits|`` must stay within
-    ``RESIDUAL_TOL`` times the largest exit rate, at least 1.
+    ``RESIDUAL_TOL`` times the largest exit rate, at least 1.  Returns the
+    exit rates, the row sums of ``rates``.
     """
     exits = rates.sum(axis=1)
     resid = float(np.abs(mu @ rates - mu * exits).max())
@@ -217,6 +227,7 @@ def check_invariant(mu: np.ndarray, rates: np.ndarray) -> None:
             f"conditioned measure residual {resid:.3e} under the reduced "
             "generator above tolerance"
         )
+    return exits
 
 
 def schur_reduce(net: Network, keep: Sequence[int]) -> ReducedNetwork:
@@ -502,8 +513,7 @@ def operator_intertwining_residual(
 
 
 def _support_connected(w: np.ndarray) -> bool:
-    src, dst = np.nonzero(w > 0)
-    return breadth_first(w.shape[0], src, dst)[0].size == w.shape[0]
+    return _strongly_connected(w.shape[0], *np.nonzero(w > 0))
 
 
 def check_theta(theta: float) -> None:
@@ -532,9 +542,12 @@ def sparsify(reduction: ReducedNetwork, q_prime: float, theta: float) -> Network
     irreducible and both touched defect rows respect the budget.  Weights
     removed from a row are folded into the diagonal, preserving zero row
     sums, reversibility and the invariant measure.  The sparsified network
-    is made from the remaining rates (:meth:`Network.of_rates`) and takes
-    ``reduction.mu`` as its measure, once :func:`check_invariant` has
-    checked it against those rates.
+    is made from the remaining rates, as :meth:`Network.of_rates` makes
+    it, and takes ``reduction.mu`` as its measure and the exit rates that
+    :func:`check_invariant` sums while it checks that measure.  The
+    support test is the network's own strong-components test; on the
+    symmetric support of a reversible reduction it is the same as
+    reaching every vertex from 0.
     """
     check_sparsify_args(q_prime, theta)
     red_net = reduction.network
@@ -588,8 +601,8 @@ def sparsify(reduction: ReducedNetwork, q_prime: float, theta: float) -> Network
 
     if not removed_any:
         return red_net
-    check_invariant(reduction.mu, W)
-    sparse_net = Network.of_rates(W, reduction.mu)  # W becomes its generator
+    exits = check_invariant(reduction.mu, W)
+    sparse_net = Network(_CheckedRates(W, exits), m, reduction.mu)  # W is its L
     if not sparse_net.reversible:
         raise NumericalError("sparsified network lost reversibility")
     return sparse_net

@@ -17,8 +17,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from . import config
 from .errors import (
@@ -40,8 +40,14 @@ class Network:
     row is validated.  A level derived from a network comes as a rate
     matrix its maker has already checked (:meth:`of_rates`): its nonzero
     entries are taken as the edges as they are, and the matrix itself
-    becomes the generator, with no second ``n x n`` array.  Either way the
-    reachability, exit-rate and measure checks below run.
+    becomes the generator, with no second ``n x n`` array.  A Schur
+    reduction or a sparsification hands over the exit rates its
+    invariance check summed with the rates, so they are summed once.
+    Either way the reachability, exit-rate and measure checks below run.
+    Reachability is one strong-components test
+    (:func:`_strongly_connected`); a breadth-first search runs only for
+    the tree of the reversible measure and, after a failed test, to name
+    the first vertex the forward (then the backward) search from 0 misses.
 
     Parameters
     ----------
@@ -79,7 +85,8 @@ class Network:
     L : ndarray, the dense ``n x n`` generator
     w_max : float, maximal exit rate ``max_x -L(x, x)``
     mu : ndarray, invariant probability measure (``mu @ L == 0``)
-    reversible : bool, detailed balance of ``mu`` and the weights
+    reversible : bool, detailed balance of ``mu`` and the weights,
+        computed on first read (no query path reads it)
     """
 
     def __init__(
@@ -99,29 +106,19 @@ class Network:
         if isinstance(edges, _CheckedRates):
             # row-major order is (src, dst) order; the generator is built
             # in the rate matrix itself, whose diagonal is zero
-            L = edges.rates
+            L, exits = edges
             self.src, self.dst = np.nonzero(L)
             self.w = L[self.src, self.dst]
         else:
             self.src, self.dst, self.w = _sorted_edges(edge_array(edges), n)
             L = np.zeros((n, n))
             L[self.src, self.dst] = self.w
+            with np.errstate(over="ignore"):
+                exits = L.sum(axis=1)
 
-        if n > 1:
-            # the forward search's tree also serves the reversible measure
-            tree = breadth_first(n, self.src, self.dst)
-            for direction, (order, _) in (
-                ("forward", tree),
-                ("backward", breadth_first(n, self.dst, self.src)),
-            ):
-                if order.size < n:
-                    missing = int(np.setdiff1d(np.arange(n), order)[0])
-                    raise NotIrreducible(
-                        f"vertex {missing} not {direction}-reachable from 0"
-                    )
+        if n > 1 and not _strongly_connected(n, self.src, self.dst):
+            raise NotIrreducible(_unreachable(n, self.src, self.dst))
 
-        with np.errstate(over="ignore"):
-            exits = L.sum(axis=1)
         if not np.isfinite(exits).all():
             x = int(np.flatnonzero(~np.isfinite(exits))[0])
             raise InvalidParams(f"exit rate of vertex {x} overflows")
@@ -132,20 +129,15 @@ class Network:
             # single vertex: null generator, trivial measure
             self.w_max = 0.0
             self.mu = np.array([1.0])
-            self.reversible = True
             return
 
         self.w_max = float((-np.diag(L)).max())
         if mu is None:
-            self.mu = self._invariant_measure(*tree)
+            self.mu = self._invariant_measure()
         elif len(mu) == n and np.all(mu > 0):
             self.mu = mu
         else:
             raise InvalidParams(f"given measure is not positive on {n} vertices")
-        flow = self.mu[self.src] * self.w
-        back = self.mu[self.dst] * L[self.dst, self.src]
-        excess = np.abs(flow - back) > config.STRUCTURAL_TOL * np.maximum(1.0, flow)
-        self.reversible = not bool(excess.any())
 
     @classmethod
     def of_rates(cls, rates: np.ndarray, mu: np.ndarray) -> Network:
@@ -161,7 +153,9 @@ class Network:
         the exit rates and it becomes the network's ``L``, so a caller
         hands over a float64 C-contiguous array that it does not keep.
         """
-        return cls(_CheckedRates(rates), rates.shape[0], mu)
+        with np.errstate(over="ignore"):
+            exits = rates.sum(axis=1)
+        return cls(_CheckedRates(rates, exits), rates.shape[0], mu)
 
     # -- representation ------------------------------------------------
 
@@ -186,15 +180,25 @@ class Network:
             cumw.append((c / c[-1]).tolist())
         return tarr, cumw, rates.tolist()
 
+    @cached_property
+    def reversible(self) -> bool:
+        """Detailed balance of ``mu`` and the weights: every edge's flow
+        ``mu(x) w(x, y)`` matches its reverse within ``STRUCTURAL_TOL``
+        relative (at least 1).  Computed when first read."""
+        flow = self.mu[self.src] * self.w
+        back = self.mu[self.dst] * self.L[self.dst, self.src]
+        excess = np.abs(flow - back) > config.STRUCTURAL_TOL * np.maximum(1.0, flow)
+        return not bool(excess.any())
+
     # -- invariant measure ---------------------------------------------
 
-    def _invariant_measure(self, order: np.ndarray, pred: np.ndarray) -> np.ndarray:
-        """``mu`` from detailed balance on the breadth-first tree
-        ``order``/``pred`` when the network is reversible within the
-        rounding of that tree, else by GTH state reduction; either way
-        checked positive and invariant."""
+    def _invariant_measure(self) -> np.ndarray:
+        """``mu`` from detailed balance on the forward breadth-first tree
+        when the network is reversible within the rounding of that tree,
+        else by GTH state reduction; either way checked positive and
+        invariant."""
         with np.errstate(all="ignore"):
-            mu = _tree_measure(self.n, self.src, self.dst, self.w, order, pred)
+            mu = _tree_measure(self.n, self.src, self.dst, self.w)
             if mu is None:
                 mu = _gth_measure(self.L)
         if not np.all(mu > 0):
@@ -216,9 +220,11 @@ class Network:
 
 
 class _CheckedRates(NamedTuple):
-    """A rate matrix handed to :class:`Network` by :meth:`Network.of_rates`."""
+    """A checked rate matrix handed to :class:`Network` with its row sums,
+    the exit rates, as its maker summed them (see :meth:`Network.of_rates`)."""
 
     rates: np.ndarray
+    exits: np.ndarray
 
 
 # a detailed-balance defect below this many units of (depth + 1) * eps is
@@ -231,30 +237,29 @@ def _tree_measure(
     src: np.ndarray,
     dst: np.ndarray,
     w: np.ndarray,
-    order: np.ndarray,
-    pred: np.ndarray,
 ) -> np.ndarray | None:
     """Invariant probability of a reversible network from detailed balance
     down a spanning tree, in ``O(m)``; ``None`` if the network is not
     reversible within the rounding of that tree.
 
-    The edges ``src``, ``dst``, ``w`` are sorted by ``(src, dst)``; the
-    tree is the breadth-first search from vertex 0 (``order`` and its
-    predecessors ``pred``).  If every edge ``(x, y)`` has its reverse,
-    ``mu(0) = 1`` and ``mu(x) = mu(p) w(p, x) / w(x, p)`` for ``p`` the
-    predecessor of ``x``.  Each entry is then a product of ``depth(x)``
-    rounded ratios, off by less than ``depth(x) * eps`` relative, so
-    ``mu(x) w(x, y)`` and ``mu(y) w(y, x)`` agree within ``2 (depth + 1)
-    eps`` on every edge when the weights are in detailed balance, with
-    ``depth`` the larger of the two depths; the result is accepted only
-    if they agree within ``_TREE_ROUNDING (depth + 1) eps``, and only if
-    every entry is a normal positive number."""
+    The edges ``src``, ``dst``, ``w`` are sorted by ``(src, dst)``.  If
+    every edge ``(x, y)`` has its reverse, the breadth-first search from
+    vertex 0 (run only then) gives the tree, ``mu(0) = 1`` and
+    ``mu(x) = mu(p) w(p, x) / w(x, p)`` for ``p`` the predecessor of
+    ``x``.  Each entry is then a product of ``depth(x)`` rounded ratios,
+    off by less than ``depth(x) * eps`` relative, so ``mu(x) w(x, y)`` and
+    ``mu(y) w(y, x)`` agree within ``2 (depth + 1) eps`` on every edge
+    when the weights are in detailed balance, with ``depth`` the larger
+    of the two depths; the result is accepted only if they agree within
+    ``_TREE_ROUNDING (depth + 1) eps``, and only if every entry is a
+    normal positive number."""
     key = src * n + dst  # ascending, as the edges are sorted
     rkey = dst * n + src
     rev = np.minimum(np.searchsorted(key, rkey), key.size - 1)
     if not np.array_equal(key[rev], rkey):
         return None
     w_back = w[rev]  # w(y, x) for each edge (x, y)
+    order, pred = breadth_first(n, src, dst)
     kids = order[1:]
     up = pred[kids]
     arc = np.searchsorted(key, up * n + kids)  # the tree edge (pred(x), x)
@@ -405,8 +410,32 @@ def breadth_first(
     vertices not reached)."""
     order = np.argsort(src, kind="stable")
     indptr = np.searchsorted(src[order], np.arange(n + 1))
-    graph = csr_matrix((np.ones(src.size), dst[order], indptr), shape=(n, n))
+    graph = csr_array((np.ones(src.size), dst[order], indptr), shape=(n, n))
     return breadth_first_order(graph, 0, return_predecessors=True)
+
+
+def _strongly_connected(n: int, src: np.ndarray, dst: np.ndarray) -> bool:
+    """Whether the directed edges ``src[i] -> dst[i]`` on ``0..n-1``, with
+    ``src`` ascending, join every vertex to every other: one
+    strong-components test, with no search tree."""
+    indptr = np.searchsorted(src, np.arange(n + 1))
+    # np.nonzero gives strided views; the search reads contiguous indices
+    graph = csr_array(
+        (np.ones(src.size), np.ascontiguousarray(dst), indptr), shape=(n, n)
+    )
+    count = connected_components(graph, connection="strong", return_labels=False)
+    return count == 1
+
+
+def _unreachable(n: int, src: np.ndarray, dst: np.ndarray) -> str:
+    """The message naming the first vertex that the forward search from 0
+    misses, else the first that the backward search misses, for edges that
+    :func:`_strongly_connected` has refused."""
+    direction, (order, _) = "forward", breadth_first(n, src, dst)
+    if order.size == n:
+        direction, (order, _) = "backward", breadth_first(n, dst, src)
+    missing = int(np.setdiff1d(np.arange(n), order)[0])
+    return f"vertex {missing} not {direction}-reachable from 0"
 
 
 def build_network(edges: Iterable[Edge] | np.ndarray, n: int | None = None) -> Network:

@@ -96,15 +96,16 @@ def check_stream(seed, first, count: int) -> tuple[int, range]:
 
 def _first_blocks(seed: int, indices: range, nb: int) -> list:
     """Block 1 of branches ``0 .. nb - 1`` of every sample in ``indices``,
-    as nested lists ``[sample][branch] -> 4 uniforms``; empty lists when
-    the chunk is too small to pay for the kernel call."""
+    one flat list of ``4 * nb`` uniforms per sample, branch ``b``'s four at
+    ``4 * b``; empty lists when the chunk is too small to pay for the
+    kernel call."""
     if len(indices) * nb < _KERNEL_MIN:
-        return [[[]] * nb for _ in indices]
+        return [[]] * len(indices)
     index = np.uint64(indices.start) + np.arange(len(indices), dtype=np.uint64)
     words = _philox_uniforms(
         seed, index[:, None], np.arange(nb, dtype=np.uint64), 1
     )
-    return np.stack(words, axis=-1).tolist()
+    return np.stack(words, axis=-1).reshape(len(indices), 4 * nb).tolist()
 
 
 def _seek(
@@ -228,18 +229,20 @@ def _run_branch(
 ) -> tuple[int, bool]:
     """Walk from ``start`` until killed or absorbed; returns (terminal, killed).
 
-    ``buf`` holds the branch's block 1, or nothing; later uniforms come
-    from ``gen``, moved to this branch's stream on first use.
+    ``buf`` holds the sample's block 1 of every branch, this branch's at
+    ``4 * branch``, or nothing; later uniforms come from ``gen``, moved to
+    this branch's stream on first use.
     Next-pointers are overwritten in place; the caller retraces them.
     """
     seeked = False
-    pos = 0
-    end = len(buf)
+    done = 1 if buf else 0  # blocks of this branch that buf holds
+    pos = 4 * branch * done
+    end = pos + 4 * done
     v = start
     while True:
         if pos == end:
             if not seeked:
-                _seek(gen, seed, sample_index, branch, end // 4)
+                _seek(gen, seed, sample_index, branch, done)
                 seeked = True
             buf = gen.random(_BUF).tolist()
             pos = 0
@@ -302,7 +305,7 @@ def _sample_parents(
                     continue
                 terminal, killed = _run_branch(
                     x0, kill, targets, cumw, in_forest, nxt,
-                    blocks[branch], gen, seed, i, branch,
+                    blocks, gen, seed, i, branch,
                 )
                 branch += 1
                 v = x0

@@ -753,6 +753,40 @@ def test_dry_run_checks_arguments(capsys, two_file, argv, dry):
 
 
 @pytest.fixture
+def cycle3_file(tmp_path):
+    path = tmp_path / "cycle3.tsv"
+    path.write_text("0\t1\t1.0\n1\t2\t1.0\n2\t0\t1.0\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("dry", [[], ["--dry-run"]])
+@pytest.mark.parametrize("q_prime, shown", [
+    ("-1", "-1.0"), ("0", "0.0"), ("inf", "inf"), ("nan", "nan"),
+])
+def test_graph_reduce_checks_q_prime_whenever_given(
+    capsys, cycle3_file, q_prime, shown, dry
+):
+    # without --sparsify-theta a bad --q-prime is refused, not ignored
+    argv = ["graph", "reduce", cycle3_file, "--keep", "0,1", "--q-prime", q_prime]
+    code, out, err = run(capsys, argv + dry)
+    assert (code, out) == (2, "")
+    assert err == f"error: q' must be positive and finite, got {shown}\n"
+
+
+def test_graph_reduce_with_a_valid_q_prime_alone_writes_the_reduction(
+    capsys, cycle3_file
+):
+    # guard: a valid --q-prime without --sparsify-theta changes nothing
+    argv = ["graph", "reduce", cycle3_file, "--keep", "0,1"]
+    plain = run(capsys, argv)
+    assert plain[0] == 0 and plain[1]
+    assert run(capsys, argv + ["--q-prime", "0.5"]) == plain
+    assert run(capsys, argv + ["--q-prime", "0.5", "--dry-run"]) == (
+        0, "dry-run: inputs valid\n", ""
+    )
+
+
+@pytest.fixture
 def big_cycle_file(tmp_path):
     # one vertex more than config.MAX_VERTICES
     path = tmp_path / "cycle4097.tsv"

@@ -15,7 +15,7 @@ from forestnets.errors import MalformedInput
 from forestnets.network import build_network
 from forestnets.sampler import wilson_sample
 
-from netdefs import cycle_edges
+from netdefs import cycle_edges, grid_edges
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +316,49 @@ def test_each_level_checks_its_reduced_rates_once(monkeypatch, theta):
     for p in (1.0, 2.0, math.inf):
         wv.stability_bounds(back, p)
     assert len(calls) == back.depth
+
+
+def seeded_query_archive():
+    """The archive of a seeded 24x24 grid with symmetric weights in
+    [0.5, 2] and 3 levels built from fixed kept sets of 65% each."""
+    rng = np.random.default_rng(0)
+    side = 24
+    pairs = [(x, y) for x, y, _ in grid_edges(side, side)[::2]]
+    w = rng.uniform(0.5, 2.0, len(pairs))
+    edges = [(x, y, c) for (x, y), c in zip(pairs, w)]
+    edges += [(y, x, c) for (x, y), c in zip(pairs, w)]
+    net = build_network(edges, side * side)
+    keeps, n = [], side * side
+    for _ in range(3):
+        m = round(0.65 * n)
+        keeps.append(sorted(rng.choice(n, m, replace=False).tolist()))
+        n = m
+    pyr = wv.build_pyramid(net, rng.normal(size=side * side), forced_keep=keeps)
+    buf = io.StringIO()
+    fileio.write_pyramid(buf, pyr)
+    return buf.getvalue()
+
+
+def test_archive_queries_search_once_and_check_each_level_once(monkeypatch):
+    # a read and the queries on it run one breadth-first search, for the
+    # base network's tree (its measure), check each level's Schur rates
+    # once and never read reversibility
+    text = seeded_query_archive()
+    searches, checks = [], []
+    real_search, real_rates = network.breadth_first, cg.reduced_rates
+    monkeypatch.setattr(
+        network, "breadth_first", lambda *a: searches.append(a[0]) or real_search(*a)
+    )
+    monkeypatch.setattr(
+        cg, "reduced_rates", lambda *a: checks.append(a[1].size) or real_rates(*a)
+    )
+    back, _ = fileio.read_pyramid(io.StringIO(text))
+    wv.compression_curve(back, [0.1, 0.5, 1.0])
+    wv.stability_bounds(back, 2.0)
+    assert searches == [back.base.n]
+    assert checks == [lvl.keep.size for lvl in back.levels] and back.depth == 3
+    nets = [back.base] + [lvl.next_network for lvl in back.levels]
+    assert not any("reversible" in vars(net) for net in nets)
 
 
 @pytest.mark.parametrize("theta", [None, 0.5])

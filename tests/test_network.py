@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from forestnets import coarsegrain as cg
 from forestnets import config, network
 from forestnets.errors import (
     DuplicateEdge,
@@ -111,6 +112,86 @@ def test_rejects_not_strongly_connected():
         build_network(
             [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0)], 4
         )
+
+
+@st.composite
+def maybe_connected_digraphs(draw):
+    """(edges, n): a digraph on 2 to 8 vertices with random arcs and
+    weights in [0.01, 100], often not strongly connected: the arcs may
+    include a path from 0 through every vertex (each then forward
+    reachable) or a cycle through all; sometimes every arc has its
+    reverse."""
+    n = draw(st.integers(2, 8))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs = {(a, b) for a, b in draw(st.lists(pair, max_size=2 * n)) if a != b}
+    spine = draw(st.sampled_from(["none", "path", "cycle"]))
+    if spine != "none":
+        order = [0] + draw(st.permutations(range(1, n)))
+        ends = order[1:] + order[:1] if spine == "cycle" else order[1:]
+        pairs |= set(zip(order, ends))
+    if draw(st.booleans()):
+        pairs |= {(b, a) for a, b in pairs}
+    weight = st.floats(0.01, 100.0)
+    return [(a, b, draw(weight)) for a, b in sorted(pairs)], n
+
+
+def _two_searches(n, pairs):
+    """The refusal of a search from 0 along the arcs, then against them:
+    the message naming the first vertex missed, or None if none is."""
+    backward = [(b, a) for a, b in pairs]
+    for direction, arcs in (("forward", pairs), ("backward", backward)):
+        seen, todo = {0}, [0]
+        while todo:
+            x = todo.pop()
+            for a, b in arcs:
+                if a == x and b not in seen:
+                    seen.add(b)
+                    todo.append(b)
+        if len(seen) < n:
+            missing = min(set(range(n)) - seen)
+            return f"vertex {missing} not {direction}-reachable from 0"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=maybe_connected_digraphs(), data=st.data())
+def test_reachability_is_that_of_the_two_searches(case, data):
+    # guard: one strong-components test accepts exactly the networks that
+    # a forward and a backward search from 0 both cover, and a refusal
+    # names the vertex the first failing search misses, forward first;
+    # for edge lists and rate matrices, with and without a given measure
+    edges, n = case
+    want = _two_searches(n, [(a, b) for a, b, _ in edges])
+    mu = None
+    if data.draw(st.booleans()):
+        mu = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
+        mu /= mu.sum()
+    rates = np.zeros((n, n))
+    for a, b, w in edges:
+        rates[a, b] = w
+    builds = [lambda: Network(edges, n, mu)]
+    if mu is not None:
+        builds.append(lambda: Network.of_rates(rates.copy(), mu))
+    for build in builds:
+        if want is None:
+            assert build().n == n
+        else:
+            with pytest.raises(NotIrreducible) as info:
+                build()
+            assert str(info.value) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=maybe_connected_digraphs())
+def test_sparsify_support_test_is_the_search_from_0(case):
+    # guard: on the symmetric support of a reversible reduction, the
+    # sparsification's support test agrees with a search from 0
+    edges, n = case
+    W = np.zeros((n, n))
+    for a, b, w in edges:
+        W[a, b] = W[b, a] = w
+    pairs = list(zip(*np.nonzero(W)))
+    assert cg._support_connected(W) == (_two_searches(n, pairs) is None)
 
 
 def test_max_vertices_boundary(monkeypatch):
