@@ -412,7 +412,7 @@ def cmd_tune(args) -> int:
     if _dry(args):
         return EXIT_OK
     records = sampler.estimate_tuning(net, args.grid, args.samples, seed=args.seed)
-    best = min(records, key=lambda r: (r.objective, -r.q))
+    best = sampler.chosen_tuning(records)
     if args.json:
         doc = {
             "chosen_q": best.q,

@@ -33,13 +33,7 @@ from .errors import (
     NumericalError,
     ZeroProbability,
 )
-from .network import (
-    Network,
-    _CheckedRates,
-    _strongly_connected,
-    skeleton,
-    vertex_set,
-)
+from .network import Network, _strongly_connected, skeleton, vertex_set
 from .norms import check_p, condition_measure, holder_conjugate, lp_norm
 
 
@@ -62,17 +56,17 @@ class ReducedNetwork:
     network takes it rather than solving for one; reading ``mu`` or
     ``w_max`` never builds the network.  The rates are checked once, in
     one copy of ``Lbar``, and the exit rates summed once; the network is
-    then built in that same array with those exit rates, as
-    :meth:`Network.of_rates` would build it, not from an edge list: an
-    edge list is how input is validated, and these rates are derived, not
-    input.  Its build runs one strong-components test and no
-    breadth-first search, and leaves ``reversible`` to its first read.
+    then built by :meth:`Network.of_rates` in that same array with those
+    exit rates, not from an edge list: an edge list is how input is
+    validated, and these rates are derived, not input.  Its build runs one
+    strong-components test and no breadth-first search, and leaves
+    ``reversible`` to its first read.
 
     :meth:`solve_dropped` solves with ``-L_DD``, the parent's generator on
-    the ``dropped`` vertices, through one :class:`oracle.CheckedLU` made on
-    first use and kept: SuperLU's factors of the sparse block when the
-    density rule picks it (:func:`oracle.sparse_block`), with no dense copy
-    of ``-L_DD`` beside them, else the dense LU.  The complement ``Lbar =
+    the ``dropped`` vertices, through one :class:`oracle.CheckedLU` of
+    :func:`oracle.block`, made on first use and kept: SuperLU's factors of
+    the sparse block when the density rule picks it, with no dense copy of
+    ``-L_DD`` beside them, else the dense LU.  The complement ``Lbar =
     L_kk + L_kd (-L_DD)^-1 L_dk``, the hitting times behind the ``speeds``
     and every reconstruction through this reduction all share it.
     """
@@ -87,11 +81,7 @@ class ReducedNetwork:
 
     @cached_property
     def _lu(self) -> oracle.CheckedLU:
-        d = self.dropped
-        M = oracle.sparse_block(self.parent, d)
-        if M is None:
-            M = -self.parent.L[np.ix_(d, d)]
-        return oracle.CheckedLU(M, "-L_DD")
+        return oracle.CheckedLU(oracle.block(self.parent, self.dropped), "-L_DD")
 
     def solve_dropped(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``-L_DD x = rhs`` (one or several columns) with ``_lu``."""
@@ -104,38 +94,32 @@ class ReducedNetwork:
     def _complement(self) -> np.ndarray:
         """The exact, unclamped Schur complement of the parent's generator
         on ``kept``.  When ``-L_DD`` is factored sparsely, the blocks are
-        read from the edge arrays: ``L_Dk`` is solved for as one dense
-        right-hand side, and the sparse product of ``L_kD`` with the
-        solution is added into ``L_kk``."""
+        cut from the edge arrays (:func:`oracle.edges_between`): ``L_Dk`` is
+        solved for as one dense right-hand side, and the sparse product of
+        ``L_kD`` with the solution is added into ``L_kk``."""
         L, k, d = self.parent.L, self.kept, self.dropped
         if not d.size:
             return L[np.ix_(k, k)]
         if not scipy.sparse.issparse(self._lu.M):
             X = self.solve_dropped(L[np.ix_(d, k)])
             return L[np.ix_(k, k)] + L[np.ix_(k, d)] @ X
-        net = self.parent
-        pos = np.empty(net.n, dtype=np.int64)
-        pos[k], pos[d] = np.arange(k.size), np.arange(d.size)
-        in_d = np.zeros(net.n, dtype=bool)
-        in_d[d] = True
-        s, t, w = pos[net.src], pos[net.dst], net.w
-        from_d, to_d = in_d[net.src], in_d[net.dst]
-        Lbar = np.zeros((k.size, k.size))
-        kk = ~from_d & ~to_d
-        Lbar[s[kk], t[kk]] = w[kk]
+        Lbar, L_Dk = np.zeros((k.size, k.size)), np.zeros((d.size, k.size))
+        s, t, w = oracle.edges_between(self.parent, k)
+        Lbar[s, t] = w
         np.fill_diagonal(Lbar, L[k, k])
-        dk, kd = from_d & ~to_d, ~from_d & to_d
-        L_Dk = np.zeros((d.size, k.size))
-        L_Dk[s[dk], t[dk]] = w[dk]
-        L_kD = scipy.sparse.csr_array((w[kd], (s[kd], t[kd])), shape=(k.size, d.size))
+        s, t, w = oracle.edges_between(self.parent, d, k)
+        L_Dk[s, t] = w
+        s, t, w = oracle.edges_between(self.parent, k, d)
+        L_kD = scipy.sparse.csr_array((w, (s, t)), shape=(k.size, d.size))
         Lbar += L_kD @ self.solve_dropped(L_Dk)
         return Lbar
 
     @cached_property
-    def _schur(self) -> tuple[np.ndarray, _CheckedRates]:
-        """``Lbar`` and its checked rates, which ``network`` takes over."""
+    def _schur(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``Lbar``, its checked rates, which ``network`` takes over, and
+        their exit rates."""
         Lbar = self._complement()
-        return Lbar, _CheckedRates(*reduced_rates(self.parent, self.kept, Lbar))
+        return Lbar, *reduced_rates(self.parent, self.kept, Lbar)
 
     @property
     def Lbar(self) -> np.ndarray:
@@ -144,11 +128,12 @@ class ReducedNetwork:
 
     @property
     def w_max(self) -> float:
-        return float(self._schur[1].exits.max())
+        return float(self._schur[2].max())
 
     @cached_property
     def network(self) -> Network:
-        return Network(self._schur[1], self.kept.size, self.mu)
+        _, rates, exits = self._schur
+        return Network.of_rates(rates, self.mu, exits)
 
     @cached_property
     def hitting_times(self) -> np.ndarray:
@@ -512,6 +497,14 @@ def operator_intertwining_residual(
 # sparsification
 
 
+def _generator_row(W: np.ndarray, x: int) -> np.ndarray:
+    """Row ``x`` of the generator whose off-diagonal rates are ``W``, which
+    has a zero diagonal: the row of ``W`` with minus its sum at ``x``."""
+    row = W[x].copy()
+    row[x] = -row.sum()
+    return row
+
+
 def _support_connected(w: np.ndarray) -> bool:
     return _strongly_connected(w.shape[0], *np.nonzero(w > 0))
 
@@ -541,13 +534,14 @@ def sparsify(reduction: ReducedNetwork, q_prime: float, theta: float) -> Network
     ``mu(x) w(x, y)``; a removal is kept only if the reduced support stays
     irreducible and both touched defect rows respect the budget.  Weights
     removed from a row are folded into the diagonal, preserving zero row
-    sums, reversibility and the invariant measure.  The sparsified network
-    is made from the remaining rates, as :meth:`Network.of_rates` makes
-    it, and takes ``reduction.mu`` as its measure and the exit rates that
-    :func:`check_invariant` sums while it checks that measure.  The
-    support test is the network's own strong-components test; on the
-    symmetric support of a reversible reduction it is the same as
-    reaching every vertex from 0.
+    sums, reversibility and the invariant measure; only the two generator
+    rows a removal touches are formed to test it (:func:`_generator_row`).
+    The sparsified network is made from the remaining rates by
+    :meth:`Network.of_rates`, with ``reduction.mu`` as its measure and the
+    exit rates that :func:`check_invariant` sums while it checks that
+    measure.  The support test is the network's own strong-components
+    test; on the symmetric support of a reversible reduction it is the
+    same as reaching every vertex from 0.
     """
     check_sparsify_args(q_prime, theta)
     red_net = reduction.network
@@ -572,12 +566,6 @@ def sparsify(reduction: ReducedNetwork, q_prime: float, theta: float) -> Network
         key=lambda t: (t[0], t[1], t[2]),
     )
 
-    def generator(w: np.ndarray) -> np.ndarray:
-        g = w.copy()
-        np.fill_diagonal(g, 0.0)
-        np.fill_diagonal(g, -g.sum(axis=1))
-        return g
-
     removed_any = False
     for _, i, j in pairs:
         wij, wji = W[i, j], W[j, i]
@@ -587,9 +575,8 @@ def sparsify(reduction: ReducedNetwork, q_prime: float, theta: float) -> Network
         W[j, i] = 0.0
         ok = _support_connected(W)
         if ok:
-            Ls = generator(W)
             for row in (i, j):
-                defect = Ls[row] @ link - link[row] @ Lfine
+                defect = _generator_row(W, row) @ link - link[row] @ Lfine
                 if np.abs(defect).max() > budget[row] + 1e-15:
                     ok = False
                     break
@@ -602,7 +589,7 @@ def sparsify(reduction: ReducedNetwork, q_prime: float, theta: float) -> Network
     if not removed_any:
         return red_net
     exits = check_invariant(reduction.mu, W)
-    sparse_net = Network(_CheckedRates(W, exits), m, reduction.mu)  # W is its L
+    sparse_net = Network.of_rates(W, reduction.mu, exits)  # W is its L
     if not sparse_net.reversible:
         raise NumericalError("sparsified network lost reversibility")
     return sparse_net

@@ -396,9 +396,10 @@ def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
                 level.stored_next = _archived_network(
                     next_edges, level.keep.size, where, level.reduction.mu
                 )
-                L = level.stored_next.L
+                rates = level.stored_next.L.copy()
+                np.fill_diagonal(rates, 0.0)
                 try:
-                    check_invariant(level.stored_next.mu, L - np.diag(np.diag(L)))
+                    check_invariant(level.stored_next.mu, rates)
                 except NumericalError as exc:
                     raise MalformedInput(f"{where}: {exc}") from None
             elif next_edges is not None:

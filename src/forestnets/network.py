@@ -140,21 +140,26 @@ class Network:
             raise InvalidParams(f"given measure is not positive on {n} vertices")
 
     @classmethod
-    def of_rates(cls, rates: np.ndarray, mu: np.ndarray) -> Network:
+    def of_rates(
+        cls, rates: np.ndarray, mu: np.ndarray, exits: np.ndarray | None = None
+    ) -> Network:
         """The network whose edges are the nonzero entries of the square
         rate matrix ``rates`` and whose measure is ``mu``, as a Schur
         reduction or a sparsification makes them: entries that their maker
         has checked to be finite and nonnegative, with a zero diagonal, and
-        a measure it has checked invariant for them.  The entries are not
-        validated again as an edge list would be; the network comes out
-        exactly as from the edge list of those entries.
+        a measure it has checked invariant for them.  ``exits`` are the row
+        sums of ``rates`` when the maker has summed them already, as its
+        invariance check does; otherwise they are summed here.  The entries
+        are not validated again as an edge list would be; the network comes
+        out exactly as from the edge list of those entries.
 
         ``rates`` is taken over, not copied: its diagonal is set to minus
         the exit rates and it becomes the network's ``L``, so a caller
         hands over a float64 C-contiguous array that it does not keep.
         """
-        with np.errstate(over="ignore"):
-            exits = rates.sum(axis=1)
+        if exits is None:
+            with np.errstate(over="ignore"):
+                exits = rates.sum(axis=1)
         return cls(_CheckedRates(rates, exits), rates.shape[0], mu)
 
     # -- representation ------------------------------------------------

@@ -94,43 +94,57 @@ def sparse_pays(size: int, nnz: int) -> bool:
     return size >= SPARSE_MIN_SIZE and nnz <= SPARSE_DENSITY * size * size
 
 
-def sparse_block(
+def edges_between(
+    net: Network, rows: np.ndarray, cols: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges of ``net`` from the sorted vertex ids ``rows`` into the
+    sorted ids ``cols`` (``rows`` by default), in the order of the edge
+    arrays: their positions in ``rows`` and in ``cols`` and their weights.
+    Scattered into zeros they are the off-diagonal entries of
+    ``L[np.ix_(rows, cols)]``; every sparse block of ``L`` is cut by it."""
+    cols = rows if cols is None else cols
+    at_row, at_col = np.full(net.n, -1), np.full(net.n, -1)
+    at_row[rows], at_col[cols] = np.arange(rows.size), np.arange(cols.size)
+    src, dst = at_row[net.src], at_col[net.dst]
+    inside = (src >= 0) & (dst >= 0)
+    return src[inside], dst[inside], net.w[inside]
+
+
+def block(
     net: Network, part: np.ndarray | None = None, q: float = 0.0, *,
     transpose: bool = False,
-) -> scipy.sparse.csc_array | None:
+) -> np.ndarray | scipy.sparse.csc_array:
     """``q Id - L`` on the sorted vertex ids ``part`` (every vertex by
-    default), or its transpose, as a CSC matrix built from the edge arrays
-    when :func:`sparse_pays` for it; ``None`` when the block is to be
-    factored densely.  The size is read first, so a small block reads
-    nothing of ``net`` but ``n``.  Entries are those of the dense block:
-    ``-w`` off the diagonal and ``q`` plus the exit rate on it."""
+    default), or its transpose, as the matrix to factor: a CSC matrix
+    built from the edge arrays (:func:`edges_between`) when
+    :func:`sparse_pays` for it, else the dense block.  The size is read
+    first, so a block below ``SPARSE_MIN_SIZE`` rows reads nothing of
+    ``net`` but ``n`` and ``L``.  Either way the entries are ``-w`` off
+    the diagonal and ``q`` plus the exit rate on it."""
     size = net.n if part is None else part.size
-    if size < SPARSE_MIN_SIZE:
-        return None
-    src, dst, w = net.src, net.dst, net.w
-    if part is not None:
-        pos = np.full(net.n, -1)
-        pos[part] = np.arange(size)
-        src, dst = pos[src], pos[dst]
-        inside = (src >= 0) & (dst >= 0)
-        src, dst, w = src[inside], dst[inside], w[inside]
-    if not sparse_pays(size, w.size + size):
-        return None
-    ids = np.arange(size)
-    diag_L = np.diag(net.L) if part is None else net.L[part, part]
+    if size >= SPARSE_MIN_SIZE:
+        src, dst, w = (
+            (net.src, net.dst, net.w) if part is None else edges_between(net, part)
+        )
+        if sparse_pays(size, w.size + size):
+            ids = np.arange(size)
+            diag_L = np.diag(net.L) if part is None else net.L[part, part]
+            with np.errstate(over="ignore"):  # CheckedLU refuses an overflow
+                data = np.concatenate([-w, q - diag_L])
+            rows, cols = np.concatenate([src, ids]), np.concatenate([dst, ids])
+            if transpose:
+                rows, cols = cols, rows
+            return scipy.sparse.csc_array((data, (rows, cols)), shape=(size, size))
+    L = net.L if part is None else net.L[np.ix_(part, part)]
     with np.errstate(over="ignore"):  # CheckedLU refuses an overflow
-        data = np.concatenate([-w, q - diag_L])
-    rows, cols = np.concatenate([src, ids]), np.concatenate([dst, ids])
-    if transpose:
-        rows, cols = cols, rows
-    return scipy.sparse.csc_array((data, (rows, cols)), shape=(size, size))
+        M = q * np.eye(size) - L
+    return M.T if transpose else M
 
 
 def generator(net: Network) -> np.ndarray | scipy.sparse.csc_array:
-    """``L`` as the matrix its products read: minus the sparse block of
-    :func:`sparse_block` when the density rule picks it, else ``net.L``."""
-    M = sparse_block(net)
-    return net.L if M is None else -M
+    """``L`` as the matrix its products read: minus the sparse
+    :func:`block` when the density rule picks it, else ``net.L`` itself."""
+    return -block(net) if sparse_pays(net.n, net.w.size + net.n) else net.L
 
 
 @functools.lru_cache(maxsize=64)
@@ -146,7 +160,7 @@ def _check_weights(m: int) -> np.ndarray:
 class CheckedLU:
     """One LU factorization of the square matrix ``M`` (``what`` in
     errors): LAPACK's dense LU when ``M`` is an array, SuperLU's when it is
-    a SciPy sparse matrix (see :func:`sparse_block`), and the same checks
+    a SciPy sparse matrix (see :func:`block`), and the same checks
     either way.  It raises ``SingularSystem`` on an entry or row sum that
     overflows or on an exact zero pivot (LAPACK's test of singularity,
     and SuperLU's "exactly singular").  Each :meth:`solve` checks
@@ -227,16 +241,9 @@ def killed_lu(
     by default), for a ``q`` already checked: ``K_q f`` is ``q`` times its
     solve for ``f``.  With ``transpose`` the transpose is the factored
     matrix, so the residual check reads its own norm: rows ``r`` of
-    ``K_q`` are ``q`` times the solve for ``r^T``.  The matrix is the
-    sparse block of :func:`sparse_block` when the density rule picks it,
-    else the dense one."""
-    M = sparse_block(net, free, q, transpose=transpose)
-    if M is None:
-        L = net.L if free is None else net.L[np.ix_(free, free)]
-        with np.errstate(over="ignore"):  # CheckedLU refuses an overflow
-            M = q * np.eye(L.shape[0]) - L
-        M = M.T if transpose else M
-    return CheckedLU(M, "q Id - L")
+    ``K_q`` are ``q`` times the solve for ``r^T``.  The matrix is
+    :func:`block`'s: sparse when the density rule picks it, else dense."""
+    return CheckedLU(block(net, free, q, transpose=transpose), "q Id - L")
 
 
 def green(net: Network, q: float, B: Sequence[int] = ()) -> GreenKernel:

@@ -26,7 +26,7 @@ counter ``[0, 0, 0, b]``.  One ``Philox`` per call serves every branch.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -482,7 +482,6 @@ class MRootsResult:
     q: float
     iterations: int
     converged: bool
-    q_trace: list[float] = field(default_factory=list)
 
 
 def sample_with_m_roots(
@@ -509,26 +508,18 @@ def sample_with_m_roots(
     best: RootedForest | None = None
     best_gap = np.inf
     best_q = q
-    trace: list[float] = []
     for it in range(max_iters):
-        trace.append(q)
         forest = wilson_sample(net, q, roots, seed=seed, sample_index=it)
         k = forest.roots.size
         gap = abs(k - m)
         if gap < best_gap:
             best, best_gap, best_q = forest, gap, q
         if lo <= k <= hi:
-            return MRootsResult(
-                forest=forest, q=q, iterations=it + 1,
-                converged=True, q_trace=trace,
-            )
+            return MRootsResult(forest=forest, q=q, iterations=it + 1, converged=True)
         q = q * m / max(k, 1)
         q = float(np.clip(q, 1e-12 * net.w_max, 1e12 * net.w_max))
     assert best is not None
-    return MRootsResult(
-        forest=best, q=best_q, iterations=max_iters,
-        converged=False, q_trace=trace,
-    )
+    return MRootsResult(forest=best, q=best_q, iterations=max_iters, converged=False)
 
 
 def check_m_roots_args(
@@ -725,3 +716,9 @@ def estimate_tuning(
             mean_roots=mean_r / n_samples,
         ))
     return records
+
+
+def chosen_tuning(records: Sequence[TuningRecord]) -> TuningRecord:
+    """The record a tuning scan chooses: the least objective, and of
+    equal objectives the largest ``q``."""
+    return min(records, key=lambda r: (r.objective, -r.q))

@@ -65,10 +65,10 @@ class PyramidLevel:
     kernel ``K_{q'}``: :meth:`reconstruct` solves with the kept LU of
     ``-L_DD``, and :meth:`analyze` and :meth:`detail_size_check` each
     factor ``q' Id - L`` (:func:`oracle.killed_lu`) for their right-hand
-    sides and drop the factors.  Each solve is an :class:`oracle.CheckedLU`,
-    sparse (SuperLU) or dense by the density rule of
-    :func:`oracle.sparse_pays`, and the products with ``L`` read its
-    sparse rows under the same rule (:attr:`generator`).  A level keeps
+    sides and drop the factors.  Each solve is an :class:`oracle.CheckedLU`
+    of the matrix :func:`oracle.block` builds, sparse (SuperLU) or dense by
+    the density rule of :func:`oracle.sparse_pays`, and the products with
+    ``L`` read its sparse rows under the same rule (:attr:`generator`).  A level keeps
     the network's dense ``L`` and the dense Schur complement; the factors
     of ``-L_DD`` it keeps are sparse on a sparse level and an LU of a
     dense copy of the block on a dense one.
@@ -309,8 +309,7 @@ class Pyramid:
 
 def _choose_q(net: Network, n_tuning: int, tune_seed: int) -> float:
     records = sampler.estimate_tuning(net, None, n_tuning, seed=tune_seed)
-    best = min(records, key=lambda r: (r.objective, -r.q))
-    return best.q
+    return sampler.chosen_tuning(records).q
 
 
 def _draw_keep(net: Network, q: float, seed: int, level: int) -> np.ndarray:

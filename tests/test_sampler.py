@@ -195,6 +195,53 @@ def test_estimate_tuning_threads_deterministic(path3):
     ]
 
 
+def exact_tuning_factors(net, q):
+    """The exact means and variances of the two per-draw terms of
+    :func:`sampler.estimate_tuning`, ``(n - k)/(1 + k)`` and ``(n - k)/k``
+    for ``k`` roots, from the exact root-count law."""
+    law = oracle.root_count_law(net, q)
+    k = law.counts[law.counts >= 1].astype(float)
+    p = law.pmf[law.counts >= 1]
+    out = []
+    for term in ((net.n - k) / (1.0 + k), (net.n - k) / k):
+        mean = float(p @ term)
+        out.append((mean, float(p @ (term - mean) ** 2)))
+    return out
+
+
+TUNING_NETS = {
+    **netdefs.SMALL_GRAPHS,
+    "grid3x3": (9, netdefs.grid_edges(3, 3)),
+    "cycle7": (7, netdefs.cycle_edges(7, 2.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TUNING_NETS))
+def test_estimate_tuning_factors_match_the_exact_law(name):
+    # each factor of the objective, q E[(n-k)/(1+k)] and E[(n-k)/k] / w_max,
+    # against its exact value within 4.5 standard errors of the mean
+    n, edges = TUNING_NETS[name]
+    net = build_network(edges, n)
+    grid = [net.w_max, net.w_max / 8.0, net.w_max / 64.0]
+    draws = 2000
+    records = sampler.estimate_tuning(net, grid, n_samples=draws, seed=11)
+    for rec, q in zip(records, grid):
+        (w_mean, w_var), (b_mean, b_var) = exact_tuning_factors(net, q)
+        w_band = q * 4.5 * np.sqrt(w_var / draws)
+        b_band = 4.5 * np.sqrt(b_var / draws) / net.w_max
+        assert abs(rec.w_tilde - q * w_mean) <= w_band + 1e-12 * q * w_mean
+        assert abs(rec.one_over_beta_tilde - b_mean / net.w_max) <= (
+            b_band + 1e-12 * b_mean / net.w_max
+        )
+
+
+def test_chosen_tuning_takes_the_least_objective_then_the_largest_q():
+    rec = lambda q, obj: sampler.TuningRecord(q, 0.0, 0.0, obj, 1.0)  # noqa: E731
+    records = [rec(4.0, 0.5), rec(2.0, 0.25), rec(1.0, 0.25), rec(0.5, 0.75)]
+    assert sampler.chosen_tuning(records) is records[1]
+    assert sampler.chosen_tuning(records[2:]) is records[2]
+
+
 # ---------------------------------------------------------------------------
 # random streams
 

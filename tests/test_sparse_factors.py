@@ -224,3 +224,87 @@ def test_edge_inclusion_allocates_far_less_than_n_squared():
         tracemalloc.stop()
     assert 0.0 < p < 1.0
     assert peak < n * n * 8 / 16
+
+
+# ---------------------------------------------------------------------------
+# guards: one builder and one edge slicer cut every block of L, entry for
+# entry as the dense matrices they stand for
+
+
+def block_nets():
+    """Grids and digraphs on both sides of the density rule: 121 and 144
+    grid vertices around the size floor, and a sparse and a dense digraph
+    of at least 128 vertices."""
+    rng = np.random.default_rng(3)
+    return {
+        "grid 11x11": grid_net(rng, 11),
+        "grid 12x12": grid_net(rng, 12),
+        "grid 16x16": grid_net(rng, 16),
+        "digraph 60": digraph_net(rng, 60, 4),
+        "digraph 200 sparse": digraph_net(rng, 200, 3),
+        "digraph 150 dense": digraph_net(rng, 150, 20),
+    }
+
+
+BLOCK_NETS = block_nets()
+
+
+def parts(net):
+    """Every vertex, then random sorted subsets above and below the size
+    floor when the network has room for both."""
+    rng = np.random.default_rng(net.n)
+    out = [None]
+    for size in {min(net.n - 1, 130), net.n // 2}:
+        out.append(np.sort(rng.choice(net.n, size, replace=False)))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_NETS))
+@pytest.mark.parametrize("q", [0.0, 1.7])
+@pytest.mark.parametrize("transpose", [False, True])
+def test_block_is_the_dense_block_entry_for_entry(name, q, transpose):
+    net = BLOCK_NETS[name]
+    for part in parts(net):
+        ids = np.arange(net.n) if part is None else part
+        want = q * np.eye(ids.size) - net.L[np.ix_(ids, ids)]
+        want = want.T if transpose else want
+        M = oracle.block(net, part, q, transpose=transpose)
+        assert scipy.sparse.issparse(M) == oracle.sparse_pays(ids.size, nnz(net, ids))
+        got = M.toarray() if scipy.sparse.issparse(M) else M
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_NETS))
+def test_edges_between_scatter_to_the_dense_block(name):
+    net = BLOCK_NETS[name]
+    rng = np.random.default_rng(1)
+    for _ in range(4):
+        rows = np.sort(rng.choice(net.n, int(rng.integers(1, net.n)), replace=False))
+        cols = np.sort(rng.choice(net.n, int(rng.integers(1, net.n)), replace=False))
+        for r, c in ((rows, None), (rows, cols), (cols, rows)):
+            cc = r if c is None else c
+            s, t, w = oracle.edges_between(net, r, c)
+            got = np.zeros((r.size, cc.size))
+            got[s, t] = w
+            want = net.L[np.ix_(r, cc)].copy()
+            want[r[:, None] == cc[None, :]] = 0.0  # the diagonal of L
+            assert np.array_equal(got, want)
+            # in the order of the edge arrays, so the blocks built from them
+            # are built in the same order as before
+            assert np.all(np.diff(r[s] * net.n + cc[t]) > 0)
+
+
+@pytest.mark.parametrize("side", [5, 12])
+def test_sparsify_generator_rows_are_those_of_the_full_generator(side):
+    net = grid_net(np.random.default_rng(side), side)
+    red = cg.ReducedNetwork(net, range(0, net.n, 2))
+    W = red.network.L.copy()
+    np.fill_diagonal(W, 0.0)
+    rng = np.random.default_rng(0)
+    for i, j in zip(*np.nonzero(W)):
+        if rng.random() < 0.3:
+            W[i, j] = 0.0  # rates taken out by earlier removals
+    full = W.copy()
+    np.fill_diagonal(full, -W.sum(axis=1))
+    for x in range(W.shape[0]):
+        assert cg._generator_row(W, x).tobytes() == full[x].tobytes()

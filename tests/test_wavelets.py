@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forestnets import coarsegrain as cg
-from forestnets import config, fileio, oracle
+from forestnets import config, fileio, oracle, sampler
 from forestnets import wavelets as wv
 from forestnets.errors import (
     DegenerateBasis,
@@ -230,6 +230,26 @@ def test_pyramid_deterministic():
         assert la.q_prime == lb.q_prime
     _, c = build_cycle_pyramid(seed=22, max_levels=2)
     assert not np.array_equal(a.levels[0].keep, c.levels[0].keep)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_build_runs_the_tuning_scan(seed):
+    # on a star whose hub sends at rate 1e4 to each leaf and each leaf at
+    # rate 1 back, the exact objective falls over the whole default grid,
+    # so its argmin is the grid's smallest q, w_max / 64, not w_max; the
+    # seeded scan finds it
+    n = 10
+    net = build_network(
+        [(0, x, 1e4) for x in range(1, n)] + [(x, 0, 1.0) for x in range(1, n)], n
+    )
+    objective = []
+    for q in sampler.default_q_grid(net):
+        law = oracle.root_count_law(net, q)
+        k, p = law.counts[1:].astype(float), law.pmf[1:]
+        objective.append(q * (p @ ((n - k) / (1 + k))) * (p @ ((n - k) / k)))
+    assert np.argmin(objective) == 6 and np.all(np.diff(objective) < 0)
+    pyr = wv.build_pyramid(net, np.arange(n, dtype=float), seed=seed, max_levels=1)
+    assert pyr.levels[0].q_tuning == net.w_max / 64
 
 
 def test_pyramid_constant_signal():
