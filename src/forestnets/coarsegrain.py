@@ -25,6 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 from . import config, oracle, sampler
 from .errors import (
@@ -33,7 +34,15 @@ from .errors import (
     NumericalError,
     ZeroProbability,
 )
-from .network import Network, _strongly_connected, skeleton, vertex_set
+from .network import (
+    Network,
+    _strongly_connected,
+    edges_between,
+    exit_rates,
+    generator_block,
+    skeleton,
+    vertex_set,
+)
 from .norms import check_p, condition_measure, holder_conjugate, lp_norm
 
 
@@ -48,27 +57,31 @@ class ReducedNetwork:
     ``keep`` is validated once, into the sorted ``kept``; position ``i`` of
     the reduction corresponds to parent vertex ``kept[i]``.  What depends on
     the Schur complement is computed on first use and kept: the exact
-    complement ``Lbar``, whose off-diagonal rates :func:`reduced_rates`
-    checks once, with the reduced maximal exit rate ``w_max``; the reduced
-    ``network``; the ``hitting_times`` of ``kept`` and the return
+    complement ``Lbar``, stored sparse (CSR) exactly when the density rule
+    of :func:`oracle.sparse_pays` picks it; the reduced ``network``, whose
+    off-diagonal rates :func:`reduced_rates` checks; the reduced maximal
+    exit rate ``w_max``; the ``hitting_times`` of ``kept`` and the return
     ``speeds``.  ``mu`` is the parent's measure conditioned on ``kept``,
     which those checks show invariant for the reduced generator, so the
     network takes it rather than solving for one; reading ``mu`` or
-    ``w_max`` never builds the network.  The rates are checked once, in
-    one copy of ``Lbar``, and the exit rates summed once; the network is
-    then built by :meth:`Network.of_rates` in that same array with those
-    exit rates, not from an edge list: an edge list is how input is
-    validated, and these rates are derived, not input.  Its build runs one
+    ``w_max`` never builds the network.  The checked rates are one copy of
+    ``Lbar``, sparse when it is, and the network is built by
+    :meth:`Network.of_rates` in that copy with the exit rates the check
+    summed, not from an edge list: an edge list is how input is validated,
+    and these rates are derived, not input.  Its build runs one
     strong-components test and no breadth-first search, and leaves
-    ``reversible`` to its first read.
+    ``reversible`` to its first read.  ``Lbar`` or ``w_max`` read before
+    the network checks the rates and drops them, so a level that runs the
+    next level on a network of its own (a sparsified one) keeps no rates.
 
     :meth:`solve_dropped` solves with ``-L_DD``, the parent's generator on
     the ``dropped`` vertices, through one :class:`oracle.CheckedLU` of
     :func:`oracle.block`, made on first use and kept: SuperLU's factors of
     the sparse block when the density rule picks it, with no dense copy of
-    ``-L_DD`` beside them, else the dense LU.  The complement ``Lbar =
-    L_kk + L_kd (-L_DD)^-1 L_dk``, the hitting times behind the ``speeds``
-    and every reconstruction through this reduction all share it.
+    ``-L_DD`` beside them, else the dense LU.  The hitting times behind the
+    ``speeds`` and every reconstruction through this reduction share it;
+    so does ``Lbar`` when ``-L_DD`` is dense, and on a sparse ``-L_DD``
+    it is summed cluster by cluster instead (:meth:`_complement`).
     """
 
     def __init__(self, parent: Network, keep: Sequence[int]) -> None:
@@ -91,48 +104,49 @@ class ReducedNetwork:
     def mu(self) -> np.ndarray:
         return condition_measure(self.parent.mu, self.kept)
 
-    def _complement(self) -> np.ndarray:
-        """The exact, unclamped Schur complement of the parent's generator
-        on ``kept``.  When ``-L_DD`` is factored sparsely, the blocks are
-        cut from the edge arrays (:func:`oracle.edges_between`): ``L_Dk`` is
-        solved for as one dense right-hand side, and the sparse product of
-        ``L_kD`` with the solution is added into ``L_kk``."""
-        L, k, d = self.parent.L, self.kept, self.dropped
-        if not d.size:
-            return L[np.ix_(k, k)]
-        if not scipy.sparse.issparse(self._lu.M):
-            X = self.solve_dropped(L[np.ix_(d, k)])
-            return L[np.ix_(k, k)] + L[np.ix_(k, d)] @ X
-        Lbar, L_Dk = np.zeros((k.size, k.size)), np.zeros((d.size, k.size))
-        s, t, w = oracle.edges_between(self.parent, k)
-        Lbar[s, t] = w
-        np.fill_diagonal(Lbar, L[k, k])
-        s, t, w = oracle.edges_between(self.parent, d, k)
-        L_Dk[s, t] = w
-        s, t, w = oracle.edges_between(self.parent, k, d)
-        L_kD = scipy.sparse.csr_array((w, (s, t)), shape=(k.size, d.size))
-        Lbar += L_kD @ self.solve_dropped(L_Dk)
-        return Lbar
+    def _complement(self) -> np.ndarray | scipy.sparse.csr_array:
+        """The exact, unclamped Schur complement ``L_kk + L_kD (-L_DD)^-1
+        L_Dk`` of the parent's generator on ``kept``, stored sparse
+        exactly when the density rule picks it.  Where ``-L_DD`` is sparse
+        by the rule it is summed cluster by cluster (:func:`_cluster_sum`);
+        otherwise ``L_Dk`` is solved for with the dense LU as one
+        right-hand side.  Every block is formed from the parent's edge
+        arrays, or cut from its ``L`` if it has one
+        (:func:`network.generator_block`)."""
+        net, k, d = self.parent, self.kept, self.dropped
+        s, t, w = edges_between(net, d)
+        if oracle.sparse_pays(d.size, s.size + d.size):
+            Lbar = _cluster_sum(net, k, d, s, t, w)
+        else:
+            Lbar = generator_block(net, k)
+            if d.size:
+                X = self.solve_dropped(generator_block(net, d, k))
+                Lbar += generator_block(net, k, d) @ X
+        return _stored(Lbar)
 
     @cached_property
-    def _schur(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``Lbar``, its checked rates, which ``network`` takes over, and
-        their exit rates."""
+    def _schur(self) -> tuple[np.ndarray | scipy.sparse.csr_array, float]:
+        """``Lbar`` and ``w_max``, its rates checked by :func:`reduced_rates`
+        and then dropped; when ``network`` is built first it sets them
+        with the rates it takes over."""
         Lbar = self._complement()
-        return Lbar, *reduced_rates(self.parent, self.kept, Lbar)
+        return Lbar, float(reduced_rates(self.parent, self.kept, Lbar)[1].max())
 
     @property
-    def Lbar(self) -> np.ndarray:
+    def Lbar(self) -> np.ndarray | scipy.sparse.csr_array:
         """The exact Schur complement of the parent's generator on ``kept``."""
         return self._schur[0]
 
     @property
     def w_max(self) -> float:
-        return float(self._schur[2].max())
+        return self._schur[1]
 
     @cached_property
     def network(self) -> Network:
-        _, rates, exits = self._schur
+        schur = vars(self).get("_schur")
+        Lbar = self._complement() if schur is None else schur[0]
+        rates, exits = reduced_rates(self.parent, self.kept, Lbar)
+        self._schur = Lbar, float(exits.max())
         return Network.of_rates(rates, self.mu, exits)
 
     @cached_property
@@ -150,7 +164,8 @@ class ReducedNetwork:
         is the worst expected time to re-enter it after one skeleton step
         from a kept vertex, ``1/gamma`` the worst expected entrance time
         from a dropped vertex.  Only the kept rows of the skeleton are
-        formed."""
+        formed, densely: the speeds set the stability bounds' constants,
+        so they keep the bits of the dense product."""
         h = self.hitting_times
         one_over_beta = float((skeleton(self.parent, self.kept) @ h).max())
         one_over_gamma = float(h.max())
@@ -163,6 +178,101 @@ class ReducedNetwork:
         return self.network.L
 
 
+def _stored(Lbar: np.ndarray | scipy.sparse.csr_array):
+    """``Lbar`` as a reduction keeps it: CSR exactly when
+    :func:`oracle.sparse_pays` for it, else an array."""
+    sparse = scipy.sparse.issparse(Lbar)
+    nnz = Lbar.nnz if sparse else np.count_nonzero(Lbar)
+    if oracle.sparse_pays(Lbar.shape[0], nnz):
+        return scipy.sparse.csr_array(Lbar)
+    return Lbar.toarray() if sparse else Lbar
+
+
+def _cluster_sum(
+    net: Network, k: np.ndarray, d: np.ndarray, s: np.ndarray, t: np.ndarray,
+    w: np.ndarray,
+) -> scipy.sparse.csr_array:
+    """The Schur complement of ``net``'s generator on the kept ids ``k`` as
+    ``L_kk`` plus one term ``L_kC (-L_CC)^-1 L_Ck`` per weakly connected
+    cluster ``C`` of the dropped ids ``d``, whose edges among themselves
+    run from positions ``s`` to ``t`` with weights ``w``.  A walk that
+    leaves the kept set stays in one cluster until it returns, so
+    ``-L_DD`` is block diagonal over the clusters, and a term touches only
+    the kept neighbours of its cluster.  The clusters are taken in
+    buckets of sizes up to a power of two, each bucket in one vectorized
+    step: its blocks ``-L_CC``, padded with the identity, are inverted
+    together (:func:`oracle.checked_inverses`), and its terms are one
+    batched product.  The one-vertex clusters, most of them on a grid,
+    are the first bucket: ``w(i, c) w(c, j) / w(c)`` for every kept
+    in-neighbour ``i`` and out-neighbour ``j`` of ``c``."""
+    n_c, label = connected_components(
+        scipy.sparse.csr_array((np.ones(s.size), (s, t)), shape=(d.size, d.size)),
+        directed=True,
+        connection="weak",
+    )
+    size = np.bincount(label, minlength=n_c)
+    members = np.argsort(label, kind="stable")
+    local = np.empty(d.size, dtype=np.int64)  # a dropped position's rank in C
+    local[members] = np.arange(d.size) - (np.cumsum(size) - size)[label[members]]
+    # the edges into each cluster from kept rows and out of it to kept
+    # columns, those rows and columns numbered within the cluster
+    ki, dj, w_in = edges_between(net, k, d)
+    di, kj, w_out = edges_between(net, d, k)
+    row_ids, row_at, rank_in = _numbered(label[dj], ki, n_c, k.size)
+    col_ids, col_at, rank_out = _numbered(label[di], kj, n_c, k.size)
+    n_rows, n_cols = np.diff(row_at), np.diff(col_at)
+
+    ii, jj, ww = edges_between(net, k)
+    ids = np.arange(k.size)
+    rows, cols, vals = [ii, ids], [jj, ids], [ww, -net.exits[k]]
+    bucket = np.frexp(size - 1)[1]  # size in (2^(b-1), 2^b]
+    for b in np.unique(bucket).tolist():
+        cs = np.flatnonzero(bucket == b)
+        slot = np.full(n_c, -1)
+        slot[cs] = np.arange(cs.size)
+        m, R, Q = 1 << b, n_rows[cs].max(), n_cols[cs].max()
+        M = np.zeros((cs.size, m, m))
+        M[:, np.arange(m), np.arange(m)] = 1.0
+        e = slot[label[s]] >= 0
+        M[slot[label[s[e]]], local[s[e]], local[t[e]]] = -w[e]
+        x = np.flatnonzero(slot[label] >= 0)
+        M[slot[label[x]], local[x], local[x]] = net.exits[d[x]]
+        A = np.zeros((cs.size, R, m))
+        e = slot[label[dj]] >= 0
+        A[slot[label[dj[e]]], rank_in[e], local[dj[e]]] = w_in[e]
+        B = np.zeros((cs.size, m, Q))
+        e = slot[label[di]] >= 0
+        B[slot[label[di[e]]], local[di[e]], rank_out[e]] = w_out[e]
+        T = A @ (oracle.checked_inverses(M, "-L_DD") @ B)
+        g, r, q = np.nonzero(
+            (np.arange(R) < n_rows[cs, None])[:, :, None]
+            & (np.arange(Q) < n_cols[cs, None])[:, None, :]
+        )
+        rows.append(row_ids[row_at[cs[g]] + r])
+        cols.append(col_ids[col_at[cs[g]] + q])
+        vals.append(T[g, r, q])
+
+    Lbar = scipy.sparse.csr_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(k.size, k.size),
+    )
+    Lbar.sum_duplicates()
+    return Lbar
+
+
+def _numbered(
+    cluster: np.ndarray, vertex: np.ndarray, n_c: int, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct ``vertex`` ids (of ``0..n-1``) that each of ``n_c``
+    clusters meets, as pairs ``(cluster[i], vertex[i])`` list them: the
+    ids, cluster by cluster and ascending within each; where each
+    cluster's run of them starts (and the last ends); and each pair's rank
+    in its cluster's run."""
+    key, rank = np.unique(cluster * n + vertex, return_inverse=True)
+    at = np.searchsorted(key, np.arange(n_c + 1) * n)
+    return key % n, at, rank - at[cluster]
+
+
 def _canon_keep(net: Network, keep: Sequence[int]) -> np.ndarray:
     kept = vertex_set(net.n, keep, "kept set")
     if kept.size == 0:
@@ -170,42 +280,54 @@ def _canon_keep(net: Network, keep: Sequence[int]) -> np.ndarray:
     return kept
 
 
-def schur_complement(net: Network, keep: Sequence[int]) -> np.ndarray:
+def schur_complement(
+    net: Network, keep: Sequence[int]
+) -> np.ndarray | scipy.sparse.csr_array:
     """Schur complement of the generator onto ``keep`` (exact, unclamped):
-    the complement of ``ReducedNetwork(net, keep)``, without its rate checks."""
+    the complement of ``ReducedNetwork(net, keep)``, without its rate checks,
+    stored as the reduction stores it (sparse when the density rule picks
+    it)."""
     return ReducedNetwork(net, keep)._complement()
 
 
 def reduced_rates(
-    net: Network, kept: np.ndarray, Lbar: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    net: Network, kept: np.ndarray, Lbar: np.ndarray | scipy.sparse.csr_array
+) -> tuple[np.ndarray | scipy.sparse.csr_array, np.ndarray]:
     """Off-diagonal part of the Schur complement ``Lbar`` of ``net``'s
     generator on ``kept``, noise below zero clamped to zero, formed in one
-    copy of ``Lbar``, and its row sums, the exit rates.  Raises
-    ``NumericalError`` on an entry below ``-1e-12 max(1, w_max)``, or when
-    ``mu(. | kept)`` is not invariant for the clamped generator (see
-    :func:`check_invariant`).
+    copy of ``Lbar`` (sparse when it is, with the zeros dropped), and its
+    row sums, the exit rates.  Raises ``NumericalError`` on an entry below
+    ``-1e-12 max(1, w_max)``, or when ``mu(. | kept)`` is not invariant
+    for the clamped generator (see :func:`check_invariant`).
     """
     rates = Lbar.copy()
-    np.fill_diagonal(rates, 0.0)
-    lowest = rates.min()
+    if scipy.sparse.issparse(rates):
+        rates.setdiag(0.0)
+        values = rates.data
+    else:
+        np.fill_diagonal(rates, 0.0)
+        values = rates
+    lowest = values.min(initial=0.0)
     if lowest < -1e-12 * max(1.0, net.w_max):
         raise NumericalError(
             f"Schur complement off-diagonal {lowest:.3e} is negative "
             "beyond clamping tolerance"
         )
-    np.maximum(rates, 0.0, out=rates)
+    np.maximum(values, 0.0, out=values)
+    if scipy.sparse.issparse(rates):
+        rates.eliminate_zeros()
     return rates, check_invariant(condition_measure(net.mu, kept), rates)
 
 
 def check_invariant(mu: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """Raise ``NumericalError`` unless the probability vector ``mu`` is
-    invariant for the generator with off-diagonal rates ``rates``: the
+    invariant for the generator with off-diagonal rates ``rates`` (an
+    array or a SciPy sparse matrix): the
     residual ``max |mu rates - mu exits|`` must stay within
     ``RESIDUAL_TOL`` times the largest exit rate, at least 1.  Returns the
-    exit rates, the row sums of ``rates``.
+    exit rates, the row sums of ``rates`` (:func:`network.exit_rates`).
     """
-    exits = rates.sum(axis=1)
+    exits = exit_rates(rates)
     resid = float(np.abs(mu @ rates - mu * exits).max())
     if not resid <= config.RESIDUAL_TOL * max(1.0, float(exits.max())):
         raise NumericalError(

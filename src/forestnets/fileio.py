@@ -14,6 +14,7 @@ from itertools import chain
 from typing import IO, Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .coarsegrain import check_invariant
 from .errors import InvalidParams, MalformedInput, NumericalError, ValidationError
@@ -352,7 +353,8 @@ def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
     Schur reduction, recomputed here; the level's reduction keeps that
     Schur complement for later queries.  A level with an edge list (a
     sparsified level) runs it on that network, which must leave
-    ``mu(. | keep)`` invariant.
+    ``mu(. | keep)`` invariant: that is checked on its edges, and no dense
+    copy of its generator is formed.
     Either way the next network carries ``mu(. | keep)`` as its measure.
     A level is made by :meth:`PyramidLevel.of`, whose checks of ``keep``
     and ``q_prime`` report a malformed level.  Every number must be a JSON
@@ -393,13 +395,14 @@ def read_pyramid(fh: IO[str]) -> tuple[Pyramid, dict]:
             next_edges = entry["next_edges"]
             where = f"level {li}: next_edges"
             if isinstance(next_edges, list):
-                level.stored_next = _archived_network(
+                stored = level.stored_next = _archived_network(
                     next_edges, level.keep.size, where, level.reduction.mu
                 )
-                rates = level.stored_next.L.copy()
-                np.fill_diagonal(rates, 0.0)
+                rates = csr_array(
+                    (stored.w, (stored.src, stored.dst)), shape=(stored.n, stored.n)
+                )
                 try:
-                    check_invariant(level.stored_next.mu, rates)
+                    check_invariant(stored.mu, rates)
                 except NumericalError as exc:
                     raise MalformedInput(f"{where}: {exc}") from None
             elif next_edges is not None:

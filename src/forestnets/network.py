@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, issparse
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from . import config
@@ -35,14 +35,18 @@ Edge = tuple[int, int, float]
 class Network:
     """Irreducible weighted directed network with cached spectra-free data.
 
-    A network is made one of two ways.  Input (edge files, an archive's
-    stored edge lists, Python triples) comes as an edge list, and every
-    row is validated.  A level derived from a network comes as a rate
+    A network keeps its edge arrays and its exit rates; the dense
+    ``n x n`` generator ``L`` is formed only when something reads it.
+    It is made one of two ways.  Input (edge files, an archive's stored
+    edge lists, Python triples) comes as an edge list, and every row is
+    validated; the exit rates are the row sums of ``L``, bit for bit
+    (:func:`_row_sums`).  A level derived from a network comes as a rate
     matrix its maker has already checked (:meth:`of_rates`): its nonzero
-    entries are taken as the edges as they are, and the matrix itself
-    becomes the generator, with no second ``n x n`` array.  A Schur
-    reduction or a sparsification hands over the exit rates its
-    invariance check summed with the rates, so they are summed once.
+    entries are taken as the edges as they are.  A dense matrix becomes
+    the generator itself, with no second ``n x n`` array; a sparse one
+    leaves ``L`` to its first read.  A Schur reduction or a
+    sparsification hands over the exit rates its invariance check summed
+    with the rates, so they are summed once.
     Either way the reachability, exit-rate and measure checks below run.
     Reachability is one strong-components test
     (:func:`_strongly_connected`); a breadth-first search runs only for
@@ -82,7 +86,10 @@ class Network:
     src, dst : int64 arrays, edge endpoints sorted by (src, dst)
     w : float64 array, the weights of those edges
     edges : tuple of (int, int, float), the same edges as Python values
-    L : ndarray, the dense ``n x n`` generator
+    exits : float64 array, the exit rates ``-L(x, x)``
+    L : ndarray, the dense ``n x n`` generator, formed on first read (a
+        network made from dense rates has it from the start); readers of
+        single entries use :meth:`rate`, of blocks :func:`generator_block`
     w_max : float, maximal exit rate ``max_x -L(x, x)``
     mu : ndarray, invariant probability measure (``mu @ L == 0``)
     reversible : bool, detailed balance of ``mu`` and the weights,
@@ -103,18 +110,20 @@ class Network:
                 f"{config.MAX_VERTICES}"
             )
         self.n = n
+        rates = None
         if isinstance(edges, _CheckedRates):
-            # row-major order is (src, dst) order; the generator is built
-            # in the rate matrix itself, whose diagonal is zero
-            L, exits = edges
-            self.src, self.dst = np.nonzero(L)
-            self.w = L[self.src, self.dst]
+            rates, exits = edges
+            if issparse(rates):
+                self.src, self.dst, self.w = _sparse_entries(rates)
+                rates = None
+            else:
+                # row-major order is (src, dst) order; the generator is
+                # built in the rate matrix itself, whose diagonal is zero
+                self.src, self.dst = np.nonzero(rates)
+                self.w = rates[self.src, self.dst]
         else:
             self.src, self.dst, self.w = _sorted_edges(edge_array(edges), n)
-            L = np.zeros((n, n))
-            L[self.src, self.dst] = self.w
-            with np.errstate(over="ignore"):
-                exits = L.sum(axis=1)
+            exits = _row_sums(n, self.src, self.dst, self.w)
 
         if n > 1 and not _strongly_connected(n, self.src, self.dst):
             raise NotIrreducible(_unreachable(n, self.src, self.dst))
@@ -122,8 +131,10 @@ class Network:
         if not np.isfinite(exits).all():
             x = int(np.flatnonzero(~np.isfinite(exits))[0])
             raise InvalidParams(f"exit rate of vertex {x} overflows")
-        L[np.arange(n), np.arange(n)] = -exits
-        self.L = L
+        self.exits = exits
+        if rates is not None:
+            rates[np.arange(n), np.arange(n)] = -exits
+            self.L = rates
 
         if n == 1:
             # single vertex: null generator, trivial measure
@@ -131,7 +142,7 @@ class Network:
             self.mu = np.array([1.0])
             return
 
-        self.w_max = float((-np.diag(L)).max())
+        self.w_max = float(exits.max())
         if mu is None:
             self.mu = self._invariant_measure()
         elif len(mu) == n and np.all(mu > 0):
@@ -144,25 +155,51 @@ class Network:
         cls, rates: np.ndarray, mu: np.ndarray, exits: np.ndarray | None = None
     ) -> Network:
         """The network whose edges are the nonzero entries of the square
-        rate matrix ``rates`` and whose measure is ``mu``, as a Schur
-        reduction or a sparsification makes them: entries that their maker
+        rate matrix ``rates`` (an array, or a SciPy sparse matrix) and
+        whose measure is ``mu``, as a Schur reduction or a sparsification
+        makes them: entries that their maker
         has checked to be finite and nonnegative, with a zero diagonal, and
         a measure it has checked invariant for them.  ``exits`` are the row
         sums of ``rates`` when the maker has summed them already, as its
-        invariance check does; otherwise they are summed here.  The entries
+        invariance check does; otherwise they are summed here
+        (:func:`exit_rates`).  The entries
         are not validated again as an edge list would be; the network comes
         out exactly as from the edge list of those entries.
 
-        ``rates`` is taken over, not copied: its diagonal is set to minus
-        the exit rates and it becomes the network's ``L``, so a caller
-        hands over a float64 C-contiguous array that it does not keep.
+        An array ``rates`` is taken over, not copied: its diagonal is set
+        to minus the exit rates and it becomes the network's ``L``, so a
+        caller hands over a float64 C-contiguous array that it does not
+        keep.  A sparse ``rates`` gives up its entries as the edge arrays,
+        and ``L`` waits for its first read.
         """
         if exits is None:
-            with np.errstate(over="ignore"):
-                exits = rates.sum(axis=1)
+            exits = exit_rates(rates)
         return cls(_CheckedRates(rates, exits), rates.shape[0], mu)
 
     # -- representation ------------------------------------------------
+
+    @cached_property
+    def L(self) -> np.ndarray:
+        """The dense ``n x n`` generator, formed from the edge arrays and
+        the exit rates on first read and kept."""
+        L = np.zeros((self.n, self.n))
+        L[self.src, self.dst] = self.w
+        L[np.arange(self.n), np.arange(self.n)] = -self.exits
+        return L
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        return self.src * self.n + self.dst  # ascending, as the edges are sorted
+
+    def rate(self, x, y) -> np.ndarray:
+        """``L(x, y)`` for vertex ids ``x != y`` (arrays of them, or
+        scalars): the weight of the edge ``(x, y)``, or 0 where there is
+        none, looked up in the sorted edge keys."""
+        want = np.asarray(x) * self.n + np.asarray(y)
+        if not self._keys.size:
+            return np.zeros(want.shape)
+        at = np.minimum(np.searchsorted(self._keys, want), self._keys.size - 1)
+        return np.where(self._keys[at] == want, self.w[at], 0.0)
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -191,7 +228,7 @@ class Network:
         ``mu(x) w(x, y)`` matches its reverse within ``STRUCTURAL_TOL``
         relative (at least 1).  Computed when first read."""
         flow = self.mu[self.src] * self.w
-        back = self.mu[self.dst] * self.L[self.dst, self.src]
+        back = self.mu[self.dst] * self.rate(self.dst, self.src)
         excess = np.abs(flow - back) > config.STRUCTURAL_TOL * np.maximum(1.0, flow)
         return not bool(excess.any())
 
@@ -208,7 +245,9 @@ class Network:
                 mu = _gth_measure(self.L)
         if not np.all(mu > 0):
             raise NumericalError("invariant measure has nonpositive entries")
-        resid = np.abs(mu @ self.L).max()
+        # mu @ L over the edges: what flows into each vertex, less what leaves
+        inflow = np.bincount(self.dst, mu[self.src] * self.w, minlength=self.n)
+        resid = np.abs(inflow - mu * self.exits).max()
         if not resid <= config.STRUCTURAL_TOL * max(1.0, self.w_max):
             raise NumericalError(
                 f"invariant measure residual {resid:.3e} above tolerance"
@@ -230,6 +269,56 @@ class _CheckedRates(NamedTuple):
 
     rates: np.ndarray
     exits: np.ndarray
+
+
+def exit_rates(rates: np.ndarray | csr_array) -> np.ndarray:
+    """The row sums of a square rate matrix with a zero diagonal, an array
+    or a SciPy sparse matrix: for either, bit for bit the dense matrix's
+    ``sum(axis=1)`` (:func:`_row_sums`), so a network made from sparse
+    rates is the one made from the same rates dense or as an edge list."""
+    if not issparse(rates):
+        with np.errstate(over="ignore"):
+            return rates.sum(axis=1)
+    return _row_sums(rates.shape[0], *_sparse_entries(rates))
+
+
+def _sparse_entries(
+    rates: csr_array,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries of a sparse matrix as ``int64`` rows and
+    columns and their values, in (row, column) order, as ``np.nonzero``
+    gives those of an array; the matrix is left as it is."""
+    rates = csr_array(rates)
+    if not rates.has_canonical_format:  # sorted columns, no repeats
+        rates = rates.copy()
+        rates.sum_duplicates()
+    rows = np.repeat(np.arange(rates.shape[0]), np.diff(rates.indptr))
+    nonzero = rates.data != 0.0
+    return rows[nonzero], rates.indices[nonzero].astype(np.int64), rates.data[nonzero]
+
+
+#: rows summed at a time by :func:`_row_sums`
+_SUM_ROWS = 64
+
+
+def _row_sums(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The row sums of the ``n x n`` matrix with the weights ``w`` at
+    ``(src, dst)``, ``src`` ascending, bit for bit as that dense matrix's
+    ``sum(axis=1)``: numpy sums each full row pairwise, zeros included, so
+    the rows are formed densely, ``_SUM_ROWS`` at a time, and summed so.
+    A sum in any other order (``np.bincount``, say) differs in the last
+    bit on many vertices."""
+    out = np.empty(n)
+    buf = np.zeros((_SUM_ROWS, n))
+    bounds = np.searchsorted(src, np.arange(0, n + _SUM_ROWS, _SUM_ROWS))
+    for lo, a, b in zip(range(0, n, _SUM_ROWS), bounds, bounds[1:]):
+        rows = buf[: min(_SUM_ROWS, n - lo)]
+        at = src[a:b] - lo, dst[a:b]
+        rows[at] = w[a:b]
+        with np.errstate(over="ignore"):
+            out[lo : lo + rows.shape[0]] = rows.sum(axis=1)
+        rows[at] = 0.0
+    return out
 
 
 # a detailed-balance defect below this many units of (depth + 1) * eps is
@@ -459,9 +548,45 @@ def build_network(edges: Iterable[Edge] | np.ndarray, n: int | None = None) -> N
     return Network(edges, int(n))
 
 
+def edges_between(
+    net: Network, rows: np.ndarray, cols: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges of ``net`` from the distinct vertex ids ``rows`` into the
+    distinct ids ``cols`` (``rows`` by default), in the order of the edge
+    arrays: their positions in ``rows`` and in ``cols`` and their weights.
+    Scattered into zeros they are the off-diagonal entries of
+    ``L[np.ix_(rows, cols)]``; every block of ``L`` is cut by it."""
+    cols = rows if cols is None else cols
+    at_row, at_col = np.full(net.n, -1), np.full(net.n, -1)
+    at_row[rows], at_col[cols] = np.arange(rows.size), np.arange(cols.size)
+    src, dst = at_row[net.src], at_col[net.dst]
+    inside = (src >= 0) & (dst >= 0)
+    return src[inside], dst[inside], net.w[inside]
+
+
+def generator_block(
+    net: Network, rows: np.ndarray, cols: np.ndarray | None = None
+) -> np.ndarray:
+    """``L[np.ix_(rows, cols)]`` (``cols`` is ``rows`` by default) for
+    distinct vertex ids: cut from ``L`` when the network has formed it,
+    else formed from the edge arrays (:func:`edges_between`) and the exit
+    rates, without forming ``L``.  The entries are the same either way, so
+    are their bits."""
+    cols_ = rows if cols is None else cols
+    if "L" in vars(net):
+        return net.L[np.ix_(rows, cols_)]
+    out = np.zeros((rows.size, cols_.size))
+    s, t, w = edges_between(net, rows, cols)
+    out[s, t] = w
+    both, i, j = np.intersect1d(rows, cols_, assume_unique=True, return_indices=True)
+    out[i, j] = -net.exits[both]
+    return out
+
+
 def skeleton(net: Network, rows: np.ndarray | None = None) -> np.ndarray:
     """Discrete-time jump kernel ``P = Id + L / w_max`` of the network, or
-    only its ``rows`` (distinct vertex ids), which are all that is formed.
+    only its ``rows`` (distinct vertex ids), which are all that is formed,
+    from the edge arrays (:func:`generator_block`).
 
     Rows are probability vectors; the diagonal holds the laziness
     ``1 - w(x) / w_max`` needed to equalize exit rates across vertices.
@@ -470,7 +595,7 @@ def skeleton(net: Network, rows: np.ndarray | None = None) -> np.ndarray:
     rows = np.arange(net.n) if rows is None else np.asarray(rows)
     if net.n == 1:
         return np.ones((rows.size, 1))
-    P = net.L[rows]
+    P = generator_block(net, rows, np.arange(net.n))
     P /= net.w_max
     P[np.arange(rows.size), rows] += 1.0
     # defensive: clamp parasitic -0.0 and verify stochasticity

@@ -42,7 +42,14 @@ from .errors import (
     UnknownEdge,
     ZeroCoefficient,
 )
-from .network import Network, gth_eliminate, vertex_id, vertex_set
+from .network import (
+    Network,
+    edges_between,
+    generator_block,
+    gth_eliminate,
+    vertex_id,
+    vertex_set,
+)
 
 OrientedEdge = tuple[int, int]
 
@@ -94,33 +101,17 @@ def sparse_pays(size: int, nnz: int) -> bool:
     return size >= SPARSE_MIN_SIZE and nnz <= SPARSE_DENSITY * size * size
 
 
-def edges_between(
-    net: Network, rows: np.ndarray, cols: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The edges of ``net`` from the sorted vertex ids ``rows`` into the
-    sorted ids ``cols`` (``rows`` by default), in the order of the edge
-    arrays: their positions in ``rows`` and in ``cols`` and their weights.
-    Scattered into zeros they are the off-diagonal entries of
-    ``L[np.ix_(rows, cols)]``; every sparse block of ``L`` is cut by it."""
-    cols = rows if cols is None else cols
-    at_row, at_col = np.full(net.n, -1), np.full(net.n, -1)
-    at_row[rows], at_col[cols] = np.arange(rows.size), np.arange(cols.size)
-    src, dst = at_row[net.src], at_col[net.dst]
-    inside = (src >= 0) & (dst >= 0)
-    return src[inside], dst[inside], net.w[inside]
-
-
 def block(
     net: Network, part: np.ndarray | None = None, q: float = 0.0, *,
     transpose: bool = False,
 ) -> np.ndarray | scipy.sparse.csc_array:
     """``q Id - L`` on the sorted vertex ids ``part`` (every vertex by
     default), or its transpose, as the matrix to factor: a CSC matrix
-    built from the edge arrays (:func:`edges_between`) when
-    :func:`sparse_pays` for it, else the dense block.  The size is read
-    first, so a block below ``SPARSE_MIN_SIZE`` rows reads nothing of
-    ``net`` but ``n`` and ``L``.  Either way the entries are ``-w`` off
-    the diagonal and ``q`` plus the exit rate on it."""
+    built from the edge arrays (:func:`network.edges_between`) when
+    :func:`sparse_pays` for it, else the dense block, which is ``L``
+    itself for every vertex and is formed from the edge arrays
+    (:func:`network.generator_block`) for a part.  Either way the entries
+    are ``-w`` off the diagonal and ``q`` plus the exit rate on it."""
     size = net.n if part is None else part.size
     if size >= SPARSE_MIN_SIZE:
         src, dst, w = (
@@ -128,14 +119,14 @@ def block(
         )
         if sparse_pays(size, w.size + size):
             ids = np.arange(size)
-            diag_L = np.diag(net.L) if part is None else net.L[part, part]
+            exits = net.exits if part is None else net.exits[part]
             with np.errstate(over="ignore"):  # CheckedLU refuses an overflow
-                data = np.concatenate([-w, q - diag_L])
+                data = np.concatenate([-w, q + exits])
             rows, cols = np.concatenate([src, ids]), np.concatenate([dst, ids])
             if transpose:
                 rows, cols = cols, rows
             return scipy.sparse.csc_array((data, (rows, cols)), shape=(size, size))
-    L = net.L if part is None else net.L[np.ix_(part, part)]
+    L = net.L if part is None else generator_block(net, part)
     with np.errstate(over="ignore"):  # CheckedLU refuses an overflow
         M = q * np.eye(size) - L
     return M.T if transpose else M
@@ -212,6 +203,28 @@ class CheckedLU:
         if not resid <= config.RESIDUAL_TOL * max(1.0, scale):
             raise SingularSystem(f"{self.what} residual {resid:.3e}")
         return x
+
+
+def checked_inverses(M: np.ndarray, what: str) -> np.ndarray:
+    """The inverses of the stack of square matrices ``M`` (``what`` in
+    errors), checked as :class:`CheckedLU` checks a solve: ``SingularSystem``
+    on an entry or row sum that overflows, on an exactly singular matrix,
+    or when ``max |M X - Id|`` exceeds ``RESIDUAL_TOL`` times
+    ``max(1, max |X| * max(1, ||M||_inf))`` for one of them."""
+    norm = np.abs(M).sum(axis=-1).max(axis=-1)
+    if not np.isfinite(norm).all():
+        raise SingularSystem(f"{what} overflows")
+    try:
+        X = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        raise SingularSystem(f"{what} is singular (zero pivot)") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = np.abs(M @ X - np.eye(M.shape[-1])).max(axis=(-2, -1))
+        scale = np.abs(X).max(axis=(-2, -1)) * np.maximum(1.0, norm)
+    ok = resid <= config.RESIDUAL_TOL * np.maximum(1.0, scale)
+    if not ok.all():
+        raise SingularSystem(f"{what} residual {resid[~ok].max():.3e}")
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -352,15 +365,15 @@ def transfer_current(
     ends = np.union1d(tail, head)
     free = _free_vertices(net, roots)
     live = np.flatnonzero(np.isin(ends, free))
-    G, L = np.zeros((net.n, ends.size)), net.L
+    G = np.zeros((net.n, ends.size))
     if live.size:
         unit = np.zeros((free.size, live.size))
         unit[np.searchsorted(free, ends[live]), np.arange(live.size)] = 1.0
         G[np.ix_(free, live)] = killed_lu(net, q, free).solve(unit)
     at_tail, at_head = np.searchsorted(ends, tail), np.searchsorted(ends, head)
-    J = G[:, at_tail] * L[tail, head]  # J[x, e'] for every vertex x
+    J = G[:, at_tail] * net.rate(tail, head)  # J[x, e'] for every vertex x
     if signed:
-        J = J - G[:, at_head] * L[head, tail]
+        J = J - G[:, at_head] * net.rate(head, tail)
     return J[tail] - J[head]
 
 
@@ -372,12 +385,10 @@ def check_edge_event(
     edges = [
         (vertex_id(s, "edge event"), vertex_id(d, "edge event")) for s, d in edge_list
     ]
-    L = net.L
     for s, d in edges:
-        # an id outside 0..n-1 must not index L (a negative one would wrap);
-        # s == d reads the negative diagonal, so it is absent too
-        present = 0 <= s < net.n and 0 <= d < net.n and (
-            L[s, d] > 0.0 or (signed and L[d, s] > 0.0)
+        # an id outside 0..n-1 is no vertex, and s == d no edge
+        present = 0 <= s < net.n and 0 <= d < net.n and s != d and (
+            net.rate(s, d) > 0.0 or (signed and net.rate(d, s) > 0.0)
         )
         if not present:
             raise UnknownEdge(f"edge ({s}, {d}) not in network")
@@ -524,7 +535,7 @@ def lerw_path_prob(
     """
     q, roots, p = check_path(net, q, path, B)
     ends_absorbed = p[-1] in roots
-    factors = net.L[p[:-1], p[1:]].tolist() + ([] if ends_absorbed else [q])
+    factors = net.rate(p[:-1], p[1:]).tolist() + ([] if ends_absorbed else [q])
     if not all(factors):
         return 0.0
     removed = np.asarray(p[:-1] if ends_absorbed else p, dtype=np.int64)

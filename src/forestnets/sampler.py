@@ -35,7 +35,7 @@ import scipy.special
 
 from . import config, oracle
 from .errors import InvalidParams, InvalidStart, NumericalError
-from .network import Network, vertex_set
+from .network import Network, generator_block, vertex_set
 
 _BUF = 64  # uniforms drawn per refill of a branch's buffer past block 1
 _CHUNK = 1 << 14  # (sample, branch) pairs whose block 1 is computed at once
@@ -204,7 +204,7 @@ def check_step_budget(
     ``forced`` roots its first walk runs until it is killed, which takes
     at least ``w_min / q`` steps on average (``w_min`` the least exit
     rate)."""
-    w_min = -float(net.L.diagonal().max())
+    w_min = float(net.exits.min())
     per_draw = [1.0 if forced else max(1.0, w_min / q) for q in q_grid]
     steps = n_draws * sum(per_draw)
     if steps > config.MAX_WALK_STEPS:
@@ -577,7 +577,7 @@ def restricted_equilibrium(net: Network, block: Sequence[int]) -> np.ndarray:
     k = idx.size
     if k == 1:
         return np.array([1.0])
-    sub = net.L[np.ix_(idx, idx)]
+    sub = generator_block(net, idx)
     np.fill_diagonal(sub, 0.0)
     sub -= np.diag(sub.sum(axis=1))
     a = np.vstack([sub.T, np.ones(k)])

@@ -68,10 +68,12 @@ class PyramidLevel:
     sides and drop the factors.  Each solve is an :class:`oracle.CheckedLU`
     of the matrix :func:`oracle.block` builds, sparse (SuperLU) or dense by
     the density rule of :func:`oracle.sparse_pays`, and the products with
-    ``L`` read its sparse rows under the same rule (:attr:`generator`).  A level keeps
-    the network's dense ``L`` and the dense Schur complement; the factors
-    of ``-L_DD`` it keeps are sparse on a sparse level and an LU of a
-    dense copy of the block on a dense one.
+    ``L`` read its sparse rows under the same rule (:attr:`generator`).
+    The same rule decides what a level keeps: on a sparse level no dense
+    ``L`` is formed, the Schur complement is a sparse matrix when the rule
+    picks it for its own density, and the factors of ``-L_DD`` are
+    SuperLU's; a dense level forms ``L``, keeps a dense Schur complement
+    and the LU of a dense copy of the block.
 
     Position ``i`` of the next level corresponds to ``keep[i]`` here.  In
     a pyramid, ``detail`` holds the level's detail coefficients and

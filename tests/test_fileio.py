@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from forestnets import coarsegrain as cg
-from forestnets import fileio, network, oracle
+from forestnets import cli, fileio, network, oracle
 from forestnets import wavelets as wv
 from forestnets.errors import MalformedInput
 from forestnets.network import build_network
@@ -444,3 +445,108 @@ def test_only_the_base_measure_is_solved(monkeypatch, theta):
             nets = [lvl.network for lvl in p.levels] + [p.levels[-1].next_network]
             mus = [lvl.mu for lvl in p.levels] + [p.apex_mu]
             assert all(np.array_equal(a.mu, b) for a, b in zip(nets, mus))
+
+
+# ---------------------------------------------------------------------------
+# a dense generator only on dense levels
+
+
+def sparse_by_rule(net):
+    return oracle.sparse_pays(net.n, net.w.size + net.n)
+
+
+def record_dense_generators(monkeypatch):
+    """Whether each network whose dense ``L`` is formed from its edges is
+    sparse by the density rule, in order (``Network.L`` is patched)."""
+    formed = []
+    real = network.Network.L.func
+
+    def counted(net):
+        formed.append(sparse_by_rule(net))
+        return real(net)
+
+    monkeypatch.setattr(network.Network.L, "func", counted)
+    return formed
+
+
+def test_build_forms_no_dense_generator_on_a_sparse_level(monkeypatch):
+    # a 64x64 build from fixed kept sets of 65%, and a sampled 32x32 build,
+    # which runs the tuning scan and the kept-set draws: every network
+    # sparse by the rule keeps its edge arrays alone, and a dense one
+    # holds its L (the rates of its dense Schur complement)
+    formed = record_dense_generators(monkeypatch)
+    for side, seed in ((64, None), (32, 5)):
+        rng = np.random.default_rng(side)
+        pairs = [(x, y) for x, y, _ in grid_edges(side, side)[::2]]
+        w = rng.uniform(0.5, 2.0, len(pairs))
+        edges = [(x, y, c) for (x, y), c in zip(pairs, w)]
+        net = build_network(edges + [(y, x, c) for (x, y), c in zip(pairs, w)], side**2)
+        keeps, n = [], side * side
+        for _ in range(3):
+            keeps.append(np.sort(rng.choice(n, round(0.65 * n), replace=False)))
+            n = keeps[-1].size
+        kw = dict(forced_keep=keeps) if seed is None else dict(seed=seed, max_levels=3)
+        pyr = wv.build_pyramid(net, rng.normal(size=side * side), **kw)
+        nets = [pyr.base] + [lvl.next_network for lvl in pyr.levels]
+        dense = [not sparse_by_rule(x) for x in nets]
+        assert dense[:2] == [False, False] and dense[-1]
+        assert ["L" in vars(x) for x in nets] == dense
+    assert True not in formed
+
+
+def test_archive_queries_form_no_dense_generator_on_a_sparse_level(
+    monkeypatch, tmp_path, capsys
+):
+    formed = record_dense_generators(monkeypatch)
+    path = tmp_path / "pyramid.json"
+    path.write_text(seeded_query_archive())
+    for argv in (
+        ["signal", "compress", str(path), "--fractions", "0.1,0.5,1"],
+        ["signal", "bounds", str(path), "--p", "2"],
+        ["signal", "bounds", str(path), "--p", "inf"],
+        ["signal", "reconstruct", str(path), "--keep-fraction", "0.1"],
+    ):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert True not in formed
+    # the same queries in the library: the sparse levels (the base, and the
+    # level-0 reduction's network of a sparse Schur complement) hold no L,
+    # the dense ones do
+    back, _ = fileio.read_pyramid(io.StringIO(path.read_text()))
+    wv.compression_curve(back, [0.1, 0.5, 1.0])
+    wv.stability_bounds(back, 2.0)
+    wv.reconstruct_pyramid(back)
+    nets = [back.base] + [lvl.next_network for lvl in back.levels]
+    dense = [not sparse_by_rule(x) for x in nets]
+    assert dense == [False, False, True, True]
+    assert ["L" in vars(x) for x in nets] == dense
+    assert scipy.sparse.issparse(back.levels[0].reduction.Lbar)
+    assert not scipy.sparse.issparse(back.levels[1].reduction.Lbar)
+    assert True not in formed
+
+
+def test_sparsified_archive_level_keeps_no_rates():
+    # a sparsified level runs the next level on its stored network, so once
+    # the bounds and the reconstruction have checked its Schur complement
+    # it holds that complement and no kept x kept rates, and no network
+    n = 32
+    net = build_network(cycle_edges(n, 1.0), n)
+    pyr = wv.build_pyramid(
+        net, np.sin(np.arange(n) / 4.0), seed=9, max_levels=3, sparsify_theta=0.5
+    )
+    buf = io.StringIO()
+    fileio.write_pyramid(buf, pyr)
+    back, _ = fileio.read_pyramid(io.StringIO(buf.getvalue()))
+    wv.stability_bounds(back, 2.0)
+    wv.reconstruct_pyramid(back)
+    red = back.levels[0].reduction
+    assert back.levels[0].sparsified
+    k = red.kept.size
+    held = [
+        v
+        for value in vars(red).values()
+        for v in (value if isinstance(value, tuple) else (value,))
+        if getattr(v, "shape", None) == (k, k)
+    ]
+    assert len(held) == 1 and held[0] is red.Lbar
+    assert "network" not in vars(red)

@@ -3,6 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -500,3 +501,54 @@ def test_overflowing_exit_rate_is_invalid(recwarn):
     with pytest.raises(InvalidParams, match="exit rate of vertex 0 overflows"):
         build_network(edges, 3)
     assert len(recwarn) == 0
+
+
+# ---------------------------------------------------------------------------
+# guards: the exit rates are the dense row sums, bit for bit
+
+
+def seeded_grid(side, symmetric):
+    """A side x side 4-neighbour grid with weights in [0.5, 2] drawn from
+    ``default_rng(side)``: the same both ways, or drawn for each direction."""
+    rng = np.random.default_rng(side)
+    pairs = [(x, y) for x, y, _ in netdefs.grid_edges(side, side)[::2]]
+    fwd, back = rng.uniform(0.5, 2.0, (2, len(pairs)))
+    back = fwd if symmetric else back
+    edges = [(x, y, w) for (x, y), w in zip(pairs, fwd)]
+    return build_network(edges + [(y, x, w) for (x, y), w in zip(pairs, back)], side * side)
+
+
+@pytest.mark.parametrize("side", [24, 64])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_exit_rates_are_the_dense_row_sums_bit_for_bit(side, symmetric):
+    # the exit rates set w_max and every diagonal of L; summed in any other
+    # order than the dense row's they differ in the last bit, as
+    # np.bincount's do on these grids
+    net = seeded_grid(side, symmetric)
+    W = np.zeros((net.n, net.n))
+    W[net.src, net.dst] = net.w
+    dense = W.sum(axis=1)
+    assert net.exits.tobytes() == dense.tobytes()
+    assert net.w_max == float(dense.max())
+    assert not np.array_equal(np.bincount(net.src, net.w, net.n), dense)
+    # and from sparse rates, as a Schur reduction hands them over
+    sparse = scipy.sparse.csr_array(W)
+    assert network.exit_rates(sparse).tobytes() == dense.tobytes()
+    assert Network.of_rates(sparse, net.mu).exits.tobytes() == dense.tobytes()
+
+
+def test_network_forms_its_dense_generator_only_when_read():
+    # a reversible network's measure comes from its tree, and nothing but a
+    # read of L forms L; GTH, the measure of any other network, reads it
+    assert "L" in vars(seeded_grid(12, False))
+    net = seeded_grid(24, True)
+    assert "L" not in vars(net)
+    assert net.reversible and "L" not in vars(net)
+    W = np.zeros((net.n, net.n))
+    W[net.src, net.dst] = net.w
+    np.fill_diagonal(W, -net.exits)
+    assert net.L.tobytes() == W.tobytes()
+    rows = np.array([5, 0, 300])
+    assert skeleton(net, rows).tobytes() == skeleton(net)[rows].tobytes()
+    x, y = np.array([0, 0, 1, 25]), np.array([1, 2, 0, 24])
+    assert net.rate(x, y).tolist() == W[x, y].tolist()

@@ -58,6 +58,51 @@ def networks(draw):
     return digraph_net(rng, n, draw(st.integers(0, 30))), rng
 
 
+@st.composite
+def kept_sets(draw, net, rng):
+    """A kept set whose dropped set is of one of three kinds: random,
+    one-vertex clusters only, or one cluster holding every dropped vertex
+    (see :func:`coarsegrain._cluster_sum`)."""
+    kind = draw(st.sampled_from(["random", "one-vertex", "one cluster"]))
+    if kind == "one-vertex":
+        dropped = one_vertex_clusters(net, rng)
+    elif kind == "one cluster":
+        dropped = one_cluster(net, rng, draw(st.integers(1, net.n - 1)))
+    else:
+        dropped = rng.choice(net.n, draw(st.integers(1, net.n - 1)), replace=False)
+    return np.setdiff1d(np.arange(net.n), dropped)
+
+
+def one_vertex_clusters(net, rng):
+    """A dropped set with no edge inside it, drawn greedily in a random
+    order: every dropped vertex is a cluster of its own."""
+    blocked = np.zeros(net.n, dtype=bool)
+    dropped = []
+    for v in rng.permutation(net.n).tolist():
+        if not blocked[v]:
+            dropped.append(v)
+            blocked[v] = True
+            blocked[net.dst[net.src == v]] = True
+            blocked[net.src[net.dst == v]] = True
+    return dropped
+
+
+def one_cluster(net, rng, size):
+    """A dropped set of ``size`` vertices joined into one cluster: a
+    breadth-first ball around a random vertex, along edges either way."""
+    ball = {int(rng.integers(net.n))}
+    frontier = list(ball)
+    while len(ball) < size and frontier:
+        nxt = []
+        for v in frontier:
+            for u in np.concatenate([net.dst[net.src == v], net.src[net.dst == v]]):
+                if len(ball) < size and int(u) not in ball:
+                    ball.add(int(u))
+                    nxt.append(int(u))
+        frontier = nxt
+    return sorted(ball)
+
+
 def close(a, b, scale=0.0):
     """``a`` matches ``b`` to ``REL`` of the larger of ``max |b|`` and
     ``scale``, the size of what cancelled into ``b``."""
@@ -78,7 +123,7 @@ def nnz(net, part):
 def test_sparse_and_dense_factors_agree(drawn, data):
     net, rng = drawn
     n, L = net.n, net.L
-    keep = np.sort(rng.choice(n, data.draw(st.integers(1, n - 1)), replace=False))
+    keep = data.draw(kept_sets(net, rng))
     red = cg.ReducedNetwork(net, keep)
     k, d = red.kept, red.dropped
     assert scipy.sparse.issparse(red._lu.M) == oracle.sparse_pays(d.size, nnz(net, d))
@@ -308,3 +353,49 @@ def test_sparsify_generator_rows_are_those_of_the_full_generator(side):
     np.fill_diagonal(full, -W.sum(axis=1))
     for x in range(W.shape[0]):
         assert cg._generator_row(W, x).tobytes() == full[x].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the Schur complement summed by clusters of dropped vertices
+
+
+def dense_schur(net, k):
+    L, d = net.L, np.setdiff1d(np.arange(net.n), k)
+    X = dense_lu(-L[np.ix_(d, d)]).solve(L[np.ix_(d, k)])
+    return L[np.ix_(k, k)] + L[np.ix_(k, d)] @ X
+
+
+def check_cluster_sum(net, keep):
+    red = cg.ReducedNetwork(net, keep)
+    Lbar = red.Lbar
+    want = dense_schur(net, red.kept)
+    # stored sparse exactly when the density rule picks it for Lbar
+    assert scipy.sparse.issparse(Lbar) == oracle.sparse_pays(
+        want.shape[0], np.count_nonzero(want)
+    )
+    got = Lbar.toarray() if scipy.sparse.issparse(Lbar) else Lbar
+    assert np.abs(got - want).max() <= REL * net.w_max
+    # and the network takes its rates without densifying them
+    assert ("L" in vars(red.network)) == (not scipy.sparse.issparse(Lbar))
+    return red
+
+
+@pytest.mark.parametrize("side", [16, 20, 24])
+def test_cluster_sum_on_each_kind_of_dropped_set(side):
+    # deterministic cases that take the cluster sum: a checkerboard drops
+    # one-vertex clusters only, a square block one cluster, a random half a
+    # mix; the complement is sparse by the rule in some of them
+    rng = np.random.default_rng(side)
+    net = grid_net(rng, side)
+    r, c = np.divmod(np.arange(net.n), side)
+    for dropped in (
+        np.flatnonzero((r + c) % 2 == 0),
+        np.flatnonzero((r < side - 4) & (c < side - 4)),
+        rng.choice(net.n, net.n // 2, replace=False),
+    ):
+        keep = np.setdiff1d(np.arange(net.n), dropped)
+        assert oracle.sparse_pays(dropped.size, nnz(net, np.sort(dropped)))
+        check_cluster_sum(net, keep)
+    digraph = digraph_net(rng, 300, 2)
+    check_cluster_sum(digraph, np.sort(rng.choice(300, 120, replace=False)))
+    check_cluster_sum(digraph, one_vertex_clusters(digraph, rng))
