@@ -111,8 +111,7 @@ class ReducedNetwork:
         by the rule it is summed cluster by cluster (:func:`_cluster_sum`);
         otherwise ``L_Dk`` is solved for with the dense LU as one
         right-hand side.  Every block is formed from the parent's edge
-        arrays, or cut from its ``L`` if it has one
-        (:func:`network.generator_block`)."""
+        arrays (:func:`network.generator_block`)."""
         net, k, d = self.parent, self.kept, self.dropped
         s, t, w = edges_between(net, d)
         if oracle.sparse_pays(d.size, s.size + d.size):
@@ -188,6 +187,18 @@ def _stored(Lbar: np.ndarray | scipy.sparse.csr_array):
     return Lbar.toarray() if sparse else Lbar
 
 
+#: the largest dropped cluster whose block ``-L_CC`` :func:`_cluster_sum`
+#: inverts densely in a batch, padded to a power of two: a batch of
+#: ``m``-vertex blocks holds about four ``m x m`` arrays per cluster and
+#: takes ``O(m^3)`` flops each.  Chosen on a seeded 64x64 pyramid, one
+#: BLAS thread: caps of 16 and 32 slowed its level-0 sum (0.039 and
+#: 0.026 s against 0.021 s), caps of 64 to 256 took the same time within
+#: noise on level 1 (clusters of up to 254 vertices), and keeping one row
+#: of the grid, its 4032-vertex cluster took 9 s and 645 MiB batched
+#: against 0.03 s factored by SuperLU.
+CLUSTER_MAX = 64
+
+
 def _cluster_sum(
     net: Network, k: np.ndarray, d: np.ndarray, s: np.ndarray, t: np.ndarray,
     w: np.ndarray,
@@ -198,13 +209,17 @@ def _cluster_sum(
     run from positions ``s`` to ``t`` with weights ``w``.  A walk that
     leaves the kept set stays in one cluster until it returns, so
     ``-L_DD`` is block diagonal over the clusters, and a term touches only
-    the kept neighbours of its cluster.  The clusters are taken in
-    buckets of sizes up to a power of two, each bucket in one vectorized
-    step: its blocks ``-L_CC``, padded with the identity, are inverted
-    together (:func:`oracle.checked_inverses`), and its terms are one
-    batched product.  The one-vertex clusters, most of them on a grid,
-    are the first bucket: ``w(i, c) w(c, j) / w(c)`` for every kept
-    in-neighbour ``i`` and out-neighbour ``j`` of ``c``."""
+    the kept neighbours of its cluster.  The clusters of at most
+    ``CLUSTER_MAX`` vertices are taken in buckets of sizes up to a power
+    of two, each bucket in one vectorized step: its blocks ``-L_CC``,
+    padded with the identity, are inverted together
+    (:func:`oracle.checked_inverses`), and its terms are one batched
+    product.  The one-vertex clusters, most of them on a grid, are the
+    first bucket: ``w(i, c) w(c, j) / w(c)`` for every kept in-neighbour
+    ``i`` and out-neighbour ``j`` of ``c``.  A larger cluster is solved
+    on its own, through the :class:`oracle.CheckedLU` of its
+    :func:`oracle.block` (SuperLU's when the density rule picks it), for
+    the columns of its kept out-neighbours only."""
     n_c, label = connected_components(
         scipy.sparse.csr_array((np.ones(s.size), (s, t)), shape=(d.size, d.size)),
         directed=True,
@@ -225,8 +240,22 @@ def _cluster_sum(
     ii, jj, ww = edges_between(net, k)
     ids = np.arange(k.size)
     rows, cols, vals = [ii, ids], [jj, ids], [ww, -net.exits[k]]
+    for c in np.flatnonzero(size > CLUSTER_MAX).tolist():
+        e, f = label[dj] == c, label[di] == c
+        A = scipy.sparse.csr_array(
+            (w_in[e], (rank_in[e], local[dj[e]])), shape=(n_rows[c], size[c])
+        )
+        B = np.zeros((size[c], n_cols[c]))
+        B[local[di[f]], rank_out[f]] = w_out[f]
+        lu = oracle.CheckedLU(oracle.block(net, d[label == c]), "-L_DD")
+        T = A @ lu.solve(B)
+        r = row_ids[row_at[c]:row_at[c + 1]]
+        q = col_ids[col_at[c]:col_at[c + 1]]
+        rows.append(np.repeat(r, q.size))
+        cols.append(np.tile(q, r.size))
+        vals.append(T.ravel())
     bucket = np.frexp(size - 1)[1]  # size in (2^(b-1), 2^b]
-    for b in np.unique(bucket).tolist():
+    for b in np.unique(bucket[size <= CLUSTER_MAX]).tolist():
         cs = np.flatnonzero(bucket == b)
         slot = np.full(n_c, -1)
         slot[cs] = np.arange(cs.size)

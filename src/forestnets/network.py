@@ -568,13 +568,10 @@ def generator_block(
     net: Network, rows: np.ndarray, cols: np.ndarray | None = None
 ) -> np.ndarray:
     """``L[np.ix_(rows, cols)]`` (``cols`` is ``rows`` by default) for
-    distinct vertex ids: cut from ``L`` when the network has formed it,
-    else formed from the edge arrays (:func:`edges_between`) and the exit
-    rates, without forming ``L``.  The entries are the same either way, so
+    distinct vertex ids, formed from the edge arrays (:func:`edges_between`)
+    and the exit rates, without forming ``L``; the entries are ``L``'s, so
     are their bits."""
     cols_ = rows if cols is None else cols
-    if "L" in vars(net):
-        return net.L[np.ix_(rows, cols_)]
     out = np.zeros((rows.size, cols_.size))
     s, t, w = edges_between(net, rows, cols)
     out[s, t] = w

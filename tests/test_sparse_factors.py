@@ -384,14 +384,24 @@ def check_cluster_sum(net, keep):
 def test_cluster_sum_on_each_kind_of_dropped_set(side):
     # deterministic cases that take the cluster sum: a checkerboard drops
     # one-vertex clusters only, a square block one cluster, a random half a
-    # mix; the complement is sparse by the rule in some of them
+    # mix, a square block walled off by a kept row and column beside a
+    # random half of the rest one large cluster among small ones, and every
+    # row but the first one cluster of nearly every vertex; the complement
+    # is sparse by the rule in some of them
     rng = np.random.default_rng(side)
     net = grid_net(rng, side)
     r, c = np.divmod(np.arange(net.n), side)
+    h = side // 2
+    rest = np.flatnonzero((r > h) | (c > h))
     for dropped in (
         np.flatnonzero((r + c) % 2 == 0),
         np.flatnonzero((r < side - 4) & (c < side - 4)),
         rng.choice(net.n, net.n // 2, replace=False),
+        np.union1d(
+            np.flatnonzero((r < h) & (c < h)),
+            np.random.default_rng(side + 1).choice(rest, rest.size // 2, replace=False),
+        ),
+        np.flatnonzero(r > 0),
     ):
         keep = np.setdiff1d(np.arange(net.n), dropped)
         assert oracle.sparse_pays(dropped.size, nnz(net, np.sort(dropped)))
@@ -399,3 +409,17 @@ def test_cluster_sum_on_each_kind_of_dropped_set(side):
     digraph = digraph_net(rng, 300, 2)
     check_cluster_sum(digraph, np.sort(rng.choice(300, 120, replace=False)))
     check_cluster_sum(digraph, one_vertex_clusters(digraph, rng))
+
+
+def test_one_giant_cluster_costs_what_a_sparse_solve_does():
+    # a 64x64 grid keeping one row drops 4032 vertices in one cluster;
+    # batched, padded to 4096, its inverse alone would take 128 MiB
+    net = grid_net(np.random.default_rng(5), 64)
+    tracemalloc.start()
+    try:
+        Lbar = cg.schur_complement(net, np.arange(64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.abs(Lbar.sum(axis=1)).max() <= REL * net.w_max * 64
+    assert peak < 16 * 2**20
