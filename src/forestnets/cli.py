@@ -637,67 +637,89 @@ def _keep_arg(p: argparse.ArgumentParser) -> None:
     keep_grp.add_argument("--keep-fraction", type=float, default=None)
 
 
-def _command(sub, name: str, func, *shared) -> argparse.ArgumentParser:
-    """The parser of command ``name`` under ``sub``, which runs ``func``,
-    with the ``shared`` arguments added first."""
-    p = sub.add_parser(name)
+def _command(p: argparse.ArgumentParser, func, *shared) -> None:
+    """Fill in the parser ``p`` of a command that runs ``func``, with the
+    ``shared`` arguments added first."""
     for add in shared:
         add(p)
     p.set_defaults(func=func)
-    return p
 
 
-def _fill_graph(graph: argparse.ArgumentParser) -> None:
-    gsub = graph.add_subparsers(dest="subcommand", required=True)
-    g_info = _command(gsub, "info", cmd_graph_info, _edges_arg, _dry_arg)
-    g_info.add_argument("--json", action="store_true")
-    _command(gsub, "skeleton", cmd_graph_skeleton, _edges_arg, _dry_arg)
-    g_red = _command(gsub, "reduce", cmd_graph_reduce, _edges_arg, _dry_arg, _out_arg)
-    g_red.add_argument("--keep", type=_id_list, required=True)
-    g_red.add_argument("--sparsify-theta", type=float, default=None)
-    g_red.add_argument("--q-prime", type=float, default=None)
-    g_red.add_argument("--json", action="store_true")
+# Each command's filler, named after the group and command it fills in.
 
 
-def _fill_oracle(orc: argparse.ArgumentParser) -> None:
-    osub = orc.add_subparsers(dest="subcommand", required=True)
-    shared = (_edges_arg, _dry_arg, _roots_arg)
-    o_part = _command(osub, "partition", cmd_oracle_partition, *shared)
-    o_part.add_argument("--q", type=float, required=True)
-    o_green = _command(osub, "green", cmd_oracle_green, *shared)
-    o_green.add_argument("--q", type=float, required=True)
-    o_rp = _command(osub, "root-prob", cmd_oracle_root_prob, *shared)
-    o_rp.add_argument("--q", type=float, required=True)
-    o_rp.add_argument("--vertices", type=_id_list, required=True)
-    o_ep = _command(osub, "edge-prob", cmd_oracle_edge_prob, *shared)
-    o_ep.add_argument("--q", type=float, required=True)
-    o_ep.add_argument(
+def _graph_info(p: argparse.ArgumentParser) -> None:
+    _command(p, cmd_graph_info, _edges_arg, _dry_arg)
+    p.add_argument("--json", action="store_true")
+
+
+def _graph_skeleton(p: argparse.ArgumentParser) -> None:
+    _command(p, cmd_graph_skeleton, _edges_arg, _dry_arg)
+
+
+def _graph_reduce(p: argparse.ArgumentParser) -> None:
+    _command(p, cmd_graph_reduce, _edges_arg, _dry_arg, _out_arg)
+    p.add_argument("--keep", type=_id_list, required=True)
+    p.add_argument("--sparsify-theta", type=float, default=None)
+    p.add_argument("--q-prime", type=float, default=None)
+    p.add_argument("--json", action="store_true")
+
+
+def _oracle_at_q(p: argparse.ArgumentParser, func) -> None:
+    """Fill in an oracle command that runs ``func`` on the forest law at
+    ``--q``, with forced ``--roots``."""
+    _command(p, func, _edges_arg, _dry_arg, _roots_arg)
+    p.add_argument("--q", type=float, required=True)
+
+
+def _oracle_partition(p: argparse.ArgumentParser) -> None:
+    _oracle_at_q(p, cmd_oracle_partition)
+
+
+def _oracle_green(p: argparse.ArgumentParser) -> None:
+    _oracle_at_q(p, cmd_oracle_green)
+
+
+def _oracle_root_prob(p: argparse.ArgumentParser) -> None:
+    _oracle_at_q(p, cmd_oracle_root_prob)
+    p.add_argument("--vertices", type=_id_list, required=True)
+
+
+def _oracle_edge_prob(p: argparse.ArgumentParser) -> None:
+    _oracle_at_q(p, cmd_oracle_edge_prob)
+    p.add_argument(
         "--edges-in-forest",
         type=_edge_list,
         required=True,
         metavar="LIST",
         help="edges like '0-1,2-3'",
     )
-    o_ep.add_argument(
+    p.add_argument(
         "--signed",
         action="store_true",
         help="count an edge when either orientation is present",
     )
-    o_rc = _command(osub, "root-count", cmd_oracle_root_count, *shared)
-    o_rc.add_argument("--q", type=float, required=True)
-    o_rc.add_argument("--json", action="store_true")
-    o_pp = _command(osub, "path-prob", cmd_oracle_path_prob, *shared)
-    o_pp.add_argument("--q", type=float, required=True)
-    o_pp.add_argument("--path", type=_id_list, required=True)
-    o_hit = _command(
-        osub, "hitting", cmd_oracle_hitting, _edges_arg, _dry_arg, _out_arg
-    )
-    o_hit.add_argument("--targets", type=_id_list, required=True)
-    o_mrh = _command(
-        osub, "mean-root-hitting", cmd_oracle_mean_root_hitting, _edges_arg, _dry_arg
-    )
-    o_mrh.add_argument("--q", type=float, default=None)
-    o_mrh.add_argument(
+
+
+def _oracle_root_count(p: argparse.ArgumentParser) -> None:
+    _oracle_at_q(p, cmd_oracle_root_count)
+    p.add_argument("--json", action="store_true")
+
+
+def _oracle_path_prob(p: argparse.ArgumentParser) -> None:
+    _oracle_at_q(p, cmd_oracle_path_prob)
+    p.add_argument("--path", type=_id_list, required=True)
+
+
+def _oracle_hitting(p: argparse.ArgumentParser) -> None:
+    _command(p, cmd_oracle_hitting, _edges_arg, _dry_arg, _out_arg)
+    p.add_argument("--targets", type=_id_list, required=True)
+
+
+def _oracle_mean_root_hitting(p: argparse.ArgumentParser) -> None:
+    _command(p, cmd_oracle_mean_root_hitting, _edges_arg, _dry_arg)
+    p.add_argument("--q", type=float, default=None)
+    p.add_argument(
         "--root-count",
         type=int,
         default=None,
@@ -705,87 +727,88 @@ def _fill_oracle(orc: argparse.ArgumentParser) -> None:
     )
 
 
-def _fill_forest(forest: argparse.ArgumentParser) -> None:
-    fsub = forest.add_subparsers(dest="subcommand", required=True)
-    f_sample = _command(
-        fsub, "sample", cmd_forest_sample, _edges_arg, _dry_arg, _out_arg, _roots_arg
-    )
-    f_sample.add_argument("--q", type=float, required=True)
-    f_sample.add_argument("--seed", type=int, required=True)
-    f_sample.add_argument("--sample-index", type=int, default=0)
-    f_stats = _command(
-        fsub, "stats", cmd_forest_stats, _edges_arg, _dry_arg, _roots_arg
-    )
-    f_stats.add_argument("--q", type=float, required=True)
-    f_stats.add_argument("--seed", type=int, required=True)
-    f_stats.add_argument("--samples", type=int, required=True)
-    f_tgt = _command(
-        fsub,
-        "roots-target",
-        cmd_forest_roots_target,
-        _edges_arg,
-        _dry_arg,
-        _out_arg,
-        _roots_arg,
-    )
-    f_tgt.add_argument("--m", type=int, required=True)
-    f_tgt.add_argument("--seed", type=int, required=True)
-    f_tgt.add_argument("--q0", type=float, default=None)
-    f_tgt.add_argument("--max-iters", type=int, default=30)
-    f_tgt.add_argument("--json", action="store_true")
-    f_walk = _command(fsub, "walk", cmd_forest_walk, _edges_arg, _dry_arg, _roots_arg)
-    f_walk.add_argument("--q", type=float, required=True)
-    f_walk.add_argument("--start", type=int, required=True)
-    f_walk.add_argument("--seed", type=int, required=True)
-    f_walk.add_argument("--sample-index", type=int, default=0)
-    f_eq = _command(
-        fsub, "equilibrium-check", cmd_forest_equilibrium_check, _edges_arg, _dry_arg
-    )
-    f_eq.add_argument("--q", type=float, required=True)
-    f_eq.add_argument("--seed", type=int, required=True)
-    f_eq.add_argument("--samples", type=int, required=True)
-    f_eq.add_argument("--min-count", type=int, default=100)
+def _forest_sample(p: argparse.ArgumentParser) -> None:
+    _command(p, cmd_forest_sample, _edges_arg, _dry_arg, _out_arg, _roots_arg)
+    p.add_argument("--q", type=float, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--sample-index", type=int, default=0)
 
 
-def _fill_tune(tune: argparse.ArgumentParser) -> None:
-    _edges_arg(tune)
-    _dry_arg(tune)
+def _forest_stats(p: argparse.ArgumentParser) -> None:
+    _command(p, cmd_forest_stats, _edges_arg, _dry_arg, _roots_arg)
+    p.add_argument("--q", type=float, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--samples", type=int, required=True)
+
+
+def _forest_roots_target(p: argparse.ArgumentParser) -> None:
+    _command(
+        p, cmd_forest_roots_target, _edges_arg, _dry_arg, _out_arg, _roots_arg
+    )
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--q0", type=float, default=None)
+    p.add_argument("--max-iters", type=int, default=30)
+    p.add_argument("--json", action="store_true")
+
+
+def _forest_walk(p: argparse.ArgumentParser) -> None:
+    _command(p, cmd_forest_walk, _edges_arg, _dry_arg, _roots_arg)
+    p.add_argument("--q", type=float, required=True)
+    p.add_argument("--start", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--sample-index", type=int, default=0)
+
+
+def _forest_equilibrium_check(p: argparse.ArgumentParser) -> None:
+    _command(p, cmd_forest_equilibrium_check, _edges_arg, _dry_arg)
+    p.add_argument("--q", type=float, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--min-count", type=int, default=100)
+
+
+def _tune(tune: argparse.ArgumentParser) -> None:
+    _command(tune, cmd_tune, _edges_arg, _dry_arg)
     tune.add_argument("--seed", type=int, required=True)
     tune.add_argument("--grid", type=_float_list, default=None)
     tune.add_argument("--samples", type=int, default=16)
     tune.add_argument("--json", action="store_true")
-    tune.set_defaults(func=cmd_tune)
 
 
-def _fill_signal(signal: argparse.ArgumentParser) -> None:
-    ssub = signal.add_subparsers(dest="subcommand", required=True)
-    s_an = _command(
-        ssub, "analyze", cmd_signal_analyze, _edges_arg, _dry_arg, _out_arg, _build_arg
-    )
-    s_an.add_argument("signal", help="signal file (vertex,value)")
+def _signal_analyze(p: argparse.ArgumentParser) -> None:
+    _command(p, cmd_signal_analyze, _edges_arg, _dry_arg, _out_arg, _build_arg)
+    p.add_argument("signal", help="signal file (vertex,value)")
+
+
+def _signal_reconstruct(p: argparse.ArgumentParser) -> None:
     _command(
-        ssub,
-        "reconstruct",
-        cmd_signal_reconstruct,
-        _pyramid_arg,
-        _dry_arg,
-        _out_arg,
-        _keep_arg,
+        p, cmd_signal_reconstruct, _pyramid_arg, _dry_arg, _out_arg, _keep_arg
     )
-    _command(ssub, "approx", cmd_signal_approx, _pyramid_arg, _dry_arg, _out_arg)
-    s_cmp = _command(
-        ssub, "compress", cmd_signal_compress, _pyramid_arg, _dry_arg, _out_arg
-    )
-    s_cmp.add_argument("--fractions", type=_float_list, required=True)
-    s_bnd = _command(ssub, "bounds", cmd_signal_bounds, _pyramid_arg, _dry_arg)
-    s_bnd.add_argument("--p", type=float, required=True)
-    s_ia = _command(
-        ssub, "image-analyze", cmd_signal_image_analyze, _dry_arg, _out_arg, _build_arg
-    )
-    s_ia.add_argument("image", help="P2/P5 graymap file")
+
+
+def _signal_approx(p: argparse.ArgumentParser) -> None:
+    _command(p, cmd_signal_approx, _pyramid_arg, _dry_arg, _out_arg)
+
+
+def _signal_compress(p: argparse.ArgumentParser) -> None:
+    _command(p, cmd_signal_compress, _pyramid_arg, _dry_arg, _out_arg)
+    p.add_argument("--fractions", type=_float_list, required=True)
+
+
+def _signal_bounds(p: argparse.ArgumentParser) -> None:
+    _command(p, cmd_signal_bounds, _pyramid_arg, _dry_arg)
+    p.add_argument("--p", type=float, required=True)
+
+
+def _signal_image_analyze(p: argparse.ArgumentParser) -> None:
+    _command(p, cmd_signal_image_analyze, _dry_arg, _out_arg, _build_arg)
+    p.add_argument("image", help="P2/P5 graymap file")
+
+
+def _signal_image_reconstruct(p: argparse.ArgumentParser) -> None:
     _command(
-        ssub,
-        "image-reconstruct",
+        p,
         cmd_signal_image_reconstruct,
         _pyramid_arg,
         _dry_arg,
@@ -794,22 +817,53 @@ def _fill_signal(signal: argparse.ArgumentParser) -> None:
     )
 
 
-#: each command group's help line, and the function that fills in its
-#: commands
+#: each command group's help line and its commands' fillers by name;
+#: ``tune`` is a group that is one command, so it has one filler
 _GROUPS = {
-    "graph": ("inspect and reduce networks", _fill_graph),
-    "oracle": ("exact forest statistics", _fill_oracle),
-    "forest": ("sampling and empirical checks", _fill_forest),
-    "tune": ("killing-rate selection", _fill_tune),
-    "signal": ("multiresolution signal analysis", _fill_signal),
+    "graph": ("inspect and reduce networks", {
+        "info": _graph_info,
+        "skeleton": _graph_skeleton,
+        "reduce": _graph_reduce,
+    }),
+    "oracle": ("exact forest statistics", {
+        "partition": _oracle_partition,
+        "green": _oracle_green,
+        "root-prob": _oracle_root_prob,
+        "edge-prob": _oracle_edge_prob,
+        "root-count": _oracle_root_count,
+        "path-prob": _oracle_path_prob,
+        "hitting": _oracle_hitting,
+        "mean-root-hitting": _oracle_mean_root_hitting,
+    }),
+    "forest": ("sampling and empirical checks", {
+        "sample": _forest_sample,
+        "stats": _forest_stats,
+        "roots-target": _forest_roots_target,
+        "walk": _forest_walk,
+        "equilibrium-check": _forest_equilibrium_check,
+    }),
+    "tune": ("killing-rate selection", _tune),
+    "signal": ("multiresolution signal analysis", {
+        "analyze": _signal_analyze,
+        "reconstruct": _signal_reconstruct,
+        "approx": _signal_approx,
+        "compress": _signal_compress,
+        "bounds": _signal_bounds,
+        "image-analyze": _signal_image_analyze,
+        "image-reconstruct": _signal_image_reconstruct,
+    }),
 }
 
 
-def build_parser(group: str | None = None) -> argparse.ArgumentParser:
-    """The command line parser.  Every command group is registered, so the
-    top-level usage, help and errors read the same whatever ``group`` is;
-    only the commands of the group named ``group`` are filled in, or those
-    of every group when ``group`` names none."""
+def build_parser(
+    group: str | None = None, command: str | None = None
+) -> argparse.ArgumentParser:
+    """The command line parser.  Every command group and every command is
+    registered, so usage, help and errors read the same whatever
+    ``group`` and ``command`` are.  Only the group named ``group`` is
+    filled in, or every group when ``group`` names none.  Of the group
+    named ``group``, only the command named ``command`` is filled in, or
+    every command when ``command`` names none of its commands."""
     parser = argparse.ArgumentParser(
         prog="forestnets",
         description="Random spanning forests: exact statistics, sampling, "
@@ -819,20 +873,30 @@ def build_parser(group: str | None = None) -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, fill) in _GROUPS.items():
+    for name, (help_line, commands) in _GROUPS.items():
         group_parser = sub.add_parser(name, help=help_line)
-        if group not in _GROUPS or name == group:
-            fill(group_parser)
+        if group in _GROUPS and name != group:
+            continue
+        if callable(commands):
+            commands(group_parser)
+            continue
+        only = command if name == group and command in commands else None
+        group_sub = group_parser.add_subparsers(dest="subcommand", required=True)
+        for cmd, fill in commands.items():
+            cmd_parser = group_sub.add_parser(cmd)
+            if only in (None, cmd):
+                fill(cmd_parser)
     return parser
 
 
 def main(argv=None) -> int:
     """Run the command of ``argv`` (``sys.argv[1:]`` by default) and return
-    its exit code.  The parser is built for the group ``argv[0]`` names
-    alone (:func:`build_parser`): a command's arguments, usage and errors
-    are its group's, which is the only group built in full."""
+    its exit code.  The parser is built for the group ``argv[0]`` and the
+    command ``argv[1]`` name alone (:func:`build_parser`): a command's
+    arguments, usage and errors are its own, which is the only command
+    filled in."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = build_parser(*argv[:2]).parse_args(argv)
     try:
         return args.func(args)
     except MalformedInput as exc:

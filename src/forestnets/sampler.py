@@ -16,16 +16,22 @@ started) reads the Philox4x64-10 stream keyed ``[seed, i]``: its block
 words ``x`` that give the uniforms ``(x >> 11) * 2**-53``.  These are the
 draws of ``Generator(Philox(key=[seed, i], counter=[0, 0, 0, b])).random()``,
 so any sample of any batch can be regenerated on its own.  Block 1 of every
-possible branch of a chunk of samples is computed in one vectorized call,
-and a branch that needs more uniforms continues from a ``Philox`` set to
-counter ``[1, 0, 0, b]``.  Chunks too small to pay for that call skip it:
-each of their branches reads its whole stream from a ``Philox`` set to
-counter ``[0, 0, 0, b]``.  One ``Philox`` per call serves every branch.
+possible branch of a chunk of samples is computed in one vectorized call
+into one float64 array, which the walk reads in place; a branch that needs
+more uniforms continues from a ``Philox`` set to counter ``[1, 0, 0, b]``,
+drawing ``_BUF`` (8) uniforms per refill.  Chunks too small to pay for that
+call skip it: each of their branches reads its whole stream from a
+``Philox`` set to counter ``[0, 0, 0, b]``.  One ``Philox`` per thread
+serves every branch of every call.  A branch sets its state before its
+first draw, and ``_sample_parents`` yields only between chunks, so its
+generators interleaved in one thread do not disturb each other's streams.
 """
 
 from __future__ import annotations
 
 import operator
+import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -37,7 +43,7 @@ from . import config, oracle
 from .errors import InvalidParams, InvalidStart, NumericalError
 from .network import Network, generator_block, vertex_set
 
-_BUF = 64  # uniforms drawn per refill of a branch's buffer past block 1
+_BUF = 8  # uniforms drawn per refill of a branch's buffer past block 1
 _CHUNK = 1 << 14  # (sample, branch) pairs whose block 1 is computed at once
 _KERNEL_MIN = 192  # below this many pairs, skipping the kernel call is faster
 
@@ -46,6 +52,8 @@ _LO32 = (1 << 32) - 1
 # Philox4x64 round multipliers and key increments (Salmon et al., SC'11)
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+_local = threading.local()  # each thread's continuation generator
 
 
 def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,37 +102,28 @@ def check_stream(seed, first, count: int) -> tuple[int, range]:
     return seed, range(first, first + max(count, 0))
 
 
-def _first_blocks(seed: int, indices: range, nb: int) -> list:
+def _first_blocks(seed: int, indices: range, nb: int) -> memoryview | None:
     """Block 1 of branches ``0 .. nb - 1`` of every sample in ``indices``,
-    one flat list of ``4 * nb`` uniforms per sample, branch ``b``'s four at
-    ``4 * b``; empty lists when the chunk is too small to pay for the
-    kernel call."""
+    one flat float64 view: the ``j``-th sample's branch ``b`` reads its
+    four uniforms at ``4 * (j * nb + b)``.  ``None`` when the chunk is too
+    small to pay for the kernel call."""
     if len(indices) * nb < _KERNEL_MIN:
-        return [[]] * len(indices)
+        return None
     index = np.uint64(indices.start) + np.arange(len(indices), dtype=np.uint64)
     words = _philox_uniforms(
         seed, index[:, None], np.arange(nb, dtype=np.uint64), 1
     )
-    return np.stack(words, axis=-1).reshape(len(indices), 4 * nb).tolist()
+    return memoryview(np.stack(words, axis=-1).reshape(-1))
 
 
-def _seek(
-    gen: np.random.Generator, seed: int, sample_index: int, branch: int, done: int
-) -> None:
-    """Point ``gen`` at the stream of branch ``branch`` after its first
-    ``done`` blocks.  Resetting the state of one ``Philox`` costs less than
-    half of building a new one."""
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.array([done, 0, 0, branch], dtype=np.uint64),
-            "key": np.array([seed, sample_index], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,  # buffer spent: the next draw computes a block
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+def _thread_generator() -> np.random.Generator:
+    """This thread's generator over one ``Philox``, made on first use;
+    building one costs more than a single-sample draw."""
+    try:
+        return _local.gen
+    except AttributeError:
+        _local.gen = np.random.Generator(np.random.Philox(0))
+        return _local.gen
 
 
 @dataclass
@@ -214,57 +213,6 @@ def check_step_budget(
         )
 
 
-def _run_branch(
-    start: int,
-    kill: list[float],
-    targets: list[list[int]],
-    cumw: list[list[float]],
-    in_forest: bytearray,
-    nxt: list[int],
-    buf: list[float],
-    gen: np.random.Generator,
-    seed: int,
-    sample_index: int,
-    branch: int,
-) -> tuple[int, bool]:
-    """Walk from ``start`` until killed or absorbed; returns (terminal, killed).
-
-    ``buf`` holds the sample's block 1 of every branch, this branch's at
-    ``4 * branch``, or nothing; later uniforms come from ``gen``, moved to
-    this branch's stream on first use.
-    Next-pointers are overwritten in place; the caller retraces them.
-    """
-    seeked = False
-    done = 1 if buf else 0  # blocks of this branch that buf holds
-    pos = 4 * branch * done
-    end = pos + 4 * done
-    v = start
-    while True:
-        if pos == end:
-            if not seeked:
-                _seek(gen, seed, sample_index, branch, done)
-                seeked = True
-            buf = gen.random(_BUF).tolist()
-            pos = 0
-            end = _BUF
-        u = buf[pos]
-        pos += 1
-        pk = kill[v]
-        if u < pk:
-            return v, True
-        r = (u - pk) / (1.0 - pk)
-        cw = cumw[v]
-        i = 0
-        last = len(cw) - 1
-        while i < last and cw[i] <= r:
-            i += 1
-        y = targets[v][i]
-        nxt[v] = y
-        if in_forest[y]:
-            return y, False
-        v = y
-
-
 def _sample_parents(
     net: Network,
     q: float,
@@ -288,34 +236,72 @@ def _sample_parents(
     base = bytearray(n)
     for b in roots:
         base[b] = 1
-    gen = np.random.Generator(np.random.Philox(0))  # always reseeked
+    gen = _thread_generator()
+    bitgen = gen.bit_generator
+    # the Philox state a branch continues from: counter [done, 0, 0, b]
+    # under key [seed, i], its buffer spent so the next draw computes a block
+    counter, key = [0, 0, 0, 0], [seed, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": counter, "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     starts = range(n) if start is None else [start]
     nb = sum(1 for x in starts if not base[x])  # at most one branch each
     per = max(1, _CHUNK // max(nb, 1))
+    nxt = [-1] * n
     for lo in range(0, len(indices), per):
         chunk = indices[lo:lo + per]
+        blocks = _first_blocks(seed, chunk, nb)
+        done = 0 if blocks is None else 1  # blocks of a branch read in place
         rows = []
-        for i, blocks in zip(chunk, _first_blocks(seed, chunk, nb)):
+        at = 0  # this sample's first uniform in blocks
+        for i in chunk:
             in_forest = bytearray(base)
             parent = [-1] * n
-            nxt = [-1] * n
             branch = 0
             for x0 in starts:
                 if in_forest[x0]:
                     continue
-                terminal, killed = _run_branch(
-                    x0, kill, targets, cumw, in_forest, nxt,
-                    blocks, gen, seed, i, branch,
-                )
+                # walk from x0 until killed or absorbed, overwriting
+                # next-pointers; buf is blocks until the first refill
+                buf, pos = blocks, at + 4 * branch
+                end = pos + 4 * done
+                v = x0
+                while True:
+                    if pos == end:
+                        if buf is blocks:
+                            counter[0], counter[3], key[1] = done, branch, i
+                            bitgen.state = state
+                        buf = gen.random(_BUF).tolist()
+                        pos, end = 0, _BUF
+                    u = buf[pos]
+                    pos += 1
+                    pk = kill[v]
+                    if u < pk:
+                        in_forest[v] = 1  # a new root
+                        terminal = v
+                        break
+                    r = (u - pk) / (1.0 - pk)
+                    cw = cumw[v]  # nondecreasing: the first cw[k] > r
+                    y = targets[v][bisect_right(cw, r, 0, len(cw) - 1)]
+                    nxt[v] = y
+                    if in_forest[y]:
+                        terminal = y
+                        break
+                    v = y
                 branch += 1
+                # graft the loop erasure: retrace the next-pointers
                 v = x0
                 while v != terminal:
                     in_forest[v] = 1
                     parent[v] = nxt[v]
                     v = nxt[v]
-                if killed:
-                    in_forest[terminal] = 1
             rows.append(parent)
+            at += 4 * nb
         yield np.array(rows, dtype=np.int64)
 
 

@@ -1,7 +1,8 @@
 """Property test: a command line drawn from every command, flag, edge value
 and input file exits with a documented code (0, 2, 3 or 4) and at most a
 one-line error, never a traceback; and the parser built for the group that
-``argv[0]`` names reads it as the parser of every group does."""
+``argv[0]`` names, or for the command that ``argv[1]`` names in it, reads
+it as the parser of every group does."""
 
 import argparse
 import contextlib
@@ -205,6 +206,43 @@ def test_group_parser_reads_every_command_line_as_the_full_parser(inputs, data):
     argv = draw_argv(data, inputs)
     group = cli.build_parser(argv[0] if argv else None)
     assert parse(group, argv) == parse(cli.build_parser(), argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_command_parser_reads_every_command_line_as_the_full_parser(inputs, data):
+    # main fills in only the command that argv[1] names, or its whole
+    # group when argv[1] names none of its commands
+    argv = draw_argv(data, inputs)
+    command = cli.build_parser(*argv[:2])
+    assert parse(command, argv) == parse(cli.build_parser(), argv)
+
+
+@pytest.mark.parametrize("prefix", sorted(COMMANDS), ids=" ".join)
+@pytest.mark.parametrize("tail", [["--help"], [], ["--bogus"]])
+def test_command_help_and_errors_are_those_of_the_full_parser(prefix, tail):
+    argv = [*prefix, *tail]
+    full = parse(cli.build_parser(), argv)
+    assert full[0] in (0, 2) and (full[1] or full[2])
+    assert run(lambda: cli.main(argv))[:3] == full
+
+
+@pytest.mark.parametrize("prefix", [p for p in sorted(COMMANDS) if len(p) == 2], ids=" ".join)
+def test_an_option_before_the_command_reads_as_in_the_full_parser(prefix):
+    # argv[1] names no command here, yet the group still runs one: main
+    # must fill in the whole group
+    argv = [prefix[0], "--dry-run", prefix[1], "x"]
+    full = parse(cli.build_parser(), argv)
+    assert run(lambda: cli.main(argv))[:3] == full
+
+
+@pytest.mark.parametrize("prefix", [p for p in sorted(COMMANDS) if len(p) == 2], ids=" ".join)
+@pytest.mark.parametrize("tail", [["--help"], ["bogus"], []])
+def test_a_command_parser_registers_every_command_of_its_group(prefix, tail):
+    # the group's help and its invalid-choice and missing-command errors
+    # list every command, whichever one was filled in
+    argv = [prefix[0], *tail]
+    assert parse(cli.build_parser(*prefix), argv) == parse(cli.build_parser(), argv)
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["--version"], []] + [

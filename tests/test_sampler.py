@@ -2,6 +2,9 @@
 the exact determinantal laws at moderate sample sizes (the acceptance suite
 repeats the heavy versions)."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -367,6 +370,96 @@ def test_long_branches_follow_stream_rule():
     assert stats.root_count_hist == hist
     assert np.array_equal(stats.root_freq, is_root / N)
     assert stats.edge_freq == {e: c / N for e, c in edges.items()}
+
+
+BUF = sampler._BUF
+
+
+@pytest.mark.parametrize("length", sorted({4, 5, 4 + BUF, 5 + BUF, BUF, BUF + 1}))
+def test_branches_at_block_and_refill_edges_follow_stream_rule(length):
+    # a directed cycle whose vertex `length` is a forced root: the first
+    # branch walks 0, 1, 2, ... and reads exactly `length` uniforms unless
+    # it is killed before vertex length - 1 (kill probability 0.1 a step).
+    # Batched, block 1 holds 4 of them and each refill past it _BUF more;
+    # one sample at a time, each refill holds _BUF from the first.
+    n = length + 1
+    net = build_network([(x, (x + 1) % n, 1.0) for x in range(n)], n)
+    q, B, N = 1.0 / 9.0, (length,), 200
+    want = [_reference_parent(net, q, B, 5, i)[0] for i in range(N)]
+    full = [p for p in want if p[length - 2] == length - 1]
+    assert len(full) >= 20  # first branches that read all `length`
+    # batched: block 1 from the kernel, read in place
+    assert N * length >= sampler._KERNEL_MIN
+    (got,) = sampler._sample_parents(net, q, list(B), 5, 0, N)
+    assert got.tolist() == want
+    # one sample at a time, below the kernel threshold: each branch reads
+    # its whole stream from the thread's Philox
+    assert length < sampler._KERNEL_MIN
+    for i in range(N):
+        f = sampler.wilson_sample(net, q, B, seed=5, sample_index=i)
+        assert f.parent.tolist() == want[i], i
+
+
+@pytest.mark.parametrize("chunk", [16 * 16, 4 * 16])
+def test_interleaved_samplers_draw_what_each_draws_alone(monkeypatch, chunk):
+    # two sampling generators in one thread, with different seeds, rates
+    # and first indices, advanced a chunk at a time in turns, share the
+    # thread's Philox; long branches make most of them continue past
+    # block 1.
+    # Chunks of 16 samples of 16 branches take block 1 from the kernel,
+    # chunks of 4 fall below the kernel threshold.
+    monkeypatch.setattr(sampler, "_CHUNK", chunk)
+    net = build_network(netdefs.cycle_edges(16), 16)
+    runs = [(0.01, 3, 0), (0.05, 2**64 - 1, 100)]
+
+    def sampling(q, seed, first):
+        return sampler._sample_parents(net, q, [], seed, first, 48)
+
+    alone = [np.concatenate(list(sampling(*r))) for r in runs]
+    a, b = (sampling(*r) for r in runs)
+    turns = list(zip(a, b))
+    assert len(turns) == 48 * 16 // chunk
+    for k, got in enumerate(zip(*turns)):
+        assert np.array_equal(np.concatenate(got), alone[k])
+    for i in (0, 47):
+        for (q, seed, first), parents in zip(runs, alone):
+            want, _ = _reference_parent(net, q, (), seed, first + i)
+            assert parents[i].tolist() == want
+
+
+def test_threads_draw_what_each_draws_alone():
+    # each thread continues its branches from its own Philox: samplers run
+    # in six threads at once, switching every microsecond, draw the
+    # forests that they draw one after another
+    net = build_network(netdefs.cycle_edges(16), 16)
+    runs = [(0.01 * (k + 1), 2**63 + k, 50 * k) for k in range(6)]
+
+    def draw(q, seed, first):
+        (batch,) = sampler._sample_parents(net, q, [], seed, first, 40)
+        single = [
+            sampler.wilson_sample(net, q, seed=seed, sample_index=first + i).parent
+            for i in range(10)
+        ]
+        return batch.tolist(), np.array(single).tolist()
+
+    alone = [draw(*r) for r in runs]
+    got = [None] * len(runs)
+
+    def work(k):
+        got[k] = draw(*runs[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(runs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == alone
 
 
 def test_seeds_above_two_to_63_are_distinct(two_asym):
