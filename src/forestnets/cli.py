@@ -13,9 +13,10 @@ deterministic byte-for-byte given identical inputs.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
 
 import numpy as np
 
@@ -889,14 +890,43 @@ def build_parser(
     return parser
 
 
+def _parse_named(argv: list[str]) -> argparse.Namespace | None:
+    """``argv`` read by the parser of the command that its first words name
+    (a group and one of its commands, or ``tune``), built alone with the
+    ``prog`` it has in the full parser, into the namespace the full parser
+    hands that command.  ``None`` when they name no command, or when that
+    parser exits (help, usage and type errors) or leaves words over; what
+    it writes on the way is dropped, so that the full parser reports
+    it."""
+    commands = _GROUPS[argv[0]][1] if argv and argv[0] in _GROUPS else {}
+    if callable(commands):
+        words, fill = argv[:1], commands
+    elif len(argv) > 1 and argv[1] in commands:
+        words, fill = argv[:2], commands[argv[1]]
+    else:
+        return None
+    parser = argparse.ArgumentParser(prog=" ".join(["forestnets", *words]))
+    fill(parser)
+    namespace = argparse.Namespace(**dict(zip(("command", "subcommand"), words)))
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            args, rest = parser.parse_known_args(argv[len(words):], namespace)
+    except SystemExit:
+        return None
+    return None if rest else args
+
+
 def main(argv=None) -> int:
     """Run the command of ``argv`` (``sys.argv[1:]`` by default) and return
-    its exit code.  The parser is built for the group ``argv[0]`` and the
-    command ``argv[1]`` name alone (:func:`build_parser`): a command's
-    arguments, usage and errors are its own, which is the only command
-    filled in."""
+    its exit code.  A command line that names its command is read by that
+    command's parser alone (:func:`_parse_named`); any other, and any that
+    parser refuses or asks help of, by the parser built for the group
+    ``argv[0]`` and the command ``argv[1]`` name (:func:`build_parser`),
+    which reads every command line as the full parser does."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(*argv[:2]).parse_args(argv)
+    args = _parse_named(argv)
+    if args is None:
+        args = build_parser(*argv[:2]).parse_args(argv)
     try:
         return args.func(args)
     except MalformedInput as exc:

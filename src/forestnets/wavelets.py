@@ -475,16 +475,17 @@ class CompressionResult:
 def _detail_scores(pyr: Pyramid) -> list[tuple[float, int, int]]:
     """Detail coefficients ranked by energy contribution to the base
     2-norm: |coefficient| times the square root of the base-measure mass
-    of the vertex carrying it.  Ties break deterministically."""
-    scored = []
-    for li, (lvl, mass) in enumerate(zip(pyr.levels, pyr.base_masses)):
-        base_w = lvl.mu[lvl.dropped] * mass
-        for di in range(lvl.dropped.size):
-            scored.append(
-                (float(np.abs(lvl.detail[di]) * np.sqrt(base_w[di])), li, di)
-            )
-    scored.sort(key=lambda t: (-t[0], t[1], t[2]))
-    return scored
+    of the vertex carrying it.  Ties break by level, then by position in
+    the level."""
+    scores = [
+        np.abs(lvl.detail) * np.sqrt(lvl.mu[lvl.dropped] * mass)
+        for lvl, mass in zip(pyr.levels, pyr.base_masses)
+    ]
+    li = np.repeat(np.arange(len(scores)), [s.size for s in scores])
+    di = np.concatenate([np.arange(s.size) for s in scores] + [np.zeros(0, int)])
+    score = np.concatenate(scores + [np.zeros(0)])
+    order = np.lexsort((di, li, -score))
+    return list(zip(score[order].tolist(), li[order].tolist(), di[order].tolist()))
 
 
 def compress(pyr: Pyramid, keep_count: int) -> CompressionResult:

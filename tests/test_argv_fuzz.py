@@ -2,7 +2,9 @@
 and input file exits with a documented code (0, 2, 3 or 4) and at most a
 one-line error, never a traceback; and the parser built for the group that
 ``argv[0]`` names, or for the command that ``argv[1]`` names in it, reads
-it as the parser of every group does."""
+it as the parser of every group does; and ``main``, which reads a command
+line that names its command with that command's parser alone, prints,
+exits and hands the command the namespace that the full parser does."""
 
 import argparse
 import contextlib
@@ -253,3 +255,123 @@ def test_help_is_that_of_the_full_parser(argv):
     full = parse(cli.build_parser(), argv)
     assert full[0] in (0, 2) and (full[1] or full[2])
     assert run(lambda: cli.main(argv))[:3] == full
+
+
+# ---------------------------------------------------------------------------
+# main against the full parser, down to the namespace each command is handed
+
+
+@contextlib.contextmanager
+def recorded_commands():
+    """Every command's ``func`` replaced by its own recorder, which keeps
+    the namespace it is handed (as text, where a NaN equals itself) and
+    returns 0; yields the list of those namespaces."""
+    seen = []
+
+    def recorder():
+        def record(args):
+            seen.append(repr(vars(args)))
+            return 0
+
+        return record
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in [n for n in vars(cli) if n.startswith("cmd_")]:
+            mp.setattr(cli, name, recorder())
+        yield seen
+
+
+def main_and_full(argv):
+    """What ``main`` and the full parser make of ``argv``: exit code,
+    stdout, stderr and the namespaces the command was handed."""
+    with recorded_commands() as seen:
+        code, out, err, _ = run(lambda: cli.main(argv))
+        ran = (code, out, err, list(seen))
+        result, out, err = parse(cli.build_parser(), argv)
+    if isinstance(result, str):  # the namespace main should hand on
+        return ran, (0, out, err, [result])
+    return ran, (result, out, err, [])
+
+
+def valid_line(prefix) -> list[str]:
+    """A command line of ``prefix`` that its parser accepts: each
+    positional and each required option, with a value each reads."""
+    argv = list(prefix)
+    for action in COMMANDS[prefix]._actions:
+        if not action.option_strings:
+            argv.append("x")
+        elif action.required:
+            flag = action.option_strings[0]
+            argv += [flag, "0-1" if flag == "--edges-in-forest" else "1"]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_main_reads_every_command_line_as_the_full_parser(inputs, data):
+    ran, full = main_and_full(draw_argv(data, inputs))
+    assert ran == full
+
+
+STATS = ["forest", "stats", "x", "--q", "1", "--seed", "1", "--samples", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    *[[*prefix, tail] for prefix in sorted(COMMANDS) for tail in ("--help", "--bogus")],
+    *[[*valid_line(prefix), tail] for prefix in sorted(COMMANDS)
+      for tail in ("--help", "--bogus", "extra")],
+    *[valid_line(prefix) for prefix in sorted(COMMANDS)],
+    # abbreviated options, one of them ambiguous (--seed, --samples)
+    ["forest", "stats", "x", "--q", "1", "--se", "1", "--samp", "3"],
+    ["forest", "stats", "x", "--q", "1", "--s", "1", "--samples", "3"],
+    ["forest", "stats", "x", "--q=1", "--seed=1", "--samp=3", "--dry"],
+    # negative numbers and --
+    ["forest", "stats", "x", "--q", "-1", "--seed", "-1", "--samples", "-3"],
+    ["forest", "stats", "--q", "1", "--seed", "1", "--samples", "3", "--", "x"],
+    ["forest", "stats", "--q", "1", "--seed", "1", "--samples", "3", "--", "--x"],
+    [*STATS, "--", "y"],
+    [*STATS, "--"],
+    # ambiguous in the top-level parser, which reads every word first
+    [*STATS, "--=x"],
+    [*STATS, "--he"],
+    ["tune", "x", "--seed", "1", "--grid", "1,0.5", "--json"],
+    ["tune", "x", "--seed", "1", "--grid", ""],
+    ["tune", "--help", "x"],
+    ["tune", "x"],
+    # options before the command
+    ["forest", "--dry-run", "stats", "x", "--q", "1", "--seed", "1", "--samples", "3"],
+    ["--dry-run", *STATS],
+    ["--version", *STATS],
+    ["-h", *STATS],
+    ["forest", "-h", *STATS[1:]],
+    ["forest"],
+    ["forest", "stat", "x"],
+    ["Forest", *STATS[1:]],
+    [],
+], ids=repr)
+def test_main_reads_these_command_lines_as_the_full_parser(argv):
+    ran, full = main_and_full(argv)
+    assert ran == full
+
+
+@pytest.mark.parametrize("argv", [
+    STATS,
+    ["signal", "compress", "x", "--fractions", "0.1,0.5", "--output", "y"],
+    ["tune", "x", "--seed", "1"],
+])
+def test_main_builds_one_parser_for_a_command_line_that_names_its_command(
+    monkeypatch, argv
+):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    with recorded_commands() as seen:
+        assert cli.main(argv) == 0
+    words = argv[:1] if argv[0] == "tune" else argv[:2]
+    assert built == [" ".join(["forestnets", *words])]
+    assert len(seen) == 1

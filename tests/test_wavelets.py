@@ -396,6 +396,50 @@ def test_compress_keeps_are_nested():
     assert small.total_details == large.total_details == pyr.detail_count()
 
 
+def looped_detail_scores(pyr):
+    """The detail ranking one coefficient at a time, with numpy scalars."""
+    scored = []
+    for li, (lvl, mass) in enumerate(zip(pyr.levels, pyr.base_masses)):
+        base_w = lvl.mu[lvl.dropped] * mass
+        for di in range(lvl.dropped.size):
+            scored.append(
+                (float(np.abs(lvl.detail[di]) * np.sqrt(base_w[di])), li, di)
+            )
+    scored.sort(key=lambda t: (-t[0], t[1], t[2]))
+    return scored
+
+
+def tied_pyramid():
+    # a unit cycle has uniform mu, so equal |details| on a level tie, and
+    # the constant signal's roundoff details tie too
+    _, pyr = build_cycle_pyramid(n=48, seed=3, max_levels=3)
+    for lvl in pyr.levels:
+        lvl.detail[:] = np.resize([1.0, -1.0, 0.0, 2.0, -0.0], lvl.detail.size)
+    return pyr
+
+
+@pytest.mark.parametrize("make", [
+    *[functools.partial(lambda s: build_cycle_pyramid(seed=s, max_levels=3)[1], s)
+      for s in range(4)],
+    lambda: wv.build_pyramid(
+        build_network(grid_edges(6, 6), 36),
+        np.random.default_rng(2).normal(size=36), seed=4, max_levels=3,
+    ),
+    lambda: wv.build_pyramid(build_network(cycle_edges(32, 1.0), 32), np.ones(32), seed=5),
+    lambda: build_cycle_pyramid(n=16, seed=1, max_levels=0)[1],
+    tied_pyramid,
+])
+def test_detail_scores_match_the_loop_bit_for_bit(make):
+    pyr = make()
+    ranked = wv._detail_scores(pyr)
+    looped = looped_detail_scores(pyr)
+    assert [(s.hex(), li, di) for s, li, di in ranked] == [
+        (s.hex(), li, di) for s, li, di in looped
+    ]
+    assert all(type(x) is t for row in ranked for x, t in zip(row, (float, int, int)))
+    assert len(ranked) == pyr.detail_count()
+
+
 # ---------------------------------------------------------------------------
 # stability bounds
 
