@@ -84,7 +84,7 @@ def _edge_list(text: str) -> list[tuple[int, int]]:
 
 def _load_network(args) -> Network:
     with open(args.edges) as fh:
-        return fileio.read_network(fh, getattr(args, "undirected", False))
+        return fileio.read_network(fh, args.undirected)
 
 
 def _load_pyramid(args):
@@ -93,14 +93,13 @@ def _load_pyramid(args):
 
 
 def _out(args, binary: bool = False):
-    path = getattr(args, "output", None)
-    if path:
-        return open(path, "wb" if binary else "w")
+    if args.output:
+        return open(args.output, "wb" if binary else "w")
     return nullcontext(sys.stdout.buffer if binary else sys.stdout)
 
 
 def _dry(args) -> bool:
-    if getattr(args, "dry_run", False):
+    if args.dry_run:
         print("dry-run: inputs valid")
         return True
     return False
@@ -856,15 +855,9 @@ _GROUPS = {
 }
 
 
-def build_parser(
-    group: str | None = None, command: str | None = None
-) -> argparse.ArgumentParser:
-    """The command line parser.  Every command group and every command is
-    registered, so usage, help and errors read the same whatever
-    ``group`` and ``command`` are.  Only the group named ``group`` is
-    filled in, or every group when ``group`` names none.  Of the group
-    named ``group``, only the command named ``command`` is filled in, or
-    every command when ``command`` names none of its commands."""
+def build_parser() -> argparse.ArgumentParser:
+    """The full command line parser, with every command group and every
+    command filled in."""
     parser = argparse.ArgumentParser(
         prog="forestnets",
         description="Random spanning forests: exact statistics, sampling, "
@@ -876,17 +869,12 @@ def build_parser(
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, commands) in _GROUPS.items():
         group_parser = sub.add_parser(name, help=help_line)
-        if group in _GROUPS and name != group:
-            continue
         if callable(commands):
             commands(group_parser)
             continue
-        only = command if name == group and command in commands else None
         group_sub = group_parser.add_subparsers(dest="subcommand", required=True)
         for cmd, fill in commands.items():
-            cmd_parser = group_sub.add_parser(cmd)
-            if only in (None, cmd):
-                fill(cmd_parser)
+            fill(group_sub.add_parser(cmd))
     return parser
 
 
@@ -920,13 +908,12 @@ def main(argv=None) -> int:
     """Run the command of ``argv`` (``sys.argv[1:]`` by default) and return
     its exit code.  A command line that names its command is read by that
     command's parser alone (:func:`_parse_named`); any other, and any that
-    parser refuses or asks help of, by the parser built for the group
-    ``argv[0]`` and the command ``argv[1]`` name (:func:`build_parser`),
-    which reads every command line as the full parser does."""
+    parser refuses or asks help of, by the full parser
+    (:func:`build_parser`)."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_named(argv)
     if args is None:
-        args = build_parser(*argv[:2]).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except MalformedInput as exc:

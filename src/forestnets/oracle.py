@@ -295,10 +295,10 @@ def _log_partition(net: Network, q: float, forbidden: np.ndarray) -> float:
     at most ``q + exit rate``; ``SingularSystem`` if that overflows."""
     free = _free_vertices(net, forbidden)
     with np.errstate(over="ignore"):
-        if not np.isfinite(q - net.L[free, free]).all():
+        if not np.isfinite(q + net.exits[free]).all():
             raise SingularSystem("q Id - L overflows")
-    r = np.pad(net.L[np.ix_(free, free)], (1, 0))  # killing: a jump to 0
-    r[1:, 0] = q + net.L[np.ix_(free, forbidden)].sum(axis=1)
+    r = np.pad(generator_block(net, free), (1, 0))  # killing: a jump to 0
+    r[1:, 0] = q + generator_block(net, free, forbidden).sum(axis=1)
     return float(sum(np.log(np.diag(up)).sum() for *_, up in gth_eliminate(r)))
 
 

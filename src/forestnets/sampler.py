@@ -41,7 +41,7 @@ import scipy.special
 
 from . import config, oracle
 from .errors import InvalidParams, InvalidStart, NumericalError
-from .network import Network, generator_block, vertex_set
+from .network import Network, generator_block, vertex_id, vertex_set
 
 _BUF = 8  # uniforms drawn per refill of a branch's buffer past block 1
 _CHUNK = 1 << 14  # (sample, branch) pairs whose block 1 is computed at once
@@ -333,7 +333,7 @@ def loop_erased_walk(
     """Loop erasure of one killed walk from ``start`` (the first branch of a
     Wilson sample).  The path ends inside ``B`` when absorbed, else at the
     kill position."""
-    q, roots = check_walk_args(net, q, start, B)
+    q, roots, start = check_walk_args(net, q, start, B)
     (parent,) = next(
         _sample_parents(net, q, roots, seed, sample_index, 1, start=start)
     )
@@ -346,15 +346,17 @@ def loop_erased_walk(
 
 def check_walk_args(
     net: Network, q: float, start: int, B: Sequence[int] = ()
-) -> tuple[float, list[int]]:
-    """:func:`check_sampling_args`, then ``InvalidParams`` unless ``start``
-    is a vertex and ``InvalidStart`` if it is a forced root."""
+) -> tuple[float, list[int], int]:
+    """:func:`check_sampling_args` and the int ``start`` stands for, or
+    ``InvalidParams`` unless ``start`` is a vertex and ``InvalidStart`` if
+    it is a forced root."""
     q, roots = check_sampling_args(net, q, B)
+    start = vertex_id(start, "start vertex")
     if not (0 <= start < net.n):
         raise InvalidParams(f"start vertex {start} outside 0..{net.n - 1}")
     if start in roots:
         raise InvalidStart(f"walk cannot start on a forced root: {start}")
-    return q, roots
+    return q, roots, start
 
 
 # ---------------------------------------------------------------------------

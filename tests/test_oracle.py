@@ -20,7 +20,7 @@ from forestnets.errors import (
     UnknownEdge,
     ZeroCoefficient,
 )
-from forestnets.network import build_network
+from forestnets.network import build_network, gth_eliminate
 
 import netdefs
 
@@ -335,6 +335,34 @@ def test_lerw_path_law_at_large_rates():
     paths = [[0], [0, 1], [0, 3], [0, 1, 2], [0, 3, 2], [0, 1, 2, 3], [0, 3, 2, 1]]
     total = math.fsum(oracle.lerw_path_prob(net, 1.0, p) for p in paths)
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_determinant_ratios_leave_a_reversible_grid_without_dense_l():
+    # a reversible network's measure comes from its tree, so L is formed
+    # only when read; the partition function and the removal ratios cut
+    # their blocks from the edges, with the dense formula's bits
+    side = 12
+    rng = np.random.default_rng(side)
+    pairs = [(x, y) for x, y, _ in netdefs.grid_edges(side, side)[::2]]
+    w = rng.uniform(0.5, 2.0, len(pairs))
+    edges = [(x, y, c) for (x, y), c in zip(pairs, w)]
+    net = build_network(edges + [(y, x, c) for (x, y), c in zip(pairs, w)], side**2)
+    B = [0, 5, 77]
+    z, z_b = oracle.partition_fn(net, 0.3), oracle.partition_fn(net, 0.3, B)
+    p = oracle.root_inclusion_prob(net, 0.3, [1, 40], B)
+    assert net.reversible and "L" not in vars(net)
+
+    def log_z(forbidden):
+        free = np.setdiff1d(np.arange(net.n), forbidden)
+        r = np.pad(net.L[np.ix_(free, free)], (1, 0))
+        r[1:, 0] = 0.3 + net.L[np.ix_(free, forbidden)].sum(axis=1)
+        return float(sum(np.log(np.diag(up)).sum() for *_, up in gth_eliminate(r)))
+
+    none = np.array([], dtype=np.int64)
+    assert z == math.exp(log_z(none))
+    assert z_b == math.exp(log_z(np.array(B)))
+    log_w = 2 * math.log(0.3)
+    assert p == math.exp(log_w + log_z(np.array(B + [1, 40])) - log_z(np.array(B)))
 
 
 # -- hitting times ----------------------------------------------------------

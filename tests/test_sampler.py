@@ -128,6 +128,18 @@ def test_lerw_with_absorption(path3):
         sampler.loop_erased_walk(path3, 0.5, 0, B=[0], seed=8)
 
 
+def test_walk_start_is_read_as_a_vertex_id(path3):
+    # the start was range-checked as it came, so 1.0 indexed a bytearray
+    # and 1.5 raised TypeError; it is read as every other vertex argument
+    for i in range(20):
+        want = sampler.loop_erased_walk(path3, 1.0, 1, seed=3, sample_index=i)
+        for start in (1.0, np.int64(1)):
+            got = sampler.loop_erased_walk(path3, 1.0, start, seed=3, sample_index=i)
+            assert got == want and type(got[0]) is int
+    with pytest.raises(InvalidParams, match="start vertex is not an integer"):
+        sampler.loop_erased_walk(path3, 1.0, 1.5, seed=3)
+
+
 def test_mean_roots_three_sigma(two_asym):
     N = 5000
     st = sampler.empirical_stats(two_asym, 3.0, n_samples=N, seed=13)
