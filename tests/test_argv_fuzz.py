@@ -3,7 +3,9 @@ and input file exits with a documented code (0, 2, 3 or 4) and at most a
 one-line error, never a traceback; and ``main``, which reads a command
 line that names its command with that command's parser alone and any
 other with the full parser, prints, exits and hands the command the
-namespace that the full parser does."""
+namespace that the full parser does.  That command's parser reads every
+line it takes as the full parser does, takes every command's own lines,
+and declines, writing nothing, what the full parser is to report."""
 
 import argparse
 import contextlib
@@ -199,6 +201,45 @@ def test_every_command_line_exits_cleanly(inputs, prefix, data):
         assert err.count("\n") == 1 or err.startswith("usage: "), err
     else:
         assert err == "", err
+
+
+def named(argv: list[str]):
+    """``cli._parse_named(argv)`` as text (``None`` when it declines), with
+    what it wrote to stdout and stderr."""
+    result, out, err, _ = run(lambda: cli._parse_named(argv))
+    return (None if result is None else repr(vars(result))), out, err
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_command_parser_reads_every_command_line_as_the_full_parser(inputs, data):
+    # the parser that main builds for the command argv names reads every
+    # command line it takes as the full parser does, and writes nothing
+    argv = draw_argv(data, inputs)
+    got, out, err = named(argv)
+    assert (out, err) == (b"", "")
+    if got is not None:
+        assert parse(cli.build_parser(), argv) == (got, b"", "")
+
+
+@pytest.mark.parametrize("prefix", sorted(COMMANDS), ids=" ".join)
+def test_every_command_is_read_by_its_own_parser(prefix):
+    # no command falls back to the full parser on a line it accepts
+    argv = valid_line(prefix)
+    got, out, err = named(argv)
+    assert got is not None and (out, err) == (b"", "")
+    assert parse(cli.build_parser(), argv) == (got, b"", "")
+
+
+@pytest.mark.parametrize("prefix", sorted(COMMANDS), ids=" ".join)
+@pytest.mark.parametrize("tail", ["--help", "--bogus", "extra"])
+def test_a_command_parser_declines_silently_what_the_full_parser_reports(prefix, tail):
+    # help, an unknown option and a word left over are the full parser's
+    # to print: the command's own parser declines and writes nothing
+    argv = [*valid_line(prefix), tail]
+    assert named(argv) == (None, b"", "")
+    code, out, err = parse(cli.build_parser(), argv)
+    assert code in (0, 2) and (out or err)
 
 
 @pytest.mark.parametrize("prefix", sorted(COMMANDS), ids=" ".join)
