@@ -40,7 +40,6 @@ from .network import (
     edges_between,
     exit_rates,
     generator_block,
-    skeleton,
     vertex_set,
 )
 from .norms import check_p, condition_measure, holder_conjugate, lp_norm
@@ -55,24 +54,18 @@ class ReducedNetwork:
     generator of the walk watched only on kept vertices.
 
     ``keep`` is validated once, into the sorted ``kept``; position ``i`` of
-    the reduction corresponds to parent vertex ``kept[i]``.  What depends on
-    the Schur complement is computed on first use and kept: the exact
-    complement ``Lbar``, stored sparse (CSR) exactly when the density rule
-    of :func:`oracle.sparse_pays` picks it; the reduced ``network``, whose
-    off-diagonal rates :func:`reduced_rates` checks; the reduced maximal
-    exit rate ``w_max``; the ``hitting_times`` of ``kept`` and the return
-    ``speeds``.  ``mu`` is the parent's measure conditioned on ``kept``,
-    which those checks show invariant for the reduced generator, so the
-    network takes it rather than solving for one; reading ``mu`` or
-    ``w_max`` never builds the network.  The checked rates are one copy of
-    ``Lbar``, sparse when it is, and the network is built by
-    :meth:`Network.of_rates` in that copy with the exit rates the check
-    summed, not from an edge list: an edge list is how input is validated,
-    and these rates are derived, not input.  Its build runs one
-    strong-components test and no breadth-first search, and leaves
-    ``reversible`` to its first read.  ``Lbar`` or ``w_max`` read before
-    the network checks the rates and drops them, so a level that runs the
-    next level on a network of its own (a sparsified one) keeps no rates.
+    the reduction corresponds to parent vertex ``kept[i]``.  The reduced
+    ``network`` is the one kept x kept matrix a reduction holds, built on
+    first use: the Schur complement (:meth:`_complement`), sparse (CSR)
+    exactly when the density rule of :func:`oracle.sparse_pays` picks it,
+    its rates checked and clamped in place by :func:`reduced_rates` and
+    taken over by :meth:`Network.of_rates` with the exit rates the check
+    summed.  These rates are derived, not input, so no edge list is
+    validated: the build runs one strong-components test and leaves
+    ``reversible`` to its first read.  ``mu`` is the parent's measure
+    conditioned on ``kept``, which the check shows invariant.  ``w_max``
+    and ``generator`` are the network's, ``hitting_times`` and ``speeds``
+    are computed once each, and ``Lbar`` afresh on each read.
 
     :meth:`solve_dropped` solves with ``-L_DD``, the parent's generator on
     the ``dropped`` vertices, through one :class:`oracle.CheckedLU` of
@@ -80,8 +73,8 @@ class ReducedNetwork:
     the sparse block when the density rule picks it, with no dense copy of
     ``-L_DD`` beside them, else the dense LU.  The hitting times behind the
     ``speeds`` and every reconstruction through this reduction share it;
-    so does ``Lbar`` when ``-L_DD`` is dense, and on a sparse ``-L_DD``
-    it is summed cluster by cluster instead (:meth:`_complement`).
+    so does the complement when ``-L_DD`` is dense, and on a sparse
+    ``-L_DD`` it is summed cluster by cluster instead (:meth:`_complement`).
     """
 
     def __init__(self, parent: Network, keep: Sequence[int]) -> None:
@@ -123,30 +116,26 @@ class ReducedNetwork:
                 Lbar += generator_block(net, k, d) @ X
         return _stored(Lbar)
 
-    @cached_property
-    def _schur(self) -> tuple[np.ndarray | scipy.sparse.csr_array, float]:
-        """``Lbar`` and ``w_max``, its rates checked by :func:`reduced_rates`
-        and then dropped; when ``network`` is built first it sets them
-        with the rates it takes over."""
-        Lbar = self._complement()
-        return Lbar, float(reduced_rates(self.parent, self.kept, Lbar)[1].max())
-
     @property
     def Lbar(self) -> np.ndarray | scipy.sparse.csr_array:
-        """The exact Schur complement of the parent's generator on ``kept``."""
-        return self._schur[0]
+        """The exact, unchecked Schur complement (:meth:`_complement`),
+        computed afresh on each read; no package code reads it."""
+        return self._complement()
 
     @property
     def w_max(self) -> float:
-        return self._schur[1]
+        return self.network.w_max
 
     @cached_property
     def network(self) -> Network:
-        schur = vars(self).get("_schur")
-        Lbar = self._complement() if schur is None else schur[0]
-        rates, exits = reduced_rates(self.parent, self.kept, Lbar)
-        self._schur = Lbar, float(exits.max())
+        rates, exits = reduced_rates(self.parent, self.kept, self._complement())
         return Network.of_rates(rates, self.mu, exits)
+
+    @cached_property
+    def generator(self) -> np.ndarray | scipy.sparse.csc_array:
+        """:func:`oracle.generator` of ``network``: the matrix the next
+        level analyses with, and the reconstruction lifts through."""
+        return oracle.generator(self.network)
 
     @cached_property
     def hitting_times(self) -> np.ndarray:
@@ -161,12 +150,15 @@ class ReducedNetwork:
     def speeds(self) -> tuple[float, float]:
         """Return speeds ``(beta, gamma)`` toward the kept set: ``1/beta``
         is the worst expected time to re-enter it after one skeleton step
-        from a kept vertex, ``1/gamma`` the worst expected entrance time
-        from a dropped vertex.  Only the kept rows of the skeleton are
-        formed, densely: the speeds set the stability bounds' constants,
-        so they keep the bits of the dense product."""
+        ``P = Id + L / w_max`` from a kept vertex, ``1/gamma`` the worst
+        expected entrance time from a dropped vertex.  ``h`` is zero on
+        ``kept``, so a step's expected time is ``sum_y w(x, y) h(y) /
+        w_max`` over the dropped ``y``, read off the kept-to-dropped edges
+        alone; with nothing dropped both speeds are infinite."""
         h = self.hitting_times
-        one_over_beta = float((skeleton(self.parent, self.kept) @ h).max())
+        s, t, w = edges_between(self.parent, self.kept, self.dropped)
+        wh = np.bincount(s, w * h[self.dropped[t]], minlength=1)
+        one_over_beta = float(wh.max()) / self.parent.w_max if s.size else 0.0
         one_over_gamma = float(h.max())
         beta = math.inf if one_over_beta == 0.0 else 1.0 / one_over_beta
         gamma = math.inf if one_over_gamma == 0.0 else 1.0 / one_over_gamma
@@ -312,30 +304,29 @@ def _canon_keep(net: Network, keep: Sequence[int]) -> np.ndarray:
 def schur_complement(
     net: Network, keep: Sequence[int]
 ) -> np.ndarray | scipy.sparse.csr_array:
-    """Schur complement of the generator onto ``keep`` (exact, unclamped):
-    the complement of ``ReducedNetwork(net, keep)``, without its rate checks,
-    stored as the reduction stores it (sparse when the density rule picks
-    it)."""
-    return ReducedNetwork(net, keep)._complement()
+    """Schur complement of the generator onto ``keep`` (exact, unclamped,
+    sparse when the density rule picks it): ``ReducedNetwork(net, keep).Lbar``."""
+    return ReducedNetwork(net, keep).Lbar
 
 
 def reduced_rates(
     net: Network, kept: np.ndarray, Lbar: np.ndarray | scipy.sparse.csr_array
 ) -> tuple[np.ndarray | scipy.sparse.csr_array, np.ndarray]:
     """Off-diagonal part of the Schur complement ``Lbar`` of ``net``'s
-    generator on ``kept``, noise below zero clamped to zero, formed in one
-    copy of ``Lbar`` (sparse when it is, with the zeros dropped), and its
-    row sums, the exit rates.  Raises ``NumericalError`` on an entry below
-    ``-1e-12 max(1, w_max)``, or when ``mu(. | kept)`` is not invariant
-    for the clamped generator (see :func:`check_invariant`).
+    generator on ``kept``, noise below zero clamped to zero, formed in
+    place: ``Lbar`` is overwritten (sparse when it is, with the zeros
+    dropped) and returned, with its row sums, the exit rates.  Raises
+    ``NumericalError`` on an entry below ``-1e-12 max(1, w_max)``, or when
+    ``mu(. | kept)`` is not invariant for the clamped generator (see
+    :func:`check_invariant`).
     """
-    rates = Lbar.copy()
-    if scipy.sparse.issparse(rates):
-        rates.setdiag(0.0)
-        values = rates.data
+    sparse = scipy.sparse.issparse(Lbar)
+    if sparse:
+        Lbar.setdiag(0.0)
+        values = Lbar.data
     else:
-        np.fill_diagonal(rates, 0.0)
-        values = rates
+        np.fill_diagonal(Lbar, 0.0)
+        values = Lbar
     lowest = values.min(initial=0.0)
     if lowest < -1e-12 * max(1.0, net.w_max):
         raise NumericalError(
@@ -343,9 +334,9 @@ def reduced_rates(
             "beyond clamping tolerance"
         )
     np.maximum(values, 0.0, out=values)
-    if scipy.sparse.issparse(rates):
-        rates.eliminate_zeros()
-    return rates, check_invariant(condition_measure(net.mu, kept), rates)
+    if sparse:
+        Lbar.eliminate_zeros()
+    return Lbar, check_invariant(condition_measure(net.mu, kept), Lbar)
 
 
 def check_invariant(mu: np.ndarray, rates: np.ndarray) -> np.ndarray:
@@ -686,7 +677,8 @@ def sparsify(reduction: ReducedNetwork, q_prime: float, theta: float) -> Network
     irreducible and both touched defect rows respect the budget.  Weights
     removed from a row are folded into the diagonal, preserving zero row
     sums, reversibility and the invariant measure; only the two generator
-    rows a removal touches are formed to test it (:func:`_generator_row`).
+    rows a removal touches are formed to test it (:func:`_generator_row`),
+    against the rows of ``link L``, formed once.
     The sparsified network is made from the remaining rates by
     :meth:`Network.of_rates`, with ``reduction.mu`` as its measure and the
     exit rates that :func:`check_invariant` sums while it checks that
@@ -699,8 +691,8 @@ def sparsify(reduction: ReducedNetwork, q_prime: float, theta: float) -> Network
     if not red_net.reversible:
         raise InvalidParams("sparsification requires a reversible reduction")
     link = kernel_link(reduction.parent, reduction.kept, q_prime)
-    Lfine = reduction.parent.L
-    M0 = red_net.L @ link - link @ Lfine
+    link_L = link @ reduction.parent.L
+    M0 = red_net.L @ link - link_L
     budget = (1.0 + theta) * np.abs(M0).max(axis=1)
 
     m = red_net.n
@@ -727,7 +719,7 @@ def sparsify(reduction: ReducedNetwork, q_prime: float, theta: float) -> Network
         ok = _support_connected(W)
         if ok:
             for row in (i, j):
-                defect = _generator_row(W, row) @ link - link[row] @ Lfine
+                defect = _generator_row(W, row) @ link - link_L[row]
                 if np.abs(defect).max() > budget[row] + 1e-15:
                     ok = False
                     break

@@ -27,6 +27,7 @@ from .errors import (
     NonPositiveWeight,
     NotIrreducible,
     NumericalError,
+    SingularSystem,
 )
 
 Edge = tuple[int, int, float]
@@ -386,7 +387,8 @@ def gth_eliminate(r: np.ndarray, block: int = _GTH_BLOCK) -> list[tuple]:
     (including those out of the block), never as a difference; the kept
     vertices then gain the rates through the block from two triangular
     solves and one product.  Nothing is subtracted, so each pivot is exact
-    to a few ulps however wide the weight range.  Returns the blocks
+    to a few ulps however wide the weight range; a pivot that underflows
+    to zero or overflows raises ``SingularSystem``.  Returns the blocks
     ``(lo, hi, low, up)``, last first; the pivots, the diagonals of ``up``,
     multiply to ``det(-L)`` off vertex 0.  Costs O(n^3), mostly BLAS-3."""
     blocks = []
@@ -403,6 +405,8 @@ def gth_eliminate(r: np.ndarray, block: int = _GTH_BLOCK) -> list[tuple]:
             row = m[k, k + 1 :]
             piv[k] = s = row.sum()
             m[k + 1 :, k + 1 :] += (m[k + 1 :, k, None] / s) * row
+        if not (np.isfinite(piv).all() and piv.all()):
+            raise SingularSystem("an elimination pivot underflows or overflows")
         # diagonals of m hold self-loop rates, which no pivot reads
         low = np.eye(b) - np.tril(m[:, :b], -1) / piv
         up = np.diag(piv) - np.triu(m[:, :b], 1)
@@ -580,21 +584,18 @@ def generator_block(
     return out
 
 
-def skeleton(net: Network, rows: np.ndarray | None = None) -> np.ndarray:
-    """Discrete-time jump kernel ``P = Id + L / w_max`` of the network, or
-    only its ``rows`` (distinct vertex ids), which are all that is formed,
-    from the edge arrays (:func:`generator_block`).
+def skeleton(net: Network) -> np.ndarray:
+    """Discrete-time jump kernel ``P = Id + L / w_max`` of the network,
+    formed from the edge arrays (:func:`generator_block`).
 
     Rows are probability vectors; the diagonal holds the laziness
     ``1 - w(x) / w_max`` needed to equalize exit rates across vertices.
-    Each formed row is checked to sum to 1.
+    Each row is checked to sum to 1.
     """
-    rows = np.arange(net.n) if rows is None else np.asarray(rows)
     if net.n == 1:
-        return np.ones((rows.size, 1))
-    P = generator_block(net, rows, np.arange(net.n))
-    P /= net.w_max
-    P[np.arange(rows.size), rows] += 1.0
+        return np.ones((1, 1))
+    P = generator_block(net, np.arange(net.n)) / net.w_max
+    P[np.diag_indices(net.n)] += 1.0
     # defensive: clamp parasitic -0.0 and verify stochasticity
     P[np.abs(P) < 1e-300] = 0.0
     sums = P.sum(axis=1)

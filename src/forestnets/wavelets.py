@@ -59,9 +59,9 @@ class PyramidLevel:
     """One analysis step: the reduction of the level's network (level 0 is
     the base) onto its kept set, which the constructor checks is a proper
     nonempty subset, and the smoothing rate ``q_prime``, which it checks
-    too.  The reduction factors ``-L_DD`` once and computes the Schur
-    complement, its ``w_max`` and the return speeds once each (see
-    :class:`coarsegrain.ReducedNetwork`).  No method forms the killed
+    too.  The reduction factors ``-L_DD`` once and builds the reduced
+    network from the Schur complement and computes the return speeds once
+    each (see :class:`coarsegrain.ReducedNetwork`).  No method forms the killed
     kernel ``K_{q'}``: :meth:`reconstruct` solves with the kept LU of
     ``-L_DD``, and :meth:`analyze` and :meth:`detail_size_check` each
     factor ``q' Id - L`` (:func:`oracle.killed_lu`) for their right-hand
@@ -70,9 +70,9 @@ class PyramidLevel:
     the density rule of :func:`oracle.sparse_pays`, and the products with
     ``L`` read its sparse rows under the same rule (:attr:`generator`).
     The same rule decides what a level keeps: on a sparse level no dense
-    ``L`` is formed, the Schur complement is a sparse matrix when the rule
-    picks it for its own density, and the factors of ``-L_DD`` are
-    SuperLU's; a dense level forms ``L``, keeps a dense Schur complement
+    ``L`` is formed, the reduced generator is a sparse matrix when the
+    rule picks it for its own density, and the factors of ``-L_DD`` are
+    SuperLU's; a dense level forms ``L``, keeps a dense reduced generator
     and the LU of a dense copy of the block.
 
     Position ``i`` of the next level corresponds to ``keep[i]`` here.  In
@@ -149,6 +149,9 @@ class PyramidLevel:
     def reconstruct(
         self, approx: Sequence[float], detail: Sequence[float]
     ) -> np.ndarray:
+        """Exact inverse of :meth:`analyze` (see :func:`reconstruct_level`);
+        ``Lbar`` is ``reduction.generator``, which the next level analyses
+        with, and both solves with ``-L_DD`` are one two-column solve."""
         k, d, qp = self.keep, self.dropped, self.q_prime
         fb = _as_signal(approx, k.size)
         fd = _as_signal(detail, d.size)
@@ -163,7 +166,7 @@ class PyramidLevel:
         padded = np.zeros(n)
         padded[d] = inv_detail
         out = np.empty(n)
-        out[k] = fb - (self.reduction.Lbar @ fb) / qp + (L @ padded)[k]
+        out[k] = fb - (self.reduction.generator @ fb) / qp + (L @ padded)[k]
         out[d] = harmonic - fd - qp * inv_detail
         return out
 
@@ -243,8 +246,8 @@ def reconstruct_level(
 
     The approximation is lifted through ``Id - Lbar/q'`` on kept vertices
     and through harmonic extension on dropped ones; the detail is lifted
-    through the complementary blocks.  ``Lbar`` is the exact Schur
-    complement of the generator on the kept set.
+    through the complementary blocks.  ``Lbar`` is the reduced network's
+    generator: the Schur complement on the kept set, its rates checked.
     """
     return PyramidLevel.of(net, keep, q_prime).reconstruct(approx, detail)
 

@@ -617,6 +617,29 @@ def test_oracle_of_overflowing_q_exits_4(capsys, tmp_path, cmd):
     assert err.splitlines() == ["error: q Id - L overflows"]
 
 
+#: a directed 7-cycle whose rate elimination underflows a pivot to zero
+UNDERFLOWING_CYCLE = [
+    (0, 4, 6.028154402291785e-269),
+    (1, 2, 1.028574166965101e124),
+    (2, 5, 9.04831180449112e174),
+    (3, 6, 1.962978761967724e181),
+    (4, 3, 2.3063398915802373e-120),
+    (5, 0, 4.7788600551255284e179),
+    (6, 1, 1.5214119514936686e-181),
+]
+
+
+def test_network_whose_elimination_pivot_underflows_exits_4(capsys, tmp_path):
+    # a zero pivot made the triangular solves raise LinAlgError (exit 1)
+    with pytest.raises(NumericalError):
+        build_network(UNDERFLOWING_CYCLE, 7)
+    path = tmp_path / "cycle7.tsv"
+    path.write_text("".join(f"{a}\t{b}\t{w!r}\n" for a, b, w in UNDERFLOWING_CYCLE))
+    code, out, err = run(capsys, ["graph", "info", str(path)])
+    assert code == 4 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_oracle_partition_that_overflows_exits_4(capsys, tmp_path):
     # Z is about 1e332 here; math.exp raised OverflowError (exit 1)
     path = tmp_path / "cycle12.tsv"

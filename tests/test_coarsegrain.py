@@ -720,42 +720,7 @@ def test_rates_network_takes_over_the_rate_matrix():
     assert (net.src.tolist(), net.dst.tolist()) == ([0, 1, 1, 2], [1, 0, 2, 1])
 
 
-def seeded_level_pyramids():
-    """Every level of a seeded 24x24 forced-keep pyramid (65% kept per
-    level) and of a sampled pyramid on an asymmetric 6x6 grid."""
-    rng = np.random.default_rng(11)
-    side = 24
-    net = build_network(random_grid(side, rng, symmetric=True), side * side)
-    keeps, n = [], side * side
-    for _ in range(3):
-        m = round(0.65 * n)
-        keeps.append(sorted(rng.choice(n, m, replace=False).tolist()))
-        n = m
-    forced = wv.build_pyramid(net, rng.normal(size=side * side), forced_keep=keeps)
-    asym = build_network(random_grid(6, rng, symmetric=False), 36)
-    sampled = wv.build_pyramid(asym, rng.normal(size=36), seed=4, max_levels=3)
-    assert sampled.depth == 3 and not asym.reversible
-    return forced.levels + sampled.levels
-
-
-def test_return_speed_is_that_of_the_full_skeleton():
-    # guard: forming only the kept rows of the skeleton leaves the return
-    # speed bit for bit what the whole kernel's kept rows give
-    for lvl in seeded_level_pyramids():
-        red = lvl.reduction
-        h = red.hitting_times
-        one_over_beta = float((skeleton(red.parent)[red.kept, :] @ h).max())
-        assert red.speeds[0] == 1.0 / one_over_beta
-
-
-def test_skeleton_rows_are_rows_of_the_skeleton():
-    for lvl in seeded_level_pyramids()[::2]:
-        net, kept = lvl.network, lvl.keep
-        assert skeleton(net, kept).tobytes() == skeleton(net)[kept].tobytes()
-
-
 def test_skeleton_rows_of_one_vertex_network():
     net = Network([], 1)
     assert skeleton(net).tolist() == [[1.0]]
-    assert skeleton(net, [0]).tolist() == [[1.0]]
     assert cg.beta_gamma(net, [0]) == (math.inf, math.inf)

@@ -525,10 +525,42 @@ def test_archive_queries_form_no_dense_generator_on_a_sparse_level(
     assert True not in formed
 
 
-def test_sparsified_archive_level_keeps_no_rates():
-    # a sparsified level runs the next level on its stored network, so once
-    # the bounds and the reconstruction have checked its Schur complement
-    # it holds that complement and no kept x kept rates, and no network
+def kept_square_arrays(red):
+    """The distinct kept x kept arrays a reduction holds, in its own
+    attributes and in those of its network."""
+    k = red.kept.size
+    owners = [red] + ([red.network] if "network" in vars(red) else [])
+    held = {}
+    for owner in owners:
+        for value in vars(owner).values():
+            for v in value if isinstance(value, tuple) else (value,):
+                if getattr(v, "shape", None) == (k, k):
+                    held[id(v)] = v
+    return list(held.values())
+
+
+def test_dense_archive_levels_keep_one_reduced_generator():
+    # the bounds and the reconstruction read one reduced generator per
+    # level: the reduced network's L, which the next level analyses with
+    n = 32
+    net = build_network(cycle_edges(n, 1.0), n)
+    pyr = wv.build_pyramid(net, np.sin(np.arange(n) / 4.0), seed=9, max_levels=3)
+    buf = io.StringIO()
+    fileio.write_pyramid(buf, pyr)
+    back, _ = fileio.read_pyramid(io.StringIO(buf.getvalue()))
+    wv.stability_bounds(back, 2.0)
+    wv.reconstruct_pyramid(back)
+    assert back.depth == 3
+    for lvl in back.levels:
+        red = lvl.reduction
+        assert not lvl.sparsified
+        assert [id(a) for a in kept_square_arrays(red)] == [id(red.network.L)]
+
+
+def test_sparsified_archive_level_keeps_one_reduced_generator():
+    # a sparsified level runs the next level on its stored network; the
+    # bounds and the reconstruction read the exact reduction's network,
+    # which is then the one kept x kept array its reduction holds
     n = 32
     net = build_network(cycle_edges(n, 1.0), n)
     pyr = wv.build_pyramid(
@@ -541,12 +573,4 @@ def test_sparsified_archive_level_keeps_no_rates():
     wv.reconstruct_pyramid(back)
     red = back.levels[0].reduction
     assert back.levels[0].sparsified
-    k = red.kept.size
-    held = [
-        v
-        for value in vars(red).values()
-        for v in (value if isinstance(value, tuple) else (value,))
-        if getattr(v, "shape", None) == (k, k)
-    ]
-    assert len(held) == 1 and held[0] is red.Lbar
-    assert "network" not in vars(red)
+    assert [id(a) for a in kept_square_arrays(red)] == [id(red.network.L)]

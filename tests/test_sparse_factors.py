@@ -271,6 +271,23 @@ def test_edge_inclusion_allocates_far_less_than_n_squared():
     assert peak < n * n * 8 / 16
 
 
+def test_return_speeds_allocate_far_less_than_a_kept_by_n_block():
+    # the speeds read the kept-to-dropped edges alone: no kept rows of
+    # the skeleton are formed
+    rng = np.random.default_rng(0)
+    net = grid_net(rng, 32)
+    red = cg.ReducedNetwork(net, rng.choice(net.n, round(0.65 * net.n), replace=False))
+    red.hitting_times
+    tracemalloc.start()
+    try:
+        beta, gamma = red.speeds
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < beta < np.inf and 0.0 < gamma < np.inf
+    assert peak < red.kept.size * net.n * 8 / 16
+
+
 # ---------------------------------------------------------------------------
 # guards: one builder and one edge slicer cut every block of L, entry for
 # entry as the dense matrices they stand for
