@@ -40,6 +40,7 @@ from .network import (
     edges_between,
     exit_rates,
     generator_block,
+    sparse_pays,
     vertex_set,
 )
 from .norms import check_p, condition_measure, holder_conjugate, lp_norm
@@ -57,15 +58,16 @@ class ReducedNetwork:
     the reduction corresponds to parent vertex ``kept[i]``.  The reduced
     ``network`` is the one kept x kept matrix a reduction holds, built on
     first use: the Schur complement (:meth:`_complement`), sparse (CSR)
-    exactly when the density rule of :func:`oracle.sparse_pays` picks it,
+    exactly when the density rule of :func:`network.sparse_pays` picks it,
     its rates checked and clamped in place by :func:`reduced_rates` and
     taken over by :meth:`Network.of_rates` with the exit rates the check
     summed.  These rates are derived, not input, so no edge list is
     validated: the build runs one strong-components test and leaves
     ``reversible`` to its first read.  ``mu`` is the parent's measure
     conditioned on ``kept``, which the check shows invariant.  ``w_max``
-    and ``generator`` are the network's, ``hitting_times`` and ``speeds``
-    are computed once each, and ``Lbar`` afresh on each read.
+    is the network's, and so is the generator that products read
+    (``network.generator``, built once for this level and the next);
+    ``hitting_times`` and ``speeds`` are computed once each.
 
     :meth:`solve_dropped` solves with ``-L_DD``, the parent's generator on
     the ``dropped`` vertices, through one :class:`oracle.CheckedLU` of
@@ -107,7 +109,7 @@ class ReducedNetwork:
         arrays (:func:`network.generator_block`)."""
         net, k, d = self.parent, self.kept, self.dropped
         s, t, w = edges_between(net, d)
-        if oracle.sparse_pays(d.size, s.size + d.size):
+        if sparse_pays(d.size, s.size + d.size):
             Lbar = _cluster_sum(net, k, d, s, t, w)
         else:
             Lbar = generator_block(net, k)
@@ -117,12 +119,6 @@ class ReducedNetwork:
         return _stored(Lbar)
 
     @property
-    def Lbar(self) -> np.ndarray | scipy.sparse.csr_array:
-        """The exact, unchecked Schur complement (:meth:`_complement`),
-        computed afresh on each read; no package code reads it."""
-        return self._complement()
-
-    @property
     def w_max(self) -> float:
         return self.network.w_max
 
@@ -130,12 +126,6 @@ class ReducedNetwork:
     def network(self) -> Network:
         rates, exits = reduced_rates(self.parent, self.kept, self._complement())
         return Network.of_rates(rates, self.mu, exits)
-
-    @cached_property
-    def generator(self) -> np.ndarray | scipy.sparse.csc_array:
-        """:func:`oracle.generator` of ``network``: the matrix the next
-        level analyses with, and the reconstruction lifts through."""
-        return oracle.generator(self.network)
 
     @cached_property
     def hitting_times(self) -> np.ndarray:
@@ -171,10 +161,10 @@ class ReducedNetwork:
 
 def _stored(Lbar: np.ndarray | scipy.sparse.csr_array):
     """``Lbar`` as a reduction keeps it: CSR exactly when
-    :func:`oracle.sparse_pays` for it, else an array."""
+    :func:`network.sparse_pays` for it, else an array."""
     sparse = scipy.sparse.issparse(Lbar)
     nnz = Lbar.nnz if sparse else np.count_nonzero(Lbar)
-    if oracle.sparse_pays(Lbar.shape[0], nnz):
+    if sparse_pays(Lbar.shape[0], nnz):
         return scipy.sparse.csr_array(Lbar)
     return Lbar.toarray() if sparse else Lbar
 
@@ -305,8 +295,9 @@ def schur_complement(
     net: Network, keep: Sequence[int]
 ) -> np.ndarray | scipy.sparse.csr_array:
     """Schur complement of the generator onto ``keep`` (exact, unclamped,
-    sparse when the density rule picks it): ``ReducedNetwork(net, keep).Lbar``."""
-    return ReducedNetwork(net, keep).Lbar
+    sparse when the density rule picks it), computed afresh:
+    ``ReducedNetwork(net, keep)._complement()``."""
+    return ReducedNetwork(net, keep)._complement()
 
 
 def reduced_rates(
@@ -658,13 +649,6 @@ def check_theta(theta: float) -> None:
         raise InvalidParams("theta must be finite and >= 0")
 
 
-def check_sparsify_args(q_prime: float, theta: float) -> None:
-    """Raise ``InvalidParams`` unless ``theta`` is finite and ``>= 0`` and
-    ``q'`` is positive and finite."""
-    check_theta(theta)
-    check_q_prime(q_prime)
-
-
 def sparsify(reduction: ReducedNetwork, q_prime: float, theta: float) -> Network:
     """A sparser network in place of ``reduction.network``, which must be
     reversible: reciprocal edge pairs are removed while every row of the
@@ -686,7 +670,8 @@ def sparsify(reduction: ReducedNetwork, q_prime: float, theta: float) -> Network
     test; on the symmetric support of a reversible reduction it is the
     same as reaching every vertex from 0.
     """
-    check_sparsify_args(q_prime, theta)
+    check_theta(theta)
+    check_q_prime(q_prime)
     red_net = reduction.network
     if not red_net.reversible:
         raise InvalidParams("sparsification requires a reversible reduction")

@@ -16,8 +16,10 @@ STRUCTURAL_TOL: float = 1e-10
 #: Schur complements, hitting times)
 RESIDUAL_TOL: float = 1e-9
 
-#: largest vertex count a Network accepts; every layer works on the dense
-#: n x n generator, so larger networks are refused with InvalidParams
+#: largest vertex count a Network accepts; the GTH measure, the spectral
+#: laws, the forest determinants, sparsification and the intertwining
+#: residual still form a dense n x n matrix, so larger networks are
+#: refused with InvalidParams
 MAX_VERTICES: int = 4096
 
 #: largest number of walk steps a sampling run may need, on the lower bound

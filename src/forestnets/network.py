@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.sparse import csr_array, issparse
+from scipy.sparse import csc_array, csr_array, issparse
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from . import config
@@ -31,6 +31,27 @@ from .errors import (
 )
 
 Edge = tuple[int, int, float]
+
+#: the density rule: a matrix of at least ``SPARSE_MIN_SIZE`` rows with at
+#: most ``SPARSE_DENSITY`` of its entries nonzero is stored sparse, and a
+#: block so stored is factored by SuperLU.
+#: Chosen on the Schur chains of seeded 10x10 to 40x40 grids (kept shares
+#: 35-80%, one BLAS thread, block build included), SuperLU's time over the
+#: dense time is: 0.05-0.78 for two-column killed-kernel solves and
+#: 0.27-0.61 for Schur complements below 2% density from 128 rows up;
+#: 0.3-2.1 between 2% and 6% (above 1 only below 270 rows, by at most
+#: 0.8 ms); 1.1-7.4 above 9% density or below 100 rows.  Near the
+#: boundary it errs both ways: Schur complements of 90-105 dropped rows
+#: at 2-6% take 0.56-0.87, a killed-kernel solve at 676 rows and 14% 0.75.
+SPARSE_MIN_SIZE = 128
+SPARSE_DENSITY = 0.05
+
+
+def sparse_pays(size: int, nnz: int) -> bool:
+    """Whether a ``size x size`` matrix with ``nnz`` nonzero entries is
+    stored and factored sparsely: the one density rule
+    (``SPARSE_MIN_SIZE``, ``SPARSE_DENSITY``)."""
+    return size >= SPARSE_MIN_SIZE and nnz <= SPARSE_DENSITY * size * size
 
 
 class Network:
@@ -91,6 +112,9 @@ class Network:
     L : ndarray, the dense ``n x n`` generator, formed on first read (a
         network made from dense rates has it from the start); readers of
         single entries use :meth:`rate`, of blocks :func:`generator_block`
+    generator : ``L`` as products with it read it, built on first read:
+        a CSC matrix when the density rule (:func:`sparse_pays`) picks it,
+        else ``L`` itself; the one generator a network keeps for products
     w_max : float, maximal exit rate ``max_x -L(x, x)``
     mu : ndarray, invariant probability measure (``mu @ L == 0``)
     reversible : bool, detailed balance of ``mu`` and the weights,
@@ -187,6 +211,18 @@ class Network:
         L[self.src, self.dst] = self.w
         L[np.arange(self.n), np.arange(self.n)] = -self.exits
         return L
+
+    @cached_property
+    def generator(self) -> np.ndarray | csc_array:
+        """``L`` as its products read it, built once: a CSC matrix of the
+        edge arrays and the exit rates when :func:`sparse_pays` for it,
+        else ``L`` itself."""
+        n, ids = self.n, np.arange(self.n)
+        if not sparse_pays(n, self.w.size + n):
+            return self.L
+        data = np.concatenate([self.w, -self.exits])
+        at = np.concatenate([self.src, ids]), np.concatenate([self.dst, ids])
+        return csc_array((data, at), shape=(n, n))
 
     @cached_property
     def _keys(self) -> np.ndarray:

@@ -43,10 +43,12 @@ from .errors import (
     ZeroCoefficient,
 )
 from .network import (
+    SPARSE_MIN_SIZE,
     Network,
     edges_between,
     generator_block,
     gth_eliminate,
+    sparse_pays,
     vertex_id,
     vertex_set,
 )
@@ -80,26 +82,6 @@ def check_q(
 # ---------------------------------------------------------------------------
 # checked solves, dense or sparse
 
-#: the density rule: a block of at least ``SPARSE_MIN_SIZE`` rows with at
-#: most ``SPARSE_DENSITY`` of its entries nonzero is factored by SuperLU.
-#: Chosen on the Schur chains of seeded 10x10 to 40x40 grids (kept shares
-#: 35-80%, one BLAS thread, block build included), SuperLU's time over the
-#: dense time is: 0.05-0.78 for two-column killed-kernel solves and
-#: 0.27-0.61 for Schur complements below 2% density from 128 rows up;
-#: 0.3-2.1 between 2% and 6% (above 1 only below 270 rows, by at most
-#: 0.8 ms); 1.1-7.4 above 9% density or below 100 rows.  Near the
-#: boundary it errs both ways: Schur complements of 90-105 dropped rows
-#: at 2-6% take 0.56-0.87, a killed-kernel solve at 676 rows and 14% 0.75.
-SPARSE_MIN_SIZE = 128
-SPARSE_DENSITY = 0.05
-
-
-def sparse_pays(size: int, nnz: int) -> bool:
-    """Whether a ``size x size`` block with ``nnz`` nonzero entries is
-    factored sparsely: the one density rule (``SPARSE_MIN_SIZE``,
-    ``SPARSE_DENSITY``)."""
-    return size >= SPARSE_MIN_SIZE and nnz <= SPARSE_DENSITY * size * size
-
 
 def block(
     net: Network, part: np.ndarray | None = None, q: float = 0.0, *,
@@ -108,8 +90,8 @@ def block(
     """``q Id - L`` on the sorted vertex ids ``part`` (every vertex by
     default), or its transpose, as the matrix to factor: a CSC matrix
     built from the edge arrays (:func:`network.edges_between`) when
-    :func:`sparse_pays` for it, else the dense block, which is ``L``
-    itself for every vertex and is formed from the edge arrays
+    :func:`network.sparse_pays` for it, else the dense block, which is
+    read from ``L`` for every vertex and is formed from the edge arrays
     (:func:`network.generator_block`) for a part.  Either way the entries
     are ``-w`` off the diagonal and ``q`` plus the exit rate on it."""
     size = net.n if part is None else part.size
@@ -130,12 +112,6 @@ def block(
     with np.errstate(over="ignore"):  # CheckedLU refuses an overflow
         M = q * np.eye(size) - L
     return M.T if transpose else M
-
-
-def generator(net: Network) -> np.ndarray | scipy.sparse.csc_array:
-    """``L`` as the matrix its products read: minus the sparse
-    :func:`block` when the density rule picks it, else ``net.L`` itself."""
-    return -block(net) if sparse_pays(net.n, net.w.size + net.n) else net.L
 
 
 @functools.lru_cache(maxsize=64)
@@ -164,7 +140,8 @@ class CheckedLU:
     def __init__(self, M: np.ndarray | scipy.sparse.csc_array, what: str) -> None:
         self.M = M
         self.what = what
-        self.norm = float(abs(M).sum(axis=1).max())
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            self.norm = float(abs(M).sum(axis=1).max())
         if not math.isfinite(self.norm):
             raise SingularSystem(f"{what} overflows")
         if scipy.sparse.issparse(M):
@@ -195,10 +172,11 @@ class CheckedLU:
         else:
             x = scipy.linalg.lu_solve(self.factors, rhs)
         xv, bv = x, rhs
-        if x.ndim > 1:
-            v = _check_weights(x.shape[1])
-            xv, bv = x @ v, rhs @ v
-        resid = float(np.abs(self.M @ xv - bv).max())
+        with np.errstate(over="ignore", invalid="ignore"):  # NaN is refused
+            if x.ndim > 1:
+                v = _check_weights(x.shape[1])
+                xv, bv = x @ v, rhs @ v
+            resid = float(np.abs(self.M @ xv - bv).max())
         scale = float(np.abs(xv).max()) * max(1.0, self.norm)
         if not resid <= config.RESIDUAL_TOL * max(1.0, scale):
             raise SingularSystem(f"{self.what} residual {resid:.3e}")
@@ -211,7 +189,8 @@ def checked_inverses(M: np.ndarray, what: str) -> np.ndarray:
     on an entry or row sum that overflows, on an exactly singular matrix,
     or when ``max |M X - Id|`` exceeds ``RESIDUAL_TOL`` times
     ``max(1, max |X| * max(1, ||M||_inf))`` for one of them."""
-    norm = np.abs(M).sum(axis=-1).max(axis=-1)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        norm = np.abs(M).sum(axis=-1).max(axis=-1)
     if not np.isfinite(norm).all():
         raise SingularSystem(f"{what} overflows")
     try:

@@ -41,7 +41,15 @@ import scipy.special
 
 from . import config, oracle
 from .errors import InvalidParams, InvalidStart, NumericalError
-from .network import Network, generator_block, vertex_id, vertex_set
+from .network import (
+    Network,
+    _gth_measure,
+    _strongly_connected,
+    edges_between,
+    generator_block,
+    vertex_id,
+    vertex_set,
+)
 
 _BUF = 8  # uniforms drawn per refill of a branch's buffer past block 1
 _CHUNK = 1 << 14  # (sample, branch) pairs whose block 1 is computed at once
@@ -147,12 +155,6 @@ class RootedForest:
         return np.flatnonzero(self.parent == -1)
 
     @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (int(x), int(p)) for x, p in enumerate(self.parent) if p != -1
-        )
-
-    @cached_property
     def root_of(self) -> np.ndarray:
         """Root of the tree containing each vertex."""
         parent = self.parent
@@ -189,28 +191,79 @@ def check_sampling_args(
     q, roots = oracle.check_q(net, q, B)
     if n_samples < 1:
         raise InvalidParams("n_samples must be >= 1")
-    check_step_budget(net, [q], n_samples, forced=bool(roots.size))
+    check_step_budget(net, [q], n_samples, roots)
     return q, roots.tolist()
 
 
 def check_step_budget(
-    net: Network, q_grid: Sequence[float], n_draws: int, *, forced: bool = False
+    net: Network, q_grid: Sequence[float], n_draws: int, roots: Sequence[int] = ()
 ) -> None:
     """``InvalidParams`` when ``n_draws`` draws at each killing rate of
-    ``q_grid`` need more than ``config.MAX_WALK_STEPS`` walk steps, before
-    any draw.  The count is a lower bound, so no run that would end within
-    the budget is refused: a draw takes at least one step, and with no
-    ``forced`` roots its first walk runs until it is killed, which takes
-    at least ``w_min / q`` steps on average (``w_min`` the least exit
-    rate)."""
+    ``q_grid``, with the forced ``roots``, need more than
+    ``config.MAX_WALK_STEPS`` walk steps, before any draw.  The count is a
+    lower bound, so no run that would end within the budget is refused.
+    A draw takes at least one step; with no forced roots its first walk
+    runs until it is killed, which takes at least ``w_min / q`` steps on
+    average (``w_min`` the least exit rate); and a draw takes at least
+    :func:`_two_step_bound` steps on average, which sees a walk trapped
+    between vertices whose mutual rates dwarf ``q``.  Each draw counts the
+    largest of the three."""
     w_min = float(net.exits.min())
-    per_draw = [1.0 if forced else max(1.0, w_min / q) for q in q_grid]
+    floor = [1.0 if len(roots) else max(1.0, w_min / q) for q in q_grid]
+    per_draw = map(max, floor, _two_step_bound(net, q_grid, roots))
     steps = n_draws * sum(per_draw)
     if steps > config.MAX_WALK_STEPS:
         raise InvalidParams(
             f"sampling needs at least {steps:.3g} walk steps, more than "
             f"the {config.MAX_WALK_STEPS:.3g} allowed"
         )
+
+
+def _two_step_bound(
+    net: Network, q_grid: Sequence[float], roots: Sequence[int] = ()
+) -> list[float]:
+    """For each ``q`` of ``q_grid``, ``sum_x 1 / (1 - r2(x))`` over the
+    vertices ``x`` outside the forced ``roots``, where ``r2(x)`` is the
+    chance that the killed jump chain from ``x`` is back at ``x`` after
+    exactly two steps.  Each term is at most ``G(x, x)``, the mean number
+    of visits to ``x``, so the sum is at most the mean number of steps of
+    a draw, ``sum_x G(x, x)``.  With no subtraction,
+
+        1 - r2(x) = [q + sum_y w(x, y) r(y, x)] / (q + w(x)),
+        r(y, x) = (q + s(y, x)) / (q + w(y)),
+
+    where ``s(y, x)`` is the sum of ``y``'s rates to vertices other than
+    ``x``, summed from both ends of ``y``'s sorted rates, never as a
+    difference.  A forced root ``y`` never returns: ``r(y, x) = 1``.  The
+    ratio ``r``, at most 1, is formed before it multiplies ``w(x, y)``.
+    Every sum is at most ``q + w_max``; where that nears the float range,
+    all terms are halved, so none overflows.  One pass over the edges per
+    ``q``."""
+    n, src, dst = net.n, net.src, net.dst
+    c = 0.5 if max(q_grid, default=0.0) + net.w_max > 1e308 else 1.0
+    w, exits = c * net.w, c * net.exits
+    at = np.searchsorted(src, np.arange(n + 1))
+    col = np.arange(src.size) - at[src] + 1  # a zero column on each side
+    rows = np.zeros((n, np.diff(at).max(initial=0) + 2))
+    rows[src, col] = w
+    before = np.cumsum(rows, axis=1)[src, col - 1]
+    after = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1][src, col + 1]
+    # for each edge (x, y), s(y, x): y's rates but its edge to x
+    key, rkey = src * n + dst, dst * n + src
+    back = np.minimum(np.searchsorted(key, rkey), key.size - 1)
+    s = np.where(key[back] == rkey, (before + after)[back], exits[dst])
+    free = np.ones(n, dtype=bool)
+    free[np.asarray(roots, dtype=np.int64)] = False
+    out = []
+    # a halved subnormal rate may round to 0: a term that comes out 0 / 0
+    # is left out, one that comes out x / 0 counts as endless
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for q in q_grid:
+            h = c * q
+            r = np.where(free[dst], (h + s) / (h + exits[dst]), 1.0)
+            stay = h + np.bincount(src, w * r, minlength=n)
+            out.append(float(np.nansum(((h + exits) / stay)[free])))
+    return out
 
 
 def _sample_parents(
@@ -530,7 +583,7 @@ def check_m_roots_args(
     q = float(q0) if q0 is not None else net.w_max
     if q <= 0 or not np.isfinite(q):
         raise InvalidParams("q0 must be positive and finite")
-    check_step_budget(net, [q], 1, forced=bool(roots.size))
+    check_step_budget(net, [q], 1, roots)
     return roots.tolist(), q
 
 
@@ -558,7 +611,11 @@ class PartitionEquilibriumReport:
 
 def restricted_equilibrium(net: Network, block: Sequence[int]) -> np.ndarray:
     """Invariant measure of the walk restricted to ``block`` (jumps leaving
-    the block suppressed)."""
+    the block suppressed).  When that walk is strongly connected, as on
+    every block of a reversible network, it is the exact GTH measure of
+    the block's generator (:func:`network._gth_measure`); otherwise the
+    least-squares solution of ``mu L_block = 0``, ``sum mu = 1``, checked
+    nonnegative.  ``NumericalError`` unless it comes out finite."""
     idx = vertex_set(net.n, block, "block")
     if not idx.size:
         raise InvalidParams("empty block")
@@ -566,16 +623,24 @@ def restricted_equilibrium(net: Network, block: Sequence[int]) -> np.ndarray:
     if k == 1:
         return np.array([1.0])
     sub = generator_block(net, idx)
-    np.fill_diagonal(sub, 0.0)
-    sub -= np.diag(sub.sum(axis=1))
-    a = np.vstack([sub.T, np.ones(k)])
-    b = np.zeros(k + 1)
-    b[-1] = 1.0
-    mu, *_ = np.linalg.lstsq(a, b, rcond=None)
-    if mu.min() < -1e-10:
-        raise NumericalError("restricted equilibrium came out negative")
-    mu = np.clip(mu, 0.0, None)
-    return mu / mu.sum()
+    s, t, _ = edges_between(net, idx)
+    with np.errstate(all="ignore"):  # a result that is not finite is refused
+        if _strongly_connected(k, s, t):
+            mu = _gth_measure(sub)  # the off-diagonal rates alone are read
+        else:
+            np.fill_diagonal(sub, 0.0)
+            sub -= np.diag(sub.sum(axis=1))
+            a = np.vstack([sub.T, np.ones(k)])
+            b = np.zeros(k + 1)
+            b[-1] = 1.0
+            mu, *_ = np.linalg.lstsq(a, b, rcond=None)
+            if mu.min() < -1e-10:
+                raise NumericalError("restricted equilibrium came out negative")
+            mu = np.clip(mu, 0.0, None)
+            mu = mu / mu.sum()
+    if not np.isfinite(mu).all():
+        raise NumericalError("restricted equilibrium is not finite")
+    return mu
 
 
 def conditional_root_equilibrium_check(
@@ -613,14 +678,16 @@ def conditional_root_equilibrium_check(
     for key, (count, root_counts) in sorted(seen.items()):
         if count < min_count:
             continue
-        worst = 0.0
+        gaps = []
         for bi, block in enumerate(key):
             want = restricted_equilibrium(net, block)
             got = np.array(
                 [root_counts[bi].get(v, 0) for v in block], dtype=float
             )
             got /= count
-            worst = max(worst, 0.5 * float(np.abs(got - want).sum()))
+            gaps.append(0.5 * float(np.abs(got - want).sum()))
+        # np.max keeps a NaN, where max(0.0, nan) would give 0.0
+        worst = float(np.max(gaps))
         entries.append(
             PartitionEquilibriumEntry(blocks=key, count=count, max_tv=worst)
         )

@@ -29,7 +29,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse
 
 from . import coarsegrain as cg
 from . import config, oracle, sampler
@@ -67,13 +66,14 @@ class PyramidLevel:
     factor ``q' Id - L`` (:func:`oracle.killed_lu`) for their right-hand
     sides and drop the factors.  Each solve is an :class:`oracle.CheckedLU`
     of the matrix :func:`oracle.block` builds, sparse (SuperLU) or dense by
-    the density rule of :func:`oracle.sparse_pays`, and the products with
-    ``L`` read its sparse rows under the same rule (:attr:`generator`).
-    The same rule decides what a level keeps: on a sparse level no dense
-    ``L`` is formed, the reduced generator is a sparse matrix when the
-    rule picks it for its own density, and the factors of ``-L_DD`` are
-    SuperLU's; a dense level forms ``L``, keeps a dense reduced generator
-    and the LU of a dense copy of the block.
+    the density rule of :func:`network.sparse_pays`, and the products with
+    ``L`` and ``Lbar`` read :attr:`Network.generator`, which the reduced
+    network shares with the next level.  The same rule decides what a
+    level keeps: on a sparse level no dense ``L`` is formed, the reduced
+    generator is a sparse matrix when the rule picks it for its own
+    density, and the factors of ``-L_DD`` are SuperLU's; a dense level
+    forms ``L``, keeps a dense reduced generator and the LU of a dense copy
+    of the block.
 
     Position ``i`` of the next level corresponds to ``keep[i]`` here.  In
     a pyramid, ``detail`` holds the level's detail coefficients and
@@ -132,12 +132,6 @@ class PyramidLevel:
     def sparsified(self) -> bool:
         return self.stored_next is not None
 
-    @cached_property
-    def generator(self) -> np.ndarray | scipy.sparse.csc_array:
-        """The network's generator as its products read it: sparse rows
-        when the density rule picks them (:func:`oracle.generator`)."""
-        return oracle.generator(self.network)
-
     def analyze(self, values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """(approximation on kept, detail on dropped) of a signal, from
         ``K_{q'} f``: one solve of ``q' Id - L``."""
@@ -150,12 +144,12 @@ class PyramidLevel:
         self, approx: Sequence[float], detail: Sequence[float]
     ) -> np.ndarray:
         """Exact inverse of :meth:`analyze` (see :func:`reconstruct_level`);
-        ``Lbar`` is ``reduction.generator``, which the next level analyses
-        with, and both solves with ``-L_DD`` are one two-column solve."""
+        ``Lbar`` is the reduced network's generator, which the next level
+        analyses with, and both solves with ``-L_DD`` are one."""
         k, d, qp = self.keep, self.dropped, self.q_prime
         fb = _as_signal(approx, k.size)
         fd = _as_signal(detail, d.size)
-        L, n = self.generator, self.n
+        L, n = self.network.generator, self.n
         # the off-diagonal blocks of L act through zero-padded vectors,
         # which reads L in place instead of copying a block out of it
         padded = np.zeros(n)
@@ -166,7 +160,7 @@ class PyramidLevel:
         padded = np.zeros(n)
         padded[d] = inv_detail
         out = np.empty(n)
-        out[k] = fb - (self.reduction.generator @ fb) / qp + (L @ padded)[k]
+        out[k] = fb - (self.reduction.network.generator @ fb) / qp + (L @ padded)[k]
         out[d] = harmonic - fd - qp * inv_detail
         return out
 
@@ -187,11 +181,16 @@ class PyramidLevel:
         return (lead + b**p) ** (1.0 / p)
 
     def approx_check(self, coarse: Sequence[float], p: float) -> tuple[float, float]:
+        """(measured, bound) for lifting a coarse signal back to the level:
+        the conditioned p-norm of the lifted signal, against the
+        approximation-operator constant times the kept-mass correction
+        times the coarse norm."""
         fb = _as_signal(coarse, self.keep.size)
         lifted = self.reconstruct(fb, np.zeros(self.dropped.size))
         return self._lift_check(lifted, fb, self.keep, self.approx_factor(p), p)
 
     def detail_check(self, detail: Sequence[float], p: float) -> tuple[float, float]:
+        """(measured, bound) for lifting a detail vector back to the level."""
         fd = _as_signal(detail, self.dropped.size)
         lifted = self.reconstruct(np.zeros(self.keep.size), fd)
         return self._lift_check(lifted, fd, self.dropped, self.detail_factor(p), p)
@@ -209,7 +208,7 @@ class PyramidLevel:
         Kf, K1d = qp * G[:, 0], qp * G[:, 1]
         fd = (Kf - f)[d]
         measured = lp_norm(fd, condition_measure(net.mu, d), p)
-        lf = self.generator @ f
+        lf = net.generator @ f
         if p == math.inf:
             factor = 1.0 / qp
         else:
@@ -337,22 +336,15 @@ def check_build_args(
     n_tuning_samples: int = 16,
     sparsify_theta: float | None = None,
     forced_keep: Sequence[Sequence[int]] | None = None,
-    forced_q_prime: Sequence[float] | None = None,
 ) -> None:
     """Raise ``InvalidParams`` unless :func:`build_pyramid` accepts these:
-    a seed in ``[0, 2**64)`` when kept sets are sampled, ``forced_q_prime``
-    only alongside a ``forced_keep`` of its length, ``max_levels >= 0``,
-    ``min_size >= 2``, ``n_tuning_samples >= 1`` and a finite
-    ``sparsify_theta >= 0``."""
+    a seed in ``[0, 2**64)`` when kept sets are sampled,
+    ``max_levels >= 0``, ``min_size >= 2``, ``n_tuning_samples >= 1`` and
+    a finite ``sparsify_theta >= 0``."""
     if forced_keep is None:
         if seed is None:
             raise InvalidParams("seed is required when kept sets are sampled")
         sampler.check_stream(seed, 0, 1)
-    if forced_q_prime is not None:
-        if forced_keep is None or len(forced_q_prime) != len(forced_keep):
-            raise InvalidParams(
-                "forced_q_prime requires forced_keep of the same length"
-            )
     if max_levels is not None and max_levels < 0:
         raise InvalidParams("max_levels must be >= 0")
     if min_size < 2:
@@ -373,21 +365,19 @@ def build_pyramid(
     n_tuning_samples: int = 16,
     sparsify_theta: float | None = None,
     forced_keep: Sequence[Sequence[int]] | None = None,
-    forced_q_prime: Sequence[float] | None = None,
 ) -> Pyramid:
     """Build a multiresolution pyramid for a signal.
 
     Kept sets are the roots of a sampled spanning forest at a killing
     rate tuned per level (grid search minimizing the estimated stability
-    objective), and the smoothing rate is ``2 w_max |roots| / |dropped|``.
+    objective), and the smoothing rate is ``2 w_max |kept| / |dropped|``.
     ``forced_keep`` bypasses sampling with explicit per-level kept sets
-    (in that level's coordinates); ``forced_q_prime`` optionally pins the
-    smoothing rates alongside it.  When ``sparsify_theta`` is set, each
-    reduced network is sparsified before feeding the next level; the
-    exact Schur complement is still what the reconstruction and the
-    stability constants of the current level use.  Level ``k`` tunes with
-    seed ``seed + k + 1`` modulo ``2**64``.  Every argument is checked
-    (:func:`check_build_args`) before any work.
+    (in that level's coordinates).  Each reduced network is the next
+    level's network, unless ``sparsify_theta`` is set: then it is
+    sparsified first, and the exact Schur complement is still what the
+    reconstruction and the stability constants of the current level use.
+    Level ``k`` tunes with seed ``seed + k + 1`` modulo ``2**64``.  Every
+    argument is checked (:func:`check_build_args`) before any work.
     """
     f = _as_signal(values, net.n)
     check_build_args(
@@ -397,7 +387,6 @@ def build_pyramid(
         n_tuning_samples=n_tuning_samples,
         sparsify_theta=sparsify_theta,
         forced_keep=forced_keep,
-        forced_q_prime=forced_q_prime,
     )
 
     levels: list[PyramidLevel] = []
@@ -418,12 +407,9 @@ def build_pyramid(
             )
             keep = _draw_keep(current, q_tuning, seed, idx)
         reduction = cg.ReducedNetwork(current, keep)
-        if forced_q_prime is not None:
-            q_prime = float(forced_q_prime[idx])
-        else:
-            # a kept set with nothing dropped is refused by the level
-            dropped = max(reduction.dropped.size, 1)
-            q_prime = 2.0 * current.w_max * reduction.kept.size / dropped
+        # a kept set with nothing dropped is refused by the level
+        dropped = max(reduction.dropped.size, 1)
+        q_prime = 2.0 * current.w_max * reduction.kept.size / dropped
         level = PyramidLevel(reduction, q_prime, q_tuning=q_tuning)
         approx, level.detail = level.analyze(f)
         if sparsify_theta is not None:
@@ -550,25 +536,6 @@ def compression_curve(
 
 # ---------------------------------------------------------------------------
 # stability bounds
-
-
-def approx_check(
-    net: Network, keep: Sequence[int], q_prime: float, coarse: Sequence[float], p: float
-) -> tuple[float, float]:
-    """(measured, bound) for lifting a coarse signal back to the level.
-
-    Measured is the conditioned p-norm of the lifted signal; the bound is
-    the approximation-operator constant times the kept-mass correction
-    times the coarse norm.
-    """
-    return PyramidLevel.of(net, keep, q_prime).approx_check(coarse, p)
-
-
-def detail_check(
-    net: Network, keep: Sequence[int], q_prime: float, detail: Sequence[float], p: float
-) -> tuple[float, float]:
-    """(measured, bound) for lifting a detail vector back to the level."""
-    return PyramidLevel.of(net, keep, q_prime).detail_check(detail, p)
 
 
 def detail_size_check(
@@ -704,7 +671,7 @@ def _stability_bounds(pyr: Pyramid, p: float) -> StabilityReport:
         wb = lvl.network.w_max / lvl.reduction.speeds[0]
         defect_acc += 2.0 * lvl.q_prime * wb ** (1.0 / pstar)
         prod *= lvl.approx_factor(p)
-    lf = pyr.levels[0].generator @ f0
+    lf = pyr.base.generator @ f0
     gap_bound = a_sum * lp_norm(lf, base_mu, p) + b_sum * lp_norm(f0, base_mu, p)
     gap_measured = lp_norm(f0 - approximation(pyr), base_mu, p)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import forestnets
-from forestnets import cli, fileio, oracle
+from forestnets import cli, fileio, oracle, sampler
 from forestnets import wavelets as wv
 from forestnets.errors import NumericalError
 from forestnets.network import build_network
@@ -87,6 +87,17 @@ def test_graph_reduce_golden(capsys, path3_file):
     )
     assert code == 0
     assert out == "0\t1\t0.5\n1\t0\t0.5\n"
+
+
+def test_graph_reduce_json_golden(capsys, path3_file):
+    code, out, _ = run(
+        capsys,
+        ["graph", "reduce", path3_file, "--undirected", "--keep", "0,2", "--json"],
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "kept": [0, 2], "mu": [0.5, 0.5], "edges": [[0, 1, 0.5], [1, 0, 0.5]]
+    }
 
 
 def test_oracle_partition(capsys, two_file):
@@ -252,6 +263,48 @@ def test_tune_json(capsys, two_file):
     assert code == 0
     assert len(doc["records"]) == 7
     assert any(r["q"] == doc["chosen_q"] for r in doc["records"])
+
+
+def test_tune_text_lists_the_json_records(capsys, two_file):
+    argv = ["tune", two_file, "--seed", "4", "--grid", "0.5,2", "--samples", "8"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    doc = json.loads(run(capsys, argv + ["--json"])[1])
+    want = [
+        f"q={r['q']!r} objective={r['objective']!r} w_tilde={r['w_tilde']!r} "
+        f"one_over_beta_tilde={r['one_over_beta_tilde']!r} "
+        f"mean_roots={r['mean_roots']!r}"
+        for r in doc["records"]
+    ]
+    assert out.splitlines() == want + [f"chosen q={doc['chosen_q']!r}"]
+
+
+def test_forest_equilibrium_check_reports_the_library_check(capsys, path3_file):
+    argv = [
+        "forest", "equilibrium-check", path3_file, "--undirected", "--q", "1",
+        "--seed", "2", "--samples", "300", "--min-count", "20",
+    ]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    with open(path3_file) as fh:
+        net = fileio.read_network(fh, True)
+    report = sampler.conditional_root_equilibrium_check(
+        net, 1.0, 300, seed=2, min_count=20
+    )
+    assert report.entries
+    assert json.loads(out) == {
+        "n_samples": 300,
+        "min_count": 20,
+        "max_tv": report.max_tv,
+        "entries": [
+            {
+                "blocks": [list(b) for b in e.blocks],
+                "count": e.count,
+                "max_tv": e.max_tv,
+            }
+            for e in report.entries
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,7 @@ def test_reduction_factors_its_dropped_block_once(monkeypatch, name):
         if red.dropped.size == 0:
             continue
         factored.clear()
-        red.Lbar
+        red._complement()
         red.speeds
         red.solve_dropped(np.ones(red.dropped.size))
         red.solve_dropped(np.ones((red.dropped.size, 2)))
@@ -241,8 +241,8 @@ def test_reduction_of_large_rates_scales_exactly():
     keep = [v for v in range(36) if (v // 6 + v % 6) % 3 == 0]
     net = build_network(edges, 36)
     big = build_network([(a, b, w * 1e8) for a, b, w in edges], 36)
-    Lbar, h = cg.schur_reduce(net, keep).Lbar, oracle.hitting_times(net, keep)
-    assert np.abs(cg.schur_reduce(big, keep).Lbar / 1e8 - Lbar).max() < 1e-12
+    Lbar, h = cg.schur_complement(net, keep), oracle.hitting_times(net, keep)
+    assert np.abs(cg.schur_complement(big, keep) / 1e8 - Lbar).max() < 1e-12
     assert np.abs(oracle.hitting_times(big, keep) * 1e8 - h).max() < 1e-12 * h.max()
 
 
@@ -678,7 +678,8 @@ def test_rates_and_edge_list_build_the_same_network():
     for pyr in (forced, sampled):
         for lvl in pyr.levels:
             red = lvl.reduction
-            Lbar = red.Lbar.toarray() if scipy.sparse.issparse(red.Lbar) else red.Lbar
+            Lbar = red._complement()
+            Lbar = Lbar.toarray() if scipy.sparse.issparse(Lbar) else Lbar
             rates = np.maximum(Lbar - np.diag(np.diag(Lbar)), 0.0)
             assert_same_network(red.network, edge_list_network(rates, red.mu))
 

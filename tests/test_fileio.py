@@ -520,9 +520,21 @@ def test_archive_queries_form_no_dense_generator_on_a_sparse_level(
     dense = [not sparse_by_rule(x) for x in nets]
     assert dense == [False, False, True, True]
     assert ["L" in vars(x) for x in nets] == dense
-    assert scipy.sparse.issparse(back.levels[0].reduction.Lbar)
-    assert not scipy.sparse.issparse(back.levels[1].reduction.Lbar)
+    assert scipy.sparse.issparse(back.levels[0].reduction._complement())
+    assert not scipy.sparse.issparse(back.levels[1].reduction._complement())
     assert True not in formed
+
+
+def test_a_reduced_network_and_the_next_level_share_one_generator():
+    # the level-0 reduction of the 24x24 archive is sparse: the product
+    # through it in the reconstruction and the next level's products read
+    # one CSC matrix, built once
+    back, _ = fileio.read_pyramid(io.StringIO(seeded_query_archive()))
+    wv.stability_bounds(back, 2.0)
+    wv.reconstruct_pyramid(back)
+    shared = back.levels[0].reduction.network.generator
+    assert shared is back.levels[1].network.generator
+    assert isinstance(shared, scipy.sparse.csc_array)
 
 
 def kept_square_arrays(red):

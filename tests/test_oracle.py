@@ -90,6 +90,23 @@ def test_checked_lu():
     np.testing.assert_allclose(lu.solve(rhs[:, 0]), [2 / 3, 1 / 3], atol=1e-15)
 
 
+def test_checked_inverses(monkeypatch):
+    # the batch is refused as a whole when one of its matrices fails
+    good = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    np.testing.assert_allclose(
+        oracle.checked_inverses(np.stack([good, np.eye(2)]), "M"),
+        np.stack([np.linalg.inv(good), np.eye(2)]),
+        atol=1e-15,
+    )
+    with pytest.raises(SingularSystem, match="^M overflows$"):
+        oracle.checked_inverses(np.stack([good, [[1e308, 1e308], [0.0, 1.0]]]), "M")
+    with pytest.raises(SingularSystem, match="^M is singular \\(zero pivot\\)$"):
+        oracle.checked_inverses(np.stack([good, np.ones((2, 2))]), "M")
+    monkeypatch.setattr(config, "RESIDUAL_TOL", -1.0)
+    with pytest.raises(SingularSystem, match="^M residual "):
+        oracle.checked_inverses(good[None], "M")
+
+
 def test_checked_lu_checks_every_width_on_one_fixed_combination(monkeypatch):
     # the combination is drawn once per width, as default_rng(0) draws it,
     # and every solve still checks its residual on it

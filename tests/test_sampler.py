@@ -159,6 +159,24 @@ def test_sample_with_m_roots_window():
     assert np.median(iters) <= 5
 
 
+def test_sample_with_m_roots_returns_the_closest_draw_when_it_misses():
+    # on a unit 32-cycle from q0 = 1e-3 w_max the draws at seed 3 have 1,
+    # 4, 15 and 15 roots, all below the window 32 +- 2 sqrt(32): the first
+    # draw of the closest count is returned, with the q it was drawn at
+    net = build_network(netdefs.cycle_edges(32), 32)
+    q0 = 1e-3 * net.w_max
+    res = sampler.sample_with_m_roots(net, 32, seed=3, q0=q0, max_iters=1)
+    want = sampler.wilson_sample(net, q0, seed=3, sample_index=0)
+    assert (res.converged, res.iterations, res.q) == (False, 1, q0)
+    assert np.array_equal(res.forest.parent, want.parent)
+    res = sampler.sample_with_m_roots(net, 32, seed=3, q0=q0, max_iters=4)
+    q2 = q0 * 32 / 1 * 32 / 4
+    want = sampler.wilson_sample(net, q2, seed=3, sample_index=2)
+    assert (res.converged, res.iterations, res.q) == (False, 4, q2)
+    assert np.array_equal(res.forest.parent, want.parent)
+    assert want.roots.size == 15
+
+
 def test_sample_with_m_roots_validation(path3):
     with pytest.raises(InvalidParams):
         sampler.sample_with_m_roots(path3, 0, seed=1)
@@ -534,21 +552,33 @@ def test_chi2_matches_scipy_stats_chisquare():
 
 
 def test_step_budget_is_the_lower_bound_of_the_walk_steps(monkeypatch):
-    # exit rates 2 and 1: a rootless draw at q = 0.5 walks at least
-    # max(1, 1 / 0.5) = 2 steps on average, a draw with a forced root 1
+    # exit rates 2 and 1: on two vertices the two-step bound is the exact
+    # mean number of steps of a rootless draw, sum_x G(x, x), which is
+    # above max(1, 1 / q); a draw with a forced root takes one step.  On a
+    # directed unit 3-cycle no walk returns in two steps, and the first walk's
+    # 1 / q steps before it is killed is the larger bound
     net = build_network([(0, 1, 2.0), (1, 0, 1.0)], 2)
+    cycle = build_network([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)], 3)
+
+    def mean(q):
+        return 2.0 * (q + 1.0) * (q + 2.0) / (q * (q + 3.0))
+
     cases = [
-        (20, lambda: sampler.check_sampling_args(net, 0.5, (), 10)),
+        (10 * mean(0.5), lambda: sampler.check_sampling_args(net, 0.5, (), 10)),
         (10, lambda: sampler.check_sampling_args(net, 0.5, (0,), 10)),
-        (12, lambda: sampler.check_tuning_args(net, [0.5, 2.0], 4)),
-        (4, lambda: sampler.check_m_roots_args(net, 1, (), 0.25)),
+        (
+            4 * (mean(0.5) + mean(2.0)),
+            lambda: sampler.check_tuning_args(net, [0.5, 2.0], 4),
+        ),
+        (mean(0.25), lambda: sampler.check_m_roots_args(net, 1, (), 0.25)),
         (1, lambda: sampler.check_m_roots_args(net, 1, (0,), 1e-300)),
+        (4, lambda: sampler.check_sampling_args(cycle, 0.25)),
     ]
     for steps, check in cases:
-        monkeypatch.setattr(config, "MAX_WALK_STEPS", steps)
+        monkeypatch.setattr(config, "MAX_WALK_STEPS", steps * (1.0 + 1e-12))
         check()
-        monkeypatch.setattr(config, "MAX_WALK_STEPS", steps - 0.5)
-        with pytest.raises(InvalidParams, match=f"needs at least {steps} walk steps"):
+        monkeypatch.setattr(config, "MAX_WALK_STEPS", steps * (1.0 - 1e-12))
+        with pytest.raises(InvalidParams, match=f"needs at least {steps:.3g} walk"):
             check()
 
 

@@ -19,7 +19,7 @@ from forestnets import cli, oracle
 from forestnets import coarsegrain as cg
 from forestnets import wavelets as wv
 from forestnets.errors import SingularSystem
-from forestnets.network import build_network
+from forestnets.network import Network, build_network
 
 from netdefs import grid_edges
 
@@ -152,9 +152,12 @@ def test_sparse_and_dense_factors_agree(drawn, data):
     f = rng.normal(size=n)
     level = wv.PyramidLevel.of(net, keep, q)
     approx, detail = level.analyze(f)
-    dense = wv.PyramidLevel.of(net, keep, q)
+    dense_net = Network(np.column_stack([net.src, net.dst, net.w]), n)
+    dense_net.generator = dense_net.L
+    dense = wv.PyramidLevel.of(dense_net, keep, q)
     dense.reduction._lu = A
-    dense.generator = L
+    reduced = dense.reduction.network
+    reduced.generator = reduced.L
     back = level.reconstruct(approx, detail)
     assert close(back, dense.reconstruct(approx, detail))
     assert np.abs(back - f).max() <= 1e-10 * np.abs(f).max()
@@ -165,10 +168,10 @@ def test_the_rule_picks_each_side():
     rng = np.random.default_rng(0)
     grid = grid_net(rng, 12)
     assert scipy.sparse.issparse(oracle.killed_lu(grid, 1.0).M)
-    assert scipy.sparse.issparse(oracle.generator(grid))
+    assert scipy.sparse.issparse(grid.generator)
     small = grid_net(rng, 11)  # 121 vertices, below the size floor
     assert isinstance(oracle.killed_lu(small, 1.0).M, np.ndarray)
-    assert oracle.generator(small) is small.L
+    assert small.generator is small.L
     dense = digraph_net(rng, 150, 20)  # about 14% of n^2
     assert isinstance(oracle.killed_lu(dense, 1.0).M, np.ndarray)
 
@@ -384,7 +387,7 @@ def dense_schur(net, k):
 
 def check_cluster_sum(net, keep):
     red = cg.ReducedNetwork(net, keep)
-    Lbar = red.Lbar
+    Lbar = red._complement()
     want = dense_schur(net, red.kept)
     # stored sparse exactly when the density rule picks it for Lbar
     assert scipy.sparse.issparse(Lbar) == oracle.sparse_pays(

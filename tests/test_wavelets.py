@@ -271,25 +271,27 @@ def test_signal_levels_chain():
     assert np.abs(fb - sigs[1]).max() < 1e-10
 
 
+def pinned_pyramid(net, values, keep, q_prime):
+    """The one-level pyramid of ``values`` on ``keep`` at the smoothing rate
+    ``q_prime``, which :func:`wavelets.build_pyramid` always sets itself."""
+    level = wv.PyramidLevel.of(net, keep, q_prime)
+    apex, level.detail = level.analyze(values)
+    return wv.Pyramid(base=net, levels=[level], apex=apex)
+
+
 def test_forced_keep_sets_q_prime(two_asym):
     pyr = wv.build_pyramid(two_asym, [3.0, 0.0], forced_keep=[[0]])
     assert pyr.levels[0].q_prime == pytest.approx(4.0)
-    pinned = wv.build_pyramid(
-        two_asym, [3.0, 0.0], forced_keep=[[0]], forced_q_prime=[3.0]
-    )
-    assert pinned.levels[0].q_prime == 3.0
+    pinned = pinned_pyramid(two_asym, [3.0, 0.0], [0], 3.0)
     assert np.allclose(pinned.levels[0].detail, [0.5])
     assert np.allclose(wv.reconstruct_pyramid(pinned), [3.0, 0.0])
 
 
-@pytest.mark.parametrize("forced_q_prime", [None, [1.0]])
-def test_forced_keep_must_drop_a_vertex(two_asym, forced_q_prime):
-    # the default q' divides by the dropped count; a full kept set is
-    # refused by the level, not by that division
+def test_forced_keep_must_drop_a_vertex(two_asym):
+    # q' divides by the dropped count; a full kept set is refused by the
+    # level, not by that division
     with pytest.raises(InvalidParams, match="proper nonempty subset"):
-        wv.build_pyramid(
-            two_asym, [3.0, 0.0], forced_keep=[[0, 1]], forced_q_prime=forced_q_prime
-        )
+        wv.build_pyramid(two_asym, [3.0, 0.0], forced_keep=[[0, 1]])
 
 
 def test_pyramid_measure_bookkeeping():
@@ -341,13 +343,7 @@ def test_pyramid_validation(two_asym):
     with pytest.raises(InvalidParams):
         wv.build_pyramid(two_asym, [1.0, 2.0], seed=1, min_size=1)
     with pytest.raises(InvalidParams):
-        wv.build_pyramid(
-            two_asym, [1.0, 2.0], forced_keep=[[0]], forced_q_prime=[1.0, 2.0]
-        )
-    with pytest.raises(InvalidParams):
-        wv.build_pyramid(
-            two_asym, [1.0, 2.0], forced_keep=[[0]], forced_q_prime=[-1.0]
-        )
+        wv.PyramidLevel.of(two_asym, [0], -1.0)
 
 
 def test_pyramid_stops_at_min_size():
@@ -454,11 +450,12 @@ def test_detail_size_golden(two_asym):
 
 
 def test_lift_check_goldens(two_asym):
-    measured, bound = wv.approx_check(two_asym, [0], 3.0, [2.0], 1.0)
+    level = wv.PyramidLevel.of(two_asym, [0], 3.0)
+    measured, bound = level.approx_check([2.0], 1.0)
     assert (measured, bound) == pytest.approx((2.0, 2.0))
-    measured, bound = wv.detail_check(two_asym, [0], 3.0, [0.5], 1.0)
+    measured, bound = level.detail_check([0.5], 1.0)
     assert (measured, bound) == pytest.approx((5 / 3, 5 / 3))
-    measured, bound = wv.detail_check(two_asym, [0], 3.0, [0.5], math.inf)
+    measured, bound = level.detail_check([0.5], math.inf)
     assert (measured, bound) == pytest.approx((2.0, 2.0))
 
 
@@ -526,9 +523,7 @@ def test_pyramid_of_large_rates_reconstructs():
     edges = [(a, b, 1e8 * w) for a, b, w in grid_edges(6, 6)]
     keep = [v for v in range(36) if (v // 6 + v % 6) % 3 == 0]
     f = np.sin(np.arange(36.0))
-    pyr = wv.build_pyramid(
-        build_network(edges, 36), f, forced_keep=[keep], forced_q_prime=[1e8]
-    )
+    pyr = pinned_pyramid(build_network(edges, 36), f, keep, 1e8)
     assert np.abs(wv.reconstruct_pyramid(pyr) - f).max() < 1e-10
 
 
@@ -539,7 +534,7 @@ def test_pyramid_of_large_rates_smooths_slowly():
     keep = [v for v in range(36) if (v // 6 + v % 6) % 3 == 0]
     f = np.sin(np.arange(36.0))
     net = build_network(edges, 36)
-    pyr = wv.build_pyramid(net, f, forced_keep=[keep], forced_q_prime=[1.0])
+    pyr = pinned_pyramid(net, f, keep, 1.0)
     unit = np.finfo(float).eps * (1.0 + net.w_max / 1.0)
     assert np.abs(wv.reconstruct_pyramid(pyr) - f).max() <= 64 * unit
     for p in (1.0, 2.0, math.inf):
