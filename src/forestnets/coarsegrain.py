@@ -466,19 +466,25 @@ def tv_meta_bound(
         * ( (q'/q) * sum_x E |loop-erased walk from x at rate q'| )^(1/p*)
 
     The mean root count is exact; mean loop-erased path lengths (edge
-    counts) are Monte-Carlo estimates.
+    counts) are Monte-Carlo estimates.  Walk ``i`` from ``x`` is sample
+    ``x * n_walks + i`` of :func:`sampler.loop_erased_walk`; each start's
+    ``n_walks`` walks are drawn in one call of the sampling driver, whose
+    rows hold only the walk, so a walk's edge count is its row's number of
+    non-root entries.  ``InvalidParams`` unless ``n_walks >= 1``.
     """
     check_p(p)
     q, _ = oracle.check_q(net, q)
     check_q_prime(q_prime)
+    if n_walks < 1:
+        raise InvalidParams(f"n_walks must be >= 1, got {n_walks}")
+    q_prime, _ = sampler.check_sampling_args(net, q_prime)
     mean_roots, _ = oracle.root_count_moments(net, q)
-    total_len = 0.0
+    total_len = 0
     for x in range(net.n):
-        for i in range(n_walks):
-            path = sampler.loop_erased_walk(
-                net, q_prime, x, seed=seed, sample_index=x * n_walks + i
-            )
-            total_len += len(path) - 1
+        for parents in sampler._sample_parents(
+            net, q_prime, [], seed, x * n_walks, n_walks, start=x
+        ):
+            total_len += int((parents != -1).sum())
     mean_len_sum = total_len / n_walks
     pstar = holder_conjugate(p)
     first = mean_roots ** (1.0 / p)

@@ -1,5 +1,6 @@
 """File formats: edge lists, signals, forests, images, pyramid archives.
 
+Forests are written, not read: no command takes a forest file as input.
 All writers produce deterministic byte streams (stable ordering, shortest
 round-trip float representation) so identical inputs yield identical
 output files.  A pyramid archive is read into levels made as
@@ -132,40 +133,6 @@ def write_forest(fh: IO[str], forest: RootedForest) -> None:
     fh.write(f"# q={_fmt(forest.q)} roots={forest.roots.size}\n")
     for v, parent in enumerate(forest.parent):
         fh.write(f"{v}\t{int(parent)}\n")
-
-
-def read_forest(fh: IO[str]) -> tuple[np.ndarray, float | None]:
-    """Inverse of :func:`write_forest`: (parent array, q if recorded)."""
-    q: float | None = None
-    entries: dict[int, int] = {}
-    for lineno, raw in enumerate(fh, start=1):
-        line = raw.strip()
-        if line.startswith("#"):
-            for tok in line[1:].split():
-                if tok.startswith("q="):
-                    try:
-                        q = float(tok[2:])
-                    except ValueError:
-                        raise MalformedInput(f"line {lineno}: bad q value")
-            continue
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise MalformedInput(f"line {lineno}: expected 'vertex<TAB>parent'")
-        try:
-            entries[int(parts[0])] = int(parts[1])
-        except ValueError as exc:
-            raise MalformedInput(f"line {lineno}: {exc}") from None
-    if not entries:
-        raise MalformedInput("forest file is empty")
-    n = max(entries) + 1
-    parent = np.full(n, -2, dtype=np.int64)
-    for v, p in entries.items():
-        parent[v] = p
-    if (parent == -2).any():
-        raise MalformedInput("forest file skips a vertex")
-    return parent, q
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from __future__ import annotations
 import operator
 import threading
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -139,7 +140,10 @@ class RootedForest:
     """A sampled rooted spanning forest.
 
     ``parent[x]`` is the out-edge target of ``x``, or ``-1`` when ``x`` is
-    a root.  Forced roots always satisfy ``parent[b] == -1``.
+    a root.  Forced roots always satisfy ``parent[b] == -1``.  The parent
+    array is the one representation: roots, each vertex's root, the block
+    labels and the blocks are all read off it with array operations.
+    :meth:`blocks` lists the blocks in the order of their roots' ids.
     """
 
     q: float
@@ -156,27 +160,18 @@ class RootedForest:
 
     @cached_property
     def root_of(self) -> np.ndarray:
-        """Root of the tree containing each vertex."""
-        parent = self.parent
-        out = np.full(self.n, -1, dtype=np.int64)
-        for v in range(self.n):
-            x = v
-            trail = []
-            while out[x] == -1 and parent[x] != -1:
-                trail.append(x)
-                x = int(parent[x])
-            r = out[x] if out[x] != -1 else x
-            out[v] = r
-            for t in trail:
-                out[t] = r
-        return out
+        """Root of the tree containing each vertex, by pointer jumping: a
+        tree is at most ``n - 1`` deep, less than ``2**n.bit_length()``."""
+        n = self.n
+        up = np.where(self.parent == -1, np.arange(n), self.parent)
+        for _ in range(n.bit_length()):
+            up = up[up]
+        return up
 
     @cached_property
     def partition(self) -> np.ndarray:
         """Block label per vertex; labels index the sorted root list."""
-        roots = self.roots
-        lookup = {int(r): i for i, r in enumerate(roots)}
-        return np.asarray([lookup[int(r)] for r in self.root_of], dtype=np.int64)
+        return np.searchsorted(self.roots, self.root_of)
 
     def blocks(self) -> list[np.ndarray]:
         return [np.flatnonzero(self.partition == i) for i in range(self.roots.size)]
@@ -489,10 +484,11 @@ def empirical_stats(
     counts = counts.reshape(n, n + 1)
 
     root_freq = counts[:, n] / n_samples
-    edge_freq = {}
-    for x in range(n):
-        for y in np.flatnonzero(counts[x, :n]):
-            edge_freq[(x, int(y))] = counts[x, y] / n_samples
+    xs, ys = np.nonzero(counts[:, :n])
+    edge_freq = {
+        (x, y): c / n_samples
+        for x, y, c in zip(xs.tolist(), ys.tolist(), counts[xs, ys])
+    }
     hist = {int(k): int(c) for k, c in enumerate(hist_arr) if c > 0}
 
     mean_roots = float(
@@ -654,37 +650,36 @@ def conditional_root_equilibrium_check(
     """Empirical check that, conditionally on the tree partition, each
     block's root follows the restricted-walk equilibrium of that block.
 
-    Samples forests, groups them by induced partition, and for every
-    partition observed at least ``min_count`` times compares the root
-    frequency inside each block with ``restricted_equilibrium``; reports
-    the worst total-variation gap per partition.
+    Samples forests, groups them by their tree partition alone, whichever
+    vertex each block's root is, and keeps one tally of root vertices per
+    partition.  For every partition observed at least ``min_count`` times
+    it compares the root frequency inside each block with
+    ``restricted_equilibrium`` and reports the worst total-variation gap.
+    Entries come sorted by their blocks: each block ascending, each
+    partition's blocks listed by their least vertex.
     """
     q, roots = check_sampling_args(net, q, n_samples=n_samples)
-    # per partition key: [count, {block_index: {root: count}}]
+    # per partition, its forest count and the tally of its root vertices
     seen: dict[tuple[tuple[int, ...], ...], list] = {}
     for parents in _sample_parents(net, q, roots, seed, 0, n_samples):
         # equal forests give equal partitions and roots: group them first
         forests, repeats = np.unique(parents, axis=0, return_counts=True)
         for parent, c in zip(forests, repeats.tolist()):
             forest = RootedForest(q=q, forced_roots=(), parent=parent)
-            key = tuple(tuple(int(v) for v in b) for b in forest.blocks())
-            rec = seen.setdefault(key, [0, {}])
+            key = tuple(sorted(tuple(b.tolist()) for b in forest.blocks()))
+            rec = seen.setdefault(key, [0, Counter()])
             rec[0] += c
-            for bi, r in enumerate(forest.roots):
-                rec[1].setdefault(bi, {})
-                rec[1][bi][int(r)] = rec[1][bi].get(int(r), 0) + c
+            for r in forest.roots.tolist():
+                rec[1][r] += c
 
     entries = []
-    for key, (count, root_counts) in sorted(seen.items()):
+    for key, (count, tally) in sorted(seen.items()):
         if count < min_count:
             continue
         gaps = []
-        for bi, block in enumerate(key):
+        for block in key:
             want = restricted_equilibrium(net, block)
-            got = np.array(
-                [root_counts[bi].get(v, 0) for v in block], dtype=float
-            )
-            got /= count
+            got = np.array([tally[v] for v in block], dtype=float) / count
             gaps.append(0.5 * float(np.abs(got - want).sum()))
         # np.max keeps a NaN, where max(0.0, nan) would give 0.0
         worst = float(np.max(gaps))

@@ -307,6 +307,27 @@ def test_forest_equilibrium_check_reports_the_library_check(capsys, path3_file):
     }
 
 
+def test_forest_equilibrium_check_groups_by_partition_alone(capsys, tmp_path):
+    # two strongly bound pairs {0, 3} and {1, 2}, weakly coupled; their
+    # blocks interleave in vertex order, so the two roots' ids order the
+    # blocks either way
+    path = tmp_path / "pairs.tsv"
+    path.write_text(
+        "0\t3\t5.0\n3\t0\t1.0\n1\t2\t5.0\n2\t1\t1.0\n"
+        "0\t1\t0.01\n1\t0\t0.01\n3\t2\t0.01\n2\t3\t0.01\n"
+    )
+    argv = [
+        "forest", "equilibrium-check", str(path), "--q", "0.05", "--seed", "1",
+        "--samples", "20000", "--min-count", "200",
+    ]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    blocks = [e["blocks"] for e in doc["entries"]]
+    assert blocks == [[[0, 1, 2, 3]], [[0, 3], [1, 2]]]
+    assert doc["max_tv"] <= 0.02
+
+
 # ---------------------------------------------------------------------------
 # signal pipeline
 

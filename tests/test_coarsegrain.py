@@ -396,6 +396,55 @@ def test_tv_meta_bound_validation(two_asym):
         cg.tv_meta_bound(two_asym, 0.0, 1.0, 2.0, seed=1)
 
 
+def _reference_tv_meta_bound(net, q, q_prime, p, n_walks, seed):
+    # one loop_erased_walk call per walk, walk i from x at x * n_walks + i
+    mean_roots, _ = oracle.root_count_moments(net, q)
+    total_len = 0.0
+    for x in range(net.n):
+        for i in range(n_walks):
+            path = sampler.loop_erased_walk(
+                net, q_prime, x, seed=seed, sample_index=x * n_walks + i
+            )
+            total_len += len(path) - 1
+    base = (q_prime / q) * (total_len / n_walks)
+    return float(mean_roots ** (1.0 / p) * base ** (1.0 / cg.holder_conjugate(p)))
+
+
+# 200 walks per start reach the sampler's vectorized first-block path
+@pytest.mark.parametrize("n_walks", [4, 200])
+@pytest.mark.parametrize("seed", [3, 2**63 + 11])
+def test_tv_meta_bound_equals_one_walk_per_call(n_walks, seed):
+    assert 4 < sampler._KERNEL_MIN <= 200
+    net = build_network(grid_edges(3, 3), 9)
+    got = cg.tv_meta_bound(net, 0.5, 2.0, 2.0, n_walks=n_walks, seed=seed)
+    assert got == _reference_tv_meta_bound(net, 0.5, 2.0, 2.0, n_walks, seed)
+
+
+def test_tv_meta_bound_checks_once_and_draws_once_per_start(monkeypatch):
+    net = build_network(grid_edges(3, 3), 9)
+    calls = {"check_sampling_args": 0, "_sample_parents": 0}
+    for name in calls:
+        real = getattr(sampler, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(sampler, name, counted)
+    cg.tv_meta_bound(net, 0.5, 2.0, 2.0, n_walks=8, seed=1)
+    assert calls == {"check_sampling_args": 1, "_sample_parents": 9}
+
+
+@pytest.mark.parametrize("n_walks", [0, -1])
+def test_tv_meta_bound_refuses_no_walks(monkeypatch, two_asym, n_walks):
+    _refuse_work(monkeypatch)
+    with pytest.raises(InvalidParams, match="n_walks must be >= 1"):
+        cg.tv_meta_bound(two_asym, 1.0, 1.0, 2.0, n_walks=n_walks, seed=1)
+    # the rates are checked first
+    with pytest.raises(InvalidParams, match="q' must be positive"):
+        cg.tv_meta_bound(two_asym, 1.0, 0.0, 2.0, n_walks=n_walks, seed=1)
+
+
 # a bad killing rate q or smoothing rate q', each with the message of its check
 BAD_RATES = [
     pytest.param(bad, 1.0, "killing rate q must be finite", id=f"q={bad}")

@@ -14,7 +14,7 @@ from forestnets import cli, fileio, network, oracle
 from forestnets import wavelets as wv
 from forestnets.errors import MalformedInput
 from forestnets.network import build_network
-from forestnets.sampler import wilson_sample
+from forestnets.sampler import RootedForest
 
 from netdefs import cycle_edges, grid_edges
 
@@ -95,22 +95,11 @@ def test_read_signal_size_mismatch():
 # forests
 
 
-def test_forest_roundtrip(two_asym):
-    forest = wilson_sample(two_asym, 3.0, seed=5)
+def test_write_forest_format():
+    forest = RootedForest(q=3.0, forced_roots=(), parent=np.array([-1, 0]))
     buf = io.StringIO()
     fileio.write_forest(buf, forest)
-    parent, q = fileio.read_forest(io.StringIO(buf.getvalue()))
-    assert np.array_equal(parent, forest.parent)
-    assert q == 3.0
-
-
-def test_read_forest_malformed():
-    with pytest.raises(MalformedInput):
-        fileio.read_forest(io.StringIO("0\n"))
-    with pytest.raises(MalformedInput):
-        fileio.read_forest(io.StringIO("0\t1\n2\t-1\n"))  # vertex 1 missing
-    with pytest.raises(MalformedInput):
-        fileio.read_forest(io.StringIO(""))
+    assert buf.getvalue() == "# q=3.0 roots=1\n0\t-1\n1\t0\n"
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,54 @@ def test_partition_blocks(path3):
     assert np.array_equal(g.partition, [0, 1, 1])
 
 
+def _reference_root_of(parent):
+    # follow each vertex's parents to its root, filling in every vertex
+    # passed on the way
+    parent = parent.tolist()
+    out = [-1] * len(parent)
+    for v in range(len(parent)):
+        trail, x = [], v
+        while out[x] == -1 and parent[x] != -1:
+            trail.append(x)
+            x = parent[x]
+        root = x if out[x] == -1 else out[x]
+        for t in trail + [x]:
+            out[t] = root
+    return out
+
+
+def _check_against_reference(forest):
+    root_of = _reference_root_of(forest.parent)
+    labels = {r: i for i, r in enumerate(sorted(set(root_of)))}
+    assert forest.root_of.dtype == np.int64
+    assert forest.root_of.tolist() == root_of
+    assert forest.partition.dtype == np.int64
+    assert forest.partition.tolist() == [labels[r] for r in root_of]
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 2.0, 50.0])
+def test_root_of_and_partition_match_a_reference_walk_up(q):
+    net = build_network(netdefs.grid_edges(5, 6), 30)
+    for i in range(20):
+        _check_against_reference(sampler.wilson_sample(net, q, seed=8, sample_index=i))
+
+
+@pytest.mark.parametrize("n", [config.MAX_VERTICES, config.MAX_VERTICES - 1])
+def test_root_of_and_partition_on_the_deepest_and_the_flattest_forests(n):
+    # 4,095 vertices is the least n whose depth n - 1 needs all
+    # n.bit_length() jumps
+    up_path = np.append(np.arange(1, n), -1)  # depth n - 1, rooted at n - 1
+    down_path = np.arange(-1, n - 1)  # depth n - 1, rooted at 0
+    star = np.zeros(n, dtype=np.int64)
+    star[0] = -1
+    two_paths = np.concatenate([np.arange(-1, 9), np.arange(9, 19)])
+    two_paths[10] = -1  # 0 <- 1 <- ... <- 9 and 10 <- 11 <- ... <- 19
+    for parent in (up_path, down_path, star, two_paths):
+        _check_against_reference(
+            sampler.RootedForest(q=1.0, forced_roots=(), parent=parent)
+        )
+
+
 def test_forest_histogram_matches_exact_law(two_asym):
     want = fe.forest_law(*netdefs.TWO_ASYM, q=3.0)
     want_by_parent = {phi.parent: p for phi, p in want.items()}
@@ -101,6 +149,14 @@ def test_empirical_stats_threads_reproducible(path3):
     assert a.root_count_hist == b.root_count_hist
     assert np.array_equal(a.root_freq, b.root_freq)
     assert a.edge_freq == b.edge_freq
+
+
+def test_edge_freq_is_keyed_by_python_ints_in_row_major_order(path5):
+    st = sampler.empirical_stats(path5, 1.0, n_samples=200, seed=2)
+    keys = list(st.edge_freq)
+    assert keys and keys == sorted(keys)
+    assert all(type(x) is int and type(y) is int for x, y in keys)
+    assert all(f > 0 for f in st.edge_freq.values())
 
 
 def test_lerw_branch_frequencies(two_asym):
@@ -199,6 +255,28 @@ def test_conditional_root_equilibrium(path3):
     )
     assert rep.entries  # at least one partition seen often enough
     assert rep.max_tv <= 0.05
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    graph=netdefs.digraphs(min_n=3, max_n=6),
+    q=st.sampled_from([0.1, 1.0, 10.0]),
+    seed=st.integers(0, 2**32),
+)
+def test_conditional_root_equilibrium_reports_each_partition_once(graph, q, seed):
+    edges, n = graph
+    net = build_network(edges, n)
+    rep = sampler.conditional_root_equilibrium_check(
+        net, q, 200, seed=seed, min_count=1
+    )
+    keys = [e.blocks for e in rep.entries]
+    assert len({frozenset(k) for k in keys}) == len(keys)
+    for key in keys:
+        # blocks ascending, listed by their least vertex
+        assert list(key) == sorted(key)
+        assert all(list(b) == sorted(b) for b in key)
+    assert keys == sorted(keys)
+    assert sum(e.count for e in rep.entries) == 200
 
 
 @pytest.mark.parametrize("n_samples", [0, -5])
