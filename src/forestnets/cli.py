@@ -13,6 +13,7 @@ deterministic byte-for-byte given identical inputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import sys
@@ -30,6 +31,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
+from .fileio import _fmt
 from .network import Network, skeleton, vertex_set
 
 EXIT_OK = 0
@@ -38,12 +40,17 @@ EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _plain(obj):
+    """``obj`` as what JSON writes: a dataclass as the dict of its fields
+    (a cached property is no field), anything else, such as a numpy array
+    or scalar, as its ``tolist()``."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return obj.tolist()
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    return json.dumps(obj, sort_keys=True, indent=2, default=_plain)
 
 
 def _id_list(text: str) -> list[int]:
@@ -116,10 +123,10 @@ def cmd_graph_info(args) -> int:
     if args.json:
         doc = {
             "n": net.n,
-            "edges": int(net.w.size),
+            "edges": net.w.size,
             "w_max": net.w_max,
             "reversible": net.reversible,
-            "mu": [float(x) for x in net.mu],
+            "mu": net.mu,
         }
         print(_dumps(doc))
     else:
@@ -135,8 +142,7 @@ def cmd_graph_skeleton(args) -> int:
     net = _load_network(args)
     if _dry(args):
         return EXIT_OK
-    P = skeleton(net)
-    print(_dumps([[float(x) for x in row] for row in P]))
+    print(_dumps(skeleton(net)))
     return EXIT_OK
 
 
@@ -156,11 +162,7 @@ def cmd_graph_reduce(args) -> int:
         reduced = cg.sparsify(reduction, args.q_prime, args.sparsify_theta)
     with _out(args) as fh:
         if args.json:
-            doc = {
-                "kept": [int(v) for v in reduction.kept],
-                "mu": [float(x) for x in reduced.mu],
-                "edges": [list(e) for e in reduced.edges],
-            }
+            doc = {"kept": reduction.kept, "mu": reduced.mu, "edges": reduced.edges}
             fh.write(_dumps(doc) + "\n")
         else:
             fileio.write_edges(fh, reduced)
@@ -185,14 +187,7 @@ def cmd_oracle_green(args) -> int:
     oracle.check_q(net, args.q, args.roots)
     if _dry(args):
         return EXIT_OK
-    kern = oracle.green(net, args.q, args.roots)
-    doc = {
-        "q": kern.q,
-        "roots": [int(v) for v in kern.roots],
-        "G": [[float(x) for x in row] for row in kern.G],
-        "K": [[float(x) for x in row] for row in kern.K],
-    }
-    print(_dumps(doc))
+    print(_dumps(oracle.green(net, args.q, args.roots)))
     return EXIT_OK
 
 
@@ -230,7 +225,7 @@ def cmd_oracle_root_count(args) -> int:
     law = oracle.root_count_law(net, args.q, args.roots)
     if args.json:
         doc = {
-            "pmf": {str(int(k)): float(p) for k, p in law.as_dict().items() if p > 0},
+            "pmf": {str(k): p for k, p in law.as_dict().items() if p > 0},
             "mean": law.mean,
             "variance": law.variance,
         }
@@ -307,22 +302,10 @@ def cmd_forest_stats(args) -> int:
     stats = sampler.empirical_stats(
         net, args.q, args.roots, args.samples, seed=args.seed
     )
-    doc = {
-        "n_samples": stats.n_samples,
-        "mean_roots": stats.mean_roots,
-        "root_freq": [float(x) for x in stats.root_freq],
-        "root_count_hist": {
-            str(int(k)): int(v) for k, v in sorted(stats.root_count_hist.items())
-        },
-        "edge_freq": {
-            f"{s}->{d}": float(f)
-            for (s, d), f in sorted(stats.edge_freq.items())
-            if f > 0
-        },
-        "chi2_stat": stats.chi2_stat,
-        "chi2_pvalue": stats.chi2_pvalue,
-    }
-    print(_dumps(doc))
+    # text keys: sort_keys orders int keys by number, text keys by character
+    hist = {str(k): v for k, v in stats.root_count_hist.items()}
+    edges = {f"{s}->{d}": f for (s, d), f in stats.edge_freq.items()}
+    print(_dumps(dict(_plain(stats), root_count_hist=hist, edge_freq=edges)))
     return EXIT_OK
 
 
@@ -341,14 +324,9 @@ def cmd_forest_roots_target(args) -> int:
         max_iters=args.max_iters,
     )
     if args.json:
-        doc = {
-            "q": result.q,
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "roots": [int(v) for v in result.forest.roots],
-            "parent": [int(p) for p in result.forest.parent],
-        }
-        print(_dumps(doc))
+        doc = _plain(result)
+        forest = doc.pop("forest")
+        print(_dumps(dict(doc, roots=forest.roots, parent=forest.parent)))
     else:
         with _out(args) as fh:
             fh.write(f"# iterations={result.iterations}\n")
@@ -384,20 +362,7 @@ def cmd_forest_equilibrium_check(args) -> int:
     report = sampler.conditional_root_equilibrium_check(
         net, args.q, args.samples, seed=args.seed, min_count=args.min_count
     )
-    doc = {
-        "n_samples": report.n_samples,
-        "min_count": report.min_count,
-        "max_tv": report.max_tv,
-        "entries": [
-            {
-                "blocks": [[int(v) for v in b] for b in e.blocks],
-                "count": e.count,
-                "max_tv": e.max_tv,
-            }
-            for e in report.entries
-        ],
-    }
-    print(_dumps(doc))
+    print(_dumps(dict(_plain(report), max_tv=report.max_tv)))
     return EXIT_OK
 
 
@@ -414,20 +379,7 @@ def cmd_tune(args) -> int:
     records = sampler.estimate_tuning(net, args.grid, args.samples, seed=args.seed)
     best = sampler.chosen_tuning(records)
     if args.json:
-        doc = {
-            "chosen_q": best.q,
-            "records": [
-                {
-                    "q": r.q,
-                    "w_tilde": r.w_tilde,
-                    "one_over_beta_tilde": r.one_over_beta_tilde,
-                    "objective": r.objective,
-                    "mean_roots": r.mean_roots,
-                }
-                for r in records
-            ],
-        }
-        print(_dumps(doc))
+        print(_dumps({"chosen_q": best.q, "records": records}))
     else:
         for r in records:
             print(
@@ -481,8 +433,7 @@ def _compressed_values(pyr: wv.Pyramid, args) -> np.ndarray:
     if args.keep_count is not None:
         return wv.compress(pyr, args.keep_count).values
     if args.keep_fraction is not None:
-        frac = args.keep_fraction
-        return wv.compress(pyr, int(round(frac * pyr.detail_count()))).values
+        return wv.compression_curve(pyr, [args.keep_fraction])[0].values
     return wv.reconstruct_pyramid(pyr)
 
 
@@ -528,28 +479,8 @@ def cmd_signal_bounds(args) -> int:
     if _dry(args):
         return EXIT_OK
     report = wv.stability_bounds(pyr, args.p)
-    doc = {
-        "p": "inf" if report.p == float("inf") else report.p,
-        "analysis_measured": report.analysis_measured,
-        "analysis_bound": report.analysis_bound,
-        "approx_gap_measured": report.approx_gap_measured,
-        "approx_gap_bound": report.approx_gap_bound,
-        "all_dominated": report.all_dominated(),
-        "levels": [
-            {
-                "level": lb.level,
-                "q_prime": lb.q_prime,
-                "approx_measured": lb.approx_measured,
-                "approx_bound": lb.approx_bound,
-                "detail_measured": lb.detail_measured,
-                "detail_bound": lb.detail_bound,
-                "detail_size_measured": lb.detail_size_measured,
-                "detail_size_bound": lb.detail_size_bound,
-            }
-            for lb in report.levels
-        ],
-    }
-    print(_dumps(doc))
+    p = "inf" if report.p == float("inf") else report.p
+    print(_dumps(dict(_plain(report), p=p, all_dominated=report.all_dominated())))
     return EXIT_OK
 
 

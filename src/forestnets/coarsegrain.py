@@ -470,14 +470,18 @@ def tv_meta_bound(
     ``x * n_walks + i`` of :func:`sampler.loop_erased_walk`; each start's
     ``n_walks`` walks are drawn in one call of the sampling driver, whose
     rows hold only the walk, so a walk's edge count is its row's number of
-    non-root entries.  ``InvalidParams`` unless ``n_walks >= 1``.
+    non-root entries.  ``InvalidParams`` unless ``n_walks >= 1`` and
+    ``n_walks`` draws fit the step budget: the ``n`` walks of index ``i``,
+    one from each start ``x``, take ``sum_x sum_y G(x, y)`` steps on
+    average, at least the ``sum_x G(x, x)`` that one draw's count bounds
+    from below.
     """
     check_p(p)
     q, _ = oracle.check_q(net, q)
     check_q_prime(q_prime)
     if n_walks < 1:
         raise InvalidParams(f"n_walks must be >= 1, got {n_walks}")
-    q_prime, _ = sampler.check_sampling_args(net, q_prime)
+    q_prime, _ = sampler.check_sampling_args(net, q_prime, n_samples=n_walks)
     mean_roots, _ = oracle.root_count_moments(net, q)
     total_len = 0
     for x in range(net.n):

@@ -38,7 +38,6 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
-import scipy.special
 
 from . import config, oracle
 from .errors import InvalidParams, InvalidStart, NumericalError
@@ -452,7 +451,10 @@ def _chi2_against_law(
     obs = np.array([c[0] for c in cells])
     exp = np.array([c[1] for c in cells])
     exp *= obs.sum() / exp.sum()  # remove float drift in total mass
-    # scipy.stats.chisquare, without the cost of importing scipy.stats
+    # scipy.stats.chisquare, without the cost of importing scipy.stats;
+    # scipy.special too is imported only by the one call that needs it
+    import scipy.special
+
     stat = ((obs - exp) ** 2 / exp).sum()
     return float(stat), float(scipy.special.chdtrc(obs.size - 1, stat))
 

@@ -11,9 +11,10 @@ import pytest
 
 import forestnets
 from forestnets import cli, fileio, oracle, sampler
+from forestnets import coarsegrain as cg
 from forestnets import wavelets as wv
 from forestnets.errors import NumericalError
-from forestnets.network import build_network
+from forestnets.network import build_network, skeleton
 
 import forest_enum as fe
 from netdefs import cycle_edges, grid_edges
@@ -1259,11 +1260,13 @@ def test_non_finite_archive_values_exit_3(capsys, golden_archive, tmp_path, wher
     assert run(capsys, ["signal", cmd[0], str(bad)] + cmd[1:]) == (3, "", want)
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs about a second per process and the CLI needs none of it
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.special"])
+def test_cli_import_leaves_out_scipy_stats(module):
+    # scipy.stats costs about a second per process and the CLI needs none of
+    # it; scipy.special is needed by the chi-square of forest stats alone
     src = os.path.dirname(os.path.dirname(forestnets.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, forestnets.cli; print('scipy.stats' in sys.modules)"
+    code = f"import sys, forestnets.cli; print({module!r} in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, check=True,
@@ -1351,3 +1354,219 @@ def test_sampling_that_cannot_end_is_refused(capsys, two_file, argv, dry):
     code, out, err = run(capsys, [a.format(edges=two_file) for a in argv] + dry)
     assert code == 2 and out == ""
     assert err.startswith("error: sampling needs at least ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# JSON reports, byte for byte: each command's stdout is the sorted, indented
+# dump of a document written out here from that command's library call
+
+
+@pytest.fixture
+def weighted_file(tmp_path):
+    # a 6-cycle with irregular rates both ways and two chords
+    path = tmp_path / "weighted.tsv"
+    rows = [(0, 1, 1.7), (1, 2, 0.3), (2, 3, 2.9), (3, 4, 0.45), (4, 5, 1.1),
+            (5, 0, 0.8), (1, 0, 0.6), (2, 1, 1.9), (3, 2, 0.7), (4, 3, 2.3),
+            (5, 4, 0.35), (0, 5, 1.3), (0, 3, 0.25), (4, 1, 0.55)]
+    path.write_text("".join(f"{s}\t{d}\t{w!r}\n" for s, d, w in rows))
+    return str(path)
+
+
+def _read(path, undirected=False):
+    with open(path) as fh:
+        return fileio.read_network(fh, undirected)
+
+
+def _green_doc(net, q, roots):
+    kern = oracle.green(net, q, roots)
+    return {
+        "q": kern.q,
+        "roots": [int(v) for v in kern.roots],
+        "G": [[float(x) for x in row] for row in kern.G],
+        "K": [[float(x) for x in row] for row in kern.K],
+    }
+
+
+def _stats_doc(net, q, samples, seed):
+    stats = sampler.empirical_stats(net, q, [], samples, seed=seed)
+    assert len(stats.root_count_hist) >= 10  # "10" sorts before "9"
+    return {
+        "n_samples": stats.n_samples,
+        "mean_roots": stats.mean_roots,
+        "root_freq": [float(x) for x in stats.root_freq],
+        "root_count_hist": {
+            str(k): int(v) for k, v in stats.root_count_hist.items()
+        },
+        "edge_freq": {
+            f"{s}->{d}": float(f) for (s, d), f in stats.edge_freq.items()
+        },
+        "chi2_stat": stats.chi2_stat,
+        "chi2_pvalue": stats.chi2_pvalue,
+    }
+
+
+def _roots_target_doc(net, m, seed):
+    result = sampler.sample_with_m_roots(net, m, seed=seed)
+    return {
+        "q": result.q,
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "roots": [int(v) for v in result.forest.roots],
+        "parent": [int(p) for p in result.forest.parent],
+    }
+
+
+def _equilibrium_doc(net, q, samples, seed, min_count):
+    report = sampler.conditional_root_equilibrium_check(
+        net, q, samples, seed=seed, min_count=min_count
+    )
+    assert report.entries
+    return {
+        "n_samples": report.n_samples,
+        "min_count": report.min_count,
+        "max_tv": report.max_tv,
+        "entries": [
+            {
+                "blocks": [[int(v) for v in b] for b in e.blocks],
+                "count": e.count,
+                "max_tv": e.max_tv,
+            }
+            for e in report.entries
+        ],
+    }
+
+
+def _tune_doc(net, samples, seed):
+    records = sampler.estimate_tuning(net, None, samples, seed=seed)
+    return {
+        "chosen_q": sampler.chosen_tuning(records).q,
+        "records": [
+            {
+                "q": r.q,
+                "w_tilde": r.w_tilde,
+                "one_over_beta_tilde": r.one_over_beta_tilde,
+                "objective": r.objective,
+                "mean_roots": r.mean_roots,
+            }
+            for r in records
+        ],
+    }
+
+
+def _bounds_doc(archive, p):
+    with open(archive) as fh:
+        report = wv.stability_bounds(fileio.read_pyramid(fh)[0], p)
+    return {
+        "p": "inf" if report.p == float("inf") else report.p,
+        "analysis_measured": report.analysis_measured,
+        "analysis_bound": report.analysis_bound,
+        "approx_gap_measured": report.approx_gap_measured,
+        "approx_gap_bound": report.approx_gap_bound,
+        "all_dominated": report.all_dominated(),
+        "levels": [
+            {
+                "level": lb.level,
+                "q_prime": lb.q_prime,
+                "approx_measured": lb.approx_measured,
+                "approx_bound": lb.approx_bound,
+                "detail_measured": lb.detail_measured,
+                "detail_bound": lb.detail_bound,
+                "detail_size_measured": lb.detail_size_measured,
+                "detail_size_bound": lb.detail_size_bound,
+            }
+            for lb in report.levels
+        ],
+    }
+
+
+def _info_doc(net):
+    return {
+        "n": net.n,
+        "edges": int(net.w.size),
+        "w_max": net.w_max,
+        "reversible": net.reversible,
+        "mu": [float(x) for x in net.mu],
+    }
+
+
+def _skeleton_doc(net):
+    return [[float(x) for x in row] for row in skeleton(net)]
+
+
+def _reduce_doc(net, keep):
+    reduction = cg.ReducedNetwork(net, keep)
+    return {
+        "kept": [int(v) for v in reduction.kept],
+        "mu": [float(x) for x in reduction.network.mu],
+        "edges": [list(e) for e in reduction.network.edges],
+    }
+
+
+def _root_count_doc(net, q):
+    law = oracle.root_count_law(net, q)
+    return {
+        "pmf": {str(k): p for k, p in law.as_dict().items() if p > 0},
+        "mean": law.mean,
+        "variance": law.variance,
+    }
+
+
+#: each JSON command on the weighted network: its words, its arguments
+#: after the file, and its document built from the network
+JSON_REPORTS = {
+    "graph-info": (["graph", "info"], ["--json"], _info_doc),
+    "graph-skeleton": (["graph", "skeleton"], [], _skeleton_doc),
+    "graph-reduce": (
+        ["graph", "reduce"], ["--keep", "0,2,5", "--json"],
+        lambda net: _reduce_doc(net, [0, 2, 5]),
+    ),
+    "oracle-green": (
+        ["oracle", "green"], ["--q", "0.7"], lambda net: _green_doc(net, 0.7, []),
+    ),
+    "oracle-green-roots": (
+        ["oracle", "green"], ["--q", "0.7", "--roots", "4,1"],
+        lambda net: _green_doc(net, 0.7, [4, 1]),
+    ),
+    "oracle-root-count": (
+        ["oracle", "root-count"], ["--q", "0.7", "--json"],
+        lambda net: _root_count_doc(net, 0.7),
+    ),
+    "forest-roots-target": (
+        ["forest", "roots-target"], ["--m", "3", "--seed", "5", "--json"],
+        lambda net: _roots_target_doc(net, 3, 5),
+    ),
+    "forest-equilibrium-check": (
+        ["forest", "equilibrium-check"],
+        ["--q", "0.9", "--seed", "3", "--samples", "400", "--min-count", "15"],
+        lambda net: _equilibrium_doc(net, 0.9, 400, 3, 15),
+    ),
+    "tune": (
+        ["tune"], ["--seed", "6", "--samples", "8", "--json"],
+        lambda net: _tune_doc(net, 8, 6),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_REPORTS))
+def test_json_report_bytes(capsys, weighted_file, name):
+    cmd, flags, doc = JSON_REPORTS[name]
+    code, out, err = run(capsys, [*cmd, weighted_file, *flags])
+    assert (code, err) == (0, "")
+    assert out == json.dumps(doc(_read(weighted_file)), sort_keys=True, indent=2) + "\n"
+
+
+def test_forest_stats_json_bytes(capsys, cycle_file):
+    argv = ["forest", "stats", cycle_file, "--q", "0.8", "--seed", "2",
+            "--samples", "300"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    doc = _stats_doc(_read(cycle_file), 0.8, 300, 2)
+    assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("p", ["2", "inf"])
+def test_signal_bounds_json_bytes(capsys, golden_archive, p):
+    code, out, err = run(capsys, ["signal", "bounds", golden_archive, "--p", p])
+    assert (code, err) == (0, "")
+    doc = _bounds_doc(golden_archive, float(p))
+    assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"

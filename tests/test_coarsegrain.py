@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forestnets import coarsegrain as cg
-from forestnets import network, oracle, sampler
+from forestnets import config, network, oracle, sampler
 from forestnets import wavelets as wv
 from forestnets.errors import (
     EmptyBlock,
@@ -443,6 +443,18 @@ def test_tv_meta_bound_refuses_no_walks(monkeypatch, two_asym, n_walks):
     # the rates are checked first
     with pytest.raises(InvalidParams, match="q' must be positive"):
         cg.tv_meta_bound(two_asym, 1.0, 0.0, 2.0, n_walks=n_walks, seed=1)
+
+
+def test_tv_meta_bound_budgets_its_walks(monkeypatch):
+    # each start's walks of one index take at least one draw's steps, so
+    # n_walks draws are budgeted; 64 of them need 6.41e4 steps here
+    net = build_network([(0, 1, 1.0), (1, 0, 1.0)], 2)
+    monkeypatch.setattr(config, "MAX_WALK_STEPS", 1e4)
+    with pytest.raises(InvalidParams, match=r"6\.41e\+04 walk steps"):
+        cg.tv_meta_bound(net, 1.0, 1e-3, 2.0, n_walks=64, seed=1)
+    assert cg.tv_meta_bound(net, 1.0, 1e-3, 2.0, n_walks=8, seed=1) == (
+        0.04281744192888376
+    )
 
 
 # a bad killing rate q or smoothing rate q', each with the message of its check
